@@ -13,6 +13,7 @@ The neural model itself stays behind the pluggable tagger interface.
 from .core import (
     OUTSIDE,
     AnnotationScheme,
+    Chunk,
     Document,
     EntitySpan,
     Label,
@@ -27,7 +28,6 @@ from .core import (
 )
 from .errors import SeqlabError
 from .evaluation import (
-    Chunk,
     DatasetEvaluation,
     EvalReport,
     evaluate_on_dataset,

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import ingest, runs, schedule
-from .core import AnnotationScheme, Document, validate_sequence
-from .errors import SeqlabError
+from .core import AnnotationScheme, Document
+from .errors import InconsistentSource, SeqlabError
 from .evaluation import evaluate_on_dataset
 from .inference import load_tagger, predict, predict_file, prediction_record
 from .schemes import convert_scheme
@@ -129,27 +129,26 @@ def cmd_convert(args) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     documents = ingest.read_canonical_jsonl(text, scheme=source)
     problems = []
+    converted = []
     for lineno, doc in enumerate(documents, 1):
         if doc.word_labels is None:
             problems.append(f"line {lineno}: document has no word labels to convert")
             continue
-        for violation in validate_sequence(doc.word_labels):
-            problems.append(
+        try:
+            labels = convert_scheme(doc.word_labels, target)
+        except InconsistentSource as err:
+            problems.extend(
                 f"line {lineno}: {violation.kind.value} at position {violation.position}"
+                for violation in err.violations
             )
+            continue
+        converted.append(
+            Document(doc.text, words=doc.words, word_labels=labels, entities=doc.entities)
+        )
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1
-    converted = [
-        Document(
-            doc.text,
-            words=doc.words,
-            word_labels=convert_scheme(doc.word_labels, target),
-            entities=doc.entities,
-        )
-        for doc in documents
-    ]
     ingest.save_canonical_jsonl(converted, args.output)
     print(f"converted {len(converted)} documents {source.value} -> {target.value}")
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLabel, PrefixNotInScheme
 
@@ -116,9 +116,27 @@ def parse_label(raw: str, scheme: AnnotationScheme) -> Label:
         raise MalformedLabel(f"label {raw!r} has an empty class name")
     if prefix not in ENTITY_PREFIXES:
         raise MalformedLabel(f"unknown label prefix in {raw!r}")
-    if prefix not in scheme.prefixes:
+    if prefix not in _SCHEME_PREFIXES[scheme]:
         raise PrefixNotInScheme(raw, scheme.value)
     return Label(prefix, class_name)
+
+
+class LabelTable(dict):
+    """Interned labels of one scheme: ``table[raw]`` parses each distinct
+    string once and returns the same Label for every later occurrence.
+
+    Readers create one table per call, so it lives only as long as the
+    input it serves. A string that fails to parse is never stored and
+    raises again each time it is looked up.
+    """
+
+    def __init__(self, scheme: AnnotationScheme):
+        super().__init__()
+        self.scheme = scheme
+
+    def __missing__(self, raw: str) -> Label:
+        label = self[raw] = parse_label(raw, self.scheme)
+        return label
 
 
 @dataclass(frozen=True)
@@ -131,15 +149,17 @@ class LabelSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        allowed = _SCHEME_PREFIXES[self.scheme]
         for lab in self.labels:
-            if lab.prefix not in self.scheme.prefixes:
+            if lab.prefix not in allowed:
                 raise PrefixNotInScheme(lab.serialize(), self.scheme.value)
 
     @classmethod
     def from_raw(
         cls, raw: Iterable[str], level: Level, scheme: AnnotationScheme
     ) -> "LabelSequence":
-        return cls(tuple(parse_label(r, scheme) for r in raw), level, scheme)
+        table = LabelTable(scheme)
+        return cls(tuple([table[r] for r in raw]), level, scheme)
 
     def serialized(self) -> list[str]:
         return [lab.serialize() for lab in self.labels]
@@ -172,6 +192,158 @@ class Violation:
     kind: ViolationKind
 
 
+@dataclass(frozen=True)
+class Chunk:
+    """A maximal contiguous run of words carrying one entity class."""
+
+    class_name: str
+    word_start: int
+    word_end: int  # exclusive
+
+    def __post_init__(self):
+        if self.word_start < 0 or self.word_end <= self.word_start:
+            raise ValueError(f"invalid chunk span [{self.word_start}, {self.word_end})")
+
+
+class Decoding(NamedTuple):
+    """What one scan of a label sequence yields (see `decode`)."""
+
+    strict: list[Chunk]
+    lenient: list[Chunk]
+    violations: list[Violation]
+
+
+# One automaton per scheme does all decoding. Its state is the previous
+# label's prefix; after an I it also tells whether a strict chunk is still
+# open ("I") or was dropped ("i"). While a strict chunk is open its class
+# is the previous label's, so a transition depends only on the state, the
+# current prefix, and whether the current class equals the previous one.
+# Each transition carries a set of operations:
+_S_CLOSE = 1  # the open strict chunk ends before this label
+_S_OPEN = 2  # a strict chunk opens at this label
+_S_CLOSE_HERE = 4  # the open strict chunk ends with this label (BILOU L)
+_S_UNIT = 8  # this label alone is a strict chunk (BILOU U)
+_L_END = 16  # the lenient chunk ends before this label
+_L_START = 32  # a lenient chunk starts at this label
+_V_DANGLING = 64  # ViolationKind.DANGLING_INSIDE at this label
+_V_UNTERMINATED = 128  # ViolationKind.UNTERMINATED_CHUNK at this label
+
+_STATES = ("O", "B", "I", "i", "L", "U")
+# conlleval's tags; BILOU's L and U are its E and S
+_REFERENCE_TAG = {"B": "B", "I": "I", "O": "O", "L": "E", "U": "S"}
+
+
+def _transition(
+    scheme: AnnotationScheme, state: str, prefix: str, same: bool
+) -> tuple[str, int]:
+    """The rules for one label: next state and operations."""
+    ops = 0
+    strict_open = state in ("B", "I")
+    continues = strict_open and same and prefix == "I"
+    if scheme is AnnotationScheme.BILOU:
+        # an open chunk is dropped unless a same-class I continues it or a
+        # same-class L closes it
+        if strict_open and same and prefix == "L":
+            ops |= _S_CLOSE_HERE
+        elif prefix == "U":
+            ops |= _S_UNIT
+        elif prefix == "B":
+            ops |= _S_OPEN
+    elif not continues:
+        if strict_open:
+            ops |= _S_CLOSE
+        if prefix == ("I" if scheme is AnnotationScheme.IO else "B"):
+            ops |= _S_OPEN
+    if prefix == "I":
+        next_state = "I" if continues or ops & _S_OPEN else "i"
+    else:
+        next_state = prefix
+
+    # conlleval's endOfChunk / startOfChunk
+    prev_tag, tag = _REFERENCE_TAG[state.upper()], _REFERENCE_TAG[prefix]
+    if (
+        prev_tag in ("E", "S")
+        or (prev_tag in ("B", "I") and tag in ("B", "S", "O"))
+        or (prev_tag != "O" and not same)
+    ):
+        ops |= _L_END
+    if (
+        tag in ("B", "S")
+        or (prev_tag in ("E", "S", "O") and tag in ("E", "I"))
+        or (tag != "O" and not same)
+    ):
+        ops |= _L_START
+
+    # a continuation needs a same-class B or I before it; under BILOU an
+    # open chunk must end with L before anything else starts
+    if scheme is not AnnotationScheme.IO:
+        after_open = state.upper() in ("B", "I")
+        if prefix in ("I", "L"):
+            if not (after_open and same):
+                ops |= _V_DANGLING
+        elif scheme is AnnotationScheme.BILOU and after_open:
+            ops |= _V_UNTERMINATED
+    return next_state, ops
+
+
+def _automaton(scheme: AnnotationScheme) -> dict:
+    """Transition table of a scheme: row[prefix][same] -> (next row, ops),
+    where each row stands for a state. Returns the start row."""
+    rows = {state: {} for state in _STATES}
+    for state, row in rows.items():
+        for prefix in _SCHEME_PREFIXES[scheme]:
+            by_same = []
+            for same in (False, True):
+                next_state, ops = _transition(scheme, state, prefix, same)
+                by_same.append((rows[next_state], ops))
+            row[prefix] = tuple(by_same)
+    return rows["O"]
+
+
+_AUTOMATA = {scheme: _automaton(scheme) for scheme in AnnotationScheme}
+
+
+def decode(seq: LabelSequence) -> Decoding:
+    """Strict chunks, lenient chunks and violations, from one scan.
+
+    Strict chunks are the well-formed ones: under IO a run of same-class
+    I, under BIO a B with the same-class I after it, under BILOU a U or a
+    B..L run of one class; other labels are dropped. Lenient chunks follow
+    the conlleval chunk tables, which also recover entities from runs that
+    break the scheme. Violations are the positions `validate_sequence`
+    reports.
+    """
+    strict: list[Chunk] = []
+    lenient: list[Chunk] = []
+    violations: list[Violation] = []
+    row = _AUTOMATA[seq.scheme]
+    prev_cls = ""
+    strict_start = lenient_start = 0
+    # the trailing O ends whatever is still open
+    for i, label in enumerate(seq.labels + (OUTSIDE,)):
+        cls = label.class_name
+        row, ops = row[label.prefix][cls == prev_cls]
+        if ops:
+            if ops & _L_END:
+                lenient.append(Chunk(prev_cls, lenient_start, i))
+            if ops & _L_START:
+                lenient_start = i
+            if ops & _S_CLOSE:
+                strict.append(Chunk(prev_cls, strict_start, i))
+            if ops & _S_OPEN:
+                strict_start = i
+            if ops & _S_CLOSE_HERE:
+                strict.append(Chunk(cls, strict_start, i + 1))
+            if ops & _S_UNIT:
+                strict.append(Chunk(cls, i, i + 1))
+            if ops & _V_DANGLING:
+                violations.append(Violation(i, ViolationKind.DANGLING_INSIDE))
+            if ops & _V_UNTERMINATED:
+                violations.append(Violation(i, ViolationKind.UNTERMINATED_CHUNK))
+        prev_cls = cls
+    return Decoding(strict, lenient, violations)
+
+
 def validate_sequence(seq: LabelSequence) -> list[Violation]:
     """Report every position inconsistent with the scheme transition rules.
 
@@ -183,58 +355,7 @@ def validate_sequence(seq: LabelSequence) -> list[Violation]:
     while a chunk is open, and open chunks must be closed by L. IO has no
     transition constraints.
     """
-    if seq.scheme is AnnotationScheme.IO:
-        return []
-    if seq.scheme is AnnotationScheme.BIO:
-        return _validate_bio(seq.labels)
-    return _validate_bilou(seq.labels)
-
-
-def _validate_bio(labels: Sequence[Label]) -> list[Violation]:
-    violations = []
-    prev: Label | None = None
-    for i, lab in enumerate(labels):
-        if lab.prefix == "I":
-            legal = (
-                prev is not None
-                and prev.prefix in ("B", "I")
-                and prev.class_name == lab.class_name
-            )
-            if not legal:
-                violations.append(Violation(i, ViolationKind.DANGLING_INSIDE))
-        prev = lab
-    return violations
-
-
-def _validate_bilou(labels: Sequence[Label]) -> list[Violation]:
-    violations = []
-    open_class: str | None = None
-    for i, lab in enumerate(labels):
-        p = lab.prefix
-        if p == "O":
-            if open_class is not None:
-                violations.append(Violation(i, ViolationKind.UNTERMINATED_CHUNK))
-                open_class = None
-        elif p == "B":
-            if open_class is not None:
-                violations.append(Violation(i, ViolationKind.UNTERMINATED_CHUNK))
-            open_class = lab.class_name
-        elif p == "U":
-            if open_class is not None:
-                violations.append(Violation(i, ViolationKind.UNTERMINATED_CHUNK))
-            open_class = None
-        elif p == "I":
-            if open_class != lab.class_name:
-                violations.append(Violation(i, ViolationKind.DANGLING_INSIDE))
-                # recover as if the chunk had been opened here
-                open_class = lab.class_name
-        else:  # L
-            if open_class != lab.class_name:
-                violations.append(Violation(i, ViolationKind.DANGLING_INSIDE))
-            open_class = None
-    if open_class is not None:
-        violations.append(Violation(len(labels), ViolationKind.UNTERMINATED_CHUNK))
-    return violations
+    return decode(seq).violations
 
 
 @dataclass(frozen=True)

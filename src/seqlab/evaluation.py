@@ -6,7 +6,9 @@ well-formed chunk: under BIO a chunk must be opened by B, under BILOU it
 must be opened by B and closed by L (or be a single U). Lenient mode
 recovers entities from inconsistent runs with the same transition tables
 the classic CoNLL evaluation script and its descendants use, so numbers
-are comparable with those tools.
+are comparable with those tools. Both modes, and the scheme violations,
+come from one scan of each sequence (`seqlab.core.decode`), so dataset
+evaluation decodes every gold and predicted sequence once.
 
 Metrics are precision, recall and F1 per class, micro-averaged over
 pooled counts, and macro-averaged over classes with nonzero gold
@@ -15,26 +17,16 @@ support. 0/0 cells are defined as 0 so aggregation stays stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import AnnotationScheme, Document, Label, LabelSequence, TagSet
+from .core import AnnotationScheme, Chunk, Document, LabelSequence, TagSet, decode
 from .errors import LengthMismatch, MissingGold, OverlapWithinList
+from .inference import split_words, tagged_labels
+from .schemes import entities_to_word_labels
 
 EXTRACTION_MODES = ("strict", "lenient")
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A maximal contiguous run of words carrying one entity class."""
-
-    class_name: str
-    word_start: int
-    word_end: int  # exclusive
-
-    def __post_init__(self):
-        if self.word_start < 0 or self.word_end <= self.word_start:
-            raise ValueError(f"invalid chunk span [{self.word_start}, {self.word_end})")
 
 
 def extract_entities(seq: LabelSequence, mode: str = "strict") -> list[Chunk]:
@@ -48,108 +40,8 @@ def extract_entities(seq: LabelSequence, mode: str = "strict") -> list[Chunk]:
     """
     if mode not in EXTRACTION_MODES:
         raise ValueError(f"mode must be one of {EXTRACTION_MODES}, got {mode!r}")
-    if mode == "lenient":
-        return _lenient_chunks(seq)
-    if seq.scheme is AnnotationScheme.IO:
-        return _strict_io(seq.labels)
-    if seq.scheme is AnnotationScheme.BIO:
-        return _strict_bio(seq.labels)
-    return _strict_bilou(seq.labels)
-
-
-def _strict_io(labels: Sequence[Label]) -> list[Chunk]:
-    chunks = []
-    start = None
-    cls = None
-    for i, lab in enumerate(labels):
-        if lab.prefix == "I" and lab.class_name == cls:
-            continue
-        if start is not None:
-            chunks.append(Chunk(cls, start, i))
-            start = cls = None
-        if lab.prefix == "I":
-            start, cls = i, lab.class_name
-    if start is not None:
-        chunks.append(Chunk(cls, start, len(labels)))
-    return chunks
-
-
-def _strict_bio(labels: Sequence[Label]) -> list[Chunk]:
-    chunks = []
-    start = None
-    cls = None
-    for i, lab in enumerate(labels):
-        if lab.prefix == "I" and start is not None and lab.class_name == cls:
-            continue
-        if start is not None:
-            chunks.append(Chunk(cls, start, i))
-            start = cls = None
-        if lab.prefix == "B":
-            start, cls = i, lab.class_name
-        # dangling or class-switching I is dropped
-    if start is not None:
-        chunks.append(Chunk(cls, start, len(labels)))
-    return chunks
-
-
-def _strict_bilou(labels: Sequence[Label]) -> list[Chunk]:
-    chunks = []
-    start = None
-    cls = None
-    for i, lab in enumerate(labels):
-        p = lab.prefix
-        if p == "I" and start is not None and lab.class_name == cls:
-            continue
-        if p == "L" and start is not None and lab.class_name == cls:
-            chunks.append(Chunk(cls, start, i + 1))
-            start = cls = None
-            continue
-        # anything else abandons an open chunk without emitting it
-        start = cls = None
-        if p == "U":
-            chunks.append(Chunk(lab.class_name, i, i + 1))
-        elif p == "B":
-            start, cls = i, lab.class_name
-    return chunks
-
-
-# Lenient decoding. The tables below are the de-facto standard ones
-# (conlleval lineage); BILOU's L and U map onto their E and S tags.
-
-_TO_REFERENCE_TAG = {"B": "B", "I": "I", "O": "O", "L": "E", "U": "S"}
-
-
-def _lenient_end(prev_tag: str, tag: str, prev_cls: str, cls: str) -> bool:
-    if prev_tag in ("E", "S"):
-        return True
-    if prev_tag in ("B", "I") and tag in ("B", "S", "O"):
-        return True
-    return prev_tag != "O" and prev_cls != cls
-
-
-def _lenient_start(prev_tag: str, tag: str, prev_cls: str, cls: str) -> bool:
-    if tag in ("B", "S"):
-        return True
-    if prev_tag in ("E", "S", "O") and tag in ("E", "I"):
-        return True
-    return tag != "O" and prev_cls != cls
-
-
-def _lenient_chunks(seq: LabelSequence) -> list[Chunk]:
-    tagged = [
-        (_TO_REFERENCE_TAG[lab.prefix], lab.class_name) for lab in seq.labels
-    ]
-    tagged.append(("O", ""))
-    chunks = []
-    prev_tag, prev_cls = "O", ""
-    begin = 0
-    for i, (tag, cls) in enumerate(tagged):
-        if _lenient_end(prev_tag, tag, prev_cls, cls):
-            chunks.append(Chunk(prev_cls, begin, i))
-        if _lenient_start(prev_tag, tag, prev_cls, cls):
-            begin = i
-        prev_tag, prev_cls = tag, cls
-    return chunks
+    decoding = decode(seq)
+    return decoding.strict if mode == "strict" else decoding.lenient
 
 
 @dataclass(frozen=True)
@@ -215,7 +107,7 @@ class EvalReport:
 
 
 def _report_from_counts(
-    counts: Mapping[str, tuple[int, int, int]],
+    counts: Mapping[str, Sequence[int]],
     level: str,
     mode: str,
     confusion=None,
@@ -246,23 +138,17 @@ def _check_no_overlap(chunks: Sequence[Chunk], which: str):
             raise OverlapWithinList(f"{which} chunks overlap: {a} and {b}")
 
 
-def _entity_counts(
-    gold: Sequence[Chunk], pred: Sequence[Chunk], classes: Iterable[str]
-) -> dict[str, list[int]]:
-    counts = {cls: [0, 0, 0] for cls in classes}
+def _count_entities(
+    counts: dict[str, list[int]], gold: Sequence[Chunk], pred: Sequence[Chunk]
+) -> None:
+    """Add one sequence's exact-match tp, fp and fn per class to counts."""
     gold_set = set(gold)
-    for cls in set(c.class_name for c in gold) | set(c.class_name for c in pred):
-        counts.setdefault(cls, [0, 0, 0])
-    for c in pred:
-        if c in gold_set:
-            counts[c.class_name][0] += 1  # tp
-        else:
-            counts[c.class_name][1] += 1  # fp
     pred_set = set(pred)
+    for c in pred:
+        counts.setdefault(c.class_name, [0, 0, 0])[0 if c in gold_set else 1] += 1
     for c in gold:
         if c not in pred_set:
-            counts[c.class_name][2] += 1  # fn
-    return counts
+            counts.setdefault(c.class_name, [0, 0, 0])[2] += 1
 
 
 def score_entities(
@@ -279,40 +165,34 @@ def score_entities(
     """
     _check_no_overlap(gold, "gold")
     _check_no_overlap(pred, "predicted")
-    counts = _entity_counts(gold, pred, tagset)
-    return _report_from_counts(
-        {c: tuple(v) for c, v in counts.items()}, "entity", mode
-    )
+    counts = {cls: [0, 0, 0] for cls in tagset}
+    _count_entities(counts, gold, pred)
+    return _report_from_counts(counts, "entity", mode)
 
 
-def _word_class(label: Label) -> str:
-    return "O" if label.is_outside else label.class_name
+def _word_classes(seq: LabelSequence) -> list[str]:
+    """Each position's class without its prefix; "O" outside entities."""
+    return [label.class_name or "O" for label in seq.labels]
 
 
 def _word_counts_and_confusion(
-    pairs: Iterable[tuple[str, str]], classes: Iterable[str]
-) -> tuple[dict[str, tuple[int, int, int]], dict[str, dict[str, int]]]:
+    pairs: Counter, classes: Iterable[str]
+) -> tuple[dict[str, list[int]], dict[str, dict[str, int]]]:
+    """Per-class tp/fp/fn and the square confusion matrix from counted
+    (gold class, predicted class) pairs."""
     counts = {cls: [0, 0, 0] for cls in classes}
-    seen = set(counts)
-    confusion: dict[str, dict[str, int]] = {}
-    for g, p in pairs:
-        confusion.setdefault(g, {}).setdefault(p, 0)
-        confusion[g][p] += 1
-        for cls in (g, p):
-            if cls != "O" and cls not in seen:
-                counts[cls] = [0, 0, 0]
-                seen.add(cls)
+    for (g, p), n in pairs.items():
         if g == p:
             if g != "O":
-                counts[g][0] += 1
-        else:
-            if p != "O":
-                counts[p][1] += 1
-            if g != "O":
-                counts[g][2] += 1
-    labels_all = sorted(set(confusion) | {c for row in confusion.values() for c in row} | set(counts) | {"O"})
-    square = {g: {p: confusion.get(g, {}).get(p, 0) for p in labels_all} for g in labels_all}
-    return {c: tuple(v) for c, v in counts.items()}, square
+                counts.setdefault(g, [0, 0, 0])[0] += n
+            continue
+        if p != "O":
+            counts.setdefault(p, [0, 0, 0])[1] += n
+        if g != "O":
+            counts.setdefault(g, [0, 0, 0])[2] += n
+    labels_all = sorted({c for pair in pairs for c in pair} | set(counts) | {"O"})
+    square = {g: {p: pairs[g, p] for p in labels_all} for g in labels_all}
+    return counts, square
 
 
 def score_words(
@@ -326,7 +206,7 @@ def score_words(
     """
     if len(gold) != len(pred):
         raise LengthMismatch(f"gold has {len(gold)} labels, prediction {len(pred)}")
-    pairs = [(_word_class(g), _word_class(p)) for g, p in zip(gold, pred)]
+    pairs = Counter(zip(_word_classes(gold), _word_classes(pred)))
     counts, confusion = _word_counts_and_confusion(pairs, tagset)
     return _report_from_counts(counts, "word", mode, confusion)
 
@@ -337,58 +217,55 @@ class DatasetEvaluation:
 
     Addressable like the serialized form: ``result["micro"]["entity"]["f1"]``
     reads from the strict block (the default), ``result["strict"]`` and
-    ``result["lenient"]`` select a block explicitly.
+    ``result["lenient"]`` select a block explicitly. Each access builds
+    only the block it reads.
     """
 
     strict_entity: EvalReport
     strict_word: EvalReport
     lenient_entity: EvalReport
 
-    def as_dict(self) -> dict:
-        def block(entity: EvalReport, word: EvalReport | None) -> dict:
-            averages = {}
-            for name in ("micro", "macro"):
-                averages[name] = {"entity": getattr(entity, name).as_dict()}
-                if word is not None:
-                    averages[name]["word"] = getattr(word, name).as_dict()
-            per_class = {}
-            for cls in sorted(
-                set(entity.per_class) | set(word.per_class if word else ())
-            ):
-                per_class[cls] = {}
-                if cls in entity.per_class:
-                    per_class[cls]["entity"] = entity.per_class[cls].as_dict()
-                if word is not None and cls in word.per_class:
-                    per_class[cls]["word"] = word.per_class[cls].as_dict()
-            out = dict(averages)
-            out["per_class"] = per_class
-            if word is not None and word.confusion is not None:
-                out["confusion"] = {g: dict(row) for g, row in word.confusion.items()}
-            return out
+    def _block(self, mode: str) -> dict:
+        if mode == "strict":
+            entity, word = self.strict_entity, self.strict_word
+        else:
+            entity, word = self.lenient_entity, None
+        averages = {}
+        for name in ("micro", "macro"):
+            averages[name] = {"entity": getattr(entity, name).as_dict()}
+            if word is not None:
+                averages[name]["word"] = getattr(word, name).as_dict()
+        per_class = {}
+        for cls in sorted(set(entity.per_class) | set(word.per_class if word else ())):
+            per_class[cls] = {}
+            if cls in entity.per_class:
+                per_class[cls]["entity"] = entity.per_class[cls].as_dict()
+            if word is not None and cls in word.per_class:
+                per_class[cls]["word"] = word.per_class[cls].as_dict()
+        out = dict(averages)
+        out["per_class"] = per_class
+        if word is not None and word.confusion is not None:
+            out["confusion"] = {g: dict(row) for g, row in word.confusion.items()}
+        return out
 
-        return {
-            "strict": block(self.strict_entity, self.strict_word),
-            "lenient": block(self.lenient_entity, None),
-        }
+    def as_dict(self) -> dict:
+        return {mode: self._block(mode) for mode in EXTRACTION_MODES}
 
     def __getitem__(self, key: str):
-        data = self.as_dict()
-        if key in data:
-            return data[key]
-        return data["strict"][key]
+        if key in EXTRACTION_MODES:
+            return self._block(key)
+        return self._block("strict")[key]
 
 
 def _gold_words_and_labels(doc: Document, scheme: AnnotationScheme):
-    from . import inference, schemes  # local import, avoids a module cycle
-
     if doc.word_labels is not None:
         return doc.words, doc.word_labels
     if doc.entities is not None:
         words = doc.words
         if words is None:
-            words = inference.split_words(doc.text)
+            words = split_words(doc.text)
             doc = Document(doc.text, words=words, entities=doc.entities)
-        labels = schemes.entities_to_word_labels(doc, scheme)
+        labels = entities_to_word_labels(doc, scheme)
         return words, labels
     raise MissingGold(f"document has no gold annotation: {doc.text[:50]!r}")
 
@@ -396,47 +273,31 @@ def _gold_words_and_labels(doc: Document, scheme: AnnotationScheme):
 def evaluate_on_dataset(tagger, split, scheme: AnnotationScheme) -> DatasetEvaluation:
     """Run a tagger over a dataset split and compute all report variants.
 
-    Counts are pooled over documents, so the result is independent of
-    document order and safe to compute concurrently per document.
+    Each gold and predicted sequence is decoded once; the strict and
+    lenient chunks and the word classes of every document are pooled
+    into one set of counts, so the result is independent of document
+    order.
     """
-    from .inference import tagged_labels
-
-    entity_counts = {m: {} for m in EXTRACTION_MODES}
-    word_pairs: list[tuple[str, str]] = []
-    classes: set[str] = set()
+    entity_counts = {mode: {} for mode in EXTRACTION_MODES}
+    word_pairs: Counter = Counter()
 
     for doc in split.documents:
         words, gold_seq = _gold_words_and_labels(doc, scheme)
-        surfaces = [w.surface for w in words]
-        pred_seq = tagged_labels(tagger, surfaces, scheme)
+        pred_seq = tagged_labels(tagger, [w.surface for w in words], scheme)
+        gold, pred = decode(gold_seq), decode(pred_seq)
+        _count_entities(entity_counts["strict"], gold.strict, pred.strict)
+        _count_entities(entity_counts["lenient"], gold.lenient, pred.lenient)
+        word_pairs.update(zip(_word_classes(gold_seq), _word_classes(pred_seq)))
 
-        word_pairs.extend(
-            (_word_class(g), _word_class(p)) for g, p in zip(gold_seq, pred_seq.labels)
-        )
-        for mode in EXTRACTION_MODES:
-            gold_chunks = extract_entities(gold_seq, mode)
-            pred_chunks = extract_entities(pred_seq, mode)
-            classes.update(c.class_name for c in gold_chunks + pred_chunks)
-            doc_counts = _entity_counts(gold_chunks, pred_chunks, ())
-            pool = entity_counts[mode]
-            for cls, (tp, fp, fn) in doc_counts.items():
-                agg = pool.setdefault(cls, [0, 0, 0])
-                agg[0] += tp
-                agg[1] += fp
-                agg[2] += fn
-
-    classes.update(g for g, _ in word_pairs if g != "O")
-    classes.update(p for _, p in word_pairs if p != "O")
+    classes = set(entity_counts["strict"]) | set(entity_counts["lenient"])
+    classes.update(c for pair in word_pairs for c in pair if c != "O")
     for pool in entity_counts.values():
         for cls in classes:
             pool.setdefault(cls, [0, 0, 0])
 
     word_counts, confusion = _word_counts_and_confusion(word_pairs, classes)
-    strict_entity = _report_from_counts(
-        {c: tuple(v) for c, v in entity_counts["strict"].items()}, "entity", "strict"
+    return DatasetEvaluation(
+        _report_from_counts(entity_counts["strict"], "entity", "strict"),
+        _report_from_counts(word_counts, "word", "strict", confusion),
+        _report_from_counts(entity_counts["lenient"], "entity", "lenient"),
     )
-    lenient_entity = _report_from_counts(
-        {c: tuple(v) for c, v in entity_counts["lenient"].items()}, "entity", "lenient"
-    )
-    strict_word = _report_from_counts(word_counts, "word", "strict", confusion)
-    return DatasetEvaluation(strict_entity, strict_word, lenient_entity)

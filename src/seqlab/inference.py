@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
@@ -29,6 +28,7 @@ from .core import (
     LabelSequence,
     Level,
     Word,
+    decode,
 )
 from .errors import (
     AllOutside,
@@ -37,7 +37,7 @@ from .errors import (
     SeqlabError,
     TaggerLengthMismatch,
 )
-from .evaluation import extract_entities
+from .ingest import read_canonical_jsonl
 from .schemes import detect_scheme, labels_for_chunk
 
 _WORD_RE = re.compile(r"\S+")
@@ -125,8 +125,6 @@ class EchoTagger:
 
     @classmethod
     def from_canonical_file(cls, path: str | Path) -> "EchoTagger":
-        from .ingest import read_canonical_jsonl
-
         return cls.from_documents(
             read_canonical_jsonl(Path(path).read_text(encoding="utf-8"))
         )
@@ -178,7 +176,7 @@ def _tag_and_parse(
     tagger: Tagger,
     surfaces: Sequence[str],
     scheme: AnnotationScheme | None,
-) -> tuple[list[Label], list[float], AnnotationScheme]:
+) -> tuple[LabelSequence, list[float]]:
     output = list(tagger.tag(list(surfaces)))
     if len(output) != len(surfaces):
         raise TaggerLengthMismatch(
@@ -201,16 +199,14 @@ def _tag_and_parse(
             scheme = AnnotationScheme.BIO
     else:
         scheme = AnnotationScheme.coerce(scheme)
-    seq = LabelSequence.from_raw(raws, Level.WORD, scheme)
-    return list(seq.labels), probabilities, scheme
+    return LabelSequence.from_raw(raws, Level.WORD, scheme), probabilities
 
 
 def tagged_labels(
     tagger: Tagger, surfaces: Sequence[str], scheme: AnnotationScheme | None = None
 ) -> LabelSequence:
     """Run a tagger and return its validated, parsed label sequence."""
-    labels, _, resolved = _tag_and_parse(tagger, surfaces, scheme)
-    return LabelSequence(tuple(labels), Level.WORD, resolved)
+    return _tag_and_parse(tagger, surfaces, scheme)[0]
 
 
 def predict(
@@ -236,9 +232,7 @@ def predict(
     if scheme is not None:
         scheme = AnnotationScheme.coerce(scheme)
     words = split_words(text)
-    labels, probabilities, resolved = _tag_and_parse(
-        tagger, [w.surface for w in words], scheme
-    )
+    seq, probabilities = _tag_and_parse(tagger, [w.surface for w in words], scheme)
 
     if level == "word":
         return [
@@ -249,12 +243,11 @@ def predict(
                 lab,
                 probability if with_probabilities else None,
             )
-            for w, lab, probability in zip(words, labels, probabilities)
+            for w, lab, probability in zip(words, seq.labels, probabilities)
         ]
 
-    seq = LabelSequence(tuple(labels), Level.WORD, resolved)
     spans = []
-    for chunk in extract_entities(seq, "strict"):
+    for chunk in decode(seq).strict:
         first = words[chunk.word_start]
         last = words[chunk.word_end - 1]
         spans.append(
@@ -330,16 +323,13 @@ def predict_file(
     with_probabilities: bool = False,
     scheme: AnnotationScheme | str | None = None,
     batch_size: int = 32,
-    max_workers: int = 1,
 ) -> FileSummary:
     """Streaming file inference: JSONL in ({"text": ...} per line),
     line-aligned JSONL out ({"text", "predictions": [...]}).
 
     Malformed lines become {"error": ...} output lines and are counted
     as failed; they never abort the run. Memory use is bounded by one
-    batch. With max_workers > 1 each batch is tagged by a thread pool
-    (the tagger must then be safe for concurrent read-only use); output
-    order always matches input order.
+    batch; output order matches input order.
     """
 
     def handle(raw_line: str) -> tuple[bool, str]:
@@ -368,12 +358,7 @@ def predict_file(
     ) as dst:
         stripped = (line.rstrip("\n") for line in src)
         for batch in _batched(stripped, batch_size):
-            if max_workers > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    results = list(pool.map(handle, batch))
-            else:
-                results = [handle(line) for line in batch]
-            for ok, line in results:
+            for ok, line in map(handle, batch):
                 processed += ok
                 failed += not ok
                 dst.write(line)

@@ -32,10 +32,12 @@ from .core import (
     AnnotationScheme,
     Document,
     EntitySpan,
+    Label,
     LabelSequence,
+    LabelTable,
     Level,
     Word,
-    parse_label,
+    decode,
 )
 from .errors import (
     AllOutside,
@@ -50,7 +52,6 @@ from .errors import (
     SpanOutOfBounds,
     UnresolvableSource,
 )
-from .evaluation import extract_entities
 from .schemes import detect_scheme
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -143,17 +144,18 @@ def _lines(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
 
 
 def _parse_labels(
-    raw_with_lines: Iterable[tuple[str, int]], scheme: AnnotationScheme
-) -> list:
+    raws: Sequence[str], lines: Sequence[int], table: LabelTable
+) -> tuple[Label, ...]:
+    """Labels through the reader's table; an error names the label's line."""
     labels = []
-    for raw, lineno in raw_with_lines:
-        try:
-            labels.append(parse_label(raw, scheme))
-        except PrefixNotInScheme:
-            raise PrefixNotInScheme(raw, scheme.value, line=lineno) from None
-        except MalformedLabel as err:
-            raise MalformedLabel(str(err), line=lineno) from None
-    return labels
+    try:
+        for raw in raws:
+            labels.append(table[raw])
+    except PrefixNotInScheme:
+        raise PrefixNotInScheme(raw, table.scheme.value, line=lines[len(labels)]) from None
+    except MalformedLabel as err:
+        raise MalformedLabel(str(err), line=lines[len(labels)]) from None
+    return tuple(labels)
 
 
 def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
@@ -199,16 +201,17 @@ def parse_conll(
         raise EmptyInput("no sentences found in column input")
 
     resolved = resolve_scheme([[raw for _, raw, _ in s] for s in sentences], scheme)
+    table = LabelTable(resolved)
     documents = []
     for sentence in sentences:
-        surfaces = [surface for surface, _, _ in sentence]
-        labels = _parse_labels([(raw, ln) for _, raw, ln in sentence], resolved)
+        surfaces, raws, lines = zip(*sentence)
+        labels = _parse_labels(raws, lines, table)
         text, words = _synthetic_words(surfaces)
         documents.append(
             Document(
                 text,
                 words=words,
-                word_labels=LabelSequence(tuple(labels), Level.WORD, resolved),
+                word_labels=LabelSequence(labels, Level.WORD, resolved),
             )
         )
     return documents
@@ -313,9 +316,7 @@ def _entities_from_record(
     )
 
 
-def _document_from_record(
-    lineno: int, record: dict, scheme: AnnotationScheme
-) -> Document:
+def _document_from_record(lineno: int, record: dict, table: LabelTable) -> Document:
     words = None
     word_labels = None
     entities = None
@@ -338,8 +339,8 @@ def _document_from_record(
             raise LengthMismatch(
                 f"{len(raw_labels)} labels for {len(words)} words", line=lineno
             )
-        labels = _parse_labels([(raw, lineno) for raw in raw_labels], scheme)
-        word_labels = LabelSequence(tuple(labels), Level.WORD, scheme)
+        labels = _parse_labels(raw_labels, [lineno] * len(raw_labels), table)
+        word_labels = LabelSequence(labels, Level.WORD, table.scheme)
 
     raw_entities = record.get("entities")
     if raw_entities is not None:
@@ -353,13 +354,12 @@ def _document_from_record(
         raise MalformedJson(str(err), line=lineno) from None
 
 
-def _record_label_lists(records: list[tuple[int, dict]]) -> list[list[str]]:
-    lists = []
+def _record_label_lists(records: list[tuple[int, dict]]) -> Iterator[list[str]]:
+    """The string label lists, read only if the scheme must be detected."""
     for _, record in records:
         labels = record.get("labels")
         if isinstance(labels, list) and all(isinstance(x, str) for x in labels):
-            lists.append(labels)
-    return lists
+            yield labels
 
 
 def read_canonical_jsonl(
@@ -369,8 +369,8 @@ def read_canonical_jsonl(
     records = _scan_json_lines(source)
     if not records:
         raise EmptyInput("no records in JSONL input")
-    resolved = resolve_scheme(_record_label_lists(records), scheme)
-    return [_document_from_record(ln, rec, resolved) for ln, rec in records]
+    table = LabelTable(resolve_scheme(_record_label_lists(records), scheme))
+    return [_document_from_record(ln, rec, table) for ln, rec in records]
 
 
 def parse_pretokenized_jsonl(
@@ -387,8 +387,8 @@ def parse_pretokenized_jsonl(
             raise MalformedJson(
                 'pretokenized records need "words" and "labels"', line=lineno
             )
-    resolved = resolve_scheme(_record_label_lists(records), scheme)
-    return [_document_from_record(ln, rec, resolved) for ln, rec in records]
+    table = LabelTable(resolve_scheme(_record_label_lists(records), scheme))
+    return [_document_from_record(ln, rec, table) for ln, rec in records]
 
 
 def _parse_doccano_jsonl(source: str | Iterable[str]) -> list[Document]:
@@ -563,7 +563,7 @@ def analyze(
                 words += len(doc.words)
             if doc.word_labels is not None:
                 label_lists.append(doc.word_labels.serialized())
-                for chunk in extract_entities(doc.word_labels, "strict"):
+                for chunk in decode(doc.word_labels).strict:
                     counts[chunk.class_name] = counts.get(chunk.class_name, 0) + 1
             elif doc.entities is not None:
                 for entity in doc.entities:

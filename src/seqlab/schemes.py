@@ -19,14 +19,14 @@ from typing import Iterable, Sequence
 from .core import (
     OUTSIDE,
     AnnotationScheme,
+    Chunk,
     Document,
     Label,
     LabelSequence,
     Level,
-    validate_sequence,
+    decode,
 )
 from .errors import AllOutside, InconsistentSource, LengthMismatch, MalformedLabel, MisalignedEntity
-from .evaluation import Chunk, extract_entities
 
 IGNORE_INDEX = -100
 
@@ -135,13 +135,13 @@ def convert_scheme(seq: LabelSequence, target: AnnotationScheme) -> LabelSequenc
 
     Only consistent sequences are convertible; sequences with transition
     violations raise InconsistentSource. Converting to IO merges adjacent
-    same-class chunks (lossy by construction).
+    same-class chunks (lossy by construction). One scan both validates
+    and decodes.
     """
-    violations = validate_sequence(seq)
-    if violations:
-        raise InconsistentSource(violations)
-    chunks = extract_entities(seq, "strict")
-    return encode_chunks(chunks, len(seq), target, seq.level)
+    decoding = decode(seq)
+    if decoding.violations:
+        raise InconsistentSource(decoding.violations)
+    return encode_chunks(decoding.strict, len(seq), target, seq.level)
 
 
 def entities_to_word_labels(doc: Document, scheme: AnnotationScheme) -> LabelSequence:

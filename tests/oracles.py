@@ -97,6 +97,72 @@ def oracle_strict_chunks(labels, scheme):
     return sorted(out, key=lambda c: c[1])
 
 
+def _conlleval_end_of_chunk(prev_tag, tag, prev_type, type_):
+    chunk_end = False
+    if prev_tag == "E":
+        chunk_end = True
+    if prev_tag == "S":
+        chunk_end = True
+    if prev_tag == "B" and tag == "B":
+        chunk_end = True
+    if prev_tag == "B" and tag == "S":
+        chunk_end = True
+    if prev_tag == "B" and tag == "O":
+        chunk_end = True
+    if prev_tag == "I" and tag == "B":
+        chunk_end = True
+    if prev_tag == "I" and tag == "S":
+        chunk_end = True
+    if prev_tag == "I" and tag == "O":
+        chunk_end = True
+    if prev_tag != "O" and prev_type != type_:
+        chunk_end = True
+    return chunk_end
+
+
+def _conlleval_start_of_chunk(prev_tag, tag, prev_type, type_):
+    chunk_start = False
+    if tag == "B":
+        chunk_start = True
+    if tag == "S":
+        chunk_start = True
+    if prev_tag == "E" and tag == "E":
+        chunk_start = True
+    if prev_tag == "E" and tag == "I":
+        chunk_start = True
+    if prev_tag == "S" and tag == "E":
+        chunk_start = True
+    if prev_tag == "S" and tag == "I":
+        chunk_start = True
+    if prev_tag == "O" and tag == "E":
+        chunk_start = True
+    if prev_tag == "O" and tag == "I":
+        chunk_start = True
+    if tag != "O" and prev_type != type_:
+        chunk_start = True
+    return chunk_start
+
+
+def oracle_lenient_chunks(labels):
+    """Lenient decoding with conlleval's endOfChunk/startOfChunk tables,
+    row by row, in the IOBES form of its ports (BILOU's L and U are read
+    as E and S). An O after the last label closes the final chunk."""
+    out = []
+    prev_tag, prev_type, start = "O", "", 0
+    for i, label in enumerate(list(labels) + ["O"]):
+        if label == "O":
+            tag, type_ = "O", ""
+        else:
+            prefix, _, type_ = label.partition("-")
+            tag = {"L": "E", "U": "S"}.get(prefix, prefix)
+        if _conlleval_end_of_chunk(prev_tag, tag, prev_type, type_):
+            out.append((prev_type, start, i))
+        if _conlleval_start_of_chunk(prev_tag, tag, prev_type, type_):
+            start = i
+        prev_tag, prev_type = tag, type_
+    return out
+
+
 def oracle_is_consistent(labels, scheme, classes):
     return tuple(labels) in legal_sequences(len(labels), classes, scheme)
 

@@ -7,6 +7,7 @@ from seqlab.core import (
     EntitySpan,
     Label,
     LabelSequence,
+    LabelTable,
     Level,
     TagSet,
     Violation,
@@ -59,6 +60,30 @@ class TestParseLabel:
 
     def test_outside_round_trip(self):
         assert parse_label("O", IO).serialize() == "O"
+
+
+class TestLabelTable:
+    def test_one_label_per_distinct_string(self):
+        table = LabelTable(BIO)
+        first = table["B-PER"]
+        assert first == Label("B", "PER")
+        assert table["B-PER"] is first
+        assert table["O"] is table["O"]
+
+    def test_string_parsed_under_one_scheme_still_raises_under_another(self):
+        assert LabelTable(BILOU)["L-PER"] == Label("L", "PER")
+        with pytest.raises(PrefixNotInScheme):
+            LabelTable(BIO)["L-PER"]
+        with pytest.raises(PrefixNotInScheme):
+            seq(["L-PER"], BIO)
+
+    @pytest.mark.parametrize("raw", ["BPER", "B-", "X-PER", ""])
+    def test_failure_is_not_cached(self, raw):
+        table = LabelTable(BILOU)
+        for _ in range(3):
+            with pytest.raises(MalformedLabel):
+                table[raw]
+        assert raw not in table
 
 
 class TestLabelInvariants:

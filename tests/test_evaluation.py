@@ -22,7 +22,12 @@ from seqlab.evaluation import (
 from seqlab.inference import EchoTagger, LexiconTagger
 from seqlab.ingest import DatasetSplit
 
-from .oracles import all_sequences, legal_sequences, oracle_strict_chunks
+from .oracles import (
+    all_sequences,
+    legal_sequences,
+    oracle_lenient_chunks,
+    oracle_strict_chunks,
+)
 
 BIO = AnnotationScheme.BIO
 BILOU = AnnotationScheme.BILOU
@@ -100,6 +105,14 @@ class TestLenientExtraction:
     def test_fixture_table(self, scheme, raw, expected):
         got = extract_entities(seq(raw, AnnotationScheme[scheme]), "lenient")
         assert chunk_tuples(got) == expected
+
+    @pytest.mark.parametrize("scheme", ["BIO", "BILOU", "IO"])
+    def test_matches_conlleval_oracle_exhaustively(self, scheme):
+        enum_scheme = AnnotationScheme[scheme]
+        for n in range(5):
+            for raw in all_sequences(n, ("X", "Y"), scheme):
+                got = chunk_tuples(extract_entities(seq(list(raw), enum_scheme), "lenient"))
+                assert got == oracle_lenient_chunks(raw), raw
 
     @pytest.mark.parametrize("scheme", ["BIO", "BILOU", "IO"])
     def test_strict_subset_of_lenient_exhaustive(self, scheme):
@@ -297,6 +310,18 @@ class TestEvaluateOnDataset:
         assert set(data["lenient"]["micro"]) == {"entity"}
         assert {"precision", "recall", "f1"} <= set(data["strict"]["macro"]["entity"])
         assert "confusion" in data["strict"]
+
+    def test_item_access_reads_one_block(self):
+        split = DatasetSplit("test", tuple(FIXTURE_DOCS))
+        tagger = LexiconTagger({"Geneva": "LOC", "Moreau": "PER"})
+        result = evaluate_on_dataset(tagger, split, BIO)
+        data = result.as_dict()
+        assert result["strict"] == data["strict"]
+        assert result["lenient"] == data["lenient"]
+        assert result["micro"] == data["strict"]["micro"]
+        assert result["per_class"] == data["strict"]["per_class"]
+        with pytest.raises(KeyError):
+            result["nonexistent"]
 
 
 class TestLexiconTaggerOnBundledCorpus:

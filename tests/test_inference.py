@@ -211,16 +211,6 @@ class TestPredictFile:
             expected = [prediction_record(p) for p in predict(UN_LEXICON, text)]
             assert line["predictions"] == expected
 
-    def test_worker_pool_preserves_order(self, tmp_path):
-        texts = [f"word{i} United Nations" for i in range(40)]
-        source = tmp_path / "in.jsonl"
-        sequential = tmp_path / "seq.jsonl"
-        threaded = tmp_path / "par.jsonl"
-        self.write_lines(source, [json.dumps({"text": t}) for t in texts])
-        predict_file(UN_LEXICON, source, sequential, batch_size=8)
-        predict_file(UN_LEXICON, source, threaded, batch_size=8, max_workers=4)
-        assert sequential.read_text() == threaded.read_text()
-
 
 class TestTaggers:
     def test_lexicon_encodes_runs_in_its_scheme(self):

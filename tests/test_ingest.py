@@ -11,7 +11,9 @@ from seqlab.errors import (
     FractionOutOfRange,
     LengthMismatch,
     MalformedJson,
+    MalformedLabel,
     OverlappingSpans,
+    PrefixNotInScheme,
     RaggedRow,
     SpanOutOfBounds,
     UnresolvableSource,
@@ -113,6 +115,30 @@ class TestParsePretokenizedJsonl:
             parse_pretokenized_jsonl(
                 '{"text":"a bb","words":["zz"],"labels":["O"]}\n'
             )
+
+
+class TestLabelInterning:
+    """Readers intern labels per call; interning never hides an error."""
+
+    def test_label_from_another_scheme_raises_with_line(self):
+        source = '{"words":["a"],"labels":["O"]}\n{"words":["Ann"],"labels":["L-PER"]}\n'
+        docs = read_canonical_jsonl(source, scheme="BILOU")
+        assert docs[1].word_labels.serialized() == ["L-PER"]
+        with pytest.raises(PrefixNotInScheme) as excinfo:
+            read_canonical_jsonl(source, scheme="BIO")
+        assert excinfo.value.line == 2
+
+    def test_malformed_label_raises_on_every_occurrence(self):
+        bad = '{"words":["a"],"labels":["BPER"]}\n'
+        for lineno in range(1, 4):
+            source = '{"words":["a"],"labels":["O"]}\n' * (lineno - 1) + bad
+            with pytest.raises(MalformedLabel) as excinfo:
+                read_canonical_jsonl(source, scheme="BIO")
+            assert excinfo.value.line == lineno
+        for _ in range(2):
+            with pytest.raises(MalformedLabel) as excinfo:
+                parse_conll("a O\nb BPER\n", scheme="BIO")
+            assert excinfo.value.line == 2
 
 
 class TestAnnotationToolExports:
