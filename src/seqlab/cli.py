@@ -7,6 +7,8 @@ tagger against a dataset, `predict` runs single-text or file inference,
 summarizes multi-seed runs.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
+`main` is the one error boundary: a SeqlabError or an OSError from any
+command prints one "error: ..." line and exits 1.
 """
 
 from __future__ import annotations
@@ -126,8 +128,7 @@ def cmd_convert(args) -> int:
             "warning: IO output merges adjacent same-class chunks (lossy)",
             file=sys.stderr,
         )
-    text = Path(args.input).read_text(encoding="utf-8")
-    documents = ingest.read_canonical_jsonl(text, scheme=source)
+    documents = ingest.read_canonical_jsonl(ingest.read_text(args.input), scheme=source)
     problems = []
     converted = []
     for lineno, doc in enumerate(documents, 1):
@@ -193,11 +194,7 @@ def cmd_predict(args) -> int:
     if args.input is not None and args.output is None:
         print("file mode needs --output", file=sys.stderr)
         return 2
-    try:
-        tagger = load_tagger(args.tagger)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"cannot load tagger {args.tagger!r}: {err}", file=sys.stderr)
-        return 1
+    tagger = load_tagger(args.tagger)
     if args.text is not None:
         predictions = predict(
             tagger, args.text, level=args.level, with_probabilities=args.probabilities
@@ -273,7 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except SeqlabError as err:
+    except (SeqlabError, OSError) as err:
         log.debug("failing command: %s", args.command, exc_info=True)
         print(f"error: {err}", file=sys.stderr)
         return 1

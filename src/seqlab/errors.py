@@ -61,6 +61,10 @@ class OverlappingSpans(PositionedError):
     """Two annotated spans overlap; flat annotation is assumed throughout."""
 
 
+class UndecodableInput(PositionedError):
+    """Input bytes are not valid UTF-8."""
+
+
 class UnresolvableSource(SeqlabError):
     """Dataset source cannot be resolved to readable files."""
 
@@ -100,7 +104,17 @@ class MissingGold(SeqlabError):
 
 # inference
 
-class TaggerLengthMismatch(SeqlabError):
+class UnloadableTagger(SeqlabError, ValueError):
+    """Tagger URI is unknown, or the file it names cannot be read. Also a
+    ValueError, so callers that caught ValueError for unknown URIs still do."""
+
+
+class TaggerContractError(SeqlabError):
+    """Tagger broke its contract: it raised, or returned something other
+    than one (label string, probability in [0, 1]) pair per word."""
+
+
+class TaggerLengthMismatch(TaggerContractError):
     """Tagger returned a different number of labels than words given."""
 
 

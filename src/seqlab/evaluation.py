@@ -10,18 +10,20 @@ are comparable with those tools. Both modes, and the scheme violations,
 come from one scan of each sequence (`seqlab.core.decode`), so dataset
 evaluation decodes every gold and predicted sequence once.
 
-Metrics are precision, recall and F1 per class, micro-averaged over
-pooled counts, and macro-averaged over classes with nonzero gold
-support. 0/0 cells are defined as 0 so aggregation stays stable.
+All scoring fills one `Counts` value, which ``+`` pools; `Counts.report`
+builds every report. Metrics are precision, recall and F1 per class,
+micro-averaged over pooled counts, and macro-averaged over classes with
+nonzero gold support. 0/0 cells are 0 so aggregation stays stable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import AnnotationScheme, Chunk, Document, LabelSequence, TagSet, decode
+from .core import AnnotationScheme, Chunk, Document, LabelSequence, TagSet, Word, decode
 from .errors import LengthMismatch, MissingGold, OverlapWithinList
 from .inference import split_words, tagged_labels
 from .schemes import entities_to_word_labels
@@ -46,35 +48,25 @@ def extract_entities(seq: LabelSequence, mode: str = "strict") -> list[Chunk]:
 
 @dataclass(frozen=True)
 class Metrics:
+    """Precision, recall and F1; per-class rows also carry gold support."""
+
     precision: float
     recall: float
     f1: float
+    support: int | None = None
+
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, fn: int, support: int | None = None) -> "Metrics":
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return cls(precision, recall, f1, support)
 
     def as_dict(self) -> dict[str, float]:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
-
-
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+        out = {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+        if self.support is not None:
+            out["support"] = self.support
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,7 @@ class EvalReport:
     Macro averages skip classes with zero gold support.
     """
 
-    per_class: Mapping[str, ClassMetrics]
+    per_class: Mapping[str, Metrics]
     micro: Metrics
     macro: Metrics
     level: str  # "entity" | "word"
@@ -106,29 +98,79 @@ class EvalReport:
         return out
 
 
-def _report_from_counts(
-    counts: Mapping[str, Sequence[int]],
-    level: str,
-    mode: str,
-    confusion=None,
-) -> EvalReport:
-    per_class = {}
-    for cls in sorted(counts):
-        tp, fp, fn = counts[cls]
-        p, r, f1 = _prf(tp, fp, fn)
-        per_class[cls] = ClassMetrics(p, r, f1, support=tp + fn)
-    pooled = [sum(c[i] for c in counts.values()) for i in range(3)]
-    micro = Metrics(*_prf(*pooled))
-    supported = [m for m in per_class.values() if m.support > 0]
-    if supported:
-        macro = Metrics(
-            sum(m.precision for m in supported) / len(supported),
-            sum(m.recall for m in supported) / len(supported),
-            sum(m.f1 for m in supported) / len(supported),
+def _word_classes(seq: LabelSequence) -> list[str]:
+    """Each position's class without its prefix; "O" outside entities."""
+    return [label.class_name or "O" for label in seq.labels]
+
+
+@dataclass
+class Counts:
+    """The counts behind every report; ``a + b`` pools two.
+
+    ``strict`` and ``lenient`` count entity outcomes keyed by
+    (class, "tp" | "fp" | "fn"); ``words`` counts (gold class,
+    predicted class) pairs, with "O" outside entities.
+    """
+
+    strict: Counter = field(default_factory=Counter)
+    lenient: Counter = field(default_factory=Counter)
+    words: Counter = field(default_factory=Counter)
+
+    def __add__(self, other: "Counts") -> "Counts":
+        return Counts(
+            self.strict + other.strict, self.lenient + other.lenient, self.words + other.words
         )
-    else:
-        macro = Metrics(0.0, 0.0, 0.0)
-    return EvalReport(per_class, micro, macro, level, mode, confusion)
+
+    def add_chunks(self, mode: str, gold: Sequence[Chunk], pred: Sequence[Chunk]) -> None:
+        """Count one sequence's chunks: a predicted chunk is a true positive
+        iff an identical (class, start, end) chunk is in gold."""
+        outcomes = self.strict if mode == "strict" else self.lenient
+        # plain tuples hash in C; the Chunk dataclass hashes in Python
+        unmatched = {(c.class_name, c.word_start, c.word_end) for c in gold}
+        for c in pred:
+            key = (c.class_name, c.word_start, c.word_end)
+            if key in unmatched:
+                unmatched.remove(key)
+                outcomes[c.class_name, "tp"] += 1
+            else:
+                outcomes[c.class_name, "fp"] += 1
+        for cls, _, _ in unmatched:
+            outcomes[cls, "fn"] += 1
+
+    def add_words(self, gold: LabelSequence, pred: LabelSequence) -> None:
+        self.words.update(zip(_word_classes(gold), _word_classes(pred)))
+
+    def report(self, level: str, mode: str, classes: Iterable[str] = ()) -> EvalReport:
+        """The report at one level in one mode. Every class that occurs in
+        the counts, and every one in ``classes``, gets a per-class row."""
+        names = {cls for cls, _ in self.strict} | {cls for cls, _ in self.lenient}
+        names.update(cls for pair in self.words for cls in pair if cls != "O")
+        names = sorted(names.union(classes))
+        confusion = None
+        if level == "word":
+            outcomes: Counter = Counter()
+            for (gold, pred), n in self.words.items():
+                if gold != "O":
+                    outcomes[gold, "tp" if gold == pred else "fn"] += n
+                if pred not in ("O", gold):
+                    outcomes[pred, "fp"] += n
+            labels = sorted({*names, "O"})
+            confusion = {g: {p: self.words[g, p] for p in labels} for g in labels}
+        else:
+            outcomes = self.strict if mode == "strict" else self.lenient
+        per_class = {}
+        for cls in names:
+            tp, fn = outcomes[cls, "tp"], outcomes[cls, "fn"]
+            per_class[cls] = Metrics.from_counts(tp, outcomes[cls, "fp"], fn, support=tp + fn)
+        micro = Metrics.from_counts(
+            *(sum(outcomes[cls, kind] for cls in names) for kind in ("tp", "fp", "fn"))
+        )
+        supported = [m for m in per_class.values() if m.support]
+        macro = Metrics(*(
+            sum(getattr(m, name) for m in supported) / len(supported) if supported else 0.0
+            for name in ("precision", "recall", "f1")
+        ))
+        return EvalReport(per_class, micro, macro, level, mode, confusion)
 
 
 def _check_no_overlap(chunks: Sequence[Chunk], which: str):
@@ -138,25 +180,8 @@ def _check_no_overlap(chunks: Sequence[Chunk], which: str):
             raise OverlapWithinList(f"{which} chunks overlap: {a} and {b}")
 
 
-def _count_entities(
-    counts: dict[str, list[int]], gold: Sequence[Chunk], pred: Sequence[Chunk]
-) -> None:
-    """Add one sequence's exact-match tp, fp and fn per class to counts."""
-    gold_set = set(gold)
-    pred_set = set(pred)
-    for c in pred:
-        counts.setdefault(c.class_name, [0, 0, 0])[0 if c in gold_set else 1] += 1
-    for c in gold:
-        if c not in pred_set:
-            counts.setdefault(c.class_name, [0, 0, 0])[2] += 1
-
-
 def score_entities(
-    gold: Sequence[Chunk],
-    pred: Sequence[Chunk],
-    tagset: TagSet,
-    *,
-    mode: str = "strict",
+    gold: Sequence[Chunk], pred: Sequence[Chunk], tagset: TagSet, *, mode: str = "strict"
 ) -> EvalReport:
     """Exact-boundary entity scoring for a single sequence.
 
@@ -165,34 +190,9 @@ def score_entities(
     """
     _check_no_overlap(gold, "gold")
     _check_no_overlap(pred, "predicted")
-    counts = {cls: [0, 0, 0] for cls in tagset}
-    _count_entities(counts, gold, pred)
-    return _report_from_counts(counts, "entity", mode)
-
-
-def _word_classes(seq: LabelSequence) -> list[str]:
-    """Each position's class without its prefix; "O" outside entities."""
-    return [label.class_name or "O" for label in seq.labels]
-
-
-def _word_counts_and_confusion(
-    pairs: Counter, classes: Iterable[str]
-) -> tuple[dict[str, list[int]], dict[str, dict[str, int]]]:
-    """Per-class tp/fp/fn and the square confusion matrix from counted
-    (gold class, predicted class) pairs."""
-    counts = {cls: [0, 0, 0] for cls in classes}
-    for (g, p), n in pairs.items():
-        if g == p:
-            if g != "O":
-                counts.setdefault(g, [0, 0, 0])[0] += n
-            continue
-        if p != "O":
-            counts.setdefault(p, [0, 0, 0])[1] += n
-        if g != "O":
-            counts.setdefault(g, [0, 0, 0])[2] += n
-    labels_all = sorted({c for pair in pairs for c in pair} | set(counts) | {"O"})
-    square = {g: {p: pairs[g, p] for p in labels_all} for g in labels_all}
-    return counts, square
+    counts = Counts()
+    counts.add_chunks(mode, gold, pred)
+    return counts.report("entity", mode, tagset)
 
 
 def score_words(
@@ -206,9 +206,9 @@ def score_words(
     """
     if len(gold) != len(pred):
         raise LengthMismatch(f"gold has {len(gold)} labels, prediction {len(pred)}")
-    pairs = Counter(zip(_word_classes(gold), _word_classes(pred)))
-    counts, confusion = _word_counts_and_confusion(pairs, tagset)
-    return _report_from_counts(counts, "word", mode, confusion)
+    counts = Counts()
+    counts.add_words(gold, pred)
+    return counts.report("word", mode, tagset)
 
 
 @dataclass(frozen=True)
@@ -226,26 +226,19 @@ class DatasetEvaluation:
     lenient_entity: EvalReport
 
     def _block(self, mode: str) -> dict:
+        reports = {"entity": self.lenient_entity}
         if mode == "strict":
-            entity, word = self.strict_entity, self.strict_word
-        else:
-            entity, word = self.lenient_entity, None
-        averages = {}
-        for name in ("micro", "macro"):
-            averages[name] = {"entity": getattr(entity, name).as_dict()}
-            if word is not None:
-                averages[name]["word"] = getattr(word, name).as_dict()
-        per_class = {}
-        for cls in sorted(set(entity.per_class) | set(word.per_class if word else ())):
-            per_class[cls] = {}
-            if cls in entity.per_class:
-                per_class[cls]["entity"] = entity.per_class[cls].as_dict()
-            if word is not None and cls in word.per_class:
-                per_class[cls]["word"] = word.per_class[cls].as_dict()
-        out = dict(averages)
-        out["per_class"] = per_class
-        if word is not None and word.confusion is not None:
-            out["confusion"] = {g: dict(row) for g, row in word.confusion.items()}
+            reports = {"entity": self.strict_entity, "word": self.strict_word}
+        out = {
+            name: {level: getattr(r, name).as_dict() for level, r in reports.items()}
+            for name in ("micro", "macro")
+        }
+        out["per_class"] = {}
+        for cls in sorted({cls for r in reports.values() for cls in r.per_class}):
+            rows = {level: r.per_class.get(cls) for level, r in reports.items()}
+            out["per_class"][cls] = {lvl: m.as_dict() for lvl, m in rows.items() if m is not None}
+        if mode == "strict" and self.strict_word.confusion is not None:
+            out["confusion"] = {g: dict(row) for g, row in self.strict_word.confusion.items()}
         return out
 
     def as_dict(self) -> dict:
@@ -257,47 +250,51 @@ class DatasetEvaluation:
         return self._block("strict")[key]
 
 
+def _split_at_entities(text: str, words: Sequence[Word], entities) -> tuple[Word, ...]:
+    """Words cut at every entity boundary strictly inside one; every
+    piece is an exact text slice."""
+    cuts = sorted({e.char_start for e in entities} | {e.char_end for e in entities})
+    pieces = []
+    for word in words:
+        inner = cuts[bisect_right(cuts, word.char_start) : bisect_left(cuts, word.char_end)]
+        bounds = [word.char_start, *inner, word.char_end]
+        pieces.extend(Word(text[a:b], a, b) for a, b in zip(bounds, bounds[1:]))
+    return tuple(pieces)
+
+
 def _gold_words_and_labels(doc: Document, scheme: AnnotationScheme):
     if doc.word_labels is not None:
         return doc.words, doc.word_labels
-    if doc.entities is not None:
-        words = doc.words
-        if words is None:
-            words = split_words(doc.text)
-            doc = Document(doc.text, words=words, entities=doc.entities)
-        labels = entities_to_word_labels(doc, scheme)
-        return words, labels
-    raise MissingGold(f"document has no gold annotation: {doc.text[:50]!r}")
+    if doc.entities is None:
+        raise MissingGold(f"document has no gold annotation: {doc.text[:50]!r}")
+    words = _split_at_entities(doc.text, doc.words or split_words(doc.text), doc.entities)
+    doc = Document(doc.text, words=words, entities=doc.entities)
+    return words, entities_to_word_labels(doc, scheme)
+
+
+def count_documents(tagger, documents: Iterable[Document], scheme: AnnotationScheme) -> Counts:
+    """Tag and count each document. ``scheme`` is the gold scheme, and the
+    prediction scheme only for taggers that declare none."""
+    counts = Counts()
+    for doc in documents:
+        words, gold_seq = _gold_words_and_labels(doc, scheme)
+        pred_seq = tagged_labels(tagger, [w.surface for w in words], scheme)
+        gold, pred = decode(gold_seq), decode(pred_seq)
+        counts.add_chunks("strict", gold.strict, pred.strict)
+        counts.add_chunks("lenient", gold.lenient, pred.lenient)
+        counts.add_words(gold_seq, pred_seq)
+    return counts
 
 
 def evaluate_on_dataset(tagger, split, scheme: AnnotationScheme) -> DatasetEvaluation:
     """Run a tagger over a dataset split and compute all report variants.
 
-    Each gold and predicted sequence is decoded once; the strict and
-    lenient chunks and the word classes of every document are pooled
-    into one set of counts, so the result is independent of document
-    order.
+    The counts are pooled over documents, so the result is independent
+    of document order.
     """
-    entity_counts = {mode: {} for mode in EXTRACTION_MODES}
-    word_pairs: Counter = Counter()
-
-    for doc in split.documents:
-        words, gold_seq = _gold_words_and_labels(doc, scheme)
-        pred_seq = tagged_labels(tagger, [w.surface for w in words], scheme)
-        gold, pred = decode(gold_seq), decode(pred_seq)
-        _count_entities(entity_counts["strict"], gold.strict, pred.strict)
-        _count_entities(entity_counts["lenient"], gold.lenient, pred.lenient)
-        word_pairs.update(zip(_word_classes(gold_seq), _word_classes(pred_seq)))
-
-    classes = set(entity_counts["strict"]) | set(entity_counts["lenient"])
-    classes.update(c for pair in word_pairs for c in pair if c != "O")
-    for pool in entity_counts.values():
-        for cls in classes:
-            pool.setdefault(cls, [0, 0, 0])
-
-    word_counts, confusion = _word_counts_and_confusion(word_pairs, classes)
+    counts = count_documents(tagger, split.documents, scheme)
     return DatasetEvaluation(
-        _report_from_counts(entity_counts["strict"], "entity", "strict"),
-        _report_from_counts(word_counts, "word", "strict", confusion),
-        _report_from_counts(entity_counts["lenient"], "entity", "lenient"),
+        counts.report("entity", "strict"),
+        counts.report("word", "strict"),
+        counts.report("entity", "lenient"),
     )

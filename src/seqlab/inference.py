@@ -4,7 +4,8 @@ A tagger is anything with ``tag(words) -> [(raw_label, probability), ...]``
 returning one pair per word. The functions here do the bookkeeping around
 it: whitespace word splitting with recorded character offsets, output
 validation, strict entity decoding, char-offset merging, and batch/file
-inference with per-item error isolation.
+inference in which a SeqlabError, a broken tagger contract included,
+fails only its own item.
 
 Raw text is split on Unicode whitespace and punctuation is not split
 off; real subword tokenization belongs to the model behind the tagger
@@ -18,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from .core import (
     AnnotationScheme,
@@ -35,9 +36,12 @@ from .errors import (
     EmptyText,
     MalformedJson,
     SeqlabError,
+    TaggerContractError,
     TaggerLengthMismatch,
+    UndecodableInput,
+    UnloadableTagger,
 )
-from .ingest import read_canonical_jsonl
+from .ingest import read_canonical_jsonl, read_text
 from .schemes import detect_scheme, labels_for_chunk
 
 _WORD_RE = re.compile(r"\S+")
@@ -50,7 +54,9 @@ class Tagger(Protocol):
     ``tag`` returns exactly one (raw label string, probability) pair per
     input word, probabilities in [0, 1]. Implementations should expose a
     ``scheme`` attribute so callers know how to parse the labels; without
-    one the scheme is detected from the output (BIO when undecidable).
+    one the caller's default applies, else the scheme is detected from
+    the output (BIO when undecidable). A tagger that raises or returns
+    anything else fails the item with TaggerContractError.
     """
 
     def tag(self, words: Sequence[str]) -> Sequence[tuple[str, float]]: ...
@@ -88,7 +94,7 @@ class LexiconTagger:
     def from_json(cls, path: str | Path) -> "LexiconTagger":
         """Load from JSON: either a flat {surface: class} object or
         {"entries": {...}, "scheme": "BIO"}."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
         if not isinstance(data, dict):
             raise ValueError("lexicon file must hold a JSON object")
         if "entries" in data:
@@ -125,21 +131,23 @@ class EchoTagger:
 
     @classmethod
     def from_canonical_file(cls, path: str | Path) -> "EchoTagger":
-        return cls.from_documents(
-            read_canonical_jsonl(Path(path).read_text(encoding="utf-8"))
-        )
+        return cls.from_documents(read_canonical_jsonl(read_text(path)))
 
 
 def load_tagger(uri: str) -> Tagger:
-    """Resolve a tagger URI: "lexicon:<path>", "echo:<path>", or "all-o"."""
-    if uri == "all-o":
-        return LexiconTagger({})
+    """Resolve a tagger URI: "lexicon:<path>", "echo:<path>", or "all-o";
+    anything else, or an unreadable tagger file, raises UnloadableTagger."""
     kind, sep, argument = uri.partition(":")
-    if sep and kind == "lexicon":
-        return LexiconTagger.from_json(argument)
-    if sep and kind == "echo":
-        return EchoTagger.from_canonical_file(argument)
-    raise ValueError(f"unknown tagger URI: {uri!r}")
+    try:
+        if uri == "all-o":
+            return LexiconTagger({})
+        if sep and kind == "lexicon":
+            return LexiconTagger.from_json(argument)
+        if sep and kind == "echo":
+            return EchoTagger.from_canonical_file(argument)
+    except (SeqlabError, OSError, ValueError, TypeError) as err:
+        raise UnloadableTagger(f"cannot load tagger {uri!r}: {err}") from None
+    raise UnloadableTagger(f"cannot load tagger {uri!r}: unknown tagger URI")
 
 
 @dataclass(frozen=True)
@@ -173,11 +181,17 @@ def split_words(text: str) -> tuple[Word, ...]:
 
 
 def _tag_and_parse(
-    tagger: Tagger,
-    surfaces: Sequence[str],
-    scheme: AnnotationScheme | None,
+    tagger: Tagger, surfaces: Sequence[str], default: AnnotationScheme | None
 ) -> tuple[LabelSequence, list[float]]:
-    output = list(tagger.tag(list(surfaces)))
+    """Run the tagger and parse its labels in the scheme it declares, else
+    in ``default``, else in the one detected from them (BIO when all are
+    O). Any breach of the tagger contract raises TaggerContractError."""
+    try:
+        output = list(tagger.tag(list(surfaces)))
+    except SeqlabError:
+        raise
+    except Exception as err:
+        raise TaggerContractError(f"tagger raised {type(err).__name__}: {err}") from err
     if len(output) != len(surfaces):
         raise TaggerLengthMismatch(
             f"tagger returned {len(output)} labels for {len(surfaces)} words"
@@ -185,37 +199,39 @@ def _tag_and_parse(
     raws = []
     probabilities = []
     for item in output:
-        raw, probability = item
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"tagger probability out of [0, 1]: {probability}")
-        raws.append(raw)
-        probabilities.append(float(probability))
-    if scheme is None:
-        scheme = getattr(tagger, "scheme", None)
-    if scheme is None:
         try:
-            scheme = detect_scheme([raws])
-        except AllOutside:
-            scheme = AnnotationScheme.BIO
-    else:
-        scheme = AnnotationScheme.coerce(scheme)
+            raw, probability = item
+            valid = isinstance(raw, str) and 0.0 <= probability <= 1.0
+            probability = float(probability)
+        except Exception:
+            valid = False
+        if not valid:
+            raise TaggerContractError(
+                f"tagger output for word {len(raws)} is not a (label, probability "
+                f"in [0, 1]) pair: {item!r:.80}"
+            )
+        raws.append(raw)
+        probabilities.append(probability)
+    scheme = getattr(tagger, "scheme", None) or default
+    try:
+        scheme = AnnotationScheme.coerce(scheme) if scheme else detect_scheme([raws])
+    except AllOutside:
+        scheme = AnnotationScheme.BIO
+    except ValueError as err:
+        raise TaggerContractError(f"tagger scheme: {err}") from None
     return LabelSequence.from_raw(raws, Level.WORD, scheme), probabilities
 
 
 def tagged_labels(
-    tagger: Tagger, surfaces: Sequence[str], scheme: AnnotationScheme | None = None
+    tagger: Tagger, surfaces: Sequence[str], default: AnnotationScheme | None = None
 ) -> LabelSequence:
-    """Run a tagger and return its validated, parsed label sequence."""
-    return _tag_and_parse(tagger, surfaces, scheme)[0]
+    """Run a tagger and return its validated label sequence, parsed in the
+    tagger's declared scheme, else in ``default``, else the detected one."""
+    return _tag_and_parse(tagger, surfaces, default)[0]
 
 
 def predict(
-    tagger: Tagger,
-    text: str,
-    *,
-    level: str = "entity",
-    with_probabilities: bool = False,
-    scheme: AnnotationScheme | str | None = None,
+    tagger: Tagger, text: str, *, level: str = "entity", with_probabilities: bool = False
 ) -> list[EntitySpan] | list[WordPrediction]:
     """Tag a raw text and post-process the output.
 
@@ -229,10 +245,8 @@ def predict(
         raise ValueError(f'level must be "entity" or "word", got {level!r}')
     if not text.strip():
         raise EmptyText("text is empty after trimming")
-    if scheme is not None:
-        scheme = AnnotationScheme.coerce(scheme)
     words = split_words(text)
-    seq, probabilities = _tag_and_parse(tagger, [w.surface for w in words], scheme)
+    seq, probabilities = _tag_and_parse(tagger, [w.surface for w in words], None)
 
     if level == "word":
         return [
@@ -290,28 +304,36 @@ def prediction_record(item: EntitySpan | WordPrediction) -> dict:
     return record
 
 
-def predict_batch(
-    tagger: Tagger, texts: Sequence[str], **kwargs
-) -> list[BatchItem]:
+def _contained(work: Callable, *args, **kwargs) -> tuple[bool, object, str | None]:
+    """The one per-item handler: (ok, value, error); a SeqlabError fails the item."""
+    try:
+        return True, work(*args, **kwargs), None
+    except SeqlabError as err:
+        return False, None, str(err)
+
+
+def predict_batch(tagger: Tagger, texts: Sequence[str], **kwargs) -> list[BatchItem]:
     """Map `predict` over texts with per-item error isolation."""
-    items = []
-    for index, text in enumerate(texts):
-        try:
-            items.append(BatchItem(index, True, value=predict(tagger, text, **kwargs)))
-        except SeqlabError as err:
-            items.append(BatchItem(index, False, error=str(err)))
-    return items
+    items = enumerate(texts)
+    return [BatchItem(i, *_contained(predict, tagger, t, **kwargs)) for i, t in items]
 
 
-def _batched(lines: Iterable[str], size: int) -> Iterator[list[str]]:
-    batch: list[str] = []
-    for line in lines:
-        batch.append(line)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+def _line_record(tagger: Tagger, line: bytes, level: str, with_probabilities: bool) -> dict:
+    """The output record of one predict_file input line."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise UndecodableInput(f"byte {err.start} is not UTF-8 ({err.reason})") from None
+    except json.JSONDecodeError as err:
+        raise MalformedJson(f"invalid JSON ({err.msg})") from None
+    except RecursionError:
+        raise MalformedJson("invalid JSON (nested too deeply)") from None
+    if not isinstance(record, dict) or not isinstance(record.get("text"), str):
+        raise MalformedJson('line needs a {"text": ...} object')
+    predictions = predict(
+        tagger, record["text"], level=level, with_probabilities=with_probabilities
+    )
+    return {"text": record["text"], "predictions": [prediction_record(p) for p in predictions]}
 
 
 def predict_file(
@@ -321,46 +343,23 @@ def predict_file(
     *,
     level: str = "entity",
     with_probabilities: bool = False,
-    scheme: AnnotationScheme | str | None = None,
-    batch_size: int = 32,
 ) -> FileSummary:
     """Streaming file inference: JSONL in ({"text": ...} per line),
     line-aligned JSONL out ({"text", "predictions": [...]}).
 
-    Malformed lines become {"error": ...} output lines and are counted
-    as failed; they never abort the run. Memory use is bounded by one
-    batch; output order matches input order.
+    Lines end at "\\n". A line that fails, for bad JSON, bytes that are not
+    UTF-8 or anything else, becomes an {"error": "line N: ..."} output
+    line and is counted as failed; it never aborts the run. Memory use
+    is bounded by one line; output order matches input order.
     """
-
-    def handle(raw_line: str) -> tuple[bool, str]:
-        try:
-            record = json.loads(raw_line)
-            if not isinstance(record, dict) or not isinstance(record.get("text"), str):
-                raise MalformedJson('line needs a {"text": ...} object')
-            predictions = predict(
-                tagger,
-                record["text"],
-                level=level,
-                with_probabilities=with_probabilities,
-                scheme=scheme,
-            )
-            payload = {
-                "text": record["text"],
-                "predictions": [prediction_record(p) for p in predictions],
-            }
-            return True, json.dumps(payload, ensure_ascii=False)
-        except (json.JSONDecodeError, SeqlabError) as err:
-            return False, json.dumps({"error": str(err)}, ensure_ascii=False)
-
     processed = failed = 0
-    with open(input_path, encoding="utf-8") as src, open(
-        output_path, "w", encoding="utf-8"
-    ) as dst:
-        stripped = (line.rstrip("\n") for line in src)
-        for batch in _batched(stripped, batch_size):
-            for ok, line in map(handle, batch):
-                processed += ok
-                failed += not ok
-                dst.write(line)
-                dst.write("\n")
+    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
+        for lineno, line in enumerate(src, 1):
+            line = line.rstrip(b"\n")
+            ok, record, error = _contained(_line_record, tagger, line, level, with_probabilities)
+            processed += ok
+            failed += not ok
+            payload = record if ok else {"error": f"line {lineno}: {error}"}
+            dst.write(json.dumps(payload, ensure_ascii=False))
+            dst.write("\n")
     return FileSummary(processed, failed)

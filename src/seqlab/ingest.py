@@ -50,6 +50,7 @@ from .errors import (
     PrefixNotInScheme,
     RaggedRow,
     SpanOutOfBounds,
+    UndecodableInput,
     UnresolvableSource,
 )
 from .schemes import detect_scheme
@@ -135,6 +136,19 @@ def resolve_scheme(
         return detect_scheme(raw_sequences)
     except AllOutside:
         return AnnotationScheme.BIO
+
+
+def read_text(path: str | Path) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 raise UndecodableInput
+    naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise UndecodableInput(
+            f"byte {err.start} of {path} is not UTF-8 ({err.reason})",
+            line=data.count(b"\n", 0, err.start) + 1,
+        ) from None
 
 
 def _lines(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -297,6 +311,8 @@ def _entities_from_record(
             start, end, label = int(start), int(end), str(label)
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
+        if not label:
+            raise MalformedJson("entity label cannot be empty", line=lineno)
         if not (0 <= start < end <= len(text)):
             raise SpanOutOfBounds(
                 f"span [{start}, {end}) outside text of length {len(text)}",
@@ -592,7 +608,7 @@ def parse_file(
     path = Path(path)
     if not path.is_file():
         raise UnresolvableSource(f"not a readable file: {path}")
-    data = path.read_text(encoding="utf-8")
+    data = read_text(path)
     suffix = path.suffix.lower()
     if dialect is not None:
         return parse_annotation_tool_export(data, dialect)
@@ -705,7 +721,7 @@ def load_split(
     if not path.is_file():
         raise UnresolvableSource(f"missing split file: {path}")
     try:
-        documents = read_canonical_jsonl(path.read_text(encoding="utf-8"), scheme=scheme)
+        documents = read_canonical_jsonl(read_text(path), scheme=scheme)
     except EmptyInput:
         documents = []  # a split may legitimately be empty after splitting
     return DatasetSplit(phase, tuple(documents))
@@ -715,4 +731,7 @@ def load_analysis(dataset_dir: str | Path) -> dict:
     path = Path(dataset_dir) / "analysis.json"
     if not path.is_file():
         raise UnresolvableSource(f"missing analysis file: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as err:
+        raise MalformedJson(f"{path}: invalid JSON ({err.msg})", line=err.lineno) from None

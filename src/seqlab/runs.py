@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .errors import EmptyRunSet, MissingMetric
+from .errors import EmptyRunSet, MalformedJson, MissingMetric
+from .ingest import read_text
 
 #: strict entity micro F1; prepend a phase segment ("val." etc.) when
 #: records store per-phase trees.
@@ -158,13 +159,16 @@ def save_run(record: RunRecord, directory: str | Path) -> Path:
 
 
 def load_run(path: str | Path) -> RunRecord:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunRecord(
-        run_name=data["run_name"],
-        seed=int(data["seed"]),
-        reports=data["reports"],
-        artifacts_path=data.get("artifacts_path", ""),
-    )
+    try:
+        data = json.loads(read_text(path))
+        return RunRecord(
+            run_name=data["run_name"],
+            seed=int(data["seed"]),
+            reports=data["reports"],
+            artifacts_path=data.get("artifacts_path", ""),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise MalformedJson(f"bad run record {path}: {type(err).__name__}: {err}") from None
 
 
 def load_runs(directory: str | Path) -> list[RunRecord]:

@@ -281,3 +281,70 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 2
+
+
+def bad_lexicon(tmp_path):
+    main(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+          "--name", "mini-conll"])
+    (tmp_path / "bad.json").write_text("{bad json")
+    return ["--data-dir", str(tmp_path), "evaluate", "--tagger",
+            f"lexicon:{tmp_path / 'bad.json'}", "--dataset", "mini-conll"]
+
+
+def missing_input(tmp_path):
+    return ["convert", "--from", "BIO", "--to", "BILOU", "--input",
+            str(tmp_path / "missing.jsonl"), "--output", str(tmp_path / "out.jsonl")]
+
+
+def non_utf8(tmp_path):
+    (tmp_path / "bad.conll").write_bytes(b"EU B-ORG\n\xff\xfe O\n")
+    return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
+            "--name", "x", "--path", str(tmp_path / "bad.conll")]
+
+
+def run_without_name(tmp_path):
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "a.json").write_text(json.dumps(
+        {"seed": 0, "reports": {"strict": {"micro": {"entity": {"f1": 1.0}}}}}))
+    return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
+
+
+def empty_entity_label(tmp_path):
+    (tmp_path / "at.jsonl").write_text('{"text":"ab","label":[[0,1,""]]}\n')
+    return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "AT",
+            "--name", "x", "--path", str(tmp_path / "at.jsonl")]
+
+
+class TestErrorBoundary:
+    """Bad input anywhere ends as one "error: ..." line and exit code 1."""
+
+    @pytest.mark.parametrize(
+        "case", [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label]
+    )
+    def test_exits_one_with_error_line(self, tmp_path, capsys, case):
+        argv = case(tmp_path)
+        capsys.readouterr()
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_error_names_the_line(self, tmp_path, capsys):
+        code, _, err = run(non_utf8(tmp_path), capsys)
+        assert "line 2: " in err
+
+    def test_annotation_tool_export_evaluates(self, tmp_path, capsys):
+        """Entities next to punctuation ("Paris3.") set up and evaluate."""
+        export = tmp_path / "export.jsonl"
+        export.write_text("".join(
+            json.dumps({"text": f"I love Paris{i}.", "label": [[7, 13, "LOC"]]}) + "\n"
+            for i in range(10)
+        ))
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({f"Paris{i}": "LOC" for i in range(10)}))
+        code, _, _ = run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "AT",
+                          "--name", "at", "--path", str(export)], capsys)
+        assert code == 0
+        code, out, _ = run(["--data-dir", str(tmp_path), "evaluate", "--tagger",
+                            f"lexicon:{lexicon}", "--dataset", "at", "--phase", "train"], capsys)
+        assert code == 0
+        assert "strict entity micro f1 = 1.0000" in out

@@ -10,17 +10,20 @@ from seqlab.core import (
     Level,
     TagSet,
     Word,
+    decode,
 )
 from seqlab.errors import LengthMismatch, MissingGold, OverlapWithinList
 from seqlab.evaluation import (
     Chunk,
+    Counts,
+    count_documents,
     evaluate_on_dataset,
     extract_entities,
     score_entities,
     score_words,
 )
 from seqlab.inference import EchoTagger, LexiconTagger
-from seqlab.ingest import DatasetSplit
+from seqlab.ingest import DatasetSplit, parse_annotation_tool_export
 
 from .oracles import (
     all_sequences,
@@ -322,6 +325,124 @@ class TestEvaluateOnDataset:
         assert result["per_class"] == data["strict"]["per_class"]
         with pytest.raises(KeyError):
             result["nonexistent"]
+
+
+class TestPredictionScheme:
+    """Predictions are parsed in the tagger's scheme; the dataset's scheme
+    is only the default for taggers that declare none."""
+
+    def test_bilou_tagger_on_bio_dataset(self):
+        doc = word_doc(["Acme", "Corp", "hired", "Bob"], ["B-ORG", "I-ORG", "O", "B-PER"])
+        tagger = LexiconTagger({"Acme": "ORG", "Corp": "ORG", "Bob": "PER"}, BILOU)
+        result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BIO)
+        assert result.strict_entity.micro.f1 == 1.0
+
+    def test_bio_tagger_on_bilou_dataset(self):
+        doc = word_doc(["Acme", "Corp", "hired"], ["B-ORG", "L-ORG", "O"], BILOU)
+        tagger = LexiconTagger({"Acme": "ORG", "Corp": "ORG"}, BIO)
+        result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BILOU)
+        assert result.strict_entity.micro.f1 == 1.0
+        assert result.lenient_entity.micro.f1 == 1.0
+
+    def test_dataset_scheme_is_the_default(self):
+        class Undeclared:
+            def tag(self, words):
+                return [("I-ORG", 1.0)] * len(words)
+
+        doc = word_doc(["Acme", "Corp"], ["I-ORG", "I-ORG"], IO)
+        result = evaluate_on_dataset(Undeclared(), DatasetSplit("test", (doc,)), IO)
+        assert result.strict_entity.micro.f1 == 1.0
+
+
+class TestEntityOnlyGold:
+    def test_entity_next_to_punctuation(self):
+        (doc,) = parse_annotation_tool_export(
+            '{"text": "I love Paris.", "label": [[7, 12, "LOC"]]}\n', "DoccanoJsonl"
+        )
+        tagger = LexiconTagger({"Paris": "LOC"})
+        result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BIO)
+        assert result.strict_entity.micro.f1 == 1.0
+        assert result.strict_word.micro.f1 == 1.0
+
+    def test_words_are_cut_into_exact_slices(self):
+        text = "(New York)-based firms"
+        doc = Document(text, entities=(EntitySpan("LOC", 1, 9, "New York"),))
+        seen = []
+
+        class Recorder:
+            scheme = BIO
+
+            def tag(self, words):
+                seen.append(list(words))
+                return [("O", 1.0)] * len(words)
+
+        evaluate_on_dataset(Recorder(), DatasetSplit("test", (doc,)), BIO)
+        assert seen == [["(", "New", "York", ")-based", "firms"]]
+
+
+def random_word_docs(rng, n_docs, classes=("A", "B")):
+    """Documents with random BIO gold, and an echo tagger with random
+    predictions for them (word sequences are unique per document)."""
+    labels = ["O"] + [f"{p}-{c}" for c in classes for p in "BI"]
+    docs, predicted = [], []
+    for d in range(n_docs):
+        surfaces = [f"w{d}_{i}" for i in range(rng.randint(1, 12))]
+        docs.append(word_doc(surfaces, [rng.choice(labels) for _ in surfaces]))
+        predicted.append(word_doc(surfaces, [rng.choice(labels) for _ in surfaces]))
+    return docs, EchoTagger.from_documents(predicted)
+
+
+REPORT_KINDS = [("entity", "strict"), ("word", "strict"), ("entity", "lenient")]
+
+
+class TestCounts:
+    def test_sharded_sum_equals_one_pass(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            docs, tagger = random_word_docs(rng, rng.randint(1, 30))
+            whole = count_documents(tagger, docs, BIO)
+            rng.shuffle(docs)
+            cuts = sorted(rng.randint(0, len(docs)) for _ in range(rng.randint(0, 4)))
+            bounds = [0, *cuts, len(docs)]
+            shards = [count_documents(tagger, docs[a:b], BIO) for a, b in zip(bounds, bounds[1:])]
+            pooled = sum(shards, Counts())
+            assert pooled == whole
+            for level, mode in REPORT_KINDS:
+                assert pooled.report(level, mode) == whole.report(level, mode)
+
+    def test_one_pass_matches_evaluate_on_dataset(self):
+        docs, tagger = random_word_docs(random.Random(5), 12)
+        counts = count_documents(tagger, docs, BIO)
+        result = evaluate_on_dataset(tagger, DatasetSplit("test", tuple(docs)), BIO)
+        reports = [counts.report(level, mode) for level, mode in REPORT_KINDS]
+        assert reports == [result.strict_entity, result.strict_word, result.lenient_entity]
+
+    def test_single_document_scores_match_dataset_blocks(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            (doc,), tagger = random_word_docs(rng, 1)
+            result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BIO)
+            gold = doc.word_labels
+            pred = LabelSequence.from_raw(
+                [lab for lab, _ in tagger.tag([w.surface for w in doc.words])], Level.WORD, BIO
+            )
+            if all(lab.is_outside for lab in (*gold, *pred)):
+                continue
+            tagset = TagSet.from_labels([gold, pred])  # the classes the document shows
+            blocks = (("strict", result.strict_entity), ("lenient", result.lenient_entity))
+            for mode, report in blocks:
+                gold_chunks = getattr(decode(gold), mode)
+                pred_chunks = getattr(decode(pred), mode)
+                assert score_entities(gold_chunks, pred_chunks, tagset, mode=mode) == report
+            assert score_words(gold, pred, tagset) == result.strict_word
+
+    def test_metrics_support_only_on_class_rows(self):
+        report = score_entities([Chunk("PER", 0, 1)], [], TagSet(("PER",)))
+        assert report.per_class["PER"].as_dict() == {
+            "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1
+        }
+        assert report.micro.support is None
+        assert "support" not in report.micro.as_dict()
 
 
 class TestLexiconTaggerOnBundledCorpus:

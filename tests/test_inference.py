@@ -1,12 +1,20 @@
 import json
+import math
 import random
 import string
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqlab.core import AnnotationScheme, LabelSequence, Level
-from seqlab.errors import EmptyText, TaggerLengthMismatch
+from seqlab.errors import (
+    EmptyText,
+    TaggerContractError,
+    TaggerLengthMismatch,
+    UnloadableTagger,
+)
 from seqlab.evaluation import extract_entities
 from seqlab.inference import (
     EchoTagger,
@@ -200,12 +208,23 @@ class TestPredictFile:
         assert "error" in lines[1]
         assert lines[0]["text"] == "a" and lines[2]["text"] == "b"
 
+    def test_undecodable_and_deeply_nested_lines_fail_alone(self, tmp_path):
+        source = tmp_path / "in.jsonl"
+        sink = tmp_path / "out.jsonl"
+        source.write_bytes(b'{"text": "a\xff"}\n' + b"[" * 100_000 + b'\n{"text": "b"}\r\n')
+        summary = predict_file(UN_LEXICON, source, sink)
+        assert (summary.processed, summary.failed) == (1, 2)
+        lines = [json.loads(l) for l in sink.read_text().splitlines()]
+        assert lines[0]["error"].startswith("line 1: byte 11 is not UTF-8")
+        assert lines[1]["error"].startswith("line 2: invalid JSON")
+        assert lines[2] == {"text": "b", "predictions": []}
+
     def test_matches_in_memory_predictions(self, tmp_path):
         texts = [f"United Nations item {i}" for i in range(10)]
         source = tmp_path / "in.jsonl"
         sink = tmp_path / "out.jsonl"
         self.write_lines(source, [json.dumps({"text": t}) for t in texts])
-        predict_file(UN_LEXICON, source, sink, batch_size=3)
+        predict_file(UN_LEXICON, source, sink)
         lines = [json.loads(l) for l in sink.read_text().splitlines()]
         for text, line in zip(texts, lines):
             expected = [prediction_record(p) for p in predict(UN_LEXICON, text)]
@@ -245,3 +264,122 @@ class TestTaggers:
     def test_unknown_uri(self):
         with pytest.raises(ValueError):
             load_tagger("hub:bert-base-cased")
+
+    @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe", None])
+    def test_unreadable_lexicon_is_typed(self, tmp_path, content):
+        path = tmp_path / "lexicon.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(UnloadableTagger, match="^cannot load tagger"):
+            load_tagger(f"lexicon:{path}")
+
+
+class FixedTagger:
+    """Returns the same output (or raises the same error) for any words."""
+
+    def __init__(self, output, scheme=AnnotationScheme.BIO):
+        self.output = output
+        self.scheme = scheme
+
+    def tag(self, words):
+        if isinstance(self.output, Exception):
+            raise self.output
+        return self.output
+
+
+class TestTaggerContract:
+    @pytest.mark.parametrize(
+        "output",
+        [
+            [("O", 1.5)],
+            [("O", -0.1)],
+            [("O", math.nan)],
+            [("O", "high")],
+            [("O", None)],
+            ["O"],
+            ["OK"],
+            [("O", 1.0, "extra")],
+            [(None, 1.0)],
+            [(3, 1.0)],
+            None,
+            RuntimeError("model crashed"),
+        ],
+    )
+    def test_breaches_are_typed(self, output):
+        with pytest.raises(TaggerContractError):
+            predict(FixedTagger(output), "word")
+
+    def test_bad_declared_scheme(self):
+        with pytest.raises(TaggerContractError):
+            predict(FixedTagger([("O", 1.0)], scheme="XYZ"), "word")
+
+    def test_length_mismatch_is_a_contract_breach(self):
+        assert issubclass(TaggerLengthMismatch, TaggerContractError)
+
+    def test_breach_fails_only_its_line(self, tmp_path):
+        source = tmp_path / "in.jsonl"
+        sink = tmp_path / "out.jsonl"
+        source.write_text(json.dumps({"text": "a"}) + "\n" + "{broken\n", encoding="utf-8")
+        summary = predict_file(FixedTagger([("O", 1.5)]), source, sink)
+        assert (summary.processed, summary.failed) == (0, 2)
+        errors = [json.loads(line)["error"] for line in sink.read_text().splitlines()]
+        assert errors[0].startswith("line 1: tagger output for word 0")
+        assert errors[1].startswith("line 2: invalid JSON")
+
+
+LABELS = st.sampled_from(["O", "B-X", "I-X", "L-X", "U-X", "I-Y", "X", "", "B-", "Q-X"])
+PROBABILITIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 2), st.text(max_size=2)
+)
+TAGGER_ITEMS = st.one_of(
+    st.tuples(LABELS, PROBABILITIES),
+    st.tuples(st.one_of(st.none(), st.integers()), st.just(0.5)),
+    st.tuples(LABELS, st.just(0.5), st.just(0.5)),
+    LABELS,
+    st.none(),
+    st.integers(),
+)
+
+
+class HostileTagger:
+    def __init__(self, behaviour, items, scheme):
+        self.behaviour = behaviour
+        self.items = items
+        self.scheme = scheme
+
+    def tag(self, words):
+        if self.behaviour == "raise":
+            raise KeyError("model crashed")
+        n = len(words) + {"short": -1, "long": 1}.get(self.behaviour, 0)
+        return [self.items[i % len(self.items)] for i in range(max(n, 0))]
+
+
+INPUT_LINES = st.one_of(
+    st.builds(lambda t: json.dumps({"text": t}), st.text(alphabet="ab X\t", max_size=12)),
+    st.sampled_from(["", "{broken", "[1, 2]", '{"text": 3}', "null"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    behaviour=st.sampled_from(["exact", "exact", "short", "long", "raise"]),
+    items=st.lists(TAGGER_ITEMS, min_size=1, max_size=4),
+    scheme=st.sampled_from([None, "BIO", "nonsense", *AnnotationScheme]),
+    lines=st.lists(INPUT_LINES, min_size=1, max_size=6),
+    level=st.sampled_from(["entity", "word"]),
+)
+def test_hostile_taggers_never_abort_predict_file(behaviour, items, scheme, lines, level):
+    tagger = HostileTagger(behaviour, items, scheme)
+    with tempfile.TemporaryDirectory() as tmp:
+        source, sink = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+        source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        summary = predict_file(tagger, source, sink, level=level)
+        outputs = [json.loads(line) for line in sink.read_text(encoding="utf-8").splitlines()]
+    assert summary.processed + summary.failed == len(lines) == len(outputs)
+    for lineno, record in enumerate(outputs, 1):
+        if "error" in record:
+            assert set(record) == {"error"}
+            assert record["error"].startswith(f"line {lineno}: ")
+    assert summary.failed == sum("error" in record for record in outputs)
+    texts = [json.loads(line)["text"] for line in lines if line.startswith('{"text": "')]
+    assert all(item.ok or item.error for item in predict_batch(tagger, texts))

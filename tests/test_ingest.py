@@ -15,7 +15,9 @@ from seqlab.errors import (
     OverlappingSpans,
     PrefixNotInScheme,
     RaggedRow,
+    SeqlabError,
     SpanOutOfBounds,
+    UndecodableInput,
     UnresolvableSource,
 )
 from seqlab.evaluation import extract_entities
@@ -27,6 +29,7 @@ from seqlab.ingest import (
     load_split,
     parse_annotation_tool_export,
     parse_conll,
+    parse_file,
     parse_pretokenized_jsonl,
     prune,
     read_canonical_jsonl,
@@ -409,3 +412,53 @@ class TestSetUp:
         assert SourceKind.coerce("BUILT_IN") is SourceKind.BUILT_IN
         with pytest.raises(UnresolvableSource):
             SourceKind.coerce("??")
+
+
+RAW_SEEDS = [
+    (".jsonl", (DATA / "doccano_sample.jsonl").read_bytes()),
+    (".json", (DATA / "labelstudio_sample.json").read_bytes()),
+    (".conll", b"-DOCSTART- O\n\nEU B-ORG\nrejects O\n\nPeter B-PER\nBlackburn I-PER\n"),
+    (".jsonl", b'{"words": ["EU", "rejects"], "labels": ["B-ORG", "O"]}\n'
+               b'{"text": "a b", "entities": [{"start": 2, "end": 3, "label": "X"}]}\n'),
+]
+
+
+class TestRawBytes:
+    def test_non_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_bytes(b"EU B-ORG\n\nPeter B-PER\nBlack\xc3 I-PER\n")
+        with pytest.raises(UndecodableInput) as excinfo:
+            parse_file(path)
+        assert excinfo.value.line == 4
+
+    def test_corrupt_analysis_is_typed(self, tmp_path):
+        (tmp_path / "analysis.json").write_text('{"scheme_detected":\n')
+        with pytest.raises(MalformedJson):
+            load_analysis(tmp_path)
+
+    def test_empty_entity_label_is_typed(self):
+        with pytest.raises(MalformedJson) as excinfo:
+            parse_annotation_tool_export('{"text":"ab","label":[[0,1,""]]}\n', "DoccanoJsonl")
+        assert excinfo.value.line == 1
+
+    def test_byte_mutations_raise_only_package_errors(self, tmp_path):
+        """Mutated files go through parse_file as raw bytes: undecodable
+        input must be rejected as typed errors too."""
+        rng = random.Random(2024)
+        for i in range(3000):
+            suffix, payload = RAW_SEEDS[i % len(RAW_SEEDS)]
+            raw = bytearray(payload)
+            for _ in range(rng.randint(1, 4)):
+                action = rng.random()
+                if action < 0.5 or not raw:
+                    raw.insert(rng.randrange(len(raw) + 1), rng.randrange(256))
+                elif action < 0.8:
+                    raw[rng.randrange(len(raw))] = rng.randrange(256)
+                else:
+                    del raw[rng.randrange(len(raw))]
+            path = tmp_path / f"mutated{suffix}"
+            path.write_bytes(bytes(raw))
+            try:
+                parse_file(path)
+            except SeqlabError:
+                pass  # typed rejection is the contract
