@@ -165,15 +165,14 @@ def _dataset_dir(args) -> Path:
 def cmd_evaluate(args) -> int:
     dataset_dir = _dataset_dir(args)
     log.debug("evaluating %s split of %s", args.phase, dataset_dir)
-    scheme = None
     try:
         scheme = AnnotationScheme.coerce(ingest.load_analysis(dataset_dir)["scheme_detected"])
-    except SeqlabError:
-        pass  # fall back to detection from the split itself
+    except (SeqlabError, KeyError, TypeError, ValueError):
+        scheme = None  # no usable analysis.json: the split's reader detects it
     split = ingest.load_split(dataset_dir, args.phase, scheme=scheme)
     if scheme is None:
-        labeled = [d.word_labels.serialized() for d in split.documents if d.word_labels]
-        scheme = ingest.resolve_scheme(labeled)
+        schemes = (d.word_labels.scheme for d in split.documents if d.word_labels)
+        scheme = next(schemes, AnnotationScheme.BIO)
     tagger = load_tagger(args.tagger)
     result = evaluate_on_dataset(tagger, split, scheme)
     report = result.as_dict()
@@ -214,14 +213,15 @@ def cmd_predict(args) -> int:
 
 def cmd_schedule_simulate(args) -> int:
     try:
-        config_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        config_data = ingest.load_json(ingest.read_text(args.config))
         if not isinstance(config_data, dict):
             raise ValueError("schedule config must be a JSON object")
         losses = config_data.pop("val_losses", None)
         if args.losses:
-            losses = json.loads(Path(args.losses).read_text(encoding="utf-8"))
+            losses = ingest.load_json(ingest.read_text(args.losses))
         if not isinstance(losses, list) or not losses:
             raise ValueError("a non-empty loss array is required (config val_losses or --losses)")
+        losses = [float(x) for x in losses]
         preset = config_data.pop("preset", None)
         if preset is not None:
             base = dataclasses.asdict(schedule.from_preset(preset))
@@ -231,7 +231,7 @@ def cmd_schedule_simulate(args) -> int:
     except (OSError, ValueError, TypeError, SeqlabError) as err:
         print(f"bad schedule config: {err}", file=sys.stderr)
         return 2
-    rows = schedule.simulate(cfg, [float(x) for x in losses])
+    rows = schedule.simulate(cfg, losses)
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out)

@@ -144,3 +144,8 @@ class EmptyRunSet(SeqlabError):
 
 class MissingMetric(SeqlabError):
     """A run record does not contain the requested metric path."""
+
+
+class DuplicateRunName(SeqlabError, ValueError):
+    """Two run records share a run name. Also a ValueError, which callers
+    caught before the error was typed."""

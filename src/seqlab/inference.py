@@ -32,7 +32,6 @@ from .core import (
     decode,
 )
 from .errors import (
-    AllOutside,
     EmptyText,
     MalformedJson,
     SeqlabError,
@@ -41,8 +40,8 @@ from .errors import (
     UndecodableInput,
     UnloadableTagger,
 )
-from .ingest import read_canonical_jsonl, read_text
-from .schemes import detect_scheme, labels_for_chunk
+from .ingest import load_json, read_canonical_jsonl, read_text
+from .schemes import labels_for_chunk, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -94,7 +93,7 @@ class LexiconTagger:
     def from_json(cls, path: str | Path) -> "LexiconTagger":
         """Load from JSON: either a flat {surface: class} object or
         {"entries": {...}, "scheme": "BIO"}."""
-        data = json.loads(read_text(path))
+        data = load_json(read_text(path))
         if not isinstance(data, dict):
             raise ValueError("lexicon file must hold a JSON object")
         if "entries" in data:
@@ -212,11 +211,8 @@ def _tag_and_parse(
             )
         raws.append(raw)
         probabilities.append(probability)
-    scheme = getattr(tagger, "scheme", None) or default
     try:
-        scheme = AnnotationScheme.coerce(scheme) if scheme else detect_scheme([raws])
-    except AllOutside:
-        scheme = AnnotationScheme.BIO
+        scheme = resolve_scheme([raws], getattr(tagger, "scheme", None) or default)
     except ValueError as err:
         raise TaggerContractError(f"tagger scheme: {err}") from None
     return LabelSequence.from_raw(raws, Level.WORD, scheme), probabilities
@@ -321,13 +317,10 @@ def predict_batch(tagger: Tagger, texts: Sequence[str], **kwargs) -> list[BatchI
 def _line_record(tagger: Tagger, line: bytes, level: str, with_probabilities: bool) -> dict:
     """The output record of one predict_file input line."""
     try:
-        record = json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8")
     except UnicodeDecodeError as err:
         raise UndecodableInput(f"byte {err.start} is not UTF-8 ({err.reason})") from None
-    except json.JSONDecodeError as err:
-        raise MalformedJson(f"invalid JSON ({err.msg})") from None
-    except RecursionError:
-        raise MalformedJson("invalid JSON (nested too deeply)") from None
+    record = load_json(text, line=None)  # predict_file numbers the error
     if not isinstance(record, dict) or not isinstance(record.get("text"), str):
         raise MalformedJson('line needs a {"text": ...} object')
     predictions = predict(

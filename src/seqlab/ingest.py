@@ -15,6 +15,12 @@ sizing, so the same input and seed always produce the same splits.
 
 Column-format (CoNLL-style) input has no recoverable raw text, so word
 offsets are synthesized by joining surfaces with single spaces.
+
+Outside input enters through `read_text` (a file's UTF-8 text) and
+`load_json` (every JSON text the package reads); both raise typed errors
+naming the line. Readers take text as one string. The JSONL readers
+share one scan, whose records `parse_file` also uses to tell a Doccano
+export from canonical records.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 from .core import (
     AnnotationScheme,
@@ -40,7 +46,6 @@ from .core import (
     decode,
 )
 from .errors import (
-    AllOutside,
     EmptyInput,
     FractionOutOfRange,
     LengthMismatch,
@@ -53,7 +58,7 @@ from .errors import (
     UndecodableInput,
     UnresolvableSource,
 )
-from .schemes import detect_scheme
+from .schemes import resolve_scheme
 
 SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_SPLIT_RATIO = (0.8, 0.1, 0.1)
@@ -120,24 +125,6 @@ class DatasetAnalysis:
         }
 
 
-def resolve_scheme(
-    raw_sequences: Iterable[Sequence[str]],
-    explicit: AnnotationScheme | str | None = None,
-) -> AnnotationScheme:
-    """Detect the scheme, falling back to BIO for all-outside corpora.
-
-    A corpus without a single entity label is consistent with every
-    scheme; BIO is the conventional default and any later validation
-    of all-O sequences passes under it.
-    """
-    if explicit is not None:
-        return AnnotationScheme.coerce(explicit)
-    try:
-        return detect_scheme(raw_sequences)
-    except AllOutside:
-        return AnnotationScheme.BIO
-
-
 def read_text(path: str | Path) -> str:
     """A file's UTF-8 text; bytes that are not UTF-8 raise UndecodableInput
     naming their line."""
@@ -151,10 +138,20 @@ def read_text(path: str | Path) -> str:
         ) from None
 
 
-def _lines(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
-    lines = source.splitlines() if isinstance(source, str) else source
-    for lineno, line in enumerate(lines, 1):
-        yield lineno, line.rstrip("\n").rstrip("\r")
+def load_json(text: str, *, line: int | None = 1) -> object:
+    """Decode JSON that comes from outside the package, whose first line
+    is ``line``. Bad syntax, nesting too deep to decode and integers too
+    long to convert raise MalformedJson naming the line; ``line=None``
+    leaves it to the caller to number the error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        reason, offset = err.msg, err.lineno - 1
+    except RecursionError:
+        reason, offset = "nested too deeply", 0
+    except ValueError:
+        reason, offset = "number too long", 0
+    raise MalformedJson(f"invalid JSON ({reason})", line=None if line is None else line + offset)
 
 
 def _parse_labels(
@@ -184,7 +181,7 @@ def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
 
 
 def parse_conll(
-    source: str | Iterable[str], *, scheme: AnnotationScheme | str | None = None
+    source: str, *, scheme: AnnotationScheme | str | None = None
 ) -> list[Document]:
     """Parse whitespace-column text: last column is the label, blank
     lines separate sentences, "-DOCSTART-" rows are skipped.
@@ -194,7 +191,7 @@ def parse_conll(
     """
     sentences: list[list[tuple[str, str, int]]] = []
     current: list[tuple[str, str, int]] = []
-    for lineno, line in _lines(source):
+    for lineno, line in enumerate(source.splitlines(), 1):
         if not line.strip():
             if current:
                 sentences.append(current)
@@ -241,18 +238,18 @@ def write_conll(documents: Iterable[Document], dest: IO[str]) -> None:
         dest.write("\n")
 
 
-def _scan_json_lines(source: str | Iterable[str]) -> list[tuple[int, dict]]:
+def _json_records(source: str) -> list[tuple[int, dict]]:
+    """(line number, object) for every non-blank line; lines end at "\n"
+    only, as a JSON string may hold any other line separator."""
     records = []
-    for lineno, line in _lines(source):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise MalformedJson(f"invalid JSON ({err.msg})", line=lineno) from None
-        if not isinstance(record, dict):
-            raise MalformedJson("expected a JSON object", line=lineno)
-        records.append((lineno, record))
+    for lineno, line in enumerate(source.split("\n"), 1):
+        if line.strip():
+            record = load_json(line, line=lineno)
+            if not isinstance(record, dict):
+                raise MalformedJson("expected a JSON object", line=lineno)
+            records.append((lineno, record))
+    if not records:
+        raise EmptyInput("no records in JSONL input")
     return records
 
 
@@ -370,47 +367,40 @@ def _document_from_record(lineno: int, record: dict, table: LabelTable) -> Docum
         raise MalformedJson(str(err), line=lineno) from None
 
 
-def _record_label_lists(records: list[tuple[int, dict]]) -> Iterator[list[str]]:
-    """The string label lists, read only if the scheme must be detected."""
-    for _, record in records:
-        labels = record.get("labels")
-        if isinstance(labels, list) and all(isinstance(x, str) for x in labels):
-            yield labels
-
-
-def read_canonical_jsonl(
-    source: str | Iterable[str], *, scheme: AnnotationScheme | str | None = None
+def _canonical_documents(
+    records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
 ) -> list[Document]:
-    """Read the canonical JSONL format (word-level, entity-level, or both)."""
-    records = _scan_json_lines(source)
-    if not records:
-        raise EmptyInput("no records in JSONL input")
-    table = LabelTable(resolve_scheme(_record_label_lists(records), scheme))
+    """Documents from scanned records; their string label lists are read
+    only if the scheme must be detected."""
+    lists = (record.get("labels") for _, record in records)
+    lists = (x for x in lists if isinstance(x, list) and all(isinstance(s, str) for s in x))
+    table = LabelTable(resolve_scheme(lists, scheme))
     return [_document_from_record(ln, rec, table) for ln, rec in records]
 
 
+def read_canonical_jsonl(
+    source: str, *, scheme: AnnotationScheme | str | None = None
+) -> list[Document]:
+    """Read the canonical JSONL format (word-level, entity-level, or both)."""
+    return _canonical_documents(_json_records(source), scheme)
+
+
 def parse_pretokenized_jsonl(
-    source: str | Iterable[str], *, scheme: AnnotationScheme | str | None = None
+    source: str, *, scheme: AnnotationScheme | str | None = None
 ) -> list[Document]:
     """Parse pretokenized JSONL: every record carries "words" and
     "labels" of equal length; "text" is optional and synthesized by
     single-space joining when absent."""
-    records = _scan_json_lines(source)
-    if not records:
-        raise EmptyInput("no records in JSONL input")
+    records = _json_records(source)
     for lineno, record in records:
         if record.get("words") is None or record.get("labels") is None:
             raise MalformedJson(
                 'pretokenized records need "words" and "labels"', line=lineno
             )
-    table = LabelTable(resolve_scheme(_record_label_lists(records), scheme))
-    return [_document_from_record(ln, rec, table) for ln, rec in records]
+    return _canonical_documents(records, scheme)
 
 
-def _parse_doccano_jsonl(source: str | Iterable[str]) -> list[Document]:
-    records = _scan_json_lines(source)
-    if not records:
-        raise EmptyInput("no records in JSONL input")
+def _doccano_documents(records: list[tuple[int, dict]]) -> list[Document]:
     documents = []
     for lineno, record in records:
         text = record.get("text")
@@ -424,14 +414,8 @@ def _parse_doccano_jsonl(source: str | Iterable[str]) -> list[Document]:
     return documents
 
 
-def _parse_labelstudio_json(source: str | IO[str]) -> list[Document]:
-    payload = source.read() if hasattr(source, "read") else source
-    if not isinstance(payload, str):
-        payload = "\n".join(payload)
-    try:
-        tasks = json.loads(payload)
-    except json.JSONDecodeError as err:
-        raise MalformedJson(f"invalid JSON ({err.msg})", line=err.lineno) from None
+def _parse_labelstudio_json(source: str) -> list[Document]:
+    tasks = load_json(source)
     if not isinstance(tasks, list):
         raise MalformedJson("expected a JSON array of tasks")
     if not tasks:
@@ -476,9 +460,7 @@ _AT_DIALECTS = {
 }
 
 
-def parse_annotation_tool_export(
-    source: str | Iterable[str], dialect: str
-) -> list[Document]:
+def parse_annotation_tool_export(source: str, dialect: str) -> list[Document]:
     """Parse an annotation-tool export into entity-level documents.
 
     Supported dialects: "LabelStudioJson" (a JSON array of tasks, spans
@@ -490,7 +472,7 @@ def parse_annotation_tool_export(
     if key == "labelstudio":
         return _parse_labelstudio_json(source)
     if key == "doccano":
-        return _parse_doccano_jsonl(source)
+        return _doccano_documents(_json_records(source))
     raise ValueError(f"unknown annotation tool dialect: {dialect!r}")
 
 
@@ -617,11 +599,11 @@ def parse_file(
     if suffix == ".json":
         return parse_annotation_tool_export(data, "LabelStudioJson")
     if suffix == ".jsonl":
-        for _, record in _scan_json_lines(data):
-            if "label" in record and "labels" not in record and "words" not in record:
-                return parse_annotation_tool_export(data, "DoccanoJsonl")
-            break
-        return read_canonical_jsonl(data, scheme=scheme)
+        records = _json_records(data)
+        first = records[0][1]
+        if "label" in first and "labels" not in first and "words" not in first:
+            return _doccano_documents(records)
+        return _canonical_documents(records, scheme)
     raise UnresolvableSource(f"cannot infer a format from extension {suffix!r}")
 
 
@@ -731,7 +713,4 @@ def load_analysis(dataset_dir: str | Path) -> dict:
     path = Path(dataset_dir) / "analysis.json"
     if not path.is_file():
         raise UnresolvableSource(f"missing analysis file: {path}")
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as err:
-        raise MalformedJson(f"{path}: invalid JSON ({err.msg})", line=err.lineno) from None
+    return load_json(read_text(path))

@@ -9,7 +9,10 @@ for a single run). The best run is the argmax of the selection metric,
 ties broken by the lowest seed.
 
 Records persist as JSON under ``runs/<training_name>/<run_name>.json``
-with the aggregate written next to them as ``aggregate.json``.
+with the aggregate written next to them as ``aggregate.json``. A record
+file that is not JSON (too deeply nested included) or lacks
+``run_name``, ``seed`` or ``reports`` raises MalformedJson naming the
+file; two records with one run name raise DuplicateRunName.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .errors import EmptyRunSet, MalformedJson, MissingMetric
-from .ingest import read_text
+from .errors import DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric
+from .ingest import load_json, read_text
 
 #: strict entity micro F1; prepend a phase segment ("val." etc.) when
 #: records store per-phase trees.
@@ -92,7 +95,7 @@ def _check_records(records: Sequence[RunRecord], selection_metric: str):
         raise EmptyRunSet("at least one run record is required")
     names = [r.run_name for r in records]
     if len(set(names)) != len(names):
-        raise ValueError(f"run names must be unique, got {names}")
+        raise DuplicateRunName(f"run names must be unique, got {names}")
     for record in records:
         if lookup_metric(record.reports, selection_metric) is None:
             raise MissingMetric(
@@ -160,14 +163,14 @@ def save_run(record: RunRecord, directory: str | Path) -> Path:
 
 def load_run(path: str | Path) -> RunRecord:
     try:
-        data = json.loads(read_text(path))
+        data = load_json(read_text(path))
         return RunRecord(
             run_name=data["run_name"],
             seed=int(data["seed"]),
             reports=data["reports"],
             artifacts_path=data.get("artifacts_path", ""),
         )
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+    except (MalformedJson, ValueError, KeyError, TypeError, AttributeError) as err:
         raise MalformedJson(f"bad run record {path}: {type(err).__name__}: {err}") from None
 
 

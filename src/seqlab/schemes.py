@@ -108,6 +108,24 @@ def detect_scheme(sequences: Iterable[Sequence[str]]) -> AnnotationScheme:
     return AnnotationScheme.IO
 
 
+def resolve_scheme(
+    raw_sequences: Iterable[Sequence[str]],
+    explicit: AnnotationScheme | str | None = None,
+) -> AnnotationScheme:
+    """The explicit scheme if given, else the detected one, else BIO.
+
+    A corpus without a single entity label is consistent with every
+    scheme; BIO is the conventional default and any later validation
+    of all-O sequences passes under it.
+    """
+    if explicit is not None:
+        return AnnotationScheme.coerce(explicit)
+    try:
+        return detect_scheme(raw_sequences)
+    except AllOutside:
+        return AnnotationScheme.BIO
+
+
 def labels_for_chunk(cls: str, length: int, scheme: AnnotationScheme) -> list[Label]:
     """The label run encoding one chunk of the given length."""
     if scheme is AnnotationScheme.IO:

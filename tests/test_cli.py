@@ -8,6 +8,7 @@ from seqlab.cli import main
 from seqlab.ingest import parse_conll, save_canonical_jsonl
 
 DATA = Path(__file__).parent / "data"
+DEEP = "[" * 100_000  # deeper than the JSON decoder can recurse
 
 
 def run(argv, capsys):
@@ -247,6 +248,20 @@ class TestScheduleSimulate:
         assert code == 2
         assert "bad schedule config" in err
 
+    @pytest.mark.parametrize(
+        "config, losses, message",
+        [(DEEP, "[1.0]", "line 1: invalid JSON"),
+         ('{"max_lr": 1.0, "restart_period_initial": 4}', '["a"]', "could not convert")],
+        ids=["nested-config", "non-numeric-loss"],
+    )
+    def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys, config, losses, message):
+        (tmp_path / "cfg.json").write_text(config)
+        (tmp_path / "losses.json").write_text(losses)
+        code, _, err = run(["schedule", "simulate", "--config", str(tmp_path / "cfg.json"),
+                            "--losses", str(tmp_path / "losses.json")], capsys)
+        assert code == 2
+        assert err.startswith(f"bad schedule config: {message}") and err.count("\n") == 1
+
 
 class TestAggregateCommand:
     def write_run(self, directory, name, seed, f1):
@@ -315,11 +330,55 @@ def empty_entity_label(tmp_path):
             "--name", "x", "--path", str(tmp_path / "at.jsonl")]
 
 
+def set_up_file(tmp_path, name, content):
+    (tmp_path / name).write_text(content)
+    return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
+            "--name", "x", "--path", str(tmp_path / name)]
+
+
+def nested_jsonl(tmp_path):
+    return set_up_file(tmp_path, "deep.jsonl", '{"words":["a"],"labels":["O"]}\n' + DEEP)
+
+
+def nested_labelstudio(tmp_path):
+    return set_up_file(tmp_path, "deep.json", DEEP)
+
+
+def long_integer_jsonl(tmp_path):
+    return set_up_file(tmp_path, "long.jsonl", '{"text": "a", "n": ' + "1" * 5000 + "}\n")
+
+
+def nested_run_record(tmp_path):
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "a.json").write_text(DEEP)
+    return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
+
+
+def nested_lexicon(tmp_path):
+    main(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+          "--name", "mini-conll"])
+    (tmp_path / "deep.json").write_text(DEEP)
+    return ["--data-dir", str(tmp_path), "evaluate", "--tagger",
+            f"lexicon:{tmp_path / 'deep.json'}", "--dataset", "mini-conll"]
+
+
+def duplicate_run_names(tmp_path):
+    (tmp_path / "runs").mkdir()
+    for file_name in ("a.json", "b.json"):
+        (tmp_path / "runs" / file_name).write_text(json.dumps({
+            "run_name": "r", "seed": 0,
+            "reports": {"strict": {"micro": {"entity": {"f1": 1.0}}}}}))
+    return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
+
+
 class TestErrorBoundary:
     """Bad input anywhere ends as one "error: ..." line and exit code 1."""
 
     @pytest.mark.parametrize(
-        "case", [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label]
+        "case",
+        [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label,
+         nested_jsonl, nested_labelstudio, long_integer_jsonl, nested_run_record,
+         nested_lexicon, duplicate_run_names],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
         argv = case(tmp_path)
@@ -331,6 +390,20 @@ class TestErrorBoundary:
     def test_non_utf8_error_names_the_line(self, tmp_path, capsys):
         code, _, err = run(non_utf8(tmp_path), capsys)
         assert "line 2: " in err
+
+    @pytest.mark.parametrize(
+        "analysis", ['{"scheme": "BIO"}', '{"scheme_detected": "XYZ"}', DEEP],
+        ids=["no-scheme-key", "unknown-scheme", "nested"],
+    )
+    def test_analysis_without_usable_scheme_evaluates(self, tmp_path, capsys, analysis):
+        """evaluate falls back to detecting the scheme from the split."""
+        main(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+              "--name", "mini-conll"])
+        (tmp_path / "mini-conll" / "analysis.json").write_text(analysis)
+        code, out, err = run(["--data-dir", str(tmp_path), "evaluate", "--tagger", "all-o",
+                              "--dataset", "mini-conll"], capsys)
+        assert code == 0 and err == ""
+        assert "strict entity micro f1 = 0.0000" in out
 
     def test_annotation_tool_export_evaluates(self, tmp_path, capsys):
         """Entities next to punctuation ("Paris3.") set up and evaluate."""

@@ -219,6 +219,16 @@ class TestPredictFile:
         assert lines[1]["error"].startswith("line 2: invalid JSON")
         assert lines[2] == {"text": "b", "predictions": []}
 
+    def test_too_long_integer_fails_its_line_only(self, tmp_path):
+        source = tmp_path / "in.jsonl"
+        sink = tmp_path / "out.jsonl"
+        self.write_lines(source, ['{"text": "a", "n": ' + "1" * 5000 + "}", '{"text": "b"}'])
+        summary = predict_file(UN_LEXICON, source, sink)
+        assert (summary.processed, summary.failed) == (1, 1)
+        lines = [json.loads(l) for l in sink.read_text().splitlines()]
+        assert lines[0] == {"error": "line 1: invalid JSON (number too long)"}
+        assert lines[1] == {"text": "b", "predictions": []}
+
     def test_matches_in_memory_predictions(self, tmp_path):
         texts = [f"United Nations item {i}" for i in range(10)]
         source = tmp_path / "in.jsonl"

@@ -197,6 +197,17 @@ class TestCanonicalRoundTrip:
         again = read_canonical_jsonl(buffer.getvalue())
         assert again == docs
 
+    def test_text_with_unicode_line_separators_survives(self):
+        """JSONL records end at "\\n" only: the writer leaves U+2028 and
+        U+0085 unescaped inside strings."""
+        docs = parse_annotation_tool_export(
+            '{"text":"a\\u2028b\\u0085c d","label":[[6,7,"X"]]}\n', "DoccanoJsonl"
+        )
+        buffer = io.StringIO()
+        write_canonical_jsonl(docs, buffer)
+        assert "\u2028" in buffer.getvalue()
+        assert read_canonical_jsonl(buffer.getvalue()) == docs
+
     def test_entity_documents_survive(self):
         docs = parse_annotation_tool_export(
             '{"text":"The United Nations","label":[[4,18,"ORG"]]}\n', "DoccanoJsonl"
