@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -128,10 +129,11 @@ def cmd_convert(args) -> int:
             "warning: IO output merges adjacent same-class chunks (lossy)",
             file=sys.stderr,
         )
-    documents = ingest.read_canonical_jsonl(ingest.read_text(args.input), scheme=source)
+    records = ingest._json_records(ingest.read_text(args.input))
+    documents = ingest._canonical_documents(records, source)
     problems = []
     converted = []
-    for lineno, doc in enumerate(documents, 1):
+    for (lineno, _), doc in zip(records, documents):
         if doc.word_labels is None:
             problems.append(f"line {lineno}: document has no word labels to convert")
             continue
@@ -222,10 +224,11 @@ def cmd_schedule_simulate(args) -> int:
         if not isinstance(losses, list) or not losses:
             raise ValueError("a non-empty loss array is required (config val_losses or --losses)")
         losses = [float(x) for x in losses]
+        if not all(map(math.isfinite, losses)):
+            raise ValueError("every loss must be a finite number")
         preset = config_data.pop("preset", None)
         if preset is not None:
-            base = dataclasses.asdict(schedule.from_preset(preset))
-            cfg = schedule.ScheduleConfig(**{**base, **config_data, "preset": preset})
+            cfg = dataclasses.replace(schedule.from_preset(preset), **config_data)
         else:
             cfg = schedule.ScheduleConfig(**config_data)
     except (OSError, ValueError, TypeError, SeqlabError) as err:

@@ -18,9 +18,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLabel, PrefixNotInScheme
 
-ENTITY_PREFIXES = ("B", "I", "L", "U")
-ALL_PREFIXES = ("B", "I", "L", "O", "U")
-
 
 class AnnotationScheme(Enum):
     """Convention for encoding entity spans as per-position labels.
@@ -31,11 +28,6 @@ class AnnotationScheme(Enum):
     IO = "IO"
     BIO = "BIO"
     BILOU = "BILOU"
-
-    @property
-    def prefixes(self) -> frozenset[str]:
-        """The prefix inventory allowed under this scheme."""
-        return _SCHEME_PREFIXES[self]
 
     @classmethod
     def coerce(cls, value: "AnnotationScheme | str") -> "AnnotationScheme":
@@ -52,6 +44,7 @@ _SCHEME_PREFIXES = {
     AnnotationScheme.BIO: frozenset({"B", "I", "O"}),
     AnnotationScheme.BILOU: frozenset({"B", "I", "L", "O", "U"}),
 }
+_LABEL_PREFIXES = _SCHEME_PREFIXES[AnnotationScheme.BILOU]  # BILOU admits every prefix
 
 
 class Level(Enum):
@@ -66,14 +59,15 @@ class Label:
     """One position label: the outside label "O" or "<prefix>-<class>".
 
     The serialized form splits on the first hyphen only, so class names
-    may themselves contain hyphens ("B-art-broadcastprogram").
+    may themselves contain hyphens ("B-art-broadcastprogram"). Construction
+    is the one check of the grammar: a BILOU prefix, a class name unless "O".
     """
 
     prefix: str
     class_name: str = ""
 
     def __post_init__(self):
-        if self.prefix not in ALL_PREFIXES:
+        if self.prefix not in _LABEL_PREFIXES:
             raise MalformedLabel(f"unknown label prefix {self.prefix!r}")
         if self.prefix == "O" and self.class_name:
             raise MalformedLabel("the outside label carries no class name")
@@ -98,27 +92,26 @@ def parse_label(raw: str, scheme: AnnotationScheme) -> Label:
     """Parse a raw label string under the given scheme.
 
     Splits on the first hyphen only: "I-MISC-X" is inside-of-"MISC-X".
+    `Label` checks the grammar; "O-" fails the round trip through `serialize`.
 
     Raises:
-        MalformedLabel: no hyphen in a non-O label, empty class name,
-            or a prefix outside the B/I/L/O/U universe.
+        MalformedLabel: the string is not "O" or "<prefix>-<class>" with
+            a B/I/L/U prefix and a non-empty class name.
         PrefixNotInScheme: prefix exists but the scheme forbids it,
             e.g. "L-PER" under BIO.
     """
-    if not raw:
-        raise MalformedLabel("empty label string")
     if raw == "O":
         return OUTSIDE
-    prefix, sep, class_name = raw.partition("-")
-    if not sep:
-        raise MalformedLabel(f"non-O label without hyphen: {raw!r}")
-    if not class_name:
-        raise MalformedLabel(f"label {raw!r} has an empty class name")
-    if prefix not in ENTITY_PREFIXES:
-        raise MalformedLabel(f"unknown label prefix in {raw!r}")
+    prefix, _, class_name = raw.partition("-")
+    try:
+        label = Label(prefix, class_name)
+    except MalformedLabel as err:
+        raise MalformedLabel(f"label {raw!r}: {err}") from None
+    if label.serialize() != raw:
+        raise MalformedLabel(f"label {raw!r}: the outside label has no hyphen")
     if prefix not in _SCHEME_PREFIXES[scheme]:
         raise PrefixNotInScheme(raw, scheme.value)
-    return Label(prefix, class_name)
+    return label
 
 
 class LabelTable(dict):

@@ -27,6 +27,7 @@ from .core import (
     EntitySpan,
     Label,
     LabelSequence,
+    LabelTable,
     Level,
     Word,
     decode,
@@ -211,11 +212,14 @@ def _tag_and_parse(
             )
         raws.append(raw)
         probabilities.append(probability)
+    explicit = getattr(tagger, "scheme", None) or default
     try:
-        scheme = resolve_scheme([raws], getattr(tagger, "scheme", None) or default)
+        table = LabelTable(AnnotationScheme.coerce(explicit or AnnotationScheme.BILOU))
     except ValueError as err:
         raise TaggerContractError(f"tagger scheme: {err}") from None
-    return LabelSequence.from_raw(raws, Level.WORD, scheme), probabilities
+    labels = tuple([table[raw] for raw in raws])
+    scheme = resolve_scheme(table.values(), explicit)
+    return LabelSequence(labels, Level.WORD, scheme), probabilities
 
 
 def tagged_labels(

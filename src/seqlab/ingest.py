@@ -20,7 +20,10 @@ Outside input enters through `read_text` (a file's UTF-8 text) and
 `load_json` (every JSON text the package reads); both raise typed errors
 naming the line. Readers take text as one string. The JSONL readers
 share one scan, whose records `parse_file` also uses to tell a Doccano
-export from canonical records.
+export from canonical records. Labeled readers parse every label first,
+naming its line, through one `LabelTable` under the given scheme, else
+under BILOU, which admits every prefix; then they read the scheme off
+the table's labels.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -211,20 +215,15 @@ def parse_conll(
     if not sentences:
         raise EmptyInput("no sentences found in column input")
 
-    resolved = resolve_scheme([[raw for _, raw, _ in s] for s in sentences], scheme)
-    table = LabelTable(resolved)
+    table = LabelTable(AnnotationScheme.coerce(scheme or AnnotationScheme.BILOU))
+    columns = [tuple(zip(*sentence)) for sentence in sentences]
+    parsed = [_parse_labels(raws, lines, table) for _, raws, lines in columns]
+    resolved = resolve_scheme(table.values(), scheme)
     documents = []
-    for sentence in sentences:
-        surfaces, raws, lines = zip(*sentence)
-        labels = _parse_labels(raws, lines, table)
+    for (surfaces, _, _), labels in zip(columns, parsed):
         text, words = _synthetic_words(surfaces)
-        documents.append(
-            Document(
-                text,
-                words=words,
-                word_labels=LabelSequence(labels, Level.WORD, resolved),
-            )
-        )
+        word_labels = LabelSequence(labels, Level.WORD, resolved)
+        documents.append(Document(text, words=words, word_labels=word_labels))
     return documents
 
 
@@ -329,7 +328,10 @@ def _entities_from_record(
     )
 
 
-def _document_from_record(lineno: int, record: dict, table: LabelTable) -> Document:
+def _document_from_record(
+    lineno: int, record: dict, labels: tuple[Label, ...] | None, scheme: AnnotationScheme
+) -> Document:
+    """One record's document; ``labels`` are its parsed string "labels"."""
     words = None
     word_labels = None
     entities = None
@@ -344,16 +346,11 @@ def _document_from_record(lineno: int, record: dict, table: LabelTable) -> Docum
     if raw_labels is not None:
         if words is None:
             raise MalformedJson('"labels" require "words"', line=lineno)
-        if not isinstance(raw_labels, list) or not all(
-            isinstance(r, str) for r in raw_labels
-        ):
+        if labels is None:
             raise MalformedJson('"labels" must be an array of strings', line=lineno)
-        if len(raw_labels) != len(words):
-            raise LengthMismatch(
-                f"{len(raw_labels)} labels for {len(words)} words", line=lineno
-            )
-        labels = _parse_labels(raw_labels, [lineno] * len(raw_labels), table)
-        word_labels = LabelSequence(labels, Level.WORD, table.scheme)
+        if len(labels) != len(words):
+            raise LengthMismatch(f"{len(labels)} labels for {len(words)} words", line=lineno)
+        word_labels = LabelSequence(labels, Level.WORD, scheme)
 
     raw_entities = record.get("entities")
     if raw_entities is not None:
@@ -370,12 +367,15 @@ def _document_from_record(lineno: int, record: dict, table: LabelTable) -> Docum
 def _canonical_documents(
     records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
 ) -> list[Document]:
-    """Documents from scanned records; their string label lists are read
-    only if the scheme must be detected."""
-    lists = (record.get("labels") for _, record in records)
-    lists = (x for x in lists if isinstance(x, list) and all(isinstance(s, str) for s in x))
-    table = LabelTable(resolve_scheme(lists, scheme))
-    return [_document_from_record(ln, rec, table) for ln, rec in records]
+    """Documents from scanned records, all labels parsed before any document."""
+    table = LabelTable(AnnotationScheme.coerce(scheme or AnnotationScheme.BILOU))
+    parsed = []
+    for lineno, record in records:
+        raws = record.get("labels")
+        strings = isinstance(raws, list) and all(isinstance(raw, str) for raw in raws)
+        parsed.append(_parse_labels(raws, [lineno] * len(raws), table) if strings else None)
+    resolved = resolve_scheme(table.values(), scheme)
+    return [_document_from_record(*rec, labels, resolved) for rec, labels in zip(records, parsed)]
 
 
 def read_canonical_jsonl(
@@ -543,12 +543,13 @@ def analyze(
     seed: int | None = None,
 ) -> DatasetAnalysis:
     """Compute corpus statistics: document/word counts, per-class entity
-    counts (strict chunk decoding for labeled documents), detected
-    scheme, and whether the corpus is pretokenized."""
+    counts (strict chunk decoding for labeled documents), the scheme
+    (``scheme`` if given, else read off the documents' parsed labels),
+    and whether the corpus is pretokenized."""
     num_documents = {}
     num_words = {}
     entity_counts: dict[str, dict[str, int]] = {}
-    label_lists: list[list[str]] = []
+    sequences: list[LabelSequence] = []
     pretokenized = True
     for split in splits:
         num_documents[split.name] = len(split.documents)
@@ -560,7 +561,7 @@ def analyze(
             else:
                 words += len(doc.words)
             if doc.word_labels is not None:
-                label_lists.append(doc.word_labels.serialized())
+                sequences.append(doc.word_labels)
                 for chunk in decode(doc.word_labels).strict:
                     counts[chunk.class_name] = counts.get(chunk.class_name, 0) + 1
             elif doc.entities is not None:
@@ -572,7 +573,7 @@ def analyze(
         num_documents=num_documents,
         num_words=num_words,
         entity_counts=entity_counts,
-        scheme_detected=resolve_scheme(label_lists, scheme),
+        scheme_detected=resolve_scheme(chain.from_iterable(sequences), scheme),
         pretokenized=pretokenized,
         seed=seed,
     )

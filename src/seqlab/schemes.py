@@ -23,10 +23,11 @@ from .core import (
     Document,
     Label,
     LabelSequence,
+    LabelTable,
     Level,
     decode,
 )
-from .errors import AllOutside, InconsistentSource, LengthMismatch, MalformedLabel, MisalignedEntity
+from .errors import AllOutside, InconsistentSource, LengthMismatch, MisalignedEntity
 
 IGNORE_INDEX = -100
 
@@ -86,33 +87,27 @@ class TokenAlignment:
 def detect_scheme(sequences: Iterable[Sequence[str]]) -> AnnotationScheme:
     """Infer the annotation scheme from raw label strings.
 
-    BILOU if any L/U prefix occurs, else BIO if any B occurs, else IO.
-    Raises AllOutside when only "O" labels are present, because the
-    scheme is undecidable then.
+    Each distinct string is parsed once through a `LabelTable` under
+    BILOU, so one that is not a label raises MalformedLabel as in
+    `parse_label`; the scheme is then read off the labels as in
+    `resolve_scheme`. Raises AllOutside when only "O" labels are present,
+    because the scheme is undecidable then.
     """
-    seen: set[str] = set()
+    table = LabelTable(AnnotationScheme.BILOU)
     for seq in sequences:
         for raw in seq:
-            if raw == "O":
-                continue
-            prefix = raw.partition("-")[0]
-            if prefix not in ("B", "I", "L", "U") or "-" not in raw:
-                raise MalformedLabel(f"cannot read a scheme prefix from {raw!r}")
-            seen.add(prefix)
-    if not seen:
+            table[raw]
+    if set(table) <= {"O"}:
         raise AllOutside("only outside labels present; scheme is undecidable")
-    if seen & {"L", "U"}:
-        return AnnotationScheme.BILOU
-    if "B" in seen:
-        return AnnotationScheme.BIO
-    return AnnotationScheme.IO
+    return resolve_scheme(table.values())
 
 
 def resolve_scheme(
-    raw_sequences: Iterable[Sequence[str]],
-    explicit: AnnotationScheme | str | None = None,
+    labels: Iterable[Label], explicit: AnnotationScheme | str | None = None
 ) -> AnnotationScheme:
-    """The explicit scheme if given, else the detected one, else BIO.
+    """The explicit scheme if given, else the one read off parsed labels
+    (readers pass the distinct labels of their table): BILOU if any L/U
+    prefix occurs, else IO if I occurs without B, else BIO.
 
     A corpus without a single entity label is consistent with every
     scheme; BIO is the conventional default and any later validation
@@ -120,10 +115,12 @@ def resolve_scheme(
     """
     if explicit is not None:
         return AnnotationScheme.coerce(explicit)
-    try:
-        return detect_scheme(raw_sequences)
-    except AllOutside:
-        return AnnotationScheme.BIO
+    prefixes = {label.prefix for label in labels}
+    if prefixes & {"L", "U"}:
+        return AnnotationScheme.BILOU
+    if "I" in prefixes and "B" not in prefixes:
+        return AnnotationScheme.IO
+    return AnnotationScheme.BIO
 
 
 def labels_for_chunk(cls: str, length: int, scheme: AnnotationScheme) -> list[Label]:

@@ -84,15 +84,18 @@ class TestConvert:
         assert back.read_bytes() == source.read_bytes()
 
     def test_inconsistent_input_lists_violations(self, tmp_path, capsys):
+        """Problems name the input line, not the document's index."""
+        record = '{"words":["a","b"],"labels":["O","I-PER"]}\n'
         source = tmp_path / "bad.jsonl"
-        source.write_text('{"words":["a","b"],"labels":["O","I-PER"]}\n')
-        code, _, err = run(
-            ["convert", "--from", "BIO", "--to", "BILOU",
-             "--input", str(source), "--output", str(tmp_path / "out.jsonl")],
-            capsys,
-        )
-        assert code == 1
-        assert "line 1" in err and "dangling_inside" in err
+        for content, line in [(record, 1), ('\n{"words":["a"],"labels":["O"]}\n' + record, 3)]:
+            source.write_text(content)
+            code, _, err = run(
+                ["convert", "--from", "BIO", "--to", "BILOU",
+                 "--input", str(source), "--output", str(tmp_path / "out.jsonl")],
+                capsys,
+            )
+            assert code == 1
+            assert err == f"line {line}: dangling_inside at position 1\n"
 
     def test_io_target_warns_about_lossiness(self, tmp_path, capsys):
         source = tmp_path / "bio.jsonl"
@@ -251,8 +254,9 @@ class TestScheduleSimulate:
     @pytest.mark.parametrize(
         "config, losses, message",
         [(DEEP, "[1.0]", "line 1: invalid JSON"),
-         ('{"max_lr": 1.0, "restart_period_initial": 4}', '["a"]', "could not convert")],
-        ids=["nested-config", "non-numeric-loss"],
+         ('{"max_lr": 1.0, "restart_period_initial": 4}', '["a"]', "could not convert"),
+         ('{"preset": "stable"}', "[1.0, NaN]", "every loss must be a finite number")],
+        ids=["nested-config", "non-numeric-loss", "nan-loss"],
     )
     def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys, config, losses, message):
         (tmp_path / "cfg.json").write_text(config)
@@ -317,6 +321,15 @@ def non_utf8(tmp_path):
             "--name", "x", "--path", str(tmp_path / "bad.conll")]
 
 
+def bad_label_jsonl(tmp_path):
+    ok = '{"words":["a"],"labels":["O"]}\n'
+    return set_up_file(tmp_path, "bad.jsonl", ok * 2 + '{"words":["a"],"labels":["PER"]}\n')
+
+
+def bad_label_conll(tmp_path):
+    return set_up_file(tmp_path, "bad.conll", "EU B-ORG\n\nin O\nParis X-PER\n")
+
+
 def run_without_name(tmp_path):
     (tmp_path / "runs").mkdir()
     (tmp_path / "runs" / "a.json").write_text(json.dumps(
@@ -378,7 +391,7 @@ class TestErrorBoundary:
         "case",
         [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label,
          nested_jsonl, nested_labelstudio, long_integer_jsonl, nested_run_record,
-         nested_lexicon, duplicate_run_names],
+         nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
         argv = case(tmp_path)
@@ -388,8 +401,13 @@ class TestErrorBoundary:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_utf8_error_names_the_line(self, tmp_path, capsys):
-        code, _, err = run(non_utf8(tmp_path), capsys)
-        assert "line 2: " in err
+        """Set-up errors name their line, the scheme detected or not."""
+        for case, line in [(non_utf8, 2), (bad_label_jsonl, 3), (bad_label_conll, 4)]:
+            directory = tmp_path / case.__name__
+            directory.mkdir()
+            code, _, err = run(case(directory), capsys)
+            assert code == 1
+            assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "analysis", ['{"scheme": "BIO"}', '{"scheme_detected": "XYZ"}', DEEP],

@@ -132,16 +132,31 @@ class TestLabelInterning:
         assert excinfo.value.line == 2
 
     def test_malformed_label_raises_on_every_occurrence(self):
+        """The line is named whether the scheme is given or detected."""
         bad = '{"words":["a"],"labels":["BPER"]}\n'
-        for lineno in range(1, 4):
-            source = '{"words":["a"],"labels":["O"]}\n' * (lineno - 1) + bad
-            with pytest.raises(MalformedLabel) as excinfo:
-                read_canonical_jsonl(source, scheme="BIO")
-            assert excinfo.value.line == lineno
-        for _ in range(2):
-            with pytest.raises(MalformedLabel) as excinfo:
-                parse_conll("a O\nb BPER\n", scheme="BIO")
-            assert excinfo.value.line == 2
+        for scheme in ("BIO", None):
+            for lineno in range(1, 4):
+                source = '{"words":["a"],"labels":["O"]}\n' * (lineno - 1) + bad
+                with pytest.raises(MalformedLabel) as excinfo:
+                    read_canonical_jsonl(source, scheme=scheme)
+                assert excinfo.value.line == lineno
+            for _ in range(2):
+                with pytest.raises(MalformedLabel) as excinfo:
+                    parse_conll("a O\nb BPER\n", scheme=scheme)
+                assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("raw", ["PER", "X-PER", "B-", "O-X"])
+    def test_label_error_does_not_depend_on_scheme_detection(self, raw):
+        jsonl = '{"words":["a"],"labels":["O"]}\n' + json.dumps({"words": ["b"], "labels": [raw]})
+        for read, source in [(read_canonical_jsonl, jsonl), (parse_conll, f"a O\nb {raw}\n")]:
+            errors = []
+            for scheme in (None, "BILOU"):
+                with pytest.raises(MalformedLabel) as excinfo:
+                    read(source, scheme=scheme)
+                errors.append((str(excinfo.value), excinfo.value.line))
+            assert errors[0] == errors[1]
+            message, line = errors[0]
+            assert line == 2 and repr(raw) in message
 
 
 class TestAnnotationToolExports:

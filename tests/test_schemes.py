@@ -71,8 +71,9 @@ class TestDetectScheme:
             detect_scheme([["O", "O"], []])
 
     def test_garbage_label(self):
-        with pytest.raises(MalformedLabel):
-            detect_scheme([["whatever"]])
+        for raw in ("whatever", "B-", "O-X", ""):
+            with pytest.raises(MalformedLabel):
+                detect_scheme([["B-PER", raw]])
 
     @pytest.mark.parametrize("scheme", ["IO", "BIO", "BILOU"])
     def test_round_trip_on_generated_corpora(self, scheme):
