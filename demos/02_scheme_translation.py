@@ -9,7 +9,6 @@ therefore lossy.
 from seqlab import (
     AnnotationScheme,
     LabelSequence,
-    Level,
     convert_scheme,
     detect_scheme,
     validate_sequence,
@@ -21,7 +20,7 @@ IO = AnnotationScheme.IO
 
 
 def bio(raw):
-    return LabelSequence.from_raw(raw, Level.WORD, BIO)
+    return LabelSequence.from_raw(raw, BIO)
 
 
 # =============================================================================

@@ -12,7 +12,6 @@ from pathlib import Path
 from seqlab import (
     AnnotationScheme,
     LabelSequence,
-    Level,
     LexiconTagger,
     evaluate_on_dataset,
     extract_entities,
@@ -26,7 +25,7 @@ BIO = AnnotationScheme.BIO
 # The disagreement in a nutshell
 # =============================================================================
 
-inconsistent = LabelSequence.from_raw(["O", "I-PER"], Level.WORD, BIO)
+inconsistent = LabelSequence.from_raw(["O", "I-PER"], BIO)
 print(f"strict : {extract_entities(inconsistent, 'strict')}")
 print(f"lenient: {extract_entities(inconsistent, 'lenient')}")
 

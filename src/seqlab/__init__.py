@@ -18,8 +18,6 @@ from .core import (
     EntitySpan,
     Label,
     LabelSequence,
-    Level,
-    TagSet,
     Violation,
     ViolationKind,
     Word,
@@ -95,7 +93,6 @@ __all__ = [
     "EvalReport",
     "Label",
     "LabelSequence",
-    "Level",
     "LexiconTagger",
     "OUTSIDE",
     "RunRecord",
@@ -104,7 +101,6 @@ __all__ = [
     "SeqlabError",
     "SourceKind",
     "Tagger",
-    "TagSet",
     "TokenAlignment",
     "Violation",
     "ViolationKind",

@@ -47,13 +47,6 @@ _SCHEME_PREFIXES = {
 _LABEL_PREFIXES = _SCHEME_PREFIXES[AnnotationScheme.BILOU]  # BILOU admits every prefix
 
 
-class Level(Enum):
-    """Granularity a label sequence is attached to."""
-
-    TOKEN = "token"
-    WORD = "word"
-
-
 @dataclass(frozen=True)
 class Label:
     """One position label: the outside label "O" or "<prefix>-<class>".
@@ -134,10 +127,9 @@ class LabelTable(dict):
 
 @dataclass(frozen=True)
 class LabelSequence:
-    """Ordered labels at a declared level under a declared scheme."""
+    """Ordered labels under a declared scheme."""
 
     labels: tuple[Label, ...]
-    level: Level
     scheme: AnnotationScheme
 
     def __post_init__(self):
@@ -148,11 +140,9 @@ class LabelSequence:
                 raise PrefixNotInScheme(lab.serialize(), self.scheme.value)
 
     @classmethod
-    def from_raw(
-        cls, raw: Iterable[str], level: Level, scheme: AnnotationScheme
-    ) -> "LabelSequence":
+    def from_raw(cls, raw: Iterable[str], scheme: AnnotationScheme) -> "LabelSequence":
         table = LabelTable(scheme)
-        return cls(tuple([table[r] for r in raw]), level, scheme)
+        return cls(tuple([table[r] for r in raw]), scheme)
 
     def serialized(self) -> list[str]:
         return [lab.serialize() for lab in self.labels]
@@ -174,8 +164,7 @@ class ViolationKind(Enum):
     UNTERMINATED_CHUNK = "unterminated_chunk"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A position whose label breaks the scheme's transition rules.
 
     ``position == len(labels)`` marks a chunk left open at sequence end.
@@ -185,17 +174,16 @@ class Violation:
     kind: ViolationKind
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """A maximal contiguous run of words carrying one entity class."""
+class Chunk(NamedTuple):
+    """A maximal contiguous run of words carrying one entity class.
+
+    Only ``0 <= word_start < word_end`` is a chunk; the decoders emit no
+    other, and scoring checks chunks that come from outside.
+    """
 
     class_name: str
     word_start: int
     word_end: int  # exclusive
-
-    def __post_init__(self):
-        if self.word_start < 0 or self.word_end <= self.word_start:
-            raise ValueError(f"invalid chunk span [{self.word_start}, {self.word_end})")
 
 
 class Decoding(NamedTuple):
@@ -351,21 +339,15 @@ def validate_sequence(seq: LabelSequence) -> list[Violation]:
     return decode(seq).violations
 
 
-@dataclass(frozen=True)
-class Word:
-    """A word with its character span in the owning document's text."""
+class Word(NamedTuple):
+    """A word with its character span in the owning document's text.
+
+    `Document` checks the span: non-empty and inside the text.
+    """
 
     surface: str
     char_start: int
     char_end: int
-
-    def __post_init__(self):
-        if self.char_start < 0:
-            raise ValueError(f"char_start must be >= 0, got {self.char_start}")
-        if self.char_end <= self.char_start:
-            raise ValueError(
-                f"char_end must be > char_start, got {self.char_end} <= {self.char_start}"
-            )
 
 
 @dataclass(frozen=True)
@@ -407,9 +389,10 @@ class Document:
     """The canonical record: raw text plus whichever annotations exist.
 
     A document may carry word tokenization, word-level labels, character
-    entities, any combination, or none. Word spans must be non-overlapping
-    and strictly increasing; entities must be non-overlapping and sorted
-    by char_start; every span's surface must equal the text slice.
+    entities, any combination, or none. Word spans must be non-empty,
+    non-overlapping and strictly increasing; entities must be
+    non-overlapping and sorted by char_start; every span's surface must
+    equal the text slice.
     """
 
     text: str
@@ -424,8 +407,6 @@ class Document:
         if self.word_labels is not None:
             if self.words is None:
                 raise ValueError("word_labels require words")
-            if self.word_labels.level is not Level.WORD:
-                raise ValueError("word_labels must be word-level")
             if len(self.word_labels) != len(self.words):
                 raise ValueError(
                     f"{len(self.word_labels)} labels for {len(self.words)} words"
@@ -439,6 +420,8 @@ class Document:
         for w in self.words:
             if w.char_start < prev_end:
                 raise ValueError(f"word spans overlap or decrease at {w!r}")
+            if w.char_end <= w.char_start:
+                raise ValueError(f"empty or inverted word span at {w!r}")
             if w.char_end > len(self.text):
                 raise ValueError(f"word span out of text bounds: {w!r}")
             if self.text[w.char_start : w.char_end] != w.surface:
@@ -464,35 +447,3 @@ class Document:
                 if not (0 <= e.word_start < e.word_end <= len(self.words)):
                     raise ValueError(f"entity word span out of range: {e!r}")
             prev_end = e.char_end
-
-
-@dataclass(frozen=True)
-class TagSet:
-    """Ordered set of entity class names; "O" is never a member."""
-
-    class_names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if not self.class_names:
-            raise ValueError("tag set cannot be empty")
-        if len(set(self.class_names)) != len(self.class_names):
-            raise ValueError("tag set contains duplicates")
-        if "O" in self.class_names or "" in self.class_names:
-            raise ValueError('"O" and empty strings are not entity classes')
-
-    @classmethod
-    def from_labels(cls, sequences: Iterable[LabelSequence]) -> "TagSet":
-        names = sorted(
-            {lab.class_name for seq in sequences for lab in seq if not lab.is_outside}
-        )
-        return cls(tuple(names))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.class_names)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.class_names
-
-    def __len__(self) -> int:
-        return len(self.class_names)

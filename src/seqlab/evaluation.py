@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import AnnotationScheme, Chunk, Document, LabelSequence, TagSet, Word, decode
+from .core import AnnotationScheme, Chunk, Document, LabelSequence, Word, decode
 from .errors import LengthMismatch, MissingGold, OverlapWithinList
 from .inference import split_words, tagged_labels
 from .schemes import entities_to_word_labels
@@ -125,12 +125,10 @@ class Counts:
         """Count one sequence's chunks: a predicted chunk is a true positive
         iff an identical (class, start, end) chunk is in gold."""
         outcomes = self.strict if mode == "strict" else self.lenient
-        # plain tuples hash in C; the Chunk dataclass hashes in Python
-        unmatched = {(c.class_name, c.word_start, c.word_end) for c in gold}
+        unmatched = set(gold)
         for c in pred:
-            key = (c.class_name, c.word_start, c.word_end)
-            if key in unmatched:
-                unmatched.remove(key)
+            if c in unmatched:
+                unmatched.remove(c)
                 outcomes[c.class_name, "tp"] += 1
             else:
                 outcomes[c.class_name, "fp"] += 1
@@ -174,29 +172,42 @@ class Counts:
 
 
 def _check_no_overlap(chunks: Sequence[Chunk], which: str):
+    """Every chunk spans ``0 <= word_start < word_end``, and none overlap."""
     ordered = sorted(chunks, key=lambda c: c.word_start)
+    for c in ordered:
+        if c.word_start < 0 or c.word_end <= c.word_start:
+            raise ValueError(f"invalid {which} chunk span [{c.word_start}, {c.word_end})")
     for a, b in zip(ordered, ordered[1:]):
         if b.word_start < a.word_end:
             raise OverlapWithinList(f"{which} chunks overlap: {a} and {b}")
 
 
+def _check_classes(classes: Iterable[str]) -> set[str]:
+    names = set(classes)
+    if names & {"O", ""}:
+        raise ValueError('"O" and empty strings are not entity classes')
+    return names
+
+
 def score_entities(
-    gold: Sequence[Chunk], pred: Sequence[Chunk], tagset: TagSet, *, mode: str = "strict"
+    gold: Sequence[Chunk], pred: Sequence[Chunk], classes: Iterable[str], *, mode: str = "strict"
 ) -> EvalReport:
-    """Exact-boundary entity scoring for a single sequence.
+    """Exact-boundary entity scoring for a single sequence; every class
+    in ``classes`` gets a per-class row.
 
     A predicted chunk is a true positive iff an identical
     (class, start, end) chunk exists in gold.
     """
+    classes = _check_classes(classes)
     _check_no_overlap(gold, "gold")
     _check_no_overlap(pred, "predicted")
     counts = Counts()
     counts.add_chunks(mode, gold, pred)
-    return counts.report("entity", mode, tagset)
+    return counts.report("entity", mode, classes)
 
 
 def score_words(
-    gold: LabelSequence, pred: LabelSequence, tagset: TagSet, *, mode: str = "strict"
+    gold: LabelSequence, pred: LabelSequence, classes: Iterable[str], *, mode: str = "strict"
 ) -> EvalReport:
     """Per-word scoring after stripping scheme prefixes.
 
@@ -204,11 +215,12 @@ def score_words(
     not affect word-level numbers. "O" is excluded from per-class
     metrics but appears in the confusion matrix.
     """
+    classes = _check_classes(classes)
     if len(gold) != len(pred):
         raise LengthMismatch(f"gold has {len(gold)} labels, prediction {len(pred)}")
     counts = Counts()
     counts.add_words(gold, pred)
-    return counts.report("word", mode, tagset)
+    return counts.report("word", mode, classes)
 
 
 @dataclass(frozen=True)

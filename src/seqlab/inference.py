@@ -28,7 +28,6 @@ from .core import (
     Label,
     LabelSequence,
     LabelTable,
-    Level,
     Word,
     decode,
 )
@@ -219,7 +218,7 @@ def _tag_and_parse(
         raise TaggerContractError(f"tagger scheme: {err}") from None
     labels = tuple([table[raw] for raw in raws])
     scheme = resolve_scheme(table.values(), explicit)
-    return LabelSequence(labels, Level.WORD, scheme), probabilities
+    return LabelSequence(labels, scheme), probabilities
 
 
 def tagged_labels(

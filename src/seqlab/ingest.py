@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from itertools import chain
@@ -45,7 +45,6 @@ from .core import (
     Label,
     LabelSequence,
     LabelTable,
-    Level,
     Word,
     decode,
 )
@@ -222,7 +221,7 @@ def parse_conll(
     documents = []
     for (surfaces, _, _), labels in zip(columns, parsed):
         text, words = _synthetic_words(surfaces)
-        word_labels = LabelSequence(labels, Level.WORD, resolved)
+        word_labels = LabelSequence(labels, resolved)
         documents.append(Document(text, words=words, word_labels=word_labels))
     return documents
 
@@ -350,7 +349,7 @@ def _document_from_record(
             raise MalformedJson('"labels" must be an array of strings', line=lineno)
         if len(labels) != len(words):
             raise LengthMismatch(f"{len(labels)} labels for {len(words)} words", line=lineno)
-        word_labels = LabelSequence(labels, Level.WORD, scheme)
+        word_labels = LabelSequence(labels, scheme)
 
     raw_entities = record.get("entities")
     if raw_entities is not None:
@@ -641,9 +640,10 @@ def set_up(
     """Normalize a dataset from any source into canonical files.
 
     Pre-split sources (three paths, or a built-in) pass through; unsplit
-    sources are shuffled with the seed and split by ratio. Optional
-    per-split fractions prune after splitting. Canonical
-    {train,val,test}.jsonl and analysis.json are written under
+    sources are shuffled with the seed and split by ratio. All files are
+    read in one scheme: ``scheme`` if given, else the one read off every
+    label they hold. Optional per-split fractions prune after splitting.
+    Canonical {train,val,test}.jsonl and analysis.json are written under
     data_dir/name and the splits plus analysis are returned.
     """
     kind = SourceKind.coerce(source)
@@ -666,6 +666,10 @@ def set_up(
         splits = split_documents(documents, split_ratio, seed)
         used_seed = seed
 
+    sequences = (d.word_labels for s in splits for d in s.documents if d.word_labels)
+    scheme = resolve_scheme(chain.from_iterable(sequences), scheme)
+    splits = tuple(_in_scheme(split, scheme) for split in splits)
+
     pruned = []
     for split, fraction in zip(splits, (train_fraction, val_fraction, test_fraction)):
         pruned.append(prune(split, fraction) if fraction is not None else split)
@@ -681,6 +685,17 @@ def set_up(
         json.dump(analysis.as_dict(), handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     return splits, analysis
+
+
+def _in_scheme(split: DatasetSplit, scheme: AnnotationScheme) -> DatasetSplit:
+    """The split with its word labels in ``scheme``. A file read without
+    a given scheme may have read off another, but ``scheme`` was read off
+    the labels of every file, so it admits each of them."""
+    return DatasetSplit(split.name, tuple(
+        doc if doc.word_labels is None or doc.word_labels.scheme is scheme
+        else replace(doc, word_labels=LabelSequence(doc.word_labels.labels, scheme))
+        for doc in split.documents
+    ))
 
 
 def resolve_data_dir(data_dir: str | Path | None = None) -> Path:

@@ -6,7 +6,7 @@ re-emit them in the target scheme. Translating into IO merges adjacent
 same-class chunks and is therefore lossy; that loss is documented and
 surfaced, not hidden.
 
-Level projection moves labels between entities, words and tokens. Word
+Projection moves labels between the entity, word and token levels. Word
 to token projection supports two training styles: masking continuation
 tokens with a sentinel, or giving them real chunk-continuation labels.
 """
@@ -24,7 +24,6 @@ from .core import (
     Label,
     LabelSequence,
     LabelTable,
-    Level,
     decode,
 )
 from .errors import AllOutside, InconsistentSource, LengthMismatch, MisalignedEntity
@@ -134,15 +133,13 @@ def labels_for_chunk(cls: str, length: int, scheme: AnnotationScheme) -> list[La
     return [Label("B", cls)] + [Label("I", cls)] * (length - 2) + [Label("L", cls)]
 
 
-def encode_chunks(
-    chunks: Iterable[Chunk], length: int, scheme: AnnotationScheme, level: Level = Level.WORD
-) -> LabelSequence:
+def encode_chunks(chunks: Iterable[Chunk], length: int, scheme: AnnotationScheme) -> LabelSequence:
     """Emit the label sequence for a set of non-overlapping chunks."""
     labels: list[Label] = [OUTSIDE] * length
     for chunk in chunks:
         run = labels_for_chunk(chunk.class_name, chunk.word_end - chunk.word_start, scheme)
         labels[chunk.word_start : chunk.word_end] = run
-    return LabelSequence(tuple(labels), level, scheme)
+    return LabelSequence(tuple(labels), scheme)
 
 
 def convert_scheme(seq: LabelSequence, target: AnnotationScheme) -> LabelSequence:
@@ -156,7 +153,7 @@ def convert_scheme(seq: LabelSequence, target: AnnotationScheme) -> LabelSequenc
     decoding = decode(seq)
     if decoding.violations:
         raise InconsistentSource(decoding.violations)
-    return encode_chunks(decoding.strict, len(seq), target, seq.level)
+    return encode_chunks(decoding.strict, len(seq), target)
 
 
 def entities_to_word_labels(doc: Document, scheme: AnnotationScheme) -> LabelSequence:
@@ -200,8 +197,6 @@ def word_labels_to_token_labels(
     """
     if mode not in ("word_level_masked", "token_level_full"):
         raise ValueError(f"unknown projection mode {mode!r}")
-    if seq.level is not Level.WORD:
-        raise ValueError("input sequence must be word-level")
     if alignment.word_count != len(seq):
         raise LengthMismatch(
             f"alignment covers {alignment.word_count} words, sequence has {len(seq)}"
@@ -251,4 +246,4 @@ def token_labels_to_word_labels(
         if not isinstance(token_label, Label):
             raise ValueError("first token of a word cannot be a masked position")
         labels.append(token_label)
-    return LabelSequence(tuple(labels), Level.WORD, scheme)
+    return LabelSequence(tuple(labels), scheme)

@@ -13,10 +13,9 @@ from pathlib import Path
 import pytest
 
 from seqlab.cli import main
-from seqlab.core import AnnotationScheme, LabelSequence, Level
+from seqlab.core import AnnotationScheme, LabelSequence
 from seqlab.errors import SeqlabError
 from seqlab.evaluation import Chunk, extract_entities, score_entities
-from seqlab.core import TagSet
 from seqlab.inference import LexiconTagger, predict
 from seqlab.ingest import (
     parse_annotation_tool_export,
@@ -36,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def seq(raw, scheme):
-    return LabelSequence.from_raw(raw, Level.WORD, scheme)
+    return LabelSequence.from_raw(raw, scheme)
 
 
 def report(number, started, detail):
@@ -214,7 +213,7 @@ def test_criterion_4_metric_correctness():
         gold = [Chunk(*c) for c in gold_raw]
         pred = [Chunk(*c) for c in pred_raw]
         classes = sorted({c[0] for c in gold_raw + pred_raw}) or ["X"]
-        result = score_entities(gold, pred, TagSet(tuple(classes)))
+        result = score_entities(gold, pred, classes)
         assert result.micro.precision == pytest.approx(micro[0], abs=1e-12)
         assert result.micro.recall == pytest.approx(micro[1], abs=1e-12)
         assert result.micro.f1 == pytest.approx(micro[2], abs=1e-12)

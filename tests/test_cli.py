@@ -49,6 +49,37 @@ class TestDatasetSetup:
         lines = (tmp_path / "half" / "train.jsonl").read_text().splitlines()
         assert len(lines) == 4  # ceil(0.5 * 8)
 
+    def test_presplit_files_share_one_scheme(self, tmp_path, capsys):
+        """val alone reads as IO; with train it is BIO, where its dangling
+        I-PER is no entity. analysis.json and evaluate agree on that."""
+        paths = {}
+        for split, rows in [("train", "a B-PER\nb I-PER\n"), ("val", "c O\nd I-PER\n"),
+                            ("test", "e B-PER\n")]:
+            paths[split] = tmp_path / f"{split}.conll"
+            paths[split].write_text(rows)
+        code, _, _ = run(
+            ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF", "--name", "pre",
+             *(f"--{split}-path={path}" for split, path in paths.items())],
+            capsys,
+        )
+        assert code == 0
+        dataset_dir = tmp_path / "pre"
+        analysis = json.loads((dataset_dir / "analysis.json").read_text())
+        assert analysis["scheme_detected"] == "BIO"
+        for split in paths:
+            code, _, _ = run(
+                ["--data-dir", str(tmp_path), "evaluate", "--dataset", "pre", "--phase", split,
+                 "--tagger", f"echo:{dataset_dir / f'{split}.jsonl'}"],
+                capsys,
+            )
+            assert code == 0
+            per_class = json.loads((dataset_dir / f"eval_{split}.json").read_text())[
+                "strict"]["per_class"]
+            counted = analysis["entity_counts"][split]
+            for cls in {*counted, *per_class}:
+                support = per_class.get(cls, {}).get("entity", {}).get("support", 0)
+                assert counted.get(cls, 0) == support, (split, cls)
+
     def test_missing_path_is_a_data_error(self, tmp_path, capsys):
         code, _, err = run(
             ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",

@@ -7,8 +7,6 @@ from seqlab.core import (
     Document,
     EntitySpan,
     LabelSequence,
-    Level,
-    TagSet,
     Word,
     decode,
 )
@@ -38,7 +36,7 @@ IO = AnnotationScheme.IO
 
 
 def seq(raw, scheme):
-    return LabelSequence.from_raw(raw, Level.WORD, scheme)
+    return LabelSequence.from_raw(raw, scheme)
 
 
 def chunk_tuples(chunks):
@@ -140,28 +138,45 @@ class TestScoreEntities:
     def test_half_precision_full_recall(self):
         gold = [Chunk("PER", 0, 2)]
         pred = [Chunk("PER", 0, 2), Chunk("ORG", 3, 4)]
-        report = score_entities(gold, pred, TagSet(("PER", "ORG")))
+        report = score_entities(gold, pred, ("PER", "ORG"))
         assert report.micro.precision == 0.5
         assert report.micro.recall == 1.0
         assert report.micro.f1 == pytest.approx(2 / 3, abs=1e-15)
 
     def test_identity(self):
         gold = [Chunk("PER", 0, 2), Chunk("LOC", 4, 5)]
-        report = score_entities(gold, list(gold), TagSet(("PER", "LOC")))
+        report = score_entities(gold, list(gold), ("PER", "LOC"))
         assert report.micro == report.micro.__class__(1.0, 1.0, 1.0)
         assert report.macro.f1 == 1.0
 
     def test_boundary_mismatch_scores_zero(self):
         report = score_entities(
-            [Chunk("PER", 0, 2)], [Chunk("PER", 0, 3)], TagSet(("PER",))
+            [Chunk("PER", 0, 2)], [Chunk("PER", 0, 3)], ("PER",)
         )
         assert report.micro.f1 == 0.0
 
     def test_overlap_within_list_rejected(self):
         with pytest.raises(OverlapWithinList):
             score_entities(
-                [Chunk("PER", 0, 3), Chunk("ORG", 2, 4)], [], TagSet(("PER",))
+                [Chunk("PER", 0, 3), Chunk("ORG", 2, 4)], [], ("PER",)
             )
+
+    def test_rejects_outside(self):
+        """"O" and "" are no class names; duplicates are harmless."""
+        for classes in [("PER", "O"), ("PER", ""), {"O"}]:
+            with pytest.raises(ValueError):
+                score_entities([], [], classes)
+            with pytest.raises(ValueError):
+                score_words(seq(["O"], BIO), seq(["O"], BIO), classes)
+        report = score_entities([Chunk("PER", 0, 1)], [], ["PER", "PER"])
+        assert list(report.per_class) == ["PER"]
+
+    def test_invalid_chunks_rejected(self):
+        for start, end in [(2, 2), (-1, 1)]:
+            with pytest.raises(ValueError):
+                score_entities([Chunk("PER", start, end)], [], ["PER"])
+            with pytest.raises(ValueError):
+                score_entities([], [Chunk("PER", start, end)], ["PER"])
 
     def test_swap_exchanges_precision_and_recall(self):
         rng = random.Random(7)
@@ -173,7 +188,7 @@ class TestScoreEntities:
                     length = rng.randint(1, 2)
                     chunks.append(Chunk(rng.choice("AB"), position, position + length))
                     position += length + rng.randint(0, 2)
-            tagset = TagSet(("A", "B"))
+            tagset = ("A", "B")
             forward = score_entities(gold, pred, tagset)
             backward = score_entities(pred, gold, tagset)
             assert forward.micro.precision == backward.micro.recall
@@ -183,7 +198,7 @@ class TestScoreEntities:
     def test_single_class_micro_equals_per_class(self):
         gold = [Chunk("PER", 0, 1), Chunk("PER", 3, 5)]
         pred = [Chunk("PER", 0, 1), Chunk("PER", 2, 4)]
-        report = score_entities(gold, pred, TagSet(("PER",)))
+        report = score_entities(gold, pred, ("PER",))
         per = report.per_class["PER"]
         assert (per.precision, per.recall, per.f1) == (
             report.micro.precision,
@@ -194,29 +209,29 @@ class TestScoreEntities:
     def test_macro_skips_zero_support_classes(self):
         gold = [Chunk("PER", 0, 1)]
         pred = [Chunk("PER", 0, 1)]
-        report = score_entities(gold, pred, TagSet(("PER", "ORG")))
+        report = score_entities(gold, pred, ("PER", "ORG"))
         assert report.per_class["ORG"].support == 0
         assert report.macro.f1 == 1.0
 
 
 class TestScoreWords:
     def test_prefix_stripping_counts_class_match(self):
-        report = score_words(seq(["B-PER"], BIO), seq(["I-PER"], BIO), TagSet(("PER",)))
+        report = score_words(seq(["B-PER"], BIO), seq(["I-PER"], BIO), ("PER",))
         assert report.per_class["PER"].f1 == 1.0
 
     def test_identical_sequences_score_one(self):
         s = seq(["B-PER", "I-PER", "O"], BIO)
-        report = score_words(s, s, TagSet(("PER",)))
+        report = score_words(s, s, ("PER",))
         assert report.micro.f1 == 1.0
 
     def test_false_positive_lands_in_confusion(self):
-        report = score_words(seq(["O"], BIO), seq(["B-PER"], BIO), TagSet(("PER",)))
+        report = score_words(seq(["O"], BIO), seq(["B-PER"], BIO), ("PER",))
         assert report.per_class["PER"].precision == 0.0
         assert report.confusion["O"]["PER"] == 1
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            score_words(seq(["O"], BIO), seq(["O", "O"], BIO), TagSet(("PER",)))
+            score_words(seq(["O"], BIO), seq(["O", "O"], BIO), ("PER",))
 
     def test_confusion_row_sums_equal_gold_counts(self):
         rng = random.Random(13)
@@ -225,7 +240,7 @@ class TestScoreWords:
             n = rng.randint(1, 15)
             gold_raw = [rng.choice(labels) for _ in range(n)]
             pred_raw = [rng.choice(labels) for _ in range(n)]
-            report = score_words(seq(gold_raw, BIO), seq(pred_raw, BIO), TagSet(("A", "B")))
+            report = score_words(seq(gold_raw, BIO), seq(pred_raw, BIO), ("A", "B"))
             for gold_class, row in report.confusion.items():
                 expected = sum(
                     1
@@ -246,7 +261,7 @@ def word_doc(surfaces, labels, scheme=BIO):
     return Document(
         " ".join(surfaces),
         words=tuple(words),
-        word_labels=LabelSequence.from_raw(labels, Level.WORD, scheme),
+        word_labels=LabelSequence.from_raw(labels, scheme),
     )
 
 
@@ -424,11 +439,12 @@ class TestCounts:
             result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BIO)
             gold = doc.word_labels
             pred = LabelSequence.from_raw(
-                [lab for lab, _ in tagger.tag([w.surface for w in doc.words])], Level.WORD, BIO
+                [lab for lab, _ in tagger.tag([w.surface for w in doc.words])], BIO
             )
             if all(lab.is_outside for lab in (*gold, *pred)):
                 continue
-            tagset = TagSet.from_labels([gold, pred])  # the classes the document shows
+            # the classes the document shows
+            tagset = {lab.class_name for lab in (*gold, *pred) if not lab.is_outside}
             blocks = (("strict", result.strict_entity), ("lenient", result.lenient_entity))
             for mode, report in blocks:
                 gold_chunks = getattr(decode(gold), mode)
@@ -437,7 +453,7 @@ class TestCounts:
             assert score_words(gold, pred, tagset) == result.strict_word
 
     def test_metrics_support_only_on_class_rows(self):
-        report = score_entities([Chunk("PER", 0, 1)], [], TagSet(("PER",)))
+        report = score_entities([Chunk("PER", 0, 1)], [], ("PER",))
         assert report.per_class["PER"].as_dict() == {
             "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1
         }

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab.core import AnnotationScheme, LabelSequence, Level
+from seqlab.core import AnnotationScheme, LabelSequence
 from seqlab.errors import (
     EmptyText,
     TaggerContractError,
@@ -139,7 +139,7 @@ class TestPredict:
         for _ in range(200):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 10)))
             words = predict(tagger, text, level="word")
-            seq = LabelSequence(tuple(w.label for w in words), Level.WORD, tagger.scheme)
+            seq = LabelSequence(tuple(w.label for w in words), tagger.scheme)
             merged = []
             for chunk in extract_entities(seq, "strict"):
                 first, last = words[chunk.word_start], words[chunk.word_end - 1]

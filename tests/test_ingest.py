@@ -118,6 +118,13 @@ class TestParsePretokenizedJsonl:
             parse_pretokenized_jsonl(
                 '{"text":"a bb","words":["zz"],"labels":["O"]}\n'
             )
+        # offset-bearing words whose span is empty, inverted or negative
+        good = '{"text": "ab", "words": [{"surface": "ab", "start": 0, "end": 2}]}\n'
+        for start, end in [(1, 1), (2, 1), (-1, 0)]:
+            word = {"surface": "", "start": start, "end": end}
+            with pytest.raises(MalformedJson) as excinfo:
+                read_canonical_jsonl(good + json.dumps({"text": "ab", "words": [word]}) + "\n")
+            assert excinfo.value.line == 2
 
 
 class TestLabelInterning:

@@ -9,7 +9,6 @@ from seqlab.core import (
     EntitySpan,
     Label,
     LabelSequence,
-    Level,
     Word,
 )
 from seqlab.errors import (
@@ -37,7 +36,7 @@ IO = AnnotationScheme.IO
 
 
 def seq(raw, scheme):
-    return LabelSequence.from_raw(raw, Level.WORD, scheme)
+    return LabelSequence.from_raw(raw, scheme)
 
 
 def random_layout(rng, n, classes=("X", "Y")):
@@ -289,7 +288,7 @@ class TestWordTokenProjection:
             counts = [rng.randint(1, 3) for _ in range(n)]
             alignment = TokenAlignment.from_token_counts(counts)
             tokens = word_labels_to_token_labels(words, alignment, "token_level_full")
-            token_seq = LabelSequence(tuple(tokens), Level.TOKEN, BIO)
+            token_seq = LabelSequence(tuple(tokens), BIO)
             token_chunks = {
                 (c.class_name, c.word_start, c.word_end)
                 for c in extract_entities(token_seq, "strict")
