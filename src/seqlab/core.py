@@ -53,7 +53,8 @@ class Label:
 
     The serialized form splits on the first hyphen only, so class names
     may themselves contain hyphens ("B-art-broadcastprogram"). Construction
-    is the one check of the grammar: a BILOU prefix, a class name unless "O".
+    is the one check of the grammar: a BILOU prefix, alone if it is "O",
+    else with a class name that is neither empty nor "O".
     """
 
     prefix: str
@@ -66,6 +67,8 @@ class Label:
             raise MalformedLabel("the outside label carries no class name")
         if self.prefix != "O" and not self.class_name:
             raise MalformedLabel(f"prefix {self.prefix!r} requires a class name")
+        if self.class_name == "O":
+            raise MalformedLabel('"O" is the outside label, not a class name')
 
     @property
     def is_outside(self) -> bool:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import AnnotationScheme, Chunk, Document, LabelSequence, Word, decode
 from .errors import LengthMismatch, MissingGold, OverlapWithinList
-from .inference import split_words, tagged_labels
+from .inference import _tag_and_parse, split_words
 from .schemes import entities_to_word_labels
 
 EXTRACTION_MODES = ("strict", "lenient")
@@ -286,11 +286,13 @@ def _gold_words_and_labels(doc: Document, scheme: AnnotationScheme):
 
 def count_documents(tagger, documents: Iterable[Document], scheme: AnnotationScheme) -> Counts:
     """Tag and count each document. ``scheme`` is the gold scheme, and the
-    prediction scheme only for taggers that declare none."""
+    prediction scheme only for taggers that declare none. The documents
+    are one tagger run: each distinct predicted label is parsed once."""
     counts = Counts()
+    tables = {}
     for doc in documents:
         words, gold_seq = _gold_words_and_labels(doc, scheme)
-        pred_seq = tagged_labels(tagger, [w.surface for w in words], scheme)
+        pred_seq = _tag_and_parse(tagger, [w.surface for w in words], scheme, tables)[0]
         gold, pred = decode(gold_seq), decode(pred_seq)
         counts.add_chunks("strict", gold.strict, pred.strict)
         counts.add_chunks("lenient", gold.lenient, pred.lenient)

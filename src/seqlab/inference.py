@@ -40,7 +40,7 @@ from .errors import (
     UndecodableInput,
     UnloadableTagger,
 )
-from .ingest import load_json, read_canonical_jsonl, read_text
+from .ingest import _json_records, _word_label_pairs, load_json, read_text
 from .schemes import labels_for_chunk, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
@@ -96,10 +96,16 @@ class LexiconTagger:
         data = load_json(read_text(path))
         if not isinstance(data, dict):
             raise ValueError("lexicon file must hold a JSON object")
+        scheme = AnnotationScheme.BIO
         if "entries" in data:
             scheme = AnnotationScheme.coerce(data.get("scheme", "BIO"))
-            return cls(dict(data["entries"]), scheme)
-        return cls(dict(data))
+            data = data["entries"]
+        lexicon = dict(data)
+        for class_name in lexicon.values():
+            if not isinstance(class_name, str):
+                raise ValueError(f"lexicon class {class_name!r} is not a string")
+            Label("B", class_name)  # the label grammar: not empty, not "O"
+        return cls(lexicon, scheme)
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,10 @@ class EchoTagger:
 
     @classmethod
     def from_canonical_file(cls, path: str | Path) -> "EchoTagger":
-        return cls.from_documents(read_canonical_jsonl(read_text(path)))
+        """Words and labels of a canonical JSONL file, checked as a
+        dataset read checks them; the scheme is read off the labels."""
+        pairs, scheme = _word_label_pairs(_json_records(read_text(path)))
+        return cls(dict(pairs), scheme)
 
 
 def load_tagger(uri: str) -> Tagger:
@@ -180,11 +189,19 @@ def split_words(text: str) -> tuple[Word, ...]:
 
 
 def _tag_and_parse(
-    tagger: Tagger, surfaces: Sequence[str], default: AnnotationScheme | None
+    tagger: Tagger,
+    surfaces: Sequence[str],
+    default: AnnotationScheme | None,
+    tables: dict[AnnotationScheme, LabelTable],
 ) -> tuple[LabelSequence, list[float]]:
     """Run the tagger and parse its labels in the scheme it declares, else
     in ``default``, else in the one detected from them (BIO when all are
-    O). Any breach of the tagger contract raises TaggerContractError."""
+    O). Any breach of the tagger contract raises TaggerContractError.
+
+    ``tables`` holds one LabelTable per parse scheme for a whole tagger
+    run, so each distinct label is parsed once per run. A detected scheme
+    is still read off this text's own labels.
+    """
     try:
         output = list(tagger.tag(list(surfaces)))
     except SeqlabError:
@@ -213,12 +230,14 @@ def _tag_and_parse(
         probabilities.append(probability)
     explicit = getattr(tagger, "scheme", None) or default
     try:
-        table = LabelTable(AnnotationScheme.coerce(explicit or AnnotationScheme.BILOU))
+        scheme = AnnotationScheme.coerce(explicit or AnnotationScheme.BILOU)
     except ValueError as err:
         raise TaggerContractError(f"tagger scheme: {err}") from None
+    if scheme not in tables:
+        tables[scheme] = LabelTable(scheme)
+    table = tables[scheme]
     labels = tuple([table[raw] for raw in raws])
-    scheme = resolve_scheme(table.values(), explicit)
-    return LabelSequence(labels, scheme), probabilities
+    return LabelSequence(labels, resolve_scheme(labels, explicit)), probabilities
 
 
 def tagged_labels(
@@ -226,7 +245,7 @@ def tagged_labels(
 ) -> LabelSequence:
     """Run a tagger and return its validated label sequence, parsed in the
     tagger's declared scheme, else in ``default``, else the detected one."""
-    return _tag_and_parse(tagger, surfaces, default)[0]
+    return _tag_and_parse(tagger, surfaces, default, {})[0]
 
 
 def predict(
@@ -240,12 +259,23 @@ def predict(
     the exact text slice (inner whitespace preserved). When probabilities
     are requested, an entity's probability is the minimum over its words.
     """
+    return _predict(tagger, text, level, with_probabilities, {})
+
+
+def _predict(
+    tagger: Tagger,
+    text: str,
+    level: str,
+    with_probabilities: bool,
+    tables: dict[AnnotationScheme, LabelTable],
+) -> list[EntitySpan] | list[WordPrediction]:
+    """`predict` with the label tables of the run it belongs to."""
     if level not in ("entity", "word"):
         raise ValueError(f'level must be "entity" or "word", got {level!r}')
     if not text.strip():
         raise EmptyText("text is empty after trimming")
     words = split_words(text)
-    seq, probabilities = _tag_and_parse(tagger, [w.surface for w in words], None)
+    seq, probabilities = _tag_and_parse(tagger, [w.surface for w in words], None, tables)
 
     if level == "word":
         return [
@@ -317,7 +347,13 @@ def predict_batch(tagger: Tagger, texts: Sequence[str], **kwargs) -> list[BatchI
     return [BatchItem(i, *_contained(predict, tagger, t, **kwargs)) for i, t in items]
 
 
-def _line_record(tagger: Tagger, line: bytes, level: str, with_probabilities: bool) -> dict:
+def _line_record(
+    tagger: Tagger,
+    line: bytes,
+    level: str,
+    with_probabilities: bool,
+    tables: dict[AnnotationScheme, LabelTable],
+) -> dict:
     """The output record of one predict_file input line."""
     try:
         text = line.decode("utf-8")
@@ -326,9 +362,7 @@ def _line_record(tagger: Tagger, line: bytes, level: str, with_probabilities: bo
     record = load_json(text, line=None)  # predict_file numbers the error
     if not isinstance(record, dict) or not isinstance(record.get("text"), str):
         raise MalformedJson('line needs a {"text": ...} object')
-    predictions = predict(
-        tagger, record["text"], level=level, with_probabilities=with_probabilities
-    )
+    predictions = _predict(tagger, record["text"], level, with_probabilities, tables)
     return {"text": record["text"], "predictions": [prediction_record(p) for p in predictions]}
 
 
@@ -346,13 +380,17 @@ def predict_file(
     Lines end at "\\n". A line that fails, for bad JSON, bytes that are not
     UTF-8 or anything else, becomes an {"error": "line N: ..."} output
     line and is counted as failed; it never aborts the run. Memory use
-    is bounded by one line; output order matches input order.
+    is bounded by one line and the run's distinct labels; output order
+    matches input order.
     """
     processed = failed = 0
+    tables: dict[AnnotationScheme, LabelTable] = {}
     with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
         for lineno, line in enumerate(src, 1):
             line = line.rstrip(b"\n")
-            ok, record, error = _contained(_line_record, tagger, line, level, with_probabilities)
+            ok, record, error = _contained(
+                _line_record, tagger, line, level, with_probabilities, tables
+            )
             processed += ok
             failed += not ok
             payload = record if ok else {"error": f"line {lineno}: {error}"}

@@ -265,32 +265,37 @@ def _align_words(text: str, surfaces: Sequence[str], lineno: int) -> tuple[Word,
     return tuple(words)
 
 
-def _words_from_record(record: dict, lineno: int) -> tuple[str, tuple[Word, ...]]:
-    raw_words = record["words"]
-    text = record.get("text")
+def _word_strings(raw_words, lineno: int) -> list[str] | None:
+    """A "words" array of non-empty strings, or None for one of objects."""
     if not isinstance(raw_words, list) or not raw_words:
         raise MalformedJson('"words" must be a non-empty array', line=lineno)
     if all(isinstance(w, str) for w in raw_words):
-        if any(not w for w in raw_words):
+        if not all(raw_words):
             raise MalformedJson("words cannot be empty strings", line=lineno)
+        return raw_words
+    if all(isinstance(w, dict) for w in raw_words):
+        return None
+    raise MalformedJson('"words" mixes strings and objects', line=lineno)
+
+
+def _words_from_record(record: dict, lineno: int) -> tuple[str, tuple[Word, ...]]:
+    surfaces = _word_strings(record["words"], lineno)
+    text = record.get("text")
+    if surfaces is not None:
         if text is None:
-            return _synthetic_words(raw_words)
+            return _synthetic_words(surfaces)
         if not isinstance(text, str):
             raise MalformedJson('"text" must be a string', line=lineno)
-        return text, _align_words(text, raw_words, lineno)
-    if all(isinstance(w, dict) for w in raw_words):
-        if not isinstance(text, str):
-            raise MalformedJson(
-                'offset-bearing "words" require a "text" string', line=lineno
-            )
-        try:
-            words = tuple(
-                Word(w["surface"], int(w["start"]), int(w["end"])) for w in raw_words
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            raise MalformedJson(f"bad word record: {err}", line=lineno) from None
-        return text, words
-    raise MalformedJson('"words" mixes strings and objects', line=lineno)
+        return text, _align_words(text, surfaces, lineno)
+    if not isinstance(text, str):
+        raise MalformedJson('offset-bearing "words" require a "text" string', line=lineno)
+    try:
+        words = tuple(
+            Word(w["surface"], int(w["start"]), int(w["end"])) for w in record["words"]
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise MalformedJson(f"bad word record: {err}", line=lineno) from None
+    return text, words
 
 
 def _entities_from_record(
@@ -308,12 +313,19 @@ def _entities_from_record(
             raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
         if not label:
             raise MalformedJson("entity label cannot be empty", line=lineno)
+        if label == "O":
+            raise MalformedJson('"O" is the outside label, not an entity class', line=lineno)
         if not (0 <= start < end <= len(text)):
             raise SpanOutOfBounds(
                 f"span [{start}, {end}) outside text of length {len(text)}",
                 line=lineno,
             )
-        spans.append((start, end, label))
+        while start < end and text[start].isspace():
+            start += 1
+        while start < end and text[end - 1].isspace():
+            end -= 1
+        if start < end:  # a span of whitespace only marks nothing
+            spans.append((start, end, label))
     spans.sort()
     previous_end = 0
     for start, end, _ in spans:
@@ -325,6 +337,22 @@ def _entities_from_record(
     return tuple(
         EntitySpan(label, start, end, text[start:end]) for start, end, label in spans
     )
+
+
+def _has_labels(
+    record: dict, labels: tuple[Label, ...] | None, words: Sequence | None, lineno: int
+) -> bool:
+    """Whether the record carries word labels; raises unless its parsed
+    string "labels" fit its words one to one."""
+    if record.get("labels") is None:
+        return False
+    if words is None:
+        raise MalformedJson('"labels" require "words"', line=lineno)
+    if labels is None:
+        raise MalformedJson('"labels" must be an array of strings', line=lineno)
+    if len(labels) != len(words):
+        raise LengthMismatch(f"{len(labels)} labels for {len(words)} words", line=lineno)
+    return True
 
 
 def _document_from_record(
@@ -341,14 +369,7 @@ def _document_from_record(
     elif not isinstance(text, str):
         raise MalformedJson('record needs a "text" string', line=lineno)
 
-    raw_labels = record.get("labels")
-    if raw_labels is not None:
-        if words is None:
-            raise MalformedJson('"labels" require "words"', line=lineno)
-        if labels is None:
-            raise MalformedJson('"labels" must be an array of strings', line=lineno)
-        if len(labels) != len(words):
-            raise LengthMismatch(f"{len(labels)} labels for {len(words)} words", line=lineno)
+    if _has_labels(record, labels, words, lineno):
         word_labels = LabelSequence(labels, scheme)
 
     raw_entities = record.get("entities")
@@ -363,18 +384,49 @@ def _document_from_record(
         raise MalformedJson(str(err), line=lineno) from None
 
 
-def _canonical_documents(
+def _record_labels(
     records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
-) -> list[Document]:
-    """Documents from scanned records, all labels parsed before any document."""
+) -> tuple[list[tuple[Label, ...] | None], AnnotationScheme]:
+    """Each record's parsed string "labels" (None where they are not an
+    array of strings), all through one table, and the scheme read off them."""
     table = LabelTable(AnnotationScheme.coerce(scheme or AnnotationScheme.BILOU))
     parsed = []
     for lineno, record in records:
         raws = record.get("labels")
         strings = isinstance(raws, list) and all(isinstance(raw, str) for raw in raws)
         parsed.append(_parse_labels(raws, [lineno] * len(raws), table) if strings else None)
-    resolved = resolve_scheme(table.values(), scheme)
+    return parsed, resolve_scheme(table.values(), scheme)
+
+
+def _canonical_documents(
+    records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
+) -> list[Document]:
+    """Documents from scanned records, all labels parsed before any document."""
+    parsed, resolved = _record_labels(records, scheme)
     return [_document_from_record(*rec, labels, resolved) for rec, labels in zip(records, parsed)]
+
+
+def _word_label_pairs(
+    records: list[tuple[int, dict]],
+) -> tuple[list[tuple[tuple[str, ...], tuple[str, ...]]], AnnotationScheme]:
+    """(word surfaces, label strings) of every word-labeled record, and the
+    scheme read off all labels, with every check `_canonical_documents`
+    makes. A record of plain string words without "text" or "entities"
+    builds no Document: beyond its words and its number of labels it has
+    nothing to check."""
+    parsed, resolved = _record_labels(records, None)
+    pairs = []
+    for (lineno, record), labels in zip(records, parsed):
+        words = record.get("words")
+        plain = words is not None and record.get("text") is None and record.get("entities") is None
+        surfaces = _word_strings(words, lineno) if plain else None
+        if surfaces is None:
+            doc = _document_from_record(lineno, record, labels, resolved)
+            if doc.word_labels is not None:
+                pairs.append((tuple(w.surface for w in doc.words), tuple(record["labels"])))
+        elif _has_labels(record, labels, surfaces, lineno):
+            pairs.append((tuple(surfaces), tuple(record["labels"])))
+    return pairs, resolved
 
 
 def read_canonical_jsonl(

@@ -255,7 +255,7 @@ class TestScheduleSimulate:
             capsys,
         )
         assert code == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
         assert len(rows) == 1
         assert rows[0]["epoch"] == "1" and rows[0]["stopped"] == "true"
 
@@ -470,3 +470,18 @@ class TestErrorBoundary:
                             f"lexicon:{lexicon}", "--dataset", "at", "--phase", "train"], capsys)
         assert code == 0
         assert "strict entity micro f1 = 1.0000" in out
+
+    def test_whitespace_at_entity_edge_evaluates(self, tmp_path, capsys):
+        """A span that covers the spaces before "Paris" is trimmed at set-up."""
+        export = tmp_path / "export.jsonl"
+        export.write_text(json.dumps({"text": "I love  Paris now", "label": [[6, 13, "LOC"]]}))
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"Paris": "LOC"}))
+        code, _, _ = run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "AT",
+                          "--name", "at", "--path", str(export)], capsys)
+        assert code == 0
+        code, _, err = run(["--data-dir", str(tmp_path), "evaluate", "--tagger",
+                            f"lexicon:{lexicon}", "--dataset", "at"], capsys)
+        assert code == 0, err
+        report = json.loads((tmp_path / "at" / "eval_test.json").read_text())
+        assert report["strict"]["per_class"]["LOC"]["entity"]["f1"] == 1.0

@@ -37,7 +37,7 @@ class TestParseLabel:
     def test_class_with_hyphen_splits_on_first_hyphen_only(self):
         assert parse_label("I-MISC-X", BIO) == Label("I", "MISC-X")
 
-    @pytest.mark.parametrize("raw", ["BPER", "B-", "-PER", "X-PER", "O-PER", ""])
+    @pytest.mark.parametrize("raw", ["BPER", "B-", "-PER", "X-PER", "O-PER", "", "B-O", "U-O"])
     def test_malformed(self, raw):
         with pytest.raises(MalformedLabel):
             parse_label(raw, BILOU)
@@ -50,7 +50,9 @@ class TestParseLabel:
 
     @given(
         prefix=st.sampled_from(["B", "I", "L", "U"]),
-        cls=st.from_regex(r"[A-Za-z0-9](-?[A-Za-z0-9])*", fullmatch=True),
+        cls=st.from_regex(r"[A-Za-z0-9](-?[A-Za-z0-9])*", fullmatch=True).filter(
+            lambda cls: cls != "O"  # the outside label, not a class name
+        ),
     )
     def test_round_trip_serialize_parse(self, prefix, cls):
         raw = f"{prefix}-{cls}"
@@ -92,6 +94,10 @@ class TestLabelInvariants:
     def test_entity_prefix_requires_class(self):
         with pytest.raises(MalformedLabel):
             Label("B", "")
+
+    def test_outside_is_not_a_class_name(self):
+        with pytest.raises(MalformedLabel, match="not a class name"):
+            Label("B", "O")
 
     def test_sequence_rejects_foreign_prefix(self):
         with pytest.raises(PrefixNotInScheme):

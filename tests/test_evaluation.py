@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from seqlab import core
 from seqlab.core import (
     AnnotationScheme,
     Document,
@@ -431,6 +433,20 @@ class TestCounts:
         result = evaluate_on_dataset(tagger, DatasetSplit("test", tuple(docs)), BIO)
         reports = [counts.report(level, mode) for level, mode in REPORT_KINDS]
         assert reports == [result.strict_entity, result.strict_word, result.lenient_entity]
+
+    def test_one_pass_parses_each_distinct_label_once(self, monkeypatch):
+        docs, tagger = random_word_docs(random.Random(3), 20)
+        predicted = {lab for doc in docs for lab, _ in tagger.tag([w.surface for w in doc.words])}
+        calls = Counter()
+        original = core.parse_label
+
+        def counting(raw, scheme):
+            calls[raw, scheme] += 1
+            return original(raw, scheme)
+
+        monkeypatch.setattr(core, "parse_label", counting)
+        count_documents(tagger, docs, BIO)
+        assert calls == {(raw, BIO): 1 for raw in predicted}
 
     def test_single_document_scores_match_dataset_blocks(self):
         rng = random.Random(8)

@@ -3,11 +3,13 @@ import math
 import random
 import string
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqlab import core
 from seqlab.core import AnnotationScheme, LabelSequence
 from seqlab.errors import (
     EmptyText,
@@ -263,25 +265,137 @@ class TestTaggers:
     def test_echo_tagger_round_trips_gold(self, tmp_path):
         from seqlab.ingest import parse_conll, save_canonical_jsonl
 
-        docs = parse_conll("Ada B-PER\nLovelace I-PER\n\nBonn B-LOC\n")
-        path = tmp_path / "gold.jsonl"
-        save_canonical_jsonl(docs, path)
-        tagger = load_tagger(f"echo:{path}")
-        assert isinstance(tagger, EchoTagger)
-        assert [lab for lab, _ in tagger.tag(["Ada", "Lovelace"])] == ["B-PER", "I-PER"]
-        assert [lab for lab, _ in tagger.tag(["unknown"])] == ["O"]
+        docs = parse_conll("Ada B-PER\nLovelace I-PER\n\nBonn U-LOC\n")
+        canonical, plain = tmp_path / "gold.jsonl", tmp_path / "plain.jsonl"
+        save_canonical_jsonl(docs, canonical)
+        plain.write_text("".join(
+            json.dumps({"words": [w.surface for w in d.words], "labels": d.word_labels.serialized()})
+            + "\n" for d in docs
+        ))
+        # offset words are read into documents; plain string words are not
+        for path in (canonical, plain):
+            tagger = load_tagger(f"echo:{path}")
+            assert isinstance(tagger, EchoTagger)
+            assert tagger.scheme is AnnotationScheme.BILOU
+            assert [lab for lab, _ in tagger.tag(["Ada", "Lovelace"])] == ["B-PER", "I-PER"]
+            assert [lab for lab, _ in tagger.tag(["unknown"])] == ["O"]
 
     def test_unknown_uri(self):
         with pytest.raises(ValueError):
             load_tagger("hub:bert-base-cased")
 
-    @pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe", None])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param("{not json", id="bad-json"),
+            pytest.param("[1, 2]", id="non-object"),
+            pytest.param(None, id="empty-file"),
+            pytest.param({"words": ["Ada"], "labels": ["X-PER"]}, id="unknown-prefix"),
+            pytest.param({"words": ["Ada"], "labels": ["O-"]}, id="outside-with-hyphen"),
+            pytest.param({"words": ["Ada", "Lovelace"], "labels": ["B-PER"]}, id="lengths"),
+            pytest.param({"words": ["Ada", ""], "labels": ["B-PER", "O"]}, id="empty-word"),
+            pytest.param(
+                {"text": "Ada L", "words": ["Ada", {"surface": "L", "start": 4, "end": 5}],
+                 "labels": ["O", "O"]},
+                id="mixed-words",
+            ),
+            pytest.param(
+                {"text": "Ada", "words": [{"surface": "Bob", "start": 0, "end": 3}],
+                 "labels": ["B-PER"]},
+                id="surface-not-slice",
+            ),
+            pytest.param({"words": ["Ada", "x"], "labels": ["B-PER", 1]}, id="label-not-string"),
+        ],
+    )
+    def test_unloadable_echo_file(self, tmp_path, record):
+        """A bad record fails at load, also after a good one."""
+        path = tmp_path / "gold.jsonl"
+        good = json.dumps({"words": ["Bonn"], "labels": ["B-LOC"]})
+        if record is None:
+            path.write_text("\n \n", encoding="utf-8")
+        else:
+            bad = record if isinstance(record, str) else json.dumps(record)
+            path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(UnloadableTagger, match="^cannot load tagger"):
+            load_tagger(f"echo:{path}")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json", b"[1, 2]", b"\xff\xfe", None,
+            # every class is an entity class: a non-empty string, not "O"
+            b'{"Paris": "O"}', b'{"Paris": 5}', b'{"Paris": ""}', b'{"entries": {"Paris": "O"}}',
+        ],
+    )
     def test_unreadable_lexicon_is_typed(self, tmp_path, content):
         path = tmp_path / "lexicon.json"
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(UnloadableTagger, match="^cannot load tagger"):
             load_tagger(f"lexicon:{path}")
+
+
+class MappingTagger:
+    """Tags each word by a fixed mapping (O if unmapped) and declares no scheme."""
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def tag(self, words):
+        return [(self.labels.get(w, "O"), 1.0) for w in words]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts core.parse_label calls by (label, scheme)."""
+    calls = Counter()
+    original = core.parse_label
+
+    def counting(raw, scheme):
+        calls[raw, scheme] += 1
+        return original(raw, scheme)
+
+    monkeypatch.setattr(core, "parse_label", counting)
+    return calls
+
+
+class TestRunParsesOnce:
+    def run(self, tmp_path, tagger, texts):
+        source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text("".join(json.dumps({"text": t}) + "\n" for t in texts))
+        summary = predict_file(tagger, source, sink)
+        return summary, [json.loads(line) for line in sink.read_text().splitlines()]
+
+    def test_each_distinct_label_is_parsed_once(self, tmp_path, parses):
+        texts = ["The United Nations", "nothing", "United Nations and United Nations"] * 3
+        summary, _ = self.run(tmp_path, UN_LEXICON, texts)
+        assert (summary.processed, summary.failed) == (9, 0)
+        bio = AnnotationScheme.BIO
+        assert parses == {("O", bio): 1, ("B-ORG", bio): 1, ("I-ORG", bio): 1}
+
+    def test_undeclared_scheme_is_read_off_each_text(self, tmp_path):
+        tagger = MappingTagger({"Ada": "U-PER", "Bob": "B-PER", "Dylan": "I-PER"})
+        texts = ["Ada sings", "Bob Dylan sings", "Ada and Bob Dylan"]
+        summary, lines = self.run(tmp_path, tagger, texts)
+        assert (summary.processed, summary.failed) == (3, 0)
+        for text, line in zip(texts, lines):
+            expected = [prediction_record(p) for p in predict(tagger, text)]
+            assert line == {"text": text, "predictions": expected}
+        assert lines[1]["predictions"] == [
+            {"char_start": 0, "char_end": 9, "token": "Bob Dylan", "tag": "PER"}
+        ]
+
+    def test_bad_label_fails_each_of_its_lines_only(self, tmp_path, parses):
+        tagger = MappingTagger({"bad": "X-PER", "Ada": "U-PER"})
+        texts = ["bad", "Ada", "very bad", "fine"]
+        summary, lines = self.run(tmp_path, tagger, texts)
+        assert (summary.processed, summary.failed) == (2, 2)
+        assert lines[0]["error"].startswith("line 1: label 'X-PER'")
+        assert lines[2]["error"].startswith("line 3: label 'X-PER'")
+        assert lines[1]["predictions"][0]["tag"] == "PER"
+        assert lines[3] == {"text": "fine", "predictions": []}
+        bilou = AnnotationScheme.BILOU
+        assert parses == {("X-PER", bilou): 2, ("O", bilou): 1, ("U-PER", bilou): 1}
 
 
 class FixedTagger:

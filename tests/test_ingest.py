@@ -210,6 +210,20 @@ class TestAnnotationToolExports:
         with pytest.raises(ValueError):
             parse_annotation_tool_export("{}", "brat")
 
+    def test_whitespace_is_trimmed_off_entity_edges(self):
+        """Trimmed before the overlap check; a whitespace-only span is dropped."""
+        source = (
+            '{"text":"I love  Paris now","label":[[6,13,"LOC"],[13,14,"MISC"]]}\n'
+            '{"text":"aa bb","label":[[0,3,"X"],[2,5,"Y"]]}\n'
+        )
+        first, second = parse_annotation_tool_export(source, "DoccanoJsonl")
+        assert [(e.class_name, e.char_start, e.char_end, e.surface) for e in first.entities] == [
+            ("LOC", 8, 13, "Paris")
+        ]
+        assert [(e.char_start, e.char_end, e.surface) for e in second.entities] == [
+            (0, 2, "aa"), (3, 5, "bb")
+        ]
+
 
 class TestCanonicalRoundTrip:
     def test_write_then_read_is_identity(self):
@@ -473,6 +487,13 @@ class TestRawBytes:
         with pytest.raises(MalformedJson) as excinfo:
             parse_annotation_tool_export('{"text":"ab","label":[[0,1,""]]}\n', "DoccanoJsonl")
         assert excinfo.value.line == 1
+
+    def test_outside_entity_label_is_typed(self):
+        with pytest.raises(MalformedJson, match="outside label") as excinfo:
+            parse_annotation_tool_export(
+                '{"text":"ab","label":[]}\n{"text":"ab","label":[[0,1,"O"]]}\n', "DoccanoJsonl"
+            )
+        assert excinfo.value.line == 2
 
     def test_byte_mutations_raise_only_package_errors(self, tmp_path):
         """Mutated files go through parse_file as raw bytes: undecodable
