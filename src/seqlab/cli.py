@@ -14,8 +14,6 @@ command prints one "error: ..." line and exits 1.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import logging
 import math
@@ -228,12 +226,15 @@ def cmd_schedule_simulate(args) -> int:
             raise ValueError("every loss must be a finite number")
         preset = config_data.pop("preset", None)
         if preset is not None:
-            cfg = dataclasses.replace(schedule.from_preset(preset), **config_data)
+            preset_values = schedule.from_preset(preset)._asdict()
+            cfg = schedule.ScheduleConfig(**{**preset_values, **config_data})
         else:
             cfg = schedule.ScheduleConfig(**config_data)
     except (OSError, ValueError, TypeError, SeqlabError) as err:
         print(f"bad schedule config: {err}", file=sys.stderr)
         return 2
+    import csv  # only this command writes CSV, so it stays out of start-up
+
     rows = schedule.simulate(cfg, losses)
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:

@@ -8,11 +8,15 @@ translation, evaluation and inference all speak the same language.
 Character offsets are Unicode scalar-value indices (ordinary Python
 string indices), never bytes. All span ends are exclusive. Every type
 is immutable after construction and safe to share between threads.
+
+Value types are tuples (``typing.NamedTuple``), so they compare equal to
+plain tuples of their fields; one that checks its fields does so in
+``__new__``. A type that acts as a container instead (``len``, iteration,
+indexing) is a `FrozenRecord`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -47,8 +51,48 @@ _SCHEME_PREFIXES = {
 _LABEL_PREFIXES = _SCHEME_PREFIXES[AnnotationScheme.BILOU]  # BILOU admits every prefix
 
 
-@dataclass(frozen=True)
-class Label:
+class FrozenRecord:
+    """Base of the immutable value types that are containers, not tuples.
+
+    A subclass names its fields in ``__slots__`` and sets each once in
+    ``__init__`` through ``object.__setattr__``. Equality, hash, repr and
+    pickling go by the fields in slot order; assigning a field raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _LabelFields(NamedTuple):
+    prefix: str
+    class_name: str
+
+
+class Label(_LabelFields):
     """One position label: the outside label "O" or "<prefix>-<class>".
 
     The serialized form splits on the first hyphen only, so class names
@@ -57,18 +101,18 @@ class Label:
     else with a class name that is neither empty nor "O".
     """
 
-    prefix: str
-    class_name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prefix not in _LABEL_PREFIXES:
-            raise MalformedLabel(f"unknown label prefix {self.prefix!r}")
-        if self.prefix == "O" and self.class_name:
+    def __new__(cls, prefix: str, class_name: str = ""):
+        if prefix not in _LABEL_PREFIXES:
+            raise MalformedLabel(f"unknown label prefix {prefix!r}")
+        if prefix == "O" and class_name:
             raise MalformedLabel("the outside label carries no class name")
-        if self.prefix != "O" and not self.class_name:
-            raise MalformedLabel(f"prefix {self.prefix!r} requires a class name")
-        if self.class_name == "O":
+        if prefix != "O" and not class_name:
+            raise MalformedLabel(f"prefix {prefix!r} requires a class name")
+        if class_name == "O":
             raise MalformedLabel('"O" is the outside label, not a class name')
+        return super().__new__(cls, prefix, class_name)
 
     @property
     def is_outside(self) -> bool:
@@ -128,19 +172,19 @@ class LabelTable(dict):
         return label
 
 
-@dataclass(frozen=True)
-class LabelSequence:
+class LabelSequence(FrozenRecord):
     """Ordered labels under a declared scheme."""
 
-    labels: tuple[Label, ...]
-    scheme: AnnotationScheme
+    __slots__ = ("labels", "scheme")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        allowed = _SCHEME_PREFIXES[self.scheme]
-        for lab in self.labels:
+    def __init__(self, labels: Iterable[Label], scheme: AnnotationScheme):
+        labels = tuple(labels)
+        allowed = _SCHEME_PREFIXES[scheme]
+        for lab in labels:
             if lab.prefix not in allowed:
-                raise PrefixNotInScheme(lab.serialize(), self.scheme.value)
+                raise PrefixNotInScheme(lab.serialize(), scheme.value)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "scheme", scheme)
 
     @classmethod
     def from_raw(cls, raw: Iterable[str], scheme: AnnotationScheme) -> "LabelSequence":
@@ -353,8 +397,17 @@ class Word(NamedTuple):
     char_end: int
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class _EntitySpanFields(NamedTuple):
+    class_name: str
+    char_start: int
+    char_end: int
+    surface: str
+    word_start: int | None
+    word_end: int | None
+    probability: float | None
+
+
+class EntitySpan(_EntitySpanFields):
     """A typed span addressed by character offsets and/or word indices.
 
     ``char_end`` and ``word_end`` are exclusive. ``probability`` is only
@@ -362,33 +415,41 @@ class EntitySpan:
     of the member words' probabilities.
     """
 
-    class_name: str
-    char_start: int
-    char_end: int
-    surface: str
-    word_start: int | None = None
-    word_end: int | None = None
-    probability: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.class_name:
+    def __new__(
+        cls,
+        class_name: str,
+        char_start: int,
+        char_end: int,
+        surface: str,
+        word_start: int | None = None,
+        word_end: int | None = None,
+        probability: float | None = None,
+    ):
+        if not class_name:
             raise ValueError("entity class_name cannot be empty")
-        if self.char_start < 0 or self.char_end <= self.char_start:
-            raise ValueError(
-                f"invalid char span [{self.char_start}, {self.char_end})"
-            )
-        if (self.word_start is None) != (self.word_end is None):
+        if char_start < 0 or char_end <= char_start:
+            raise ValueError(f"invalid char span [{char_start}, {char_end})")
+        if (word_start is None) != (word_end is None):
             raise ValueError("word_start and word_end must be set together")
-        if self.word_start is not None and self.word_end <= self.word_start:
-            raise ValueError(
-                f"invalid word span [{self.word_start}, {self.word_end})"
-            )
-        if self.probability is not None and not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability out of [0, 1]: {self.probability}")
+        if word_start is not None and word_end <= word_start:
+            raise ValueError(f"invalid word span [{word_start}, {word_end})")
+        if probability is not None and not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability out of [0, 1]: {probability}")
+        return super().__new__(
+            cls, class_name, char_start, char_end, surface, word_start, word_end, probability
+        )
 
 
-@dataclass(frozen=True)
-class Document:
+class _DocumentFields(NamedTuple):
+    text: str
+    words: tuple[Word, ...] | None
+    word_labels: LabelSequence | None
+    entities: tuple[EntitySpan, ...] | None
+
+
+class Document(_DocumentFields):
     """The canonical record: raw text plus whichever annotations exist.
 
     A document may carry word tokenization, word-level labels, character
@@ -398,25 +459,30 @@ class Document:
     equal the text slice.
     """
 
-    text: str
-    words: tuple[Word, ...] | None = None
-    word_labels: LabelSequence | None = None
-    entities: tuple[EntitySpan, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.words is not None:
-            object.__setattr__(self, "words", tuple(self.words))
+    def __new__(
+        cls,
+        text: str,
+        words: Iterable[Word] | None = None,
+        word_labels: LabelSequence | None = None,
+        entities: Iterable[EntitySpan] | None = None,
+    ):
+        if words is not None:
+            words = tuple(words)
+        if entities is not None:
+            entities = tuple(entities)
+        self = super().__new__(cls, text, words, word_labels, entities)
+        if words is not None:
             self._check_words()
-        if self.word_labels is not None:
-            if self.words is None:
+        if word_labels is not None:
+            if words is None:
                 raise ValueError("word_labels require words")
-            if len(self.word_labels) != len(self.words):
-                raise ValueError(
-                    f"{len(self.word_labels)} labels for {len(self.words)} words"
-                )
-        if self.entities is not None:
-            object.__setattr__(self, "entities", tuple(self.entities))
+            if len(word_labels) != len(words):
+                raise ValueError(f"{len(word_labels)} labels for {len(words)} words")
+        if entities is not None:
             self._check_entities()
+        return self
 
     def _check_words(self):
         prev_end = 0

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import AnnotationScheme, Chunk, Document, LabelSequence, Word, decode
+from .core import AnnotationScheme, Chunk, Document, FrozenRecord, LabelSequence, Word, decode
 from .errors import LengthMismatch, MissingGold, OverlapWithinList
 from .inference import _tag_and_parse, split_words
 from .schemes import entities_to_word_labels
@@ -46,8 +45,7 @@ def extract_entities(seq: LabelSequence, mode: str = "strict") -> list[Chunk]:
     return decoding.strict if mode == "strict" else decoding.lenient
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Precision, recall and F1; per-class rows also carry gold support."""
 
     precision: float
@@ -69,8 +67,7 @@ class Metrics:
         return out
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-class, micro and macro metrics at one level in one mode.
 
     The confusion matrix (gold class x predicted class, including "O")
@@ -103,7 +100,6 @@ def _word_classes(seq: LabelSequence) -> list[str]:
     return [label.class_name or "O" for label in seq.labels]
 
 
-@dataclass
 class Counts:
     """The counts behind every report; ``a + b`` pools two.
 
@@ -112,9 +108,27 @@ class Counts:
     predicted class) pairs, with "O" outside entities.
     """
 
-    strict: Counter = field(default_factory=Counter)
-    lenient: Counter = field(default_factory=Counter)
-    words: Counter = field(default_factory=Counter)
+    __slots__ = ("strict", "lenient", "words")
+
+    def __init__(
+        self,
+        strict: Counter | None = None,
+        lenient: Counter | None = None,
+        words: Counter | None = None,
+    ):
+        self.strict = Counter() if strict is None else strict
+        self.lenient = Counter() if lenient is None else lenient
+        self.words = Counter() if words is None else words
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strict, self.lenient, self.words) == (
+            other.strict, other.lenient, other.words
+        )
+
+    def __repr__(self) -> str:
+        return f"Counts(strict={self.strict!r}, lenient={self.lenient!r}, words={self.words!r})"
 
     def __add__(self, other: "Counts") -> "Counts":
         return Counts(
@@ -223,8 +237,7 @@ def score_words(
     return counts.report("word", mode, classes)
 
 
-@dataclass(frozen=True)
-class DatasetEvaluation:
+class DatasetEvaluation(FrozenRecord):
     """Full evaluation result: strict entity + word, lenient entity.
 
     Addressable like the serialized form: ``result["micro"]["entity"]["f1"]``
@@ -233,9 +246,14 @@ class DatasetEvaluation:
     only the block it reads.
     """
 
-    strict_entity: EvalReport
-    strict_word: EvalReport
-    lenient_entity: EvalReport
+    __slots__ = ("strict_entity", "strict_word", "lenient_entity")
+
+    def __init__(
+        self, strict_entity: EvalReport, strict_word: EvalReport, lenient_entity: EvalReport
+    ):
+        object.__setattr__(self, "strict_entity", strict_entity)
+        object.__setattr__(self, "strict_word", strict_word)
+        object.__setattr__(self, "lenient_entity", lenient_entity)
 
     def _block(self, mode: str) -> dict:
         reports = {"entity": self.lenient_entity}

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
 
 from .core import (
     AnnotationScheme,
@@ -61,8 +61,7 @@ class Tagger(Protocol):
     def tag(self, words: Sequence[str]) -> Sequence[tuple[str, float]]: ...
 
 
-@dataclass(frozen=True)
-class LexiconTagger:
+class LexiconTagger(NamedTuple):
     """Deterministic baseline tagger: surface form -> entity class.
 
     Consecutive words hitting the same class are encoded as one chunk in
@@ -74,20 +73,19 @@ class LexiconTagger:
     scheme: AnnotationScheme = AnnotationScheme.BIO
 
     def tag(self, words: Sequence[str]) -> list[tuple[str, float]]:
-        classes = [self.lexicon.get(w) for w in words]
-        labels = ["O"] * len(words)
-        i = 0
-        while i < len(words):
-            if classes[i] is None:
-                i += 1
+        classes = list(map(self.lexicon.get, words))
+        labels = ["O"] * len(classes)
+        end = 0  # where the last chunk ended
+        for start in [i for i, cls in enumerate(classes) if cls is not None]:
+            if start < end:
                 continue
-            j = i
-            while j < len(words) and classes[j] == classes[i]:
-                j += 1
-            run = labels_for_chunk(classes[i], j - i, self.scheme)
-            labels[i:j] = [lab.serialize() for lab in run]
-            i = j
-        return [(lab, 1.0) for lab in labels]
+            cls = classes[start]
+            end = start + 1
+            while end < len(classes) and classes[end] == cls:
+                end += 1
+            run = labels_for_chunk(cls, end - start, self.scheme)
+            labels[start:end] = [lab.serialize() for lab in run]
+        return list(zip(labels, repeat(1.0)))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "LexiconTagger":
@@ -108,8 +106,7 @@ class LexiconTagger:
         return cls(lexicon, scheme)
 
 
-@dataclass(frozen=True)
-class EchoTagger:
+class EchoTagger(NamedTuple):
     """Echoes gold labels for word sequences it has seen; all-O otherwise.
 
     Stands in for a perfect model in pipeline tests and demos.
@@ -120,7 +117,7 @@ class EchoTagger:
 
     def tag(self, words: Sequence[str]) -> list[tuple[str, float]]:
         labels = self.gold.get(tuple(words), ("O",) * len(words))
-        return [(lab, 1.0) for lab in labels]
+        return list(zip(labels, repeat(1.0)))
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "EchoTagger":
@@ -158,8 +155,7 @@ def load_tagger(uri: str) -> Tagger:
     raise UnloadableTagger(f"cannot load tagger {uri!r}: unknown tagger URI")
 
 
-@dataclass(frozen=True)
-class WordPrediction:
+class WordPrediction(NamedTuple):
     """One word with its offsets, predicted label and (optional) probability."""
 
     word: str
@@ -169,16 +165,14 @@ class WordPrediction:
     probability: float | None = None
 
 
-@dataclass(frozen=True)
-class BatchItem:
+class BatchItem(NamedTuple):
     index: int
     ok: bool
     value: object = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class FileSummary:
+class FileSummary(NamedTuple):
     processed: int
     failed: int
 
@@ -186,6 +180,11 @@ class FileSummary:
 def split_words(text: str) -> tuple[Word, ...]:
     """Unicode-whitespace word splitting with exact character offsets."""
     return tuple(Word(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text))
+
+
+def _word_spans(text: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of `split_words`, without the words."""
+    return [m.span() for m in _WORD_RE.finditer(text)]
 
 
 def _tag_and_parse(
@@ -212,22 +211,17 @@ def _tag_and_parse(
         raise TaggerLengthMismatch(
             f"tagger returned {len(output)} labels for {len(surfaces)} words"
         )
-    raws = []
-    probabilities = []
-    for item in output:
-        try:
-            raw, probability = item
-            valid = isinstance(raw, str) and 0.0 <= probability <= 1.0
-            probability = float(probability)
-        except Exception:
-            valid = False
-        if not valid:
-            raise TaggerContractError(
-                f"tagger output for word {len(raws)} is not a (label, probability "
-                f"in [0, 1]) pair: {item!r:.80}"
-            )
-        raws.append(raw)
-        probabilities.append(probability)
+    try:
+        pairs = [
+            (raw, float(probability))
+            for raw, probability in output
+            if isinstance(raw, str) and 0.0 <= probability <= 1.0
+        ]
+    except Exception:
+        pairs = None
+    if pairs is None or len(pairs) != len(output):
+        raise _breach(output)
+    probabilities = [probability for _, probability in pairs]
     explicit = getattr(tagger, "scheme", None) or default
     try:
         scheme = AnnotationScheme.coerce(explicit or AnnotationScheme.BILOU)
@@ -236,8 +230,27 @@ def _tag_and_parse(
     if scheme not in tables:
         tables[scheme] = LabelTable(scheme)
     table = tables[scheme]
-    labels = tuple([table[raw] for raw in raws])
+    labels = tuple([table[raw] for raw, _ in pairs])
     return LabelSequence(labels, resolve_scheme(labels, explicit)), probabilities
+
+
+def _breach(output: list) -> TaggerContractError:
+    """The error naming the first item of a tagger's output that is not a
+    (label, probability in [0, 1]) pair."""
+    for index, item in enumerate(output):
+        try:
+            raw, probability = item
+            valid = isinstance(raw, str) and 0.0 <= probability <= 1.0
+            float(probability)
+        except Exception:
+            valid = False
+        if not valid:
+            return TaggerContractError(
+                f"tagger output for word {index} is not a (label, probability "
+                f"in [0, 1]) pair: {item!r:.80}"
+            )
+    # only an item that changes between two reads gets here
+    return TaggerContractError("tagger output changed while it was checked")
 
 
 def tagged_labels(
@@ -272,33 +285,37 @@ def _predict(
     """`predict` with the label tables of the run it belongs to."""
     if level not in ("entity", "word"):
         raise ValueError(f'level must be "entity" or "word", got {level!r}')
-    if not text.strip():
+    # str.split and _WORD_RE agree on every code point, so the surfaces
+    # are those of split_words, and offsets are found only where emitted
+    surfaces = text.split()
+    if not surfaces:
         raise EmptyText("text is empty after trimming")
-    words = split_words(text)
-    seq, probabilities = _tag_and_parse(tagger, [w.surface for w in words], None, tables)
+    seq, probabilities = _tag_and_parse(tagger, surfaces, None, tables)
 
     if level == "word":
         return [
             WordPrediction(
-                w.surface,
-                w.char_start,
-                w.char_end,
-                lab,
-                probability if with_probabilities else None,
+                surface, start, end, lab, probability if with_probabilities else None
             )
-            for w, lab, probability in zip(words, seq.labels, probabilities)
+            for surface, (start, end), lab, probability in zip(
+                surfaces, _word_spans(text), seq.labels, probabilities
+            )
         ]
 
+    chunks = decode(seq).strict
+    if not chunks:
+        return []
+    offsets = _word_spans(text)
     spans = []
-    for chunk in decode(seq).strict:
-        first = words[chunk.word_start]
-        last = words[chunk.word_end - 1]
+    for chunk in chunks:
+        start = offsets[chunk.word_start][0]
+        end = offsets[chunk.word_end - 1][1]
         spans.append(
             EntitySpan(
                 chunk.class_name,
-                first.char_start,
-                last.char_end,
-                text[first.char_start : last.char_end],
+                start,
+                end,
+                text[start:end],
                 word_start=chunk.word_start,
                 word_end=chunk.word_end,
                 probability=min(probabilities[chunk.word_start : chunk.word_end])

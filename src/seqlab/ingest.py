@@ -31,17 +31,16 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
-from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .core import (
     AnnotationScheme,
     Document,
     EntitySpan,
+    FrozenRecord,
     Label,
     LabelSequence,
     LabelTable,
@@ -92,22 +91,22 @@ class SourceKind(Enum):
             raise UnresolvableSource(f"unknown source kind: {value!r}") from None
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    name: str
-    documents: tuple[Document, ...]
+class DatasetSplit(FrozenRecord):
+    """The documents of one split, named after it."""
 
-    def __post_init__(self):
-        if self.name not in SPLIT_NAMES:
+    __slots__ = ("name", "documents")
+
+    def __init__(self, name: str, documents: Iterable[Document]):
+        if name not in SPLIT_NAMES:
             raise ValueError(f"split name must be one of {SPLIT_NAMES}")
-        object.__setattr__(self, "documents", tuple(self.documents))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "documents", tuple(documents))
 
     def __len__(self) -> int:
         return len(self.documents)
 
 
-@dataclass(frozen=True)
-class DatasetAnalysis:
+class DatasetAnalysis(NamedTuple):
     """Corpus statistics computed during set-up."""
 
     num_documents: dict[str, int]
@@ -290,11 +289,11 @@ def _words_from_record(record: dict, lineno: int) -> tuple[str, tuple[Word, ...]
     if not isinstance(text, str):
         raise MalformedJson('offset-bearing "words" require a "text" string', line=lineno)
     try:
-        words = tuple(
-            Word(w["surface"], int(w["start"]), int(w["end"])) for w in record["words"]
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        words = tuple([Word(w["surface"], w["start"], w["end"]) for w in record["words"]])
+    except KeyError as err:
         raise MalformedJson(f"bad word record: {err}", line=lineno) from None
+    if not all([type(start) is int and type(end) is int for _, start, end in words]):
+        raise MalformedJson("word offsets must be JSON integers", line=lineno)
     return text, words
 
 
@@ -308,9 +307,15 @@ def _entities_from_record(
                 start, end, label = item
             else:
                 start, end, label = item["start"], item["end"], item["label"]
-            start, end, label = int(start), int(end), str(label)
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
+        if type(start) is not int or type(end) is not int:
+            raise MalformedJson(
+                f"entity offsets {start!r:.20} and {end!r:.20} are not JSON integers",
+                line=lineno,
+            )
+        if not isinstance(label, str):
+            raise MalformedJson(f"entity label {label!r:.40} is not a string", line=lineno)
         if not label:
             raise MalformedJson("entity label cannot be empty", line=lineno)
         if label == "O":
@@ -660,6 +665,8 @@ def parse_file(
 
 
 def _builtin_documents(name: str) -> dict[str, list[Document]]:
+    from importlib import resources  # only built-in sources need it, so it stays out of start-up
+
     if name not in BUILTIN_DATASETS:
         raise UnresolvableSource(
             f"unknown built-in dataset {name!r}; available: {sorted(BUILTIN_DATASETS)}"
@@ -745,7 +752,8 @@ def _in_scheme(split: DatasetSplit, scheme: AnnotationScheme) -> DatasetSplit:
     the labels of every file, so it admits each of them."""
     return DatasetSplit(split.name, tuple(
         doc if doc.word_labels is None or doc.word_labels.scheme is scheme
-        else replace(doc, word_labels=LabelSequence(doc.word_labels.labels, scheme))
+        else Document(doc.text, doc.words, LabelSequence(doc.word_labels.labels, scheme),
+                      doc.entities)
         for doc in split.documents
     ))
 

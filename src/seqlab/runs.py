@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric
 from .ingest import load_json, read_text
@@ -32,16 +30,14 @@ from .ingest import load_json, read_text
 DEFAULT_SELECTION_METRIC = "strict.micro.entity.f1"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     run_name: str
     seed: int
     reports: Mapping
     artifacts_path: str = ""
 
 
-@dataclass(frozen=True)
-class MetricAggregate:
+class MetricAggregate(NamedTuple):
     mean: float
     uncertainty: float
     n: int
@@ -56,8 +52,7 @@ class MetricAggregate:
         }
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     metrics: Mapping[str, MetricAggregate]
     best_run: str
     selection_metric: str
@@ -116,18 +111,14 @@ def best_model(
     )
 
 
-def _sem(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return statistics.stdev(values) / math.sqrt(len(values))
-
-
 def aggregate(
     records: Sequence[RunRecord],
     selection_metric: str = DEFAULT_SELECTION_METRIC,
 ) -> AggregateResult:
     """Mean and standard-error aggregation over every metric path
     present (and numeric) in all records."""
+    import statistics  # only this command needs it, so it stays out of start-up
+
     _check_records(records, selection_metric)
     shared = set(_numeric_paths(records[0].reports))
     for record in records[1:]:
@@ -137,7 +128,9 @@ def aggregate(
         values = [lookup_metric(r.reports, path) for r in records]
         metrics[path] = MetricAggregate(
             mean=statistics.fmean(values),
-            uncertainty=_sem(values),
+            uncertainty=statistics.stdev(values) / math.sqrt(len(values))
+            if len(values) > 1
+            else 0.0,
             n=len(values),
             per_run=tuple(values),
         )

@@ -25,7 +25,7 @@ validation pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonFiniteLoss, Stopped, UnknownPreset
 
@@ -68,55 +68,92 @@ PRESETS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
+class _ScheduleConfigFields(NamedTuple):
     max_lr: float
-    min_lr: float = 0.0
-    restart_period_initial: int = 1
-    restart_period_mult: float = 1.0
-    max_epochs: int = 1
-    early_stop_patience: int | None = None
-    early_stop_min_delta: float = 0.0
-    warmup_fraction: float = 0.0
-    steps_per_epoch: int = 1
-    preset: str | None = None
+    min_lr: float
+    restart_period_initial: int
+    restart_period_mult: float
+    max_epochs: int
+    early_stop_patience: int | None
+    early_stop_min_delta: float
+    warmup_fraction: float
+    steps_per_epoch: int
+    preset: str | None
 
-    def __post_init__(self):
-        if self.max_lr <= 0:
+
+class ScheduleConfig(_ScheduleConfigFields):
+    """Schedule settings, checked as they are built."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        max_lr: float,
+        min_lr: float = 0.0,
+        restart_period_initial: int = 1,
+        restart_period_mult: float = 1.0,
+        max_epochs: int = 1,
+        early_stop_patience: int | None = None,
+        early_stop_min_delta: float = 0.0,
+        warmup_fraction: float = 0.0,
+        steps_per_epoch: int = 1,
+        preset: str | None = None,
+    ):
+        if max_lr <= 0:
             raise ValueError("max_lr must be > 0")
-        if not 0 <= self.min_lr <= self.max_lr:
+        if not 0 <= min_lr <= max_lr:
             raise ValueError("min_lr must satisfy 0 <= min_lr <= max_lr")
-        if self.restart_period_initial < 1:
+        if restart_period_initial < 1:
             raise ValueError("restart_period_initial must be >= 1")
-        if self.restart_period_mult < 1:
+        if restart_period_mult < 1:
             raise ValueError("restart_period_mult must be >= 1")
-        if self.max_epochs < 1:
+        if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.early_stop_patience is not None and self.early_stop_patience < 0:
+        if early_stop_patience is not None and early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0 (or None to disable)")
-        if self.early_stop_min_delta < 0:
+        if early_stop_min_delta < 0:
             raise ValueError("early_stop_min_delta must be >= 0")
-        if not 0 <= self.warmup_fraction < 1:
+        if not 0 <= warmup_fraction < 1:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.steps_per_epoch < 1:
+        if steps_per_epoch < 1:
             raise ValueError("steps_per_epoch must be >= 1")
+        return super().__new__(
+            cls, max_lr, min_lr, restart_period_initial, restart_period_mult, max_epochs,
+            early_stop_patience, early_stop_min_delta, warmup_fraction, steps_per_epoch, preset,
+        )
 
 
-@dataclass(frozen=True)
-class ScheduleState:
+class _ScheduleStateFields(NamedTuple):
+    cycle_length: int
+    epoch: int
+    position_in_cycle: int
+    best_val_loss: float
+    epochs_since_improvement: int
+    stopped: bool
+    restart_index: int
+
+
+class ScheduleState(_ScheduleStateFields):
     """The schedule automaton's explicit state; `stopped` is absorbing."""
 
-    cycle_length: int
-    epoch: int = 0
-    position_in_cycle: int = 0
-    best_val_loss: float = math.inf
-    epochs_since_improvement: int = 0
-    stopped: bool = False
-    restart_index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.position_in_cycle <= self.cycle_length:
+    def __new__(
+        cls,
+        cycle_length: int,
+        epoch: int = 0,
+        position_in_cycle: int = 0,
+        best_val_loss: float = math.inf,
+        epochs_since_improvement: int = 0,
+        stopped: bool = False,
+        restart_index: int = 0,
+    ):
+        if not 0 <= position_in_cycle <= cycle_length:
             raise ValueError("position_in_cycle must lie in [0, cycle_length]")
+        return super().__new__(
+            cls, cycle_length, epoch, position_in_cycle, best_val_loss,
+            epochs_since_improvement, stopped, restart_index,
+        )
 
 
 def initial_state(cfg: ScheduleConfig) -> ScheduleState:
@@ -199,8 +236,7 @@ def observe_validation(
     )
 
 
-@dataclass(frozen=True)
-class SimulationRow:
+class SimulationRow(NamedTuple):
     epoch: int
     lr: float
     stopped: bool

@@ -13,7 +13,6 @@ tokens with a sentinel, or giving them real chunk-continuation labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     AnnotationScheme,
     Chunk,
     Document,
+    FrozenRecord,
     Label,
     LabelSequence,
     LabelTable,
@@ -31,26 +31,24 @@ from .errors import AllOutside, InconsistentSource, LengthMismatch, MisalignedEn
 IGNORE_INDEX = -100
 
 
-@dataclass(frozen=True)
-class TokenAlignment:
+class TokenAlignment(FrozenRecord):
     """How model tokens map back onto words.
 
     ``token_spans`` holds one (word_index, is_first_of_word) pair per
     token. Word indices are non-decreasing, every word contributes at
     least one token, and exactly one token per word is marked first.
     ``ignore_index`` is the sentinel label id used for masked positions.
+    ``len`` counts tokens, so this is not a tuple.
     """
 
-    token_spans: tuple[tuple[int, bool], ...]
-    ignore_index: int = IGNORE_INDEX
+    __slots__ = ("token_spans", "ignore_index")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "token_spans", tuple((int(w), bool(f)) for w, f in self.token_spans)
-        )
+    def __init__(
+        self, token_spans: Iterable[tuple[int, bool]], ignore_index: int = IGNORE_INDEX
+    ):
+        token_spans = tuple((int(w), bool(f)) for w, f in token_spans)
         prev = -1
-        firsts: set[int] = set()
-        for word_index, is_first in self.token_spans:
+        for word_index, is_first in token_spans:
             if word_index < prev:
                 raise ValueError("token word indices must be non-decreasing")
             if word_index > prev:
@@ -58,10 +56,11 @@ class TokenAlignment:
                     raise ValueError(f"word {prev + 1} contributes no tokens")
                 if not is_first:
                     raise ValueError(f"first token of word {word_index} not marked")
-                firsts.add(word_index)
             elif is_first:
                 raise ValueError(f"word {word_index} has two first tokens")
             prev = word_index
+        object.__setattr__(self, "token_spans", token_spans)
+        object.__setattr__(self, "ignore_index", ignore_index)
 
     @classmethod
     def from_token_counts(

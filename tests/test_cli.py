@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,6 +301,20 @@ class TestScheduleSimulate:
         assert code == 2
         assert err.startswith(f"bad schedule config: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"preset": "stable", "max_lr": -1}, "max_lr must be > 0$"),
+         ({"preset": "stable", "warmup": 0.1}, "ScheduleConfig.*'warmup'"),
+         ({"max_lr": 1.0, "warmup": 0.1}, "ScheduleConfig.*'warmup'")],
+        ids=["preset-override-checked", "preset-unknown-key", "unknown-key"],
+    )
+    def test_invalid_config_is_a_usage_error(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "val_losses": [1.0]}))
+        code, _, err = run(["schedule", "simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert re.match(f"bad schedule config: {message}", err.strip())
+
 
 class TestAggregateCommand:
     def write_run(self, directory, name, seed, f1):
@@ -374,6 +392,31 @@ def empty_entity_label(tmp_path):
             "--name", "x", "--path", str(tmp_path / "at.jsonl")]
 
 
+def non_string_entity_label(tmp_path):
+    (tmp_path / "at.jsonl").write_text(
+        '{"text":"abc def","label":[]}\n{"text":"abc def","label":[[0,3,5]]}\n'
+    )
+    return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "AT",
+            "--name", "x", "--path", str(tmp_path / "at.jsonl")]
+
+
+def non_integer_entity_offsets(tmp_path):
+    (tmp_path / "at.jsonl").write_text(
+        '{"text":"abc def","label":[]}\n{"text":"abc def","label":[[true,3.9,"X"]]}\n'
+    )
+    return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "AT",
+            "--name", "x", "--path", str(tmp_path / "at.jsonl")]
+
+
+def non_integer_word_offsets(tmp_path):
+    word = '{"surface":"abc","start":0,"end":3}'
+    bad = '{"surface":"abc","start":false,"end":3.5}'
+    return set_up_file(tmp_path, "words.jsonl", (
+        f'{{"text":"abc","words":[{word}],"labels":["B-X"]}}\n'
+        f'{{"text":"abc","words":[{bad}],"labels":["B-X"]}}\n'
+    ))
+
+
 def set_up_file(tmp_path, name, content):
     (tmp_path / name).write_text(content)
     return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
@@ -422,7 +465,8 @@ class TestErrorBoundary:
         "case",
         [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label,
          nested_jsonl, nested_labelstudio, long_integer_jsonl, nested_run_record,
-         nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll],
+         nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
+         non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
         argv = case(tmp_path)
@@ -433,7 +477,9 @@ class TestErrorBoundary:
 
     def test_non_utf8_error_names_the_line(self, tmp_path, capsys):
         """Set-up errors name their line, the scheme detected or not."""
-        for case, line in [(non_utf8, 2), (bad_label_jsonl, 3), (bad_label_conll, 4)]:
+        for case, line in [(non_utf8, 2), (bad_label_jsonl, 3), (bad_label_conll, 4),
+                           (non_string_entity_label, 2), (non_integer_entity_offsets, 2),
+                           (non_integer_word_offsets, 2)]:
             directory = tmp_path / case.__name__
             directory.mkdir()
             code, _, err = run(case(directory), capsys)
@@ -485,3 +531,17 @@ class TestErrorBoundary:
         assert code == 0, err
         report = json.loads((tmp_path / "at" / "eval_test.json").read_text())
         assert report["strict"]["per_class"]["LOC"]["entity"]["f1"] == 1.0
+
+
+def test_start_up_loads_no_module_only_some_commands_use():
+    """Every command pays for what `import seqlab.cli` loads. dataclasses
+    (with inspect, ast and dis) is not used at all; statistics and csv are
+    imported by the one command that uses each."""
+    src = Path(__file__).parents[1] / "src"
+    unused = "{'dataclasses', 'statistics', 'csv'}"
+    probe = f"import sys, seqlab.cli; print(sorted({unused} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

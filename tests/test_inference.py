@@ -2,6 +2,7 @@ import json
 import math
 import random
 import string
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -28,6 +29,7 @@ from seqlab.inference import (
     predict_file,
     prediction_record,
     split_words,
+    _WORD_RE,
 )
 
 from .oracles import oracle_word_offsets
@@ -54,6 +56,36 @@ class TestSplitWords:
             for w in words:
                 assert text[w.char_start : w.char_end] == w.surface
                 assert not w.surface[0].isspace() and not w.surface[-1].isspace()
+
+    def test_str_split_agrees_with_the_word_pattern_on_every_code_point(self):
+        """predict takes its words from str.split and their offsets from
+        _WORD_RE, so the two must split every text alike."""
+        disagree = []
+        for code in range(sys.maxunicode + 1):
+            text = "a" + chr(code) + "b"
+            if text.split() != _WORD_RE.findall(text):
+                disagree.append(hex(code))
+        assert disagree == []
+
+
+UNICODE_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(["a", "b", "é", "東", *UNICODE_WHITESPACE]), max_size=30))
+def test_predict_words_and_entities_are_those_of_split_words(text):
+    tagger = LexiconTagger({"a": "X", "b": "X", "ab": "Y", "東": "Z"})
+    words = split_words(text)
+    if not words:
+        with pytest.raises(EmptyText):
+            predict(tagger, text)
+        return
+    predicted = predict(tagger, text, level="word")
+    assert [(p.word, p.char_start, p.char_end) for p in predicted] == [tuple(w) for w in words]
+    for span in predict(tagger, text):
+        assert span.char_start == words[span.word_start].char_start
+        assert span.char_end == words[span.word_end - 1].char_end
+        assert prediction_record(span)["token"] == text[span.char_start : span.char_end]
 
 
 class TestPredict:
@@ -432,6 +464,25 @@ class TestTaggerContract:
     def test_breaches_are_typed(self, output):
         with pytest.raises(TaggerContractError):
             predict(FixedTagger(output), "word")
+
+    def test_item_that_changes_between_reads_is_a_breach(self):
+        """The output is checked in one pass and only a failing output is
+        read again, item by item, to name the bad one."""
+
+        class Fickle:
+            reads = 0
+
+            def __le__(self, other):
+                Fickle.reads += 1
+                return Fickle.reads > 1
+
+            __ge__ = __le__
+
+            def __float__(self):
+                return 0.5
+
+        with pytest.raises(TaggerContractError, match="changed while it was checked"):
+            predict(FixedTagger([("O", Fickle())]), "word")
 
     def test_bad_declared_scheme(self):
         with pytest.raises(TaggerContractError):

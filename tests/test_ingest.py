@@ -495,6 +495,55 @@ class TestRawBytes:
             )
         assert excinfo.value.line == 2
 
+    @pytest.mark.parametrize(
+        "dialect, bad",
+        [
+            ("doccano", [[0, 3, 5]]),
+            ("doccano", [[4, 7, ["X"]]]),
+            ("doccano", [[0, 3, None]]),
+            ("doccano", [[True, 3, "X"]]),
+            ("doccano", [[0, 3.9, "X"]]),
+            ("doccano", [[0, 3.0, "X"]]),
+            ("doccano", [["0", 3, "X"]]),
+            ("labelstudio", {"start": 0, "end": 3, "labels": [5]}),
+            ("labelstudio", {"start": 0, "end": 3, "labels": [True]}),
+            ("labelstudio", {"start": False, "end": 3, "labels": ["X"]}),
+            ("labelstudio", {"start": 0, "end": 2.5, "labels": ["X"]}),
+            ("canonical", [{"start": 0, "end": 3, "label": 5}]),
+            ("canonical", [{"start": 0, "end": 3, "label": {"X": 1}}]),
+            ("canonical", [{"start": 0.0, "end": 3, "label": "X"}]),
+            ("canonical", [{"start": 0, "end": True, "label": "X"}]),
+            ("canonical", [{"start": 0, "end": "3", "label": "X"}]),
+            ("words", [{"surface": "abc", "start": False, "end": 3.5}]),
+            ("words", [{"surface": "abc", "start": 0, "end": 3.0}]),
+            ("words", [{"surface": "abc", "start": "0", "end": 3}]),
+            ("words", [{"surface": "abc", "start": 0, "end": None}]),
+        ],
+    )
+    def test_entity_labels_are_strings_and_offsets_integers(self, tmp_path, dialect, bad):
+        """JSON true, 3.9 or "3" as an offset, and 5 or ["X"] as a label, are
+        not read as 1, 3 or classes "5" and "['X']": the second record fails."""
+        if dialect == "labelstudio":
+            tasks = [
+                {"data": {"text": "abc def"},
+                 "annotations": [{"result": [{"type": "labels", "value": value}]}]}
+                for value in ({"start": 0, "end": 3, "labels": ["X"]}, bad)
+            ]
+            path = tmp_path / "export.json"
+            source = json.dumps(tasks)
+        else:
+            key, good = {
+                "doccano": ("label", [[0, 3, "X"]]),
+                "canonical": ("entities", [{"start": 0, "end": 3, "label": "X"}]),
+                "words": ("words", [{"surface": "abc", "start": 0, "end": 3}]),
+            }[dialect]
+            path = tmp_path / "export.jsonl"
+            source = "".join(json.dumps({"text": "abc def", key: v}) + "\n" for v in (good, bad))
+        path.write_text(source, encoding="utf-8")
+        with pytest.raises(MalformedJson) as excinfo:
+            parse_file(path)
+        assert excinfo.value.line == 2
+
     def test_byte_mutations_raise_only_package_errors(self, tmp_path):
         """Mutated files go through parse_file as raw bytes: undecodable
         input must be rejected as typed errors too."""
