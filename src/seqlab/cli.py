@@ -8,29 +8,27 @@ summarizes multi-seed runs.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
 `main` is the one error boundary: a SeqlabError or an OSError from any
-command prints one "error: ..." line and exits 1.
+command prints one "error: ..." line and exits 1. `--verbose` prints
+"DEBUG ..." lines to stderr, and before that error line the traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import ingest, runs, schedule
-from .core import AnnotationScheme, Document
+from .core import AnnotationScheme
 from .errors import InconsistentSource, SeqlabError
 from .evaluation import evaluate_on_dataset
 from .inference import load_tagger, predict, predict_file, prediction_record
 from .schemes import convert_scheme
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
-
-log = logging.getLogger("seqlab")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,9 +141,9 @@ def cmd_convert(args) -> int:
                 for violation in err.violations
             )
             continue
-        converted.append(
-            Document(doc.text, words=doc.words, word_labels=labels, entities=doc.entities)
-        )
+        # _replace builds the tuple without Document.__new__, so the words
+        # checked as the document was read are not checked again
+        converted.append(doc._replace(word_labels=labels))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
@@ -164,7 +162,8 @@ def _dataset_dir(args) -> Path:
 
 def cmd_evaluate(args) -> int:
     dataset_dir = _dataset_dir(args)
-    log.debug("evaluating %s split of %s", args.phase, dataset_dir)
+    if args.verbose:
+        print(f"DEBUG evaluating {args.phase} split of {dataset_dir}", file=sys.stderr)
     try:
         scheme = AnnotationScheme.coerce(ingest.load_analysis(dataset_dir)["scheme_detected"])
     except (SeqlabError, KeyError, TypeError, ValueError):
@@ -176,13 +175,12 @@ def cmd_evaluate(args) -> int:
     tagger = load_tagger(args.tagger)
     result = evaluate_on_dataset(tagger, split, scheme)
     report = result.as_dict()
-    print(json.dumps(report, ensure_ascii=False, indent=2))
+    encoded = json.dumps(report, ensure_ascii=False, indent=2)
+    print(encoded)
     micro_f1 = report["strict"]["micro"]["entity"]["f1"]
     print(f"strict entity micro f1 = {micro_f1:.4f}")
     out_path = Path(args.output) if args.output else dataset_dir / f"eval_{args.phase}.json"
-    out_path.write_text(
-        json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    out_path.write_text(encoded + "\n", encoding="utf-8")
     return 0
 
 
@@ -268,14 +266,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_info:
         return exit_info.code if isinstance(exit_info.code, int) else 2
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
     try:
         return args.handler(args)
     except (SeqlabError, OSError) as err:
-        log.debug("failing command: %s", args.command, exc_info=True)
+        if args.verbose:
+            import traceback  # only a failing command prints one
+
+            print(f"DEBUG failing command: {args.command}", file=sys.stderr)
+            traceback.print_exc()
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -146,6 +146,10 @@ class MissingMetric(SeqlabError):
     """A run record does not contain the requested metric path."""
 
 
+class NonFiniteMetric(SeqlabError):
+    """A run record holds a metric that is not a finite number."""
+
+
 class DuplicateRunName(SeqlabError, ValueError):
     """Two run records share a run name. Also a ValueError, which callers
     caught before the error was typed."""

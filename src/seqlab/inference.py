@@ -41,7 +41,7 @@ from .errors import (
     UnloadableTagger,
 )
 from .ingest import _json_records, _word_label_pairs, load_json, read_text
-from .schemes import labels_for_chunk, resolve_scheme
+from .schemes import chunk_prefixes, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -83,8 +83,7 @@ class LexiconTagger(NamedTuple):
             end = start + 1
             while end < len(classes) and classes[end] == cls:
                 end += 1
-            run = labels_for_chunk(cls, end - start, self.scheme)
-            labels[start:end] = [lab.serialize() for lab in run]
+            labels[start:end] = [f"{p}-{cls}" for p in chunk_prefixes(end - start, self.scheme)]
         return list(zip(labels, repeat(1.0)))
 
     @classmethod

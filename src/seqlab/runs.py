@@ -2,11 +2,17 @@
 
 Training a neural tagger is stochastic, so the same configuration is
 typically run under several seeds. Each run's evaluation tree is stored
-as a record; aggregation walks every numeric metric path shared by all
-records and reports mean and uncertainty, where uncertainty is the
-standard error of the mean (sample standard deviation over sqrt(n), 0
-for a single run). The best run is the argmax of the selection metric,
-ties broken by the lowest seed.
+as a record. Aggregation walks each record's tree once into a
+``{dotted path: float}`` table, so a key that itself holds a dot (the
+class ``org.x`` in ``strict.per_class.org.x.entity.f1``) aggregates
+like any other. For every numeric path shared by all records it reports
+mean and uncertainty, where uncertainty is the standard error of the
+mean (sample standard deviation over sqrt(n)); it is 0 where every run
+holds the same value, a single run included. A metric that is not a
+finite number (JSON ``NaN`` or ``Infinity``, or an integer too large
+for a float) raises NonFiniteMetric naming the run and the path. The
+best run is the argmax of the selection metric, ties broken by the
+lowest seed.
 
 Records persist as JSON under ``runs/<training_name>/<run_name>.json``
 with the aggregate written next to them as ``aggregate.json``. A record
@@ -19,10 +25,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric
+from .errors import DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric, NonFiniteMetric
 from .ingest import load_json, read_text
 
 #: strict entity micro F1; prepend a phase segment ("val." etc.) when
@@ -76,13 +83,26 @@ def lookup_metric(tree: Mapping, path: str) -> float | None:
     return float(node)
 
 
-def _numeric_paths(tree: Mapping, prefix: str = "") -> Iterator[str]:
-    for key, value in tree.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
-        if isinstance(value, Mapping):
-            yield from _numeric_paths(value, path)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield path
+def _metric_table(record: RunRecord) -> dict[str, float]:
+    """Every numeric leaf of the record's report tree by dotted path, in
+    one walk; a leaf that is not a finite float raises NonFiniteMetric."""
+    table = {}
+    stack = [("", record.reports)] if isinstance(record.reports, Mapping) else []
+    while stack:
+        prefix, tree = stack.pop()
+        for key, value in tree.items():
+            path = f"{prefix}{key}"
+            if isinstance(value, Mapping):
+                stack.append((path + ".", value))
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                try:
+                    number = float(value)
+                except OverflowError:
+                    number = math.inf
+                if not math.isfinite(number):
+                    raise NonFiniteMetric(f"run {record.run_name!r}: metric {path!r} is not finite")
+                table[path] = number
+    return table
 
 
 def _check_records(records: Sequence[RunRecord], selection_metric: str):
@@ -119,17 +139,17 @@ def aggregate(
     present (and numeric) in all records."""
     import statistics  # only this command needs it, so it stays out of start-up
 
+    tables = [_metric_table(record) for record in records]
     _check_records(records, selection_metric)
-    shared = set(_numeric_paths(records[0].reports))
-    for record in records[1:]:
-        shared &= set(_numeric_paths(record.reports))
+    shared = set(tables[0]).intersection(*tables[1:])
     metrics = {}
     for path in sorted(shared):
-        values = [lookup_metric(r.reports, path) for r in records]
+        values = [table[path] for table in tables]
+        # stdev of equal finite values is 0.0; its exact arithmetic is slow
         metrics[path] = MetricAggregate(
             mean=statistics.fmean(values),
             uncertainty=statistics.stdev(values) / math.sqrt(len(values))
-            if len(values) > 1
+            if len(set(values)) > 1
             else 0.0,
             n=len(values),
             per_run=tuple(values),

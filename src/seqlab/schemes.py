@@ -121,15 +121,21 @@ def resolve_scheme(
     return AnnotationScheme.BIO
 
 
+def chunk_prefixes(length: int, scheme: AnnotationScheme) -> list[str]:
+    """The prefix run encoding one chunk of the given length: I I I under
+    IO, B I I under BIO, B I L under BILOU, or U for one word."""
+    if scheme is AnnotationScheme.IO:
+        return ["I"] * length
+    if scheme is AnnotationScheme.BIO:
+        return ["B"] + ["I"] * (length - 1)
+    if length == 1:
+        return ["U"]
+    return ["B"] + ["I"] * (length - 2) + ["L"]
+
+
 def labels_for_chunk(cls: str, length: int, scheme: AnnotationScheme) -> list[Label]:
     """The label run encoding one chunk of the given length."""
-    if scheme is AnnotationScheme.IO:
-        return [Label("I", cls)] * length
-    if scheme is AnnotationScheme.BIO:
-        return [Label("B", cls)] + [Label("I", cls)] * (length - 1)
-    if length == 1:
-        return [Label("U", cls)]
-    return [Label("B", cls)] + [Label("I", cls)] * (length - 2) + [Label("L", cls)]
+    return [Label(prefix, cls) for prefix in chunk_prefixes(length, scheme)]
 
 
 def encode_chunks(chunks: Iterable[Chunk], length: int, scheme: AnnotationScheme) -> LabelSequence:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from seqlab.cli import main
-from seqlab.ingest import parse_conll, save_canonical_jsonl
+from seqlab.core import AnnotationScheme, Document, EntitySpan, LabelSequence, Word
+from seqlab.ingest import document_to_record, parse_conll, save_canonical_jsonl
 
 DATA = Path(__file__).parent / "data"
 DEEP = "[" * 100_000  # deeper than the JSON decoder can recurse
@@ -132,6 +133,26 @@ class TestConvert:
             assert code == 1
             assert err == f"line {line}: dangling_inside at position 1\n"
 
+    def test_output_is_the_input_with_converted_labels(self, tmp_path, capsys):
+        """Text, words and entities are written as read; only labels change."""
+        source = tmp_path / "bio.jsonl"
+        doc = Document(
+            "Ada Lovelace met Grace",
+            words=[Word("Ada", 0, 3), Word("Lovelace", 4, 12), Word("met", 13, 16),
+                   Word("Grace", 17, 22)],
+            word_labels=LabelSequence.from_raw(["B-PER", "I-PER", "O", "B-PER"],
+                                               AnnotationScheme.BIO),
+            entities=[EntitySpan("PER", 0, 12, "Ada Lovelace"), EntitySpan("PER", 17, 22, "Grace")],
+        )
+        save_canonical_jsonl([doc], source)
+        target = tmp_path / "bilou.jsonl"
+        code, out, _ = run(["convert", "--from", "BIO", "--to", "BILOU", "--input", str(source),
+                            "--output", str(target)], capsys)
+        assert code == 0 and out == "converted 1 documents BIO -> BILOU\n"
+        record = document_to_record(doc)
+        record["labels"] = ["B-PER", "L-PER", "O", "U-PER"]
+        assert target.read_text() == json.dumps(record, ensure_ascii=False) + "\n"
+
     def test_io_target_warns_about_lossiness(self, tmp_path, capsys):
         source = tmp_path / "bio.jsonl"
         self.write_bio_fixture(source)
@@ -160,6 +181,36 @@ class TestEvaluate:
         report = json.loads((dataset_dir / "eval_test.json").read_text())
         assert "strict" in report and "lenient" in report
         assert report["strict"]["micro"]["entity"]["f1"] == 1.0
+
+    def test_stdout_report_equals_report_file(self, tmp_path, capsys):
+        run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+             "--name", "mini-conll"], capsys)
+        dataset_dir = tmp_path / "mini-conll"
+        code, out, _ = run(
+            ["--data-dir", str(tmp_path), "evaluate",
+             "--tagger", f"echo:{dataset_dir / 'train.jsonl'}", "--dataset", "mini-conll"],
+            capsys,
+        )
+        assert code == 0
+        block, summary = out.rsplit("\n", 2)[:2]
+        assert summary.startswith("strict entity micro f1 = ")
+        assert block + "\n" == (dataset_dir / "eval_test.json").read_text(encoding="utf-8")
+
+    def test_verbose_failure_prints_debug_lines_and_traceback(self, tmp_path, capsys):
+        run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+             "--name", "mini-conll"], capsys)
+        code, _, err = run(
+            ["--verbose", "--data-dir", str(tmp_path), "evaluate",
+             "--tagger", f"lexicon:{tmp_path / 'missing.json'}", "--dataset", "mini-conll"],
+            capsys,
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[0] == f"DEBUG evaluating test split of {tmp_path / 'mini-conll'}"
+        assert lines[1:3] == ["DEBUG failing command: evaluate",
+                              "Traceback (most recent call last):"]
+        assert "UnloadableTagger" in lines[-2]
+        assert [line for line in lines if line.startswith("error: ")] == [lines[-1]]
 
     def test_all_o_tagger_scores_zero(self, tmp_path, capsys):
         run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
@@ -336,6 +387,23 @@ class TestAggregateCommand:
         payload = json.loads((run_dir / "aggregate.json").read_text())
         assert payload["metrics"]["strict.micro.entity.f1"]["mean"] == pytest.approx(0.85)
 
+    def test_dotted_class_name(self, tmp_path, capsys):
+        """A class name may hold a dot; its metric paths still aggregate."""
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        for seed, f1 in enumerate((0.5, 0.7)):
+            (run_dir / f"r{seed}.json").write_text(json.dumps({
+                "run_name": f"r{seed}", "seed": seed,
+                "reports": {"strict": {"micro": {"entity": {"f1": f1}},
+                                       "per_class": {"org.x": {"entity": {"f1": f1}}}}},
+            }))
+        code, out, _ = run(["aggregate", "--runs-dir", str(run_dir)], capsys)
+        assert code == 0
+        assert "best run: r1" in out
+        payload = json.loads((run_dir / "aggregate.json").read_text())
+        dotted = payload["metrics"]["strict.per_class.org.x.entity.f1"]
+        assert dotted["mean"] == pytest.approx(0.6) and dotted["per_run"] == [0.5, 0.7]
+
     def test_missing_run_dir(self, tmp_path, capsys):
         code, _, err = run(
             ["aggregate", "--runs-dir", str(tmp_path / "none")], capsys
@@ -458,6 +526,23 @@ def duplicate_run_names(tmp_path):
     return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
 
 
+def write_run_records(tmp_path, *precisions):
+    (tmp_path / "runs").mkdir()
+    for name, precision in zip("abc", precisions):
+        (tmp_path / "runs" / f"{name}.json").write_text(
+            '{"run_name": "%s", "seed": 0, "reports": {"strict": {"micro": {"entity":'
+            ' {"f1": 1.0, "precision": %s}}}}}' % (name, precision))
+    return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
+
+
+def non_finite_metric(tmp_path):
+    return write_run_records(tmp_path, "1.0", "NaN", "Infinity")
+
+
+def metric_too_large_for_a_float(tmp_path):
+    return write_run_records(tmp_path, "1.0", "1" + "0" * 400)
+
+
 class TestErrorBoundary:
     """Bad input anywhere ends as one "error: ..." line and exit code 1."""
 
@@ -466,7 +551,8 @@ class TestErrorBoundary:
         [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label,
          nested_jsonl, nested_labelstudio, long_integer_jsonl, nested_run_record,
          nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
-         non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets],
+         non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets,
+         non_finite_metric, metric_too_large_for_a_float],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
         argv = case(tmp_path)
@@ -535,10 +621,11 @@ class TestErrorBoundary:
 
 def test_start_up_loads_no_module_only_some_commands_use():
     """Every command pays for what `import seqlab.cli` loads. dataclasses
-    (with inspect, ast and dis) is not used at all; statistics and csv are
-    imported by the one command that uses each."""
+    (with inspect, ast and dis) and logging (with traceback and tokenize)
+    are not used at all; statistics and csv are imported by the one
+    command that uses each."""
     src = Path(__file__).parents[1] / "src"
-    unused = "{'dataclasses', 'statistics', 'csv'}"
+    unused = "{'dataclasses', 'statistics', 'csv', 'logging'}"
     probe = f"import sys, seqlab.cli; print(sorted({unused} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqlab import core
-from seqlab.core import AnnotationScheme, LabelSequence
+from seqlab.core import AnnotationScheme, Chunk, LabelSequence
 from seqlab.errors import (
     EmptyText,
     TaggerContractError,
@@ -31,6 +31,7 @@ from seqlab.inference import (
     split_words,
     _WORD_RE,
 )
+from seqlab.schemes import encode_chunks
 
 from .oracles import oracle_word_offsets
 
@@ -280,6 +281,14 @@ class TestTaggers:
         tagger = LexiconTagger({"a": "X", "b": "X", "c": "Y"}, AnnotationScheme.BILOU)
         labels = [lab for lab, _ in tagger.tag(["a", "b", "c", "d"])]
         assert labels == ["B-X", "L-X", "U-Y", "O"]
+
+    @pytest.mark.parametrize("scheme", list(AnnotationScheme), ids=lambda s: s.value)
+    def test_lexicon_runs_match_the_chunk_encoder(self, scheme):
+        tagger = LexiconTagger({"a": "X", "b": "X", "c": "Y-z", "d": "Y-z"}, scheme)
+        words = ["a", "b", "a", "c", "d", "x", "c", "d", "d"]
+        labels = [lab for lab, _ in tagger.tag(words)]
+        chunks = [Chunk("X", 0, 3), Chunk("Y-z", 3, 5), Chunk("Y-z", 6, 9)]
+        assert labels == encode_chunks(chunks, len(words), scheme).serialized()
 
     def test_lexicon_from_json(self):
         tagger = load_tagger(f"lexicon:{DATA / 'un_lexicon.json'}")

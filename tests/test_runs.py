@@ -1,8 +1,11 @@
+import math
 import random
+import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqlab.errors import EmptyRunSet, MissingMetric
+from seqlab.errors import EmptyRunSet, MissingMetric, NonFiniteMetric
 from seqlab.runs import (
     DEFAULT_SELECTION_METRIC,
     RunRecord,
@@ -83,9 +86,78 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([record("a", 0, 0.5), record("a", 1, 0.6)], METRIC)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
+    def test_non_finite_metric(self, value):
+        with pytest.raises(NonFiniteMetric, match="run 'b': metric 'extra.p' is not finite"):
+            aggregate([record("a", 0, 0.5), record("b", 1, 0.6, {"extra": {"p": value}})], METRIC)
+
     def test_default_selection_metric(self):
         result = aggregate([record("a", 0, 0.5)])
         assert result.selection_metric == DEFAULT_SELECTION_METRIC
+
+
+def reference_metrics(records):
+    """The aggregation as it was first written: collect every numeric
+    path of each tree, look each shared path up again from the root,
+    and take fmean and stdev / sqrt(n) of the values."""
+
+    def numeric_paths(tree, prefix=""):
+        for key, value in tree.items():
+            path = f"{prefix}.{key}" if prefix else str(key)
+            if isinstance(value, dict):
+                yield from numeric_paths(value, path)
+            elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield path
+
+    def lookup(tree, path):
+        for part in path.split("."):
+            tree = tree[part]
+        return float(tree)
+
+    shared = set.intersection(*(set(numeric_paths(r.reports)) for r in records))
+    metrics = {}
+    for path in sorted(shared):
+        values = [lookup(r.reports, path) for r in records]
+        n = len(values)
+        metrics[path] = {
+            "mean": statistics.fmean(values),
+            "uncertainty": statistics.stdev(values) / math.sqrt(n) if n > 1 else 0.0,
+            "n": n,
+            "per_run": values,
+        }
+    return metrics
+
+
+# Few keys and a few recurring values, so that trees share many paths,
+# many of them holding one value in every run.
+METRIC_LEAVES = st.one_of(
+    st.sampled_from([0, 1, 0.25, 0.5, 0.1]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.integers(-1000, 1000),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+REPORT_TREES = st.recursive(
+    METRIC_LEAVES,
+    lambda children: st.dictionaries(st.sampled_from(["a", "b", "f1"]), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trees=st.lists(st.dictionaries(st.sampled_from(["x", "y"]), REPORT_TREES), min_size=1, max_size=4),
+    selected=st.lists(st.sampled_from([0.5, 0.75, 0.9]), min_size=4, max_size=4),
+)
+def test_aggregate_matches_the_reference(trees, selected):
+    records = [
+        RunRecord(f"r{i}", i, {**tree, "selected": value})
+        for i, (tree, value) in enumerate(zip(trees, selected))
+    ]
+    assert aggregate(records, "selected").as_dict()["metrics"] == reference_metrics(records)
 
 
 class TestBestModel:
