@@ -82,18 +82,6 @@ class EvalReport(NamedTuple):
     mode: str  # "strict" | "lenient"
     confusion: Mapping[str, Mapping[str, int]] | None = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "level": self.level,
-            "mode": self.mode,
-            "micro": self.micro.as_dict(),
-            "macro": self.macro.as_dict(),
-            "per_class": {c: m.as_dict() for c, m in self.per_class.items()},
-        }
-        if self.confusion is not None:
-            out["confusion"] = {g: dict(row) for g, row in self.confusion.items()}
-        return out
-
 
 def _word_classes(seq: LabelSequence) -> list[str]:
     """Each position's class without its prefix; "O" outside entities."""

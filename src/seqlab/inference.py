@@ -19,7 +19,7 @@ import json
 import re
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import (
     AnnotationScheme,
@@ -46,7 +46,6 @@ from .schemes import chunk_prefixes, resolve_scheme
 _WORD_RE = re.compile(r"\S+")
 
 
-@runtime_checkable
 class Tagger(Protocol):
     """Behavioral contract every tagger implements.
 

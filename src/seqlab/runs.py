@@ -10,9 +10,11 @@ mean and uncertainty, where uncertainty is the standard error of the
 mean (sample standard deviation over sqrt(n)); it is 0 where every run
 holds the same value, a single run included. A metric that is not a
 finite number (JSON ``NaN`` or ``Infinity``, or an integer too large
-for a float) raises NonFiniteMetric naming the run and the path. The
-best run is the argmax of the selection metric, ties broken by the
-lowest seed.
+for a float) raises NonFiniteMetric naming the run and the path, in
+``best_model`` as in ``aggregate``. The selection metric is any path of
+these tables, a dotted class name included; the best run is its argmax,
+ties broken by the lowest seed, and a record without it raises
+MissingMetric.
 
 Records persist as JSON under ``runs/<training_name>/<run_name>.json``
 with the aggregate written next to them as ``aggregate.json``. A record
@@ -72,17 +74,6 @@ class AggregateResult(NamedTuple):
         }
 
 
-def lookup_metric(tree: Mapping, path: str) -> float | None:
-    node = tree
-    for part in path.split("."):
-        if not isinstance(node, Mapping) or part not in node:
-            return None
-        node = node[part]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        return None
-    return float(node)
-
-
 def _metric_table(record: RunRecord) -> dict[str, float]:
     """Every numeric leaf of the record's report tree by dotted path, in
     one walk; a leaf that is not a finite float raises NonFiniteMetric."""
@@ -105,17 +96,23 @@ def _metric_table(record: RunRecord) -> dict[str, float]:
     return table
 
 
-def _check_records(records: Sequence[RunRecord], selection_metric: str):
+def _best_run(
+    records: Sequence[RunRecord], tables: Sequence[Mapping[str, float]], selection_metric: str
+) -> RunRecord:
+    """Check the records, then pick the one whose metric table holds the
+    highest selection metric; ties go to the lowest seed."""
     if not records:
         raise EmptyRunSet("at least one run record is required")
     names = [r.run_name for r in records]
     if len(set(names)) != len(names):
         raise DuplicateRunName(f"run names must be unique, got {names}")
-    for record in records:
-        if lookup_metric(record.reports, selection_metric) is None:
+    for record, table in zip(records, tables):
+        if selection_metric not in table:
             raise MissingMetric(
                 f"run {record.run_name!r} has no metric {selection_metric!r}"
             )
+    pairs = zip(records, tables)
+    return max(pairs, key=lambda pair: (pair[1][selection_metric], -pair[0].seed))[0]
 
 
 def best_model(
@@ -124,11 +121,7 @@ def best_model(
 ) -> RunRecord:
     """The record with the highest selection metric; ties go to the
     lowest seed."""
-    _check_records(records, selection_metric)
-    return max(
-        records,
-        key=lambda r: (lookup_metric(r.reports, selection_metric), -r.seed),
-    )
+    return _best_run(records, [_metric_table(r) for r in records], selection_metric)
 
 
 def aggregate(
@@ -140,7 +133,7 @@ def aggregate(
     import statistics  # only this command needs it, so it stays out of start-up
 
     tables = [_metric_table(record) for record in records]
-    _check_records(records, selection_metric)
+    best = _best_run(records, tables, selection_metric)
     shared = set(tables[0]).intersection(*tables[1:])
     metrics = {}
     for path in sorted(shared):
@@ -154,7 +147,6 @@ def aggregate(
             n=len(values),
             per_run=tuple(values),
         )
-    best = best_model(records, selection_metric)
     return AggregateResult(metrics, best.run_name, selection_metric)
 
 

@@ -133,17 +133,12 @@ def chunk_prefixes(length: int, scheme: AnnotationScheme) -> list[str]:
     return ["B"] + ["I"] * (length - 2) + ["L"]
 
 
-def labels_for_chunk(cls: str, length: int, scheme: AnnotationScheme) -> list[Label]:
-    """The label run encoding one chunk of the given length."""
-    return [Label(prefix, cls) for prefix in chunk_prefixes(length, scheme)]
-
-
 def encode_chunks(chunks: Iterable[Chunk], length: int, scheme: AnnotationScheme) -> LabelSequence:
     """Emit the label sequence for a set of non-overlapping chunks."""
     labels: list[Label] = [OUTSIDE] * length
     for chunk in chunks:
-        run = labels_for_chunk(chunk.class_name, chunk.word_end - chunk.word_start, scheme)
-        labels[chunk.word_start : chunk.word_end] = run
+        prefixes = chunk_prefixes(chunk.word_end - chunk.word_start, scheme)
+        labels[chunk.word_start : chunk.word_end] = [Label(p, chunk.class_name) for p in prefixes]
     return LabelSequence(tuple(labels), scheme)
 
 

@@ -85,6 +85,15 @@ class TestDatasetSetup:
                 support = per_class.get(cls, {}).get("entity", {}).get("support", 0)
                 assert counted.get(cls, 0) == support, (split, cls)
 
+    def test_bad_split_ratio_is_a_usage_error(self, tmp_path, capsys):
+        code, _, err = run(
+            ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
+             "--name", "x", "--path", str(tmp_path / "any.conll"), "--split-ratio", "a,b"],
+            capsys,
+        )
+        assert (code, err) == (2, "bad --split-ratio: 'a,b'\n")
+        assert not (tmp_path / "x").exists()
+
     def test_missing_path_is_a_data_error(self, tmp_path, capsys):
         code, _, err = run(
             ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
@@ -152,6 +161,18 @@ class TestConvert:
         record = document_to_record(doc)
         record["labels"] = ["B-PER", "L-PER", "O", "U-PER"]
         assert target.read_text() == json.dumps(record, ensure_ascii=False) + "\n"
+
+    def test_record_without_word_labels_writes_nothing(self, tmp_path, capsys):
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"words": ["a"], "labels": ["B-X"]}\n{"text": "hi"}\n')
+        sink = tmp_path / "out.jsonl"
+        code, _, err = run(
+            ["convert", "--from", "BIO", "--to", "BILOU",
+             "--input", str(source), "--output", str(sink)],
+            capsys,
+        )
+        assert (code, err) == (1, "line 2: document has no word labels to convert\n")
+        assert not sink.exists()
 
     def test_io_target_warns_about_lossiness(self, tmp_path, capsys):
         source = tmp_path / "bio.jsonl"
@@ -242,6 +263,23 @@ class TestEvaluate:
         )
         assert code == 1
 
+    def test_empty_split_evaluates(self, tmp_path, capsys):
+        """Five one-word documents split 0.8/0.1/0.1 leave val empty."""
+        source = tmp_path / "five.conll"
+        source.write_text("".join(f"w{i} B-X\n\n" for i in range(5)))
+        run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
+             "--name", "five", "--path", str(source)], capsys)
+        assert (tmp_path / "five" / "val.jsonl").read_text() == ""
+        code, out, err = run(
+            ["--data-dir", str(tmp_path), "evaluate", "--tagger", "all-o",
+             "--dataset", "five", "--phase", "val"],
+            capsys,
+        )
+        assert code == 0, err
+        assert out.endswith("strict entity micro f1 = 0.0000\n")
+        report = json.loads((tmp_path / "five" / "eval_val.json").read_text())
+        assert report["strict"]["per_class"] == report["lenient"]["per_class"] == {}
+
 
 class TestPredict:
     def test_single_text_lists_entity_fields(self, capsys):
@@ -288,6 +326,12 @@ class TestPredict:
             capsys,
         )
         assert code == 2
+
+    def test_file_mode_needs_output(self, tmp_path, capsys):
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"text": "x"}\n')
+        code, out, err = run(["predict", "--tagger", "all-o", "--input", str(source)], capsys)
+        assert (code, out, err) == (2, "", "file mode needs --output\n")
 
     def test_bad_tagger_uri_fails_cleanly(self, capsys):
         code, _, err = run(
@@ -336,6 +380,12 @@ class TestScheduleSimulate:
         )
         assert code == 2
         assert "bad schedule config" in err
+
+    def test_config_not_an_object_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run(["schedule", "simulate", "--config", str(cfg)], capsys)
+        assert (code, err) == (2, "bad schedule config: schedule config must be a JSON object\n")
 
     @pytest.mark.parametrize(
         "config, losses, message",
@@ -388,21 +438,54 @@ class TestAggregateCommand:
         assert payload["metrics"]["strict.micro.entity.f1"]["mean"] == pytest.approx(0.85)
 
     def test_dotted_class_name(self, tmp_path, capsys):
-        """A class name may hold a dot; its metric paths still aggregate."""
+        """A class name may hold a dot; its metric paths still aggregate,
+        and select the best run."""
         run_dir = tmp_path / "runs"
         run_dir.mkdir()
-        for seed, f1 in enumerate((0.5, 0.7)):
+        for seed, (f1, org_f1) in enumerate([(0.5, 0.6), (0.7, 0.2)]):
             (run_dir / f"r{seed}.json").write_text(json.dumps({
                 "run_name": f"r{seed}", "seed": seed,
                 "reports": {"strict": {"micro": {"entity": {"f1": f1}},
-                                       "per_class": {"org.x": {"entity": {"f1": f1}}}}},
+                                       "per_class": {"org.x": {"entity": {"f1": org_f1}}}}},
             }))
         code, out, _ = run(["aggregate", "--runs-dir", str(run_dir)], capsys)
         assert code == 0
         assert "best run: r1" in out
         payload = json.loads((run_dir / "aggregate.json").read_text())
-        dotted = payload["metrics"]["strict.per_class.org.x.entity.f1"]
-        assert dotted["mean"] == pytest.approx(0.6) and dotted["per_run"] == [0.5, 0.7]
+        metric = "strict.per_class.org.x.entity.f1"
+        assert payload["metrics"][metric]["mean"] == pytest.approx(0.4)
+        assert payload["metrics"][metric]["per_run"] == [0.6, 0.2]
+        code, out, err = run(["aggregate", "--runs-dir", str(run_dir),
+                              "--selection-metric", metric], capsys)
+        assert code == 0, err
+        assert out == f"{metric}: 0.4000 +/- 0.2000 (n=2), best run: r0\n"
+
+    def test_every_listed_path_selects(self, tmp_path, capsys):
+        """Each path aggregate.json lists is a valid --selection-metric and
+        picks the run with the highest value there, ties to the lowest seed."""
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        seeds = {"a": 5, "b": 2, "c": 9}
+        values = {"a": (0.5, 0.3, 1, 0.0), "b": (0.5, 0.8, 1, 0.4), "c": (0.4, 0.8, 2, 0.4)}
+        for name, (f1, org, support, per) in values.items():
+            (run_dir / f"{name}.json").write_text(json.dumps({
+                "run_name": name, "seed": seeds[name],
+                "reports": {"strict": {
+                    "micro": {"entity": {"f1": f1, "support": 3}},
+                    "per_class": {"org.x": {"entity": {"f1": org, "support": support}},
+                                  "B-PER": {"word.level": {"f1": per}}},
+                }},
+            }))
+        assert run(["aggregate", "--runs-dir", str(run_dir)], capsys)[0] == 0
+        metrics = json.loads((run_dir / "aggregate.json").read_text())["metrics"]
+        assert len(metrics) == 5
+        names = sorted(values)
+        for path, aggregated in metrics.items():
+            code, out, err = run(["aggregate", "--runs-dir", str(run_dir),
+                                  "--selection-metric", path], capsys)
+            assert code == 0, err
+            expected = max(zip(aggregated["per_run"], names), key=lambda p: (p[0], -seeds[p[1]]))
+            assert out.endswith(f"best run: {expected[1]}\n"), path
 
     def test_missing_run_dir(self, tmp_path, capsys):
         code, _, err = run(

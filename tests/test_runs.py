@@ -194,6 +194,27 @@ class TestBestModel:
             ]
             assert best_model(rescaled, METRIC).run_name == expected
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["nan-first", "nan-second"])
+    def test_non_finite_selection_value(self, order):
+        """A NaN cannot be ordered, so it fails in either record order."""
+        pair = [record("a", 0, math.nan), record("b", 1, 0.5)]
+        with pytest.raises(NonFiniteMetric, match="run 'a': metric 'strict.micro.entity.f1'"):
+            best_model([pair[i] for i in order], METRIC)
+
+    def test_missing_metric(self):
+        with pytest.raises(MissingMetric, match="run 'b' has no metric"):
+            best_model([record("a", 0, 0.5), RunRecord("b", 1, {"strict": {}})], METRIC)
+
+    def test_dotted_class_name_selects(self):
+        """A path whose class name holds a dot names one metric, as in
+        aggregate's table."""
+        records = [
+            record("a", 0, 0.9, {"per_class": {"org.x": {"f1": 0.2}}}),
+            record("b", 1, 0.1, {"per_class": {"org.x": {"f1": 0.7}}}),
+        ]
+        assert best_model(records, "per_class.org.x.f1").run_name == "b"
+        assert aggregate(records, "per_class.org.x.f1").best_run == "b"
+
 
 class TestPersistence:
     def test_save_load_aggregate_round_trip(self, tmp_path):
