@@ -8,7 +8,8 @@ summarizes multi-seed runs.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
 `main` is the one error boundary: a SeqlabError or an OSError from any
-command prints one "error: ..." line and exits 1. `--verbose` prints
+command prints one "error: ..." line and exits 1; a line break in the
+message, which may quote input, is written as "\\n". `--verbose` prints
 "DEBUG ..." lines to stderr, and before that error line the traceback.
 """
 
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from . import ingest, runs, schedule
 from .core import AnnotationScheme
-from .errors import InconsistentSource, SeqlabError
+from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
 from .evaluation import evaluate_on_dataset
 from .inference import load_tagger, predict, predict_file, prediction_record
 from .schemes import convert_scheme
@@ -126,18 +127,18 @@ def cmd_convert(args) -> int:
             file=sys.stderr,
         )
     records = ingest._json_records(ingest.read_text(args.input))
-    documents = ingest._canonical_documents(records, source)
-    problems = []
+    documents = ingest._canonical_documents(records, source)[0]
+    problems = []  # (line, what went wrong)
     converted = []
     for (lineno, _), doc in zip(records, documents):
         if doc.word_labels is None:
-            problems.append(f"line {lineno}: document has no word labels to convert")
+            problems.append((lineno, "document has no word labels to convert"))
             continue
         try:
             labels = convert_scheme(doc.word_labels, target)
         except InconsistentSource as err:
             problems.extend(
-                f"line {lineno}: {violation.kind.value} at position {violation.position}"
+                (lineno, f"{violation.kind.value} at position {violation.position}")
                 for violation in err.violations
             )
             continue
@@ -145,9 +146,12 @@ def cmd_convert(args) -> int:
         # checked as the document was read are not checked again
         converted.append(doc._replace(word_labels=labels))
     if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return 1
+        if args.verbose:
+            for lineno, problem in problems:
+                print(f"DEBUG line {lineno}: {problem}", file=sys.stderr)
+        lineno, problem = problems[0]
+        more = f" (and {len(problems) - 1} more; --verbose lists all)" if len(problems) > 1 else ""
+        raise UnconvertibleInput(problem + more, line=lineno)
     ingest.save_canonical_jsonl(converted, args.output)
     print(f"converted {len(converted)} documents {source.value} -> {target.value}")
     return 0
@@ -229,7 +233,7 @@ def cmd_schedule_simulate(args) -> int:
         else:
             cfg = schedule.ScheduleConfig(**config_data)
     except (OSError, ValueError, TypeError, SeqlabError) as err:
-        print(f"bad schedule config: {err}", file=sys.stderr)
+        print(f"bad schedule config: {_one_line(err)}", file=sys.stderr)
         return 2
     import csv  # only this command writes CSV, so it stays out of start-up
 
@@ -260,6 +264,11 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
+def _one_line(err: Exception) -> str:
+    """The message, which may quote input, with each line break written as \\n."""
+    return "\\n".join(str(err).splitlines())
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -274,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             print(f"DEBUG failing command: {args.command}", file=sys.stderr)
             traceback.print_exc()
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_one_line(err)}", file=sys.stderr)
         return 1
 
 

@@ -79,6 +79,10 @@ class AllOutside(SeqlabError):
     """Only outside labels present; the annotation scheme is undecidable."""
 
 
+class UnconvertibleInput(PositionedError):
+    """A record `convert` cannot translate: no word labels, or a violation."""
+
+
 class InconsistentSource(SeqlabError):
     """Sequence violates its scheme's transition rules and cannot be converted."""
 
@@ -148,6 +152,10 @@ class MissingMetric(SeqlabError):
 
 class NonFiniteMetric(SeqlabError):
     """A run record holds a metric that is not a finite number."""
+
+
+class DuplicateMetricPath(SeqlabError):
+    """Two leaves of one report tree, as "a.b" -> "c" and "a" -> "b.c", share a path."""
 
 
 class DuplicateRunName(SeqlabError, ValueError):

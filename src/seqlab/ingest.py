@@ -13,17 +13,17 @@ plus an `analysis.json` with corpus statistics. Splitting of unsplit
 sources is a deterministic seeded shuffle with floor/floor/remainder
 sizing, so the same input and seed always produce the same splits.
 
-Column-format (CoNLL-style) input has no recoverable raw text, so word
-offsets are synthesized by joining surfaces with single spaces.
-
 Outside input enters through `read_text` (a file's UTF-8 text) and
 `load_json` (every JSON text the package reads); both raise typed errors
-naming the line. Readers take text as one string. The JSONL readers
-share one scan, whose records `parse_file` also uses to tell a Doccano
-export from canonical records. Labeled readers parse every label first,
-naming its line, through one `LabelTable` under the given scheme, else
-under BILOU, which admits every prefix; then they read the scheme off
-the table's labels.
+naming the line. Readers take text as one string and turn every source
+into canonical records, each paired with its line: a CoNLL sentence
+becomes a "words" + "labels" record, a Doccano line or a LabelStudio
+task a "text" + "entities" record. One function, `_canonical_documents`,
+checks the records and builds every `Document`. It parses every label
+first, naming its line, through one `LabelTable` under the given scheme,
+else under BILOU, which admits every prefix, and reads the scheme off the
+table's labels before it builds any document. `set_up` passes it the
+records of all its files at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import math
 import random
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -157,29 +157,50 @@ def load_json(text: str, *, line: int | None = 1) -> object:
 
 
 def _parse_labels(
-    raws: Sequence[str], lines: Sequence[int], table: LabelTable
+    raws: Sequence[str], line: int | tuple[int, ...], table: LabelTable
 ) -> tuple[Label, ...]:
-    """Labels through the reader's table; an error names the label's line."""
-    labels = []
+    """Labels through the reader's table; an error names the label's line,
+    which is ``line``, or its entry for that label where ``line`` holds
+    one line per label."""
     try:
-        for raw in raws:
-            labels.append(table[raw])
-    except PrefixNotInScheme:
-        raise PrefixNotInScheme(raw, table.scheme.value, line=lines[len(labels)]) from None
-    except MalformedLabel as err:
-        raise MalformedLabel(str(err), line=lines[len(labels)]) from None
-    return tuple(labels)
+        return tuple([table[raw] for raw in raws])
+    except (PrefixNotInScheme, MalformedLabel) as err:
+        # the first label not in the table is the one that failed: it is never stored
+        index = next(i for i, raw in enumerate(raws) if raw not in table)
+        line = line[index] if type(line) is tuple else line
+        if isinstance(err, PrefixNotInScheme):
+            raise PrefixNotInScheme(raws[index], table.scheme.value, line=line) from None
+        raise MalformedLabel(str(err), line=line) from None
 
 
 def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
-    words = []
-    pos = 0
-    for i, surface in enumerate(surfaces):
-        if i:
-            pos += 1
+    words, pos = [], 0
+    for surface in surfaces:
         words.append(Word(surface, pos, pos + len(surface)))
-        pos += len(surface)
+        pos += len(surface) + 1
     return " ".join(surfaces), tuple(words)
+
+
+def _conll_records(source: str) -> list[tuple[tuple[int, ...], dict]]:
+    """One pretokenized record per sentence of whitespace-column text,
+    paired with the line of each of its words."""
+    records, rows = [], []
+    for lineno, line in enumerate([*source.splitlines(), ""], 1):
+        columns = line.split()
+        if not columns and rows:
+            surfaces, labels, lines = zip(*rows)
+            records.append((lines, {"words": list(surfaces), "labels": list(labels)}))
+            rows = []
+        elif columns and columns[0] != "-DOCSTART-":
+            if len(columns) < 2:
+                raise RaggedRow(
+                    f"expected at least 2 whitespace-separated columns, got {len(columns)}",
+                    line=lineno,
+                )
+            rows.append((columns[0], columns[-1], lineno))
+    if not records:
+        raise EmptyInput("no sentences found in column input")
+    return records
 
 
 def parse_conll(
@@ -191,38 +212,7 @@ def parse_conll(
     Word offsets are synthetic (single-space joined). Entities are left
     unset; they are derivable from the labels when needed.
     """
-    sentences: list[list[tuple[str, str, int]]] = []
-    current: list[tuple[str, str, int]] = []
-    for lineno, line in enumerate(source.splitlines(), 1):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        columns = line.split()
-        if columns[0] == "-DOCSTART-":
-            continue
-        if len(columns) < 2:
-            raise RaggedRow(
-                f"expected at least 2 whitespace-separated columns, got {len(columns)}",
-                line=lineno,
-            )
-        current.append((columns[0], columns[-1], lineno))
-    if current:
-        sentences.append(current)
-    if not sentences:
-        raise EmptyInput("no sentences found in column input")
-
-    table = LabelTable(AnnotationScheme.coerce(scheme or AnnotationScheme.BILOU))
-    columns = [tuple(zip(*sentence)) for sentence in sentences]
-    parsed = [_parse_labels(raws, lines, table) for _, raws, lines in columns]
-    resolved = resolve_scheme(table.values(), scheme)
-    documents = []
-    for (surfaces, _, _), labels in zip(columns, parsed):
-        text, words = _synthetic_words(surfaces)
-        word_labels = LabelSequence(labels, resolved)
-        documents.append(Document(text, words=words, word_labels=word_labels))
-    return documents
+    return _canonical_documents(_conll_records(source), scheme)[0]
 
 
 def write_conll(documents: Iterable[Document], dest: IO[str]) -> None:
@@ -297,16 +287,11 @@ def _words_from_record(record: dict, lineno: int) -> tuple[str, tuple[Word, ...]
     return text, words
 
 
-def _entities_from_record(
-    text: str, raw_entities: list, lineno: int, *, triples: bool = False
-) -> tuple[EntitySpan, ...]:
+def _entities_from_record(text: str, raw_entities: list, lineno: int) -> tuple[EntitySpan, ...]:
     spans = []
     for item in raw_entities:
         try:
-            if triples:
-                start, end, label = item
-            else:
-                start, end, label = item["start"], item["end"], item["label"]
+            start, end, label = item["start"], item["end"], item["label"]
         except (KeyError, TypeError, ValueError) as err:
             raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
         if type(start) is not int or type(end) is not int:
@@ -339,9 +324,7 @@ def _entities_from_record(
                 f"span starting at {start} overlaps the previous one", line=lineno
             )
         previous_end = end
-    return tuple(
-        EntitySpan(label, start, end, text[start:end]) for start, end, label in spans
-    )
+    return tuple([EntitySpan(label, start, end, text[start:end]) for start, end, label in spans])
 
 
 def _has_labels(
@@ -364,9 +347,7 @@ def _document_from_record(
     lineno: int, record: dict, labels: tuple[Label, ...] | None, scheme: AnnotationScheme
 ) -> Document:
     """One record's document; ``labels`` are its parsed string "labels"."""
-    words = None
-    word_labels = None
-    entities = None
+    words = word_labels = entities = None
     text = record.get("text")
 
     if record.get("words") is not None:
@@ -399,16 +380,18 @@ def _record_labels(
     for lineno, record in records:
         raws = record.get("labels")
         strings = isinstance(raws, list) and all(isinstance(raw, str) for raw in raws)
-        parsed.append(_parse_labels(raws, [lineno] * len(raws), table) if strings else None)
+        parsed.append(_parse_labels(raws, lineno, table) if strings else None)
     return parsed, resolve_scheme(table.values(), scheme)
 
 
 def _canonical_documents(
-    records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
-) -> list[Document]:
-    """Documents from scanned records, all labels parsed before any document."""
-    parsed, resolved = _record_labels(records, scheme)
-    return [_document_from_record(*rec, labels, resolved) for rec, labels in zip(records, parsed)]
+    records: list[tuple[int | tuple[int, ...], dict]], scheme: AnnotationScheme | str | None
+) -> tuple[list[Document], AnnotationScheme]:
+    """Documents from canonical records, and the scheme read off all their labels, which
+    are parsed before any document is built. Every reader ends here. A CoNLL sentence is
+    paired with the line of each word, so that a bad label names its own line."""
+    parsed, scheme = _record_labels(records, scheme)
+    return [_document_from_record(*r, p, scheme) for r, p in zip(records, parsed)], scheme
 
 
 def _word_label_pairs(
@@ -438,7 +421,7 @@ def read_canonical_jsonl(
     source: str, *, scheme: AnnotationScheme | str | None = None
 ) -> list[Document]:
     """Read the canonical JSONL format (word-level, entity-level, or both)."""
-    return _canonical_documents(_json_records(source), scheme)
+    return _canonical_documents(_json_records(source), scheme)[0]
 
 
 def parse_pretokenized_jsonl(
@@ -450,33 +433,33 @@ def parse_pretokenized_jsonl(
     records = _json_records(source)
     for lineno, record in records:
         if record.get("words") is None or record.get("labels") is None:
-            raise MalformedJson(
-                'pretokenized records need "words" and "labels"', line=lineno
-            )
-    return _canonical_documents(records, scheme)
+            raise MalformedJson('pretokenized records need "words" and "labels"', line=lineno)
+    return _canonical_documents(records, scheme)[0]
 
 
-def _doccano_documents(records: list[tuple[int, dict]]) -> list[Document]:
-    documents = []
+def _doccano_records(records: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+    """Doccano lines as canonical records: "label" triples become "entities"."""
+    canonical = []
     for lineno, record in records:
-        text = record.get("text")
-        if not isinstance(text, str):
-            raise MalformedJson('record needs a "text" string', line=lineno)
         raw = record.get("label", [])
         if not isinstance(raw, list):
             raise MalformedJson('"label" must be an array of triples', line=lineno)
-        entities = _entities_from_record(text, raw, lineno, triples=True)
-        documents.append(Document(text, entities=entities))
-    return documents
+        try:
+            entities = [{"start": start, "end": end, "label": label} for start, end, label in raw]
+        except (TypeError, ValueError) as err:
+            raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
+        canonical.append((lineno, {"text": record.get("text"), "entities": entities}))
+    return canonical
 
 
-def _parse_labelstudio_json(source: str) -> list[Document]:
+def _labelstudio_records(source: str) -> list[tuple[int, dict]]:
+    """LabelStudio tasks as canonical records, numbered from 1."""
     tasks = load_json(source)
     if not isinstance(tasks, list):
         raise MalformedJson("expected a JSON array of tasks")
     if not tasks:
         raise EmptyInput("no tasks in export")
-    documents = []
+    records = []
     for index, task in enumerate(tasks, 1):
         try:
             text = task["data"]["text"]
@@ -485,35 +468,33 @@ def _parse_labelstudio_json(source: str) -> list[Document]:
         if not isinstance(text, str):
             raise MalformedJson("data.text must be a string", line=index)
         annotations = task.get("annotations") or []
-        if not isinstance(annotations, list) or not all(
-            isinstance(a, dict) for a in annotations
-        ):
+        if not isinstance(annotations, list) or not all(isinstance(a, dict) for a in annotations):
             raise MalformedJson("annotations must be an array of objects", line=index)
         results = annotations[0].get("result", []) if annotations else []
         if not isinstance(results, list):
             raise MalformedJson("annotation result must be an array", line=index)
-        raw = []
+        entities = []
         for item in results:
             if not isinstance(item, dict) or item.get("type") != "labels":
                 continue
             value = item.get("value", {})
             try:
-                raw.append(
+                entities.append(
                     {"start": value["start"], "end": value["end"], "label": value["labels"][0]}
                 )
             except (KeyError, IndexError, TypeError):
                 raise MalformedJson("bad labels result in task", line=index) from None
-        entities = _entities_from_record(text, raw, index)
-        documents.append(Document(text, entities=entities))
-    return documents
+        records.append((index, {"text": text, "entities": entities}))
+    return records
 
 
-_AT_DIALECTS = {
-    "labelstudiojson": "labelstudio",
-    "labelstudio": "labelstudio",
-    "doccanojsonl": "doccano",
-    "doccano": "doccano",
-}
+def _export_records(source: str, dialect: str) -> list[tuple[int, dict]]:
+    key = str(dialect).replace("_", "").replace("-", "").lower()
+    if key in ("labelstudio", "labelstudiojson"):
+        return _labelstudio_records(source)
+    if key in ("doccano", "doccanojsonl"):
+        return _doccano_records(_json_records(source))
+    raise ValueError(f"unknown annotation tool dialect: {dialect!r}")
 
 
 def parse_annotation_tool_export(source: str, dialect: str) -> list[Document]:
@@ -524,12 +505,7 @@ def parse_annotation_tool_export(source: str, dialect: str) -> list[Document]:
     "DoccanoJsonl" (one object per line with "text" and
     "label": [[start, end, class], ...]). Ends are exclusive.
     """
-    key = _AT_DIALECTS.get(str(dialect).replace("_", "").replace("-", "").lower())
-    if key == "labelstudio":
-        return _parse_labelstudio_json(source)
-    if key == "doccano":
-        return _doccano_documents(_json_records(source))
-    raise ValueError(f"unknown annotation tool dialect: {dialect!r}")
+    return _canonical_documents(_export_records(source, dialect), None)[0]
 
 
 def document_to_record(doc: Document) -> dict:
@@ -635,36 +611,42 @@ def analyze(
     )
 
 
-def parse_file(
-    path: str | Path,
-    *,
-    dialect: str | None = None,
-    scheme: AnnotationScheme | str | None = None,
-) -> list[Document]:
-    """Parse one dataset file, dispatching on extension (and content
-    sniffing for .jsonl, which may be pretokenized, canonical, or a
-    Doccano export)."""
+def _file_records(path: str | Path, dialect: str | None) -> list[tuple[int | tuple, dict]]:
+    """One dataset file's canonical records, dispatching on extension (and
+    content sniffing for .jsonl, which may be pretokenized, canonical, or
+    a Doccano export)."""
     path = Path(path)
     if not path.is_file():
         raise UnresolvableSource(f"not a readable file: {path}")
     data = read_text(path)
     suffix = path.suffix.lower()
     if dialect is not None:
-        return parse_annotation_tool_export(data, dialect)
+        return _export_records(data, dialect)
     if suffix in (".conll", ".txt"):
-        return parse_conll(data, scheme=scheme)
+        return _conll_records(data)
     if suffix == ".json":
-        return parse_annotation_tool_export(data, "LabelStudioJson")
+        return _labelstudio_records(data)
     if suffix == ".jsonl":
         records = _json_records(data)
         first = records[0][1]
         if "label" in first and "labels" not in first and "words" not in first:
-            return _doccano_documents(records)
-        return _canonical_documents(records, scheme)
+            return _doccano_records(records)
+        return records
     raise UnresolvableSource(f"cannot infer a format from extension {suffix!r}")
 
 
-def _builtin_documents(name: str) -> dict[str, list[Document]]:
+def parse_file(
+    path: str | Path,
+    *,
+    dialect: str | None = None,
+    scheme: AnnotationScheme | str | None = None,
+) -> list[Document]:
+    """Parse one dataset file, of any format `set_up` reads."""
+    return _canonical_documents(_file_records(path, dialect), scheme)[0]
+
+
+def _builtin_records(name: str) -> list[list[tuple[int, dict]]]:
+    """The canonical records of a bundled corpus, one list per split."""
     from importlib import resources  # only built-in sources need it, so it stays out of start-up
 
     if name not in BUILTIN_DATASETS:
@@ -672,11 +654,10 @@ def _builtin_documents(name: str) -> dict[str, list[Document]]:
             f"unknown built-in dataset {name!r}; available: {sorted(BUILTIN_DATASETS)}"
         )
     base = resources.files("seqlab").joinpath("data", BUILTIN_DATASETS[name])
-    out = {}
-    for split_name in SPLIT_NAMES:
-        data = base.joinpath(f"{split_name}.jsonl").read_text(encoding="utf-8")
-        out[split_name] = read_canonical_jsonl(data)
-    return out
+    return [
+        _json_records(base.joinpath(f"{split_name}.jsonl").read_text(encoding="utf-8"))
+        for split_name in SPLIT_NAMES
+    ]
 
 
 def set_up(
@@ -699,40 +680,37 @@ def set_up(
     """Normalize a dataset from any source into canonical files.
 
     Pre-split sources (three paths, or a built-in) pass through; unsplit
-    sources are shuffled with the seed and split by ratio. All files are
-    read in one scheme: ``scheme`` if given, else the one read off every
-    label they hold. Optional per-split fractions prune after splitting.
-    Canonical {train,val,test}.jsonl and analysis.json are written under
+    sources are shuffled with the seed and split by ratio. The labels of
+    all files are parsed before any document is built, and each document
+    is built once, in ``scheme`` if given, else the one read off all the
+    labels. Optional per-split fractions prune after splitting. Canonical
+    {train,val,test}.jsonl and analysis.json are written under
     data_dir/name and the splits plus analysis are returned.
     """
     kind = SourceKind.coerce(source)
-    used_seed: int | None = None
-
     if kind is SourceKind.BUILT_IN:
-        per_split = _builtin_documents(name)
-        splits = tuple(DatasetSplit(s, tuple(per_split[s])) for s in SPLIT_NAMES)
+        files = _builtin_records(name)
     elif train_path or val_path or test_path:
         if not (train_path and val_path and test_path):
             raise UnresolvableSource("pre-split input needs all three split paths")
-        splits = tuple(
-            DatasetSplit(s, tuple(parse_file(p, dialect=dialect, scheme=scheme)))
-            for s, p in zip(SPLIT_NAMES, (train_path, val_path, test_path))
-        )
+        files = [_file_records(p, dialect) for p in (train_path, val_path, test_path)]
     else:
         if path is None:
             raise UnresolvableSource(f"source {kind.value} needs a file path")
-        documents = parse_file(path, dialect=dialect, scheme=scheme)
-        splits = split_documents(documents, split_ratio, seed)
-        used_seed = seed
+        files = [_file_records(path, dialect)]
 
-    sequences = (d.word_labels for s in splits for d in s.documents if d.word_labels)
-    scheme = resolve_scheme(chain.from_iterable(sequences), scheme)
-    splits = tuple(_in_scheme(split, scheme) for split in splits)
+    documents, scheme = _canonical_documents(list(chain.from_iterable(files)), scheme)
 
-    pruned = []
-    for split, fraction in zip(splits, (train_fraction, val_fraction, test_fraction)):
-        pruned.append(prune(split, fraction) if fraction is not None else split)
-    splits = tuple(pruned)
+    if len(files) == 1:
+        splits, used_seed = split_documents(documents, split_ratio, seed), seed
+    else:
+        remaining = iter(documents)
+        splits = [DatasetSplit(s, islice(remaining, len(f))) for s, f in zip(SPLIT_NAMES, files)]
+        used_seed = None
+    splits = tuple(
+        split if fraction is None else prune(split, fraction)
+        for split, fraction in zip(splits, (train_fraction, val_fraction, test_fraction))
+    )
 
     analysis = analyze(splits, scheme=scheme, seed=used_seed)
 
@@ -744,18 +722,6 @@ def set_up(
         json.dump(analysis.as_dict(), handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     return splits, analysis
-
-
-def _in_scheme(split: DatasetSplit, scheme: AnnotationScheme) -> DatasetSplit:
-    """The split with its word labels in ``scheme``. A file read without
-    a given scheme may have read off another, but ``scheme`` was read off
-    the labels of every file, so it admits each of them."""
-    return DatasetSplit(split.name, tuple(
-        doc if doc.word_labels is None or doc.word_labels.scheme is scheme
-        else Document(doc.text, doc.words, LabelSequence(doc.word_labels.labels, scheme),
-                      doc.entities)
-        for doc in split.documents
-    ))
 
 
 def resolve_data_dir(data_dir: str | Path | None = None) -> Path:

@@ -11,16 +11,19 @@ mean (sample standard deviation over sqrt(n)); it is 0 where every run
 holds the same value, a single run included. A metric that is not a
 finite number (JSON ``NaN`` or ``Infinity``, or an integer too large
 for a float) raises NonFiniteMetric naming the run and the path, in
-``best_model`` as in ``aggregate``. The selection metric is any path of
-these tables, a dotted class name included; the best run is its argmax,
-ties broken by the lowest seed, and a record without it raises
-MissingMetric.
+``best_model`` as in ``aggregate``; two leaves whose keys join to one
+path (the confusion cells ``a.b`` -> ``c`` and ``a`` -> ``b.c``) raise
+DuplicateMetricPath naming the run and both key chains. The selection
+metric is any path of these tables, a dotted class name included; the
+best run is its argmax, ties broken by the lowest seed, and a record
+without it raises MissingMetric.
 
 Records persist as JSON under ``runs/<training_name>/<run_name>.json``
 with the aggregate written next to them as ``aggregate.json``. A record
-file that is not JSON (too deeply nested included) or lacks
-``run_name``, ``seed`` or ``reports`` raises MalformedJson naming the
-file; two records with one run name raise DuplicateRunName.
+file that is not JSON (too deeply nested included), lacks ``run_name``,
+``seed`` or ``reports``, or names its run with anything but a string
+raises MalformedJson naming the file; two records with one run name
+raise DuplicateRunName.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric, NonFiniteMetric
+from .errors import (
+    DuplicateMetricPath, DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric, NonFiniteMetric
+)
 from .ingest import load_json, read_text
 
 #: strict entity micro F1; prepend a phase segment ("val." etc.) when
@@ -76,16 +81,25 @@ class AggregateResult(NamedTuple):
 
 def _metric_table(record: RunRecord) -> dict[str, float]:
     """Every numeric leaf of the record's report tree by dotted path, in
-    one walk; a leaf that is not a finite float raises NonFiniteMetric."""
+    one walk; a leaf that is not a finite float raises NonFiniteMetric,
+    and two leaves with one path raise DuplicateMetricPath."""
     table = {}
-    stack = [("", record.reports)] if isinstance(record.reports, Mapping) else []
+    chains = {}  # path -> (keys above the leaf, the leaf's key)
+    stack = [("", (), record.reports)] if isinstance(record.reports, Mapping) else []
     while stack:
-        prefix, tree = stack.pop()
+        prefix, keys, tree = stack.pop()
         for key, value in tree.items():
             path = f"{prefix}{key}"
             if isinstance(value, Mapping):
-                stack.append((path + ".", value))
+                stack.append((path + ".", (*keys, key), value))
             elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                if path in chains:
+                    above, last = chains[path]
+                    raise DuplicateMetricPath(
+                        f"run {record.run_name!r}: report keys {[*above, last]} and "
+                        f"{[*keys, key]} both have the metric path {path!r}"
+                    )
+                chains[path] = keys, key
                 try:
                     number = float(value)
                 except OverflowError:
@@ -169,6 +183,8 @@ def save_run(record: RunRecord, directory: str | Path) -> Path:
 def load_run(path: str | Path) -> RunRecord:
     try:
         data = load_json(read_text(path))
+        if not isinstance(data["run_name"], str):
+            raise TypeError(f"run_name {data['run_name']!r:.40} is not a string")
         return RunRecord(
             run_name=data["run_name"],
             seed=int(data["seed"]),

@@ -140,7 +140,7 @@ class TestConvert:
                 capsys,
             )
             assert code == 1
-            assert err == f"line {line}: dangling_inside at position 1\n"
+            assert err == f"error: line {line}: dangling_inside at position 1\n"
 
     def test_output_is_the_input_with_converted_labels(self, tmp_path, capsys):
         """Text, words and entities are written as read; only labels change."""
@@ -171,7 +171,26 @@ class TestConvert:
              "--input", str(source), "--output", str(sink)],
             capsys,
         )
-        assert (code, err) == (1, "line 2: document has no word labels to convert\n")
+        assert (code, err) == (1, "error: line 2: document has no word labels to convert\n")
+        assert not sink.exists()
+
+    def test_several_problems_print_one_error_line(self, tmp_path, capsys):
+        """The first problem names its line and counts the rest; --verbose
+        lists every problem as a DEBUG line before it."""
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"words": ["a", "b"], "labels": ["O", "I-X"]}\n{"text": "hi"}\n'
+                          '{"words": ["a"], "labels": ["I-X"]}\n')
+        sink = tmp_path / "out.jsonl"
+        argv = ["convert", "--from", "BIO", "--to", "BILOU", "--input", str(source),
+                "--output", str(sink)]
+        first = "line 1: dangling_inside at position 1 (and 2 more; --verbose lists all)"
+        assert run(argv, capsys)[::2] == (1, f"error: {first}\n")
+        code, _, err = run(["--verbose", *argv], capsys)
+        lines = err.splitlines()
+        assert code == 1 and lines[-1] == f"error: {first}"
+        assert lines[:3] == ["DEBUG line 1: dangling_inside at position 1",
+                             "DEBUG line 2: document has no word labels to convert",
+                             "DEBUG line 3: dangling_inside at position 0"]
         assert not sink.exists()
 
     def test_io_target_warns_about_lossiness(self, tmp_path, capsys):
@@ -537,6 +556,13 @@ def run_without_name(tmp_path):
     return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
 
 
+def run_name_not_a_string(tmp_path):
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "a.json").write_text(json.dumps(
+        {"run_name": [], "seed": 0, "reports": {"strict": {"micro": {"entity": {"f1": 1.0}}}}}))
+    return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
+
+
 def empty_entity_label(tmp_path):
     (tmp_path / "at.jsonl").write_text('{"text":"ab","label":[[0,1,""]]}\n')
     return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "AT",
@@ -618,6 +644,16 @@ def write_run_records(tmp_path, *precisions):
     return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
 
 
+def colliding_metric_paths(tmp_path):
+    """The confusion cells a.b -> c and a -> b.c have one dotted path."""
+    (tmp_path / "runs").mkdir()
+    reports = {"strict": {"micro": {"entity": {"f1": 1.0}},
+                          "confusion": {"a.b": {"c": 1}, "a": {"b.c": 5}}}}
+    (tmp_path / "runs" / "a.json").write_text(json.dumps(
+        {"run_name": "a", "seed": 0, "reports": reports}))
+    return ["aggregate", "--runs-dir", str(tmp_path / "runs")]
+
+
 def non_finite_metric(tmp_path):
     return write_run_records(tmp_path, "1.0", "NaN", "Infinity")
 
@@ -631,11 +667,11 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize(
         "case",
-        [bad_lexicon, missing_input, non_utf8, run_without_name, empty_entity_label,
-         nested_jsonl, nested_labelstudio, long_integer_jsonl, nested_run_record,
-         nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
+        [bad_lexicon, missing_input, non_utf8, run_without_name, run_name_not_a_string,
+         empty_entity_label, nested_jsonl, nested_labelstudio, long_integer_jsonl,
+         nested_run_record, nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
          non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets,
-         non_finite_metric, metric_too_large_for_a_float],
+         non_finite_metric, metric_too_large_for_a_float, colliding_metric_paths],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
         argv = case(tmp_path)
@@ -643,6 +679,16 @@ class TestErrorBoundary:
         code, _, err = run(argv, capsys)
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_line_breaks_in_a_message_stay_on_one_line(self, tmp_path, capsys):
+        """A message may quote input; its line breaks are written as \\n."""
+        code, _, err = run(set_up_file(tmp_path, "a.conll", "x O\n")[:-1] + [
+            str(tmp_path / "a\nb.conll")], capsys)
+        assert code == 1 and err.count("\n") == 1 and "a\\nb.conll" in err
+        config = tmp_path / "schedule.json"
+        config.write_text('{"max\\rlr": 0.1, "val_losses": [1.0]}')
+        code, _, err = run(["schedule", "simulate", "--config", str(config)], capsys)
+        assert code == 2 and err.count("\n") == 1 and "max\\nlr" in err
 
     def test_non_utf8_error_names_the_line(self, tmp_path, capsys):
         """Set-up errors name their line, the scheme detected or not."""
@@ -706,7 +752,8 @@ def test_start_up_loads_no_module_only_some_commands_use():
     """Every command pays for what `import seqlab.cli` loads. dataclasses
     (with inspect, ast and dis) and logging (with traceback and tokenize)
     are not used at all; statistics and csv are imported by the one
-    command that uses each."""
+    command that uses each. `-S` keeps site-packages out, so the import
+    also needs nothing beyond the standard library."""
     src = Path(__file__).parents[1] / "src"
     unused = "{'dataclasses', 'statistics', 'csv', 'logging'}"
     probe = f"import sys, seqlab.cli; print(sorted({unused} & set(sys.modules)))"

@@ -1,11 +1,16 @@
+import json
 import math
 import random
 import statistics
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab.errors import EmptyRunSet, MissingMetric, NonFiniteMetric
+from seqlab.core import AnnotationScheme
+from seqlab.errors import DuplicateMetricPath, EmptyRunSet, MissingMetric, NonFiniteMetric
+from seqlab.evaluation import evaluate_on_dataset
+from seqlab.ingest import DatasetSplit, parse_conll
 from seqlab.runs import (
     DEFAULT_SELECTION_METRIC,
     RunRecord,
@@ -96,6 +101,21 @@ class TestAggregate:
     def test_default_selection_metric(self):
         result = aggregate([record("a", 0, 0.5)])
         assert result.selection_metric == DEFAULT_SELECTION_METRIC
+
+    def test_colliding_paths_fail_naming_both_key_chains(self):
+        """The confusion cells a.b -> c and a -> b.c join to one path;
+        neither value is silently kept."""
+        confusion = {"confusion": {"a.b": {"c": 1}, "a": {"b.c": 5}}}
+        with pytest.raises(DuplicateMetricPath) as excinfo:
+            aggregate([record("r0", 0, 0.5, {"strict": {"micro": {"entity": {"f1": 0.5}},
+                                                     **confusion}})])
+        message = str(excinfo.value)
+        assert message.startswith("run 'r0': ")
+        assert "['strict', 'confusion', 'a.b', 'c']" in message
+        assert "['strict', 'confusion', 'a', 'b.c']" in message
+        assert "'strict.confusion.a.b.c'" in message
+        with pytest.raises(DuplicateMetricPath):
+            best_model([record("r0", 0, 0.5, {"x": {"a.b": 1, "a": {"b": 2}}})], METRIC)
 
 
 def reference_metrics(records):
@@ -232,3 +252,55 @@ class TestPersistence:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(EmptyRunSet):
             load_runs(tmp_path / "nope")
+
+
+def numeric_leaves(tree, keys=()):
+    """(key chain, value) of every numeric leaf."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from numeric_leaves(value, (*keys, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*keys, key), value
+
+
+class EchoOf:
+    """Predicts the given labels, one list per document in order."""
+
+    scheme = AnnotationScheme.IO
+
+    def __init__(self, predictions):
+        self.predictions = iter(predictions)
+
+    def tag(self, words):
+        return [(label, 1.0) for label in next(self.predictions)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    classes=st.lists(st.sampled_from(["a", "b", "a.a", "a.b", "b.a", "a.", ".a", "a.a.a"]),
+                     min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+def test_every_leaf_of_a_dotted_class_report_is_aggregated_once(classes, data):
+    """Class names with dots: every numeric leaf of the evaluation report
+    appears once in aggregate.json, unless two leaves share a path, and
+    then aggregate raises DuplicateMetricPath."""
+    labels = st.sampled_from(["O", *(f"I-{cls}" for cls in classes)])
+    documents = data.draw(st.lists(st.lists(st.tuples(labels, labels), min_size=1, max_size=5),
+                                   min_size=1, max_size=3))
+    gold = [parse_conll("".join(f"w{i} {g}\n" for i, (g, _) in enumerate(doc)), scheme="IO")[0]
+            for doc in documents]
+    tagger = EchoOf([[p for _, p in doc] for doc in documents])
+    report = evaluate_on_dataset(tagger, DatasetSplit("test", gold), AnnotationScheme.IO).as_dict()
+    leaves = list(numeric_leaves(report))
+    paths = [".".join(chain) for chain, _ in leaves]
+    records = [RunRecord("r0", 0, report), RunRecord("r1", 1, report)]
+    if len(set(paths)) < len(paths):
+        with pytest.raises(DuplicateMetricPath):
+            aggregate(records)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        written = json.loads(save_aggregate(aggregate(records), tmp).read_text(encoding="utf-8"))
+    assert sorted(written["metrics"]) == sorted(paths)
+    for path, (_, value) in zip(paths, leaves):
+        assert written["metrics"][path]["per_run"] == [value, value]

@@ -1,12 +1,20 @@
-"""Any word-labeled dataset that `dataset set-up` accepts also evaluates.
+"""Any dataset that `dataset set-up` accepts also evaluates.
 
-Hypothesis builds CoNLL files and pretokenized JSONL (with or without a
-"text" that puts runs of whitespace between the words), labeled in IO,
-BIO or BILOU with scheme violations left in, with class names that hold
-hyphens and dots, as one unsplit file or as three pre-split files. Each
-dataset is set up, and every non-empty split is evaluated by an `echo:`
-tagger of that split's own canonical file. Word sequences are distinct
-within a split, because the echo tagger keys its labels by them.
+Word-labeled gold: hypothesis builds CoNLL files and pretokenized JSONL
+(with or without a "text" that puts runs of whitespace between the
+words), labeled in IO, BIO or BILOU with scheme violations left in, with
+class names that hold hyphens and dots, as one unsplit file or as three
+pre-split files. Each dataset is set up, and every non-empty split is
+evaluated by an `echo:` tagger of that split's own canonical file. Word
+sequences are distinct within a split, because the echo tagger keys its
+labels by them.
+
+Entity-only gold: hypothesis builds Doccano and LabelStudio exports
+whose spans have punctuation attached, whitespace at their edges or
+inside, or hold whitespace only, as one unsplit export or three
+pre-split ones. Every non-empty split is evaluated through
+`evaluate_on_dataset` by a tagger that echoes the gold entities, in BIO,
+on the words that evaluation cuts at entity boundaries.
 """
 
 import contextlib
@@ -18,12 +26,17 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from seqlab.cli import main
+from seqlab.core import AnnotationScheme
+from seqlab.evaluation import _split_at_entities, evaluate_on_dataset
+from seqlab.inference import split_words
+from seqlab.ingest import load_split
 
 SPLITS = ("train", "val", "test")
 PREFIXES = {"IO": "I", "BIO": "BI", "BILOU": "BILU"}
 WORDS = st.text(alphabet="ab.,-\u00e9\u4e2d", min_size=1, max_size=3)
 CLASSES = st.text(alphabet="Px.-", min_size=1, max_size=3)
 WHITESPACE = " \t\n\u00a0\u3000"
+RATIOS = st.sampled_from(["0.8,0.1,0.1", "0.5,0.25,0.25", "0.6,0,0.4"])
 
 
 def words_of(document):
@@ -63,8 +76,7 @@ def datasets(draw):
     documents = st.lists(st.tuples(WORDS, st.one_of(st.just("O"), entity)), min_size=1, max_size=5)
     if draw(st.booleans()):
         return [draw(files(documents, 4)) for _ in SPLITS], None, None
-    ratio = draw(st.sampled_from(["0.8,0.1,0.1", "0.5,0.25,0.25", "0.6,0,0.4"]))
-    return [draw(files(documents, 10))], ratio, draw(st.integers(0, 99))
+    return [draw(files(documents, 10))], draw(RATIOS), draw(st.integers(0, 99))
 
 
 def quiet_main(argv):
@@ -73,26 +85,38 @@ def quiet_main(argv):
         return main(argv), err.getvalue()
 
 
+def set_up(root, sources, ratio, seed, *options):
+    """Write the files and set them up as dataset "ds": its directory and
+    analysis."""
+    paths = []
+    for name, (suffix, content) in zip(SPLITS, sources):
+        paths.append(root / f"{name}{suffix}")
+        paths[-1].write_text(content, encoding="utf-8")
+    if ratio is None:
+        layout = [arg for split, path in zip(SPLITS, paths) for arg in (f"--{split}-path", str(path))]
+    else:
+        layout = ["--path", str(paths[0]), "--split-ratio", ratio]
+    code, err = quiet_main(["--data-dir", str(root), "--seed", str(seed or 0), "dataset", "set-up",
+                            "--name", "ds", *options, *layout])
+    assert code == 0, err
+    analysis = json.loads((root / "ds" / "analysis.json").read_text(encoding="utf-8"))
+    return root / "ds", analysis
+
+
+def assert_scores_every_entity(strict, counts):
+    """Strict F1 1.0 where set-up counted entities, and per-class support
+    equal to its counts."""
+    if counts:
+        assert strict["micro"]["entity"]["f1"] == 1.0
+    support = {cls: row["entity"]["support"] for cls, row in strict["per_class"].items()}
+    assert {cls: n for cls, n in support.items() if n} == counts
+
+
 @settings(max_examples=100, deadline=None)
 @given(dataset=datasets())
 def test_every_split_set_up_accepts_evaluates(dataset):
-    sources, ratio, seed = dataset
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        paths = []
-        for name, (suffix, content) in zip(SPLITS, sources):
-            paths.append(root / f"{name}{suffix}")
-            paths[-1].write_text(content, encoding="utf-8")
-        if ratio is None:
-            layout = [arg for split, path in zip(SPLITS, paths)
-                      for arg in (f"--{split}-path", str(path))]
-        else:
-            layout = ["--path", str(paths[0]), "--split-ratio", ratio]
-        code, err = quiet_main(["--data-dir", tmp, "--seed", str(seed or 0), "dataset", "set-up",
-                                "--source", "LF", "--name", "ds", *layout])
-        assert code == 0, err
-        dataset_dir = root / "ds"
-        analysis = json.loads((dataset_dir / "analysis.json").read_text(encoding="utf-8"))
+        dataset_dir, analysis = set_up(Path(tmp), *dataset, "--source", "LF")
         for split in SPLITS:
             if not analysis["num_documents"][split]:
                 continue
@@ -101,9 +125,91 @@ def test_every_split_set_up_accepts_evaluates(dataset):
                                     "--phase", split])
             assert code == 0, err
             report = json.loads((dataset_dir / f"eval_{split}.json").read_text(encoding="utf-8"))
-            strict = report["strict"]
-            counts = analysis["entity_counts"][split]
-            if counts:
-                assert strict["micro"]["entity"]["f1"] == 1.0
-            support = {cls: row["entity"]["support"] for cls, row in strict["per_class"].items()}
-            assert {cls: n for cls, n in support.items() if n} == counts
+            assert_scores_every_entity(report["strict"], analysis["entity_counts"][split])
+
+
+FILLER = st.text(alphabet="ab.,()\u00e9 \t\n\u00a0\u3000", max_size=4)
+ENTITY_TEXT = st.text(alphabet="PQ.,()-\u4e2d \u00a0\n", min_size=1, max_size=6)
+
+
+@st.composite
+def entity_documents(draw, classes):
+    """(text, [(start, end, class), ...]): spans in order, maybe adjacent."""
+    text, spans = "", []
+    for filler, entity, cls in draw(st.lists(st.tuples(FILLER, ENTITY_TEXT, classes), max_size=4)):
+        text += filler
+        spans.append((len(text), len(text) + len(entity), cls))
+        text += entity
+    return text + draw(FILLER), spans
+
+
+def export(dialect, documents):
+    """(suffix, content) of one annotation-tool export."""
+    if dialect == "doccano":
+        return ".jsonl", "".join(
+            json.dumps({"text": text, "label": [list(span) for span in spans]}) + "\n"
+            for text, spans in documents
+        )
+    tasks = [
+        {"data": {"text": text}, "annotations": [{"result": [
+            {"type": "labels", "value": {"start": start, "end": end, "labels": [cls]}}
+            for start, end, cls in spans
+        ]}]}
+        for text, spans in documents
+    ]
+    return ".json", json.dumps(tasks)
+
+
+@st.composite
+def exports(draw):
+    """(dialect, files, split ratio, seed), as `datasets` draws them."""
+    dialect = draw(st.sampled_from(["doccano", "labelstudio"]))
+    documents = entity_documents(st.sampled_from(draw(st.lists(CLASSES, min_size=1, max_size=3))))
+    if draw(st.booleans()):
+        files = [export(dialect, draw(st.lists(documents, min_size=1, max_size=4)))
+                 for _ in SPLITS]
+        return dialect, files, None, None
+    files = [export(dialect, draw(st.lists(documents, min_size=1, max_size=10)))]
+    return dialect, files, draw(RATIOS), draw(st.integers(0, 99))
+
+
+class EntityEcho:
+    """Tags each document, in split order, with its gold entities in BIO
+    on the words evaluation scores: whitespace-split words cut at every
+    entity boundary."""
+
+    scheme = AnnotationScheme.BIO
+
+    def __init__(self, documents):
+        self.documents = iter(documents)
+
+    def tag(self, surfaces):
+        doc = next(self.documents)
+        words = _split_at_entities(doc.text, split_words(doc.text), doc.entities)
+        assert [word.surface for word in words] == list(surfaces)
+        labels, inside = [], None
+        for word in words:
+            entity = next((e for e in doc.entities
+                           if e.char_start <= word.char_start and word.char_end <= e.char_end), None)
+            if entity is None:
+                labels.append("O")
+            else:
+                labels.append(f"{'I' if entity is inside else 'B'}-{entity.class_name}")
+            inside = entity
+        return [(label, 1.0) for label in labels]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dataset=exports(), name_dialect=st.booleans())
+def test_every_split_of_an_annotation_tool_export_evaluates(dataset, name_dialect):
+    dialect, *dataset = dataset
+    options = ["--source", "AT", *(["--dialect", dialect] if name_dialect else [])]
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset_dir, analysis = set_up(Path(tmp), *dataset, *options)
+        scheme = AnnotationScheme.coerce(analysis["scheme_detected"])
+        for phase in SPLITS:
+            if not analysis["num_documents"][phase]:
+                continue
+            split = load_split(dataset_dir, phase, scheme=scheme)
+            report = evaluate_on_dataset(EntityEcho(split.documents), split, scheme)
+            assert_scores_every_entity(report["strict"], analysis["entity_counts"][phase])
