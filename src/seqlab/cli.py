@@ -23,9 +23,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import ingest, runs, schedule
-from .core import AnnotationScheme
+from .core import AnnotationScheme, Document, LabelSequence
 from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
-from .evaluation import evaluate_on_dataset
+from .evaluation import DatasetEvaluation, count_documents
 from .inference import load_tagger, predict, predict_file, prediction_record
 from .schemes import convert_scheme
 
@@ -127,24 +127,29 @@ def cmd_convert(args) -> int:
             file=sys.stderr,
         )
     records = ingest._json_records(ingest.read_text(args.input))
-    documents = ingest._canonical_documents(records, source)[0]
+    items = ingest._word_labeled(records, source)[0]
     problems = []  # (line, what went wrong)
-    converted = []
-    for (lineno, _), doc in zip(records, documents):
-        if doc.word_labels is None:
+    converted = []  # output records
+    for (lineno, record), item in zip(records, items):
+        is_document = type(item) is Document
+        gold = item.word_labels if is_document else LabelSequence(item[1], source)
+        if gold is None:
             problems.append((lineno, "document has no word labels to convert"))
             continue
         try:
-            labels = convert_scheme(doc.word_labels, target)
+            labels = convert_scheme(gold, target)
         except InconsistentSource as err:
             problems.extend(
                 (lineno, f"{violation.kind.value} at position {violation.position}")
                 for violation in err.violations
             )
             continue
-        # _replace builds the tuple without Document.__new__, so the words
-        # checked as the document was read are not checked again
-        converted.append(doc._replace(word_labels=labels))
+        if is_document:
+            # _replace builds the tuple without Document.__new__, so the words
+            # checked as the document was read are not checked again
+            converted.append(ingest.document_to_record(item._replace(word_labels=labels)))
+        else:
+            converted.append(ingest._relabeled_record(record, labels.serialized()))
     if problems:
         if args.verbose:
             for lineno, problem in problems:
@@ -152,7 +157,8 @@ def cmd_convert(args) -> int:
         lineno, problem = problems[0]
         more = f" (and {len(problems) - 1} more; --verbose lists all)" if len(problems) > 1 else ""
         raise UnconvertibleInput(problem + more, line=lineno)
-    ingest.save_canonical_jsonl(converted, args.output)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        ingest._write_records(converted, handle)
     print(f"converted {len(converted)} documents {source.value} -> {target.value}")
     return 0
 
@@ -172,12 +178,10 @@ def cmd_evaluate(args) -> int:
         scheme = AnnotationScheme.coerce(ingest.load_analysis(dataset_dir)["scheme_detected"])
     except (SeqlabError, KeyError, TypeError, ValueError):
         scheme = None  # no usable analysis.json: the split's reader detects it
-    split = ingest.load_split(dataset_dir, args.phase, scheme=scheme)
-    if scheme is None:
-        schemes = (d.word_labels.scheme for d in split.documents if d.word_labels)
-        scheme = next(schemes, AnnotationScheme.BIO)
+    # the scheme read off the split's labels where none is named: BIO when all are O
+    gold, scheme = ingest._word_labeled(ingest._split_records(dataset_dir, args.phase), scheme)
     tagger = load_tagger(args.tagger)
-    result = evaluate_on_dataset(tagger, split, scheme)
+    result = DatasetEvaluation.from_counts(count_documents(tagger, gold, scheme))
     report = result.as_dict()
     encoded = json.dumps(report, ensure_ascii=False, indent=2)
     print(encoded)

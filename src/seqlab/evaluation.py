@@ -243,6 +243,14 @@ class DatasetEvaluation(FrozenRecord):
         object.__setattr__(self, "strict_word", strict_word)
         object.__setattr__(self, "lenient_entity", lenient_entity)
 
+    @classmethod
+    def from_counts(cls, counts: Counts) -> "DatasetEvaluation":
+        return cls(
+            counts.report("entity", "strict"),
+            counts.report("word", "strict"),
+            counts.report("entity", "lenient"),
+        )
+
     def _block(self, mode: str) -> dict:
         reports = {"entity": self.lenient_entity}
         if mode == "strict":
@@ -280,25 +288,32 @@ def _split_at_entities(text: str, words: Sequence[Word], entities) -> tuple[Word
     return tuple(pieces)
 
 
-def _gold_words_and_labels(doc: Document, scheme: AnnotationScheme):
-    if doc.word_labels is not None:
-        return doc.words, doc.word_labels
-    if doc.entities is None:
-        raise MissingGold(f"document has no gold annotation: {doc.text[:50]!r}")
-    words = _split_at_entities(doc.text, doc.words or split_words(doc.text), doc.entities)
-    doc = Document(doc.text, words=words, entities=doc.entities)
-    return words, entities_to_word_labels(doc, scheme)
+def _gold(item, scheme: AnnotationScheme) -> tuple[Sequence[str], LabelSequence]:
+    """Word surfaces and gold labels of a Document, or of the (surfaces,
+    parsed labels) pair a word-labeled read gives in its place."""
+    if type(item) is not Document:
+        surfaces, labels = item
+        return surfaces, LabelSequence(labels, scheme)
+    if item.word_labels is not None:
+        return [w.surface for w in item.words], item.word_labels
+    if item.entities is None:
+        raise MissingGold(f"document has no gold annotation: {item.text[:50]!r}")
+    words = _split_at_entities(item.text, item.words or split_words(item.text), item.entities)
+    doc = Document(item.text, words=words, entities=item.entities)
+    return [w.surface for w in words], entities_to_word_labels(doc, scheme)
 
 
-def count_documents(tagger, documents: Iterable[Document], scheme: AnnotationScheme) -> Counts:
-    """Tag and count each document. ``scheme`` is the gold scheme, and the
+def count_documents(tagger, documents: Iterable, scheme: AnnotationScheme) -> Counts:
+    """Tag and count each document. ``documents`` may hold, in place of a
+    word-labeled Document, the (word surfaces, parsed labels) pair that
+    `seqlab.ingest` reads it into. ``scheme`` is the gold scheme, and the
     prediction scheme only for taggers that declare none. The documents
     are one tagger run: each distinct predicted label is parsed once."""
     counts = Counts()
     tables = {}
-    for doc in documents:
-        words, gold_seq = _gold_words_and_labels(doc, scheme)
-        pred_seq = _tag_and_parse(tagger, [w.surface for w in words], scheme, tables)[0]
+    for item in documents:
+        surfaces, gold_seq = _gold(item, scheme)
+        pred_seq = _tag_and_parse(tagger, surfaces, scheme, tables)[0]
         gold, pred = decode(gold_seq), decode(pred_seq)
         counts.add_chunks("strict", gold.strict, pred.strict)
         counts.add_chunks("lenient", gold.lenient, pred.lenient)
@@ -312,9 +327,4 @@ def evaluate_on_dataset(tagger, split, scheme: AnnotationScheme) -> DatasetEvalu
     The counts are pooled over documents, so the result is independent
     of document order.
     """
-    counts = count_documents(tagger, split.documents, scheme)
-    return DatasetEvaluation(
-        counts.report("entity", "strict"),
-        counts.report("word", "strict"),
-        counts.report("entity", "lenient"),
-    )
+    return DatasetEvaluation.from_counts(count_documents(tagger, split.documents, scheme))

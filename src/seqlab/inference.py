@@ -40,7 +40,7 @@ from .errors import (
     UndecodableInput,
     UnloadableTagger,
 )
-from .ingest import _json_records, _word_label_pairs, load_json, read_text
+from .ingest import _json_records, _word_labeled, load_json, read_text
 from .schemes import chunk_prefixes, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
@@ -132,9 +132,17 @@ class EchoTagger(NamedTuple):
     @classmethod
     def from_canonical_file(cls, path: str | Path) -> "EchoTagger":
         """Words and labels of a canonical JSONL file, checked as a
-        dataset read checks them; the scheme is read off the labels."""
-        pairs, scheme = _word_label_pairs(_json_records(read_text(path)))
-        return cls(dict(pairs), scheme)
+        dataset read checks them, without building a Document for a
+        word-labeled record; the scheme is read off the labels."""
+        records = _json_records(read_text(path))
+        items, scheme = _word_labeled(records, None)
+        gold = {}
+        for (_, record), item in zip(records, items):
+            if type(item) is not Document:
+                gold[tuple(item[0])] = tuple(record["labels"])
+            elif item.word_labels is not None:
+                gold[tuple([w.surface for w in item.words])] = tuple(record["labels"])
+        return cls(gold, scheme)
 
 
 def load_tagger(uri: str) -> Tagger:
@@ -400,6 +408,7 @@ def predict_file(
     """
     processed = failed = 0
     tables: dict[AnnotationScheme, LabelTable] = {}
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
         for lineno, line in enumerate(src, 1):
             line = line.rstrip(b"\n")
@@ -409,6 +418,6 @@ def predict_file(
             processed += ok
             failed += not ok
             payload = record if ok else {"error": f"line {lineno}: {error}"}
-            dst.write(json.dumps(payload, ensure_ascii=False))
+            dst.write(encode(payload))
             dst.write("\n")
     return FileSummary(processed, failed)

@@ -18,12 +18,22 @@ Outside input enters through `read_text` (a file's UTF-8 text) and
 naming the line. Readers take text as one string and turn every source
 into canonical records, each paired with its line: a CoNLL sentence
 becomes a "words" + "labels" record, a Doccano line or a LabelStudio
-task a "text" + "entities" record. One function, `_canonical_documents`,
-checks the records and builds every `Document`. It parses every label
-first, naming its line, through one `LabelTable` under the given scheme,
-else under BILOU, which admits every prefix, and reads the scheme off the
-table's labels before it builds any document. `set_up` passes it the
-records of all its files at once.
+task a "text" + "entities" record. One function, `_document_from_record`,
+checks a record and builds its `Document`, and its errors are the only
+ones a record raises. `_canonical_documents` builds the documents of the
+readers and of `set_up`, which passes it the records of all its files at
+once. It parses every label first, naming its line, through one
+`LabelTable` under the given scheme, else under BILOU, which admits every
+prefix, and reads the scheme off the table's labels before it builds any
+document.
+
+`evaluate`, `convert` and the `echo:` tagger need only the words and
+labels of a record. `_word_labeled` parses the labels the same way, then
+checks each word-labeled record without "entities" in one loop over its
+decoded words (`_checked_surfaces`) and keeps its surfaces and labels,
+building no `Word` or `Document`. Every other record, and every record
+that fails a check, goes to `_document_from_record`, so the errors stay
+those of the readers.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import math
 import random
 from enum import Enum
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -67,6 +78,8 @@ DEFAULT_SPLIT_RATIO = (0.8, 0.1, 0.1)
 
 #: bundled corpora, name -> package data directory
 BUILTIN_DATASETS = {"mini-conll": "mini_conll"}
+
+_WORD_FIELDS = itemgetter("surface", "start", "end")
 
 
 class SourceKind(Enum):
@@ -388,33 +401,74 @@ def _canonical_documents(
     records: list[tuple[int | tuple[int, ...], dict]], scheme: AnnotationScheme | str | None
 ) -> tuple[list[Document], AnnotationScheme]:
     """Documents from canonical records, and the scheme read off all their labels, which
-    are parsed before any document is built. Every reader ends here. A CoNLL sentence is
-    paired with the line of each word, so that a bad label names its own line."""
+    are parsed before any document is built. The public readers and `set_up` end here. A
+    CoNLL sentence is paired with the line of each word, so that a bad label names its own
+    line."""
     parsed, scheme = _record_labels(records, scheme)
     return [_document_from_record(*r, p, scheme) for r, p in zip(records, parsed)], scheme
 
 
-def _word_label_pairs(
-    records: list[tuple[int, dict]],
-) -> tuple[list[tuple[tuple[str, ...], tuple[str, ...]]], AnnotationScheme]:
-    """(word surfaces, label strings) of every word-labeled record, and the
-    scheme read off all labels, with every check `_canonical_documents`
-    makes. A record of plain string words without "text" or "entities"
-    builds no Document: beyond its words and its number of labels it has
-    nothing to check."""
-    parsed, resolved = _record_labels(records, None)
-    pairs = []
+def _checked_surfaces(record: dict, labels: tuple[Label, ...] | None) -> list[str] | None:
+    """The word surfaces of a word-labeled record without "entities" that
+    passes every check `_document_from_record` makes, found without
+    building a Word or a Document; None for any other record, which that
+    function then reads or rejects. ``labels`` are the record's parsed
+    string "labels".
+
+    The words are non-empty strings where the record has no "text", else
+    objects with "surface", "start" and "end" whose offsets are JSON
+    integers and give non-empty, increasing spans inside the text, each
+    sliced to its surface. There are as many labels as words."""
+    words = record.get("words")
+    if (
+        labels is None
+        or type(words) is not list
+        or not words
+        or len(words) != len(labels)
+        or record.get("entities") is not None
+    ):
+        return None
+    text = record.get("text")
+    if text is None:
+        return words if all([type(w) is str and w for w in words]) else None
+    if type(text) is not str:
+        return None
+    surfaces = []
+    end = 0
+    try:
+        for word in words:
+            surface, start, stop = word["surface"], word["start"], word["end"]
+            if (
+                type(start) is not int
+                or type(stop) is not int
+                or not end <= start < stop
+                or text[start:stop] != surface
+            ):
+                return None
+            surfaces.append(surface)
+            end = stop
+    except (KeyError, TypeError):  # a word that is not an object, or lacks a key
+        return None
+    # the ends increase, so the last one is the largest
+    return surfaces if end <= len(text) else None
+
+
+def _word_labeled(
+    records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
+) -> tuple[list[tuple[list[str], tuple[Label, ...]] | Document], AnnotationScheme]:
+    """For each record, its (word surfaces, parsed labels) where
+    `_checked_surfaces` passes it, else its Document; and the scheme read
+    off all labels. Labels, scheme and errors are those of
+    `_canonical_documents`."""
+    parsed, scheme = _record_labels(records, scheme)
+    items = []
     for (lineno, record), labels in zip(records, parsed):
-        words = record.get("words")
-        plain = words is not None and record.get("text") is None and record.get("entities") is None
-        surfaces = _word_strings(words, lineno) if plain else None
+        surfaces = _checked_surfaces(record, labels)
         if surfaces is None:
-            doc = _document_from_record(lineno, record, labels, resolved)
-            if doc.word_labels is not None:
-                pairs.append((tuple(w.surface for w in doc.words), tuple(record["labels"])))
-        elif _has_labels(record, labels, surfaces, lineno):
-            pairs.append((tuple(surfaces), tuple(record["labels"])))
-    return pairs, resolved
+            items.append(_document_from_record(lineno, record, labels, scheme))
+        else:
+            items.append((surfaces, labels))
+    return items, scheme
 
 
 def read_canonical_jsonl(
@@ -527,10 +581,28 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
-    for doc in documents:
-        dest.write(json.dumps(document_to_record(doc), ensure_ascii=False))
+def _relabeled_record(record: dict, labels: list[str]) -> dict:
+    """A record that `_checked_surfaces` passed, as `document_to_record`
+    writes its Document, with other labels."""
+    text = record.get("text")
+    if text is None:
+        text, spans = _synthetic_words(record["words"])
+    else:
+        spans = map(_WORD_FIELDS, record["words"])
+    words = [{"surface": surface, "start": start, "end": end} for surface, start, end in spans]
+    return {"text": text, "words": words, "labels": labels, "entities": None}
+
+
+def _write_records(records: Iterable[dict], dest: IO[str]) -> None:
+    """One line of JSON per record, all through one encoder."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    for record in records:
+        dest.write(encode(record))
         dest.write("\n")
+
+
+def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
+    _write_records(map(document_to_record, documents), dest)
 
 
 def save_canonical_jsonl(documents: Iterable[Document], path: str | Path) -> None:
@@ -732,6 +804,19 @@ def resolve_data_dir(data_dir: str | Path | None = None) -> Path:
     return Path(os.environ.get("SEQLAB_DATA_DIR", "seqlab_data"))
 
 
+def _split_records(dataset_dir: str | Path, phase: str) -> list[tuple[int, dict]]:
+    """The records of one canonical split file written by `set_up`."""
+    if phase not in SPLIT_NAMES:
+        raise ValueError(f"phase must be one of {SPLIT_NAMES}")
+    path = Path(dataset_dir) / f"{phase}.jsonl"
+    if not path.is_file():
+        raise UnresolvableSource(f"missing split file: {path}")
+    try:
+        return _json_records(read_text(path))
+    except EmptyInput:
+        return []  # a split may legitimately be empty after splitting
+
+
 def load_split(
     dataset_dir: str | Path,
     phase: str,
@@ -739,16 +824,7 @@ def load_split(
     scheme: AnnotationScheme | str | None = None,
 ) -> DatasetSplit:
     """Load one canonical split file written by `set_up`."""
-    if phase not in SPLIT_NAMES:
-        raise ValueError(f"phase must be one of {SPLIT_NAMES}")
-    path = Path(dataset_dir) / f"{phase}.jsonl"
-    if not path.is_file():
-        raise UnresolvableSource(f"missing split file: {path}")
-    try:
-        documents = read_canonical_jsonl(read_text(path), scheme=scheme)
-    except EmptyInput:
-        documents = []  # a split may legitimately be empty after splitting
-    return DatasetSplit(phase, tuple(documents))
+    return DatasetSplit(phase, _canonical_documents(_split_records(dataset_dir, phase), scheme)[0])
 
 
 def load_analysis(dataset_dir: str | Path) -> dict:

@@ -21,7 +21,8 @@ without it raises MissingMetric.
 Records persist as JSON under ``runs/<training_name>/<run_name>.json``
 with the aggregate written next to them as ``aggregate.json``. A record
 file that is not JSON (too deeply nested included), lacks ``run_name``,
-``seed`` or ``reports``, or names its run with anything but a string
+``seed`` or ``reports``, names its run with anything but a string or
+gives a seed that is not a JSON integer (``1.9``, ``true``, ``"3"``)
 raises MalformedJson naming the file; two records with one run name
 raise DuplicateRunName.
 """
@@ -185,9 +186,11 @@ def load_run(path: str | Path) -> RunRecord:
         data = load_json(read_text(path))
         if not isinstance(data["run_name"], str):
             raise TypeError(f"run_name {data['run_name']!r:.40} is not a string")
+        if type(data["seed"]) is not int:
+            raise TypeError(f"seed {data['seed']!r:.40} is not a JSON integer")
         return RunRecord(
             run_name=data["run_name"],
-            seed=int(data["seed"]),
+            seed=data["seed"],
             reports=data["reports"],
             artifacts_path=data.get("artifacts_path", ""),
         )

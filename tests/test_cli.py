@@ -680,6 +680,21 @@ class TestErrorBoundary:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", ["1.9", "true", '"3"'])
+    def test_seed_must_be_a_json_integer(self, tmp_path, capsys, seed):
+        """A seed is not read as the integer it converts to: 1.9 and true
+        would both rank as seed 1 in the tie break."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        reports = '{"strict": {"micro": {"entity": {"f1": 1.0}}}}'
+        (runs / "a.json").write_text(f'{{"run_name": "a", "seed": {seed}, "reports": {reports}}}')
+        (runs / "b.json").write_text(f'{{"run_name": "b", "seed": 2, "reports": {reports}}}')
+        code, _, err = run(["aggregate", "--runs-dir", str(runs)], capsys)
+        assert code == 1
+        assert err.startswith("error: bad run record") and err.count("\n") == 1
+        assert "a.json" in err and "is not a JSON integer" in err
+        assert not (runs / "aggregate.json").exists()
+
     def test_line_breaks_in_a_message_stay_on_one_line(self, tmp_path, capsys):
         """A message may quote input; its line breaks are written as \\n."""
         code, _, err = run(set_up_file(tmp_path, "a.conll", "x O\n")[:-1] + [

@@ -275,6 +275,27 @@ class TestPredictFile:
             expected = [prediction_record(p) for p in predict(UN_LEXICON, text)]
             assert line["predictions"] == expected
 
+    def test_lines_are_the_bytes_of_json_dumps(self, tmp_path):
+        """One encoder for the run writes each line as json.dumps(...,
+        ensure_ascii=False) writes it: non-ASCII text and U+2028 left
+        unescaped, floats in their shortest form."""
+        tagger = FixedTagger([("B-LOC", 1 / 3), ("O", 0.1), ("O", 1.0)])
+        texts = ["Z\u00fcrich\u2028liegt \u4e2d", "\u00e9t\u00e9 \u2028 x y"]
+        source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        self.write_lines(source, [json.dumps({"text": t}) for t in texts] + ['{"text": 1}'])
+        for level in ("entity", "word"):
+            predict_file(tagger, source, sink, level=level, with_probabilities=True)
+            expected = [
+                {"text": t, "predictions": [
+                    prediction_record(p)
+                    for p in predict(tagger, t, level=level, with_probabilities=True)
+                ]}
+                for t in texts
+            ] + [{"error": 'line 3: line needs a {"text": ...} object'}]
+            assert sink.read_bytes() == "".join(
+                json.dumps(record, ensure_ascii=False) + "\n" for record in expected
+            ).encode("utf-8")
+
 
 class TestTaggers:
     def test_lexicon_encodes_runs_in_its_scheme(self):
