@@ -126,6 +126,10 @@ class EmptyText(SeqlabError):
     """Text is empty after trimming whitespace."""
 
 
+class OutputIsInput(SeqlabError):
+    """File inference was asked to write over the file it reads."""
+
+
 # schedule
 
 class Stopped(SeqlabError):

@@ -5,7 +5,9 @@ returning one pair per word. The functions here do the bookkeeping around
 it: whitespace word splitting with recorded character offsets, output
 validation, strict entity decoding, char-offset merging, and batch/file
 inference in which a SeqlabError, a broken tagger contract included,
-fails only its own item.
+fails only its own item. One function, `_prediction_fields`, computes
+what every prediction holds; `predict` builds objects from it, and file
+inference formats each output line from it directly.
 
 Raw text is split on Unicode whitespace and punctuation is not split
 off; real subword tokenization belongs to the model behind the tagger
@@ -16,13 +18,16 @@ span satisfies text[char_start:char_end] == surface.
 from __future__ import annotations
 
 import json
+import os
 import re
 from itertools import repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .core import (
     AnnotationScheme,
+    Chunk,
     Document,
     EntitySpan,
     Label,
@@ -34,6 +39,7 @@ from .core import (
 from .errors import (
     EmptyText,
     MalformedJson,
+    OutputIsInput,
     SeqlabError,
     TaggerContractError,
     TaggerLengthMismatch,
@@ -218,10 +224,13 @@ def _tag_and_parse(
             f"tagger returned {len(output)} labels for {len(surfaces)} words"
         )
     try:
+        # the float is checked too, as the output line writes it with %r
         pairs = [
-            (raw, float(probability))
+            (raw, value)
             for raw, probability in output
-            if isinstance(raw, str) and 0.0 <= probability <= 1.0
+            if isinstance(raw, str)
+            and 0.0 <= probability <= 1.0
+            and 0.0 <= (value := float(probability)) <= 1.0
         ]
     except Exception:
         pairs = None
@@ -246,8 +255,11 @@ def _breach(output: list) -> TaggerContractError:
     for index, item in enumerate(output):
         try:
             raw, probability = item
-            valid = isinstance(raw, str) and 0.0 <= probability <= 1.0
-            float(probability)
+            valid = (
+                isinstance(raw, str)
+                and 0.0 <= probability <= 1.0
+                and 0.0 <= float(probability) <= 1.0
+            )
         except Exception:
             valid = False
         if not valid:
@@ -281,6 +293,48 @@ def predict(
     return _predict(tagger, text, level, with_probabilities, {})
 
 
+def _check_level(level: str) -> None:
+    if level not in ("entity", "word"):
+        raise ValueError(f'level must be "entity" or "word", got {level!r}')
+
+
+def _prediction_fields(
+    tagger: Tagger,
+    text: str,
+    level: str,
+    with_probabilities: bool,
+    tables: dict[AnnotationScheme, LabelTable],
+) -> Iterable[tuple[str, tuple[int, int], Label | Chunk, float | None]]:
+    """What each prediction of ``text`` holds, as (surface, (char_start,
+    char_end), tag, probability), to be iterated once. The tag is the
+    word's Label, or the entity's strict Chunk; the probability is None
+    unless asked for, and an entity's is the minimum over its words.
+    ``tables`` are the label tables of the run."""
+    _check_level(level)
+    # str.split and _WORD_RE agree on every code point, so the surfaces
+    # are those of split_words, and offsets are found only where emitted
+    surfaces = text.split()
+    if not surfaces:
+        raise EmptyText("text is empty after trimming")
+    seq, probabilities = _tag_and_parse(tagger, surfaces, None, tables)
+    if level == "word":
+        chosen = probabilities if with_probabilities else repeat(None)
+        return zip(surfaces, _word_spans(text), seq.labels, chosen)
+    chunks = decode(seq).strict
+    if not chunks:
+        return []
+    offsets = _word_spans(text)
+    fields = []
+    for chunk in chunks:
+        start = offsets[chunk.word_start][0]
+        end = offsets[chunk.word_end - 1][1]
+        probability = (
+            min(probabilities[chunk.word_start : chunk.word_end]) if with_probabilities else None
+        )
+        fields.append((text[start:end], (start, end), chunk, probability))
+    return fields
+
+
 def _predict(
     tagger: Tagger,
     text: str,
@@ -289,47 +343,15 @@ def _predict(
     tables: dict[AnnotationScheme, LabelTable],
 ) -> list[EntitySpan] | list[WordPrediction]:
     """`predict` with the label tables of the run it belongs to."""
-    if level not in ("entity", "word"):
-        raise ValueError(f'level must be "entity" or "word", got {level!r}')
-    # str.split and _WORD_RE agree on every code point, so the surfaces
-    # are those of split_words, and offsets are found only where emitted
-    surfaces = text.split()
-    if not surfaces:
-        raise EmptyText("text is empty after trimming")
-    seq, probabilities = _tag_and_parse(tagger, surfaces, None, tables)
-
+    fields = _prediction_fields(tagger, text, level, with_probabilities, tables)
     if level == "word":
-        return [
-            WordPrediction(
-                surface, start, end, lab, probability if with_probabilities else None
-            )
-            for surface, (start, end), lab, probability in zip(
-                surfaces, _word_spans(text), seq.labels, probabilities
-            )
-        ]
-
-    chunks = decode(seq).strict
-    if not chunks:
-        return []
-    offsets = _word_spans(text)
-    spans = []
-    for chunk in chunks:
-        start = offsets[chunk.word_start][0]
-        end = offsets[chunk.word_end - 1][1]
-        spans.append(
-            EntitySpan(
-                chunk.class_name,
-                start,
-                end,
-                text[start:end],
-                word_start=chunk.word_start,
-                word_end=chunk.word_end,
-                probability=min(probabilities[chunk.word_start : chunk.word_end])
-                if with_probabilities
-                else None,
-            )
+        return [WordPrediction(s, a, b, label, p) for s, (a, b), label, p in fields]
+    return [
+        EntitySpan(
+            c.class_name, a, b, s, word_start=c.word_start, word_end=c.word_end, probability=p
         )
-    return spans
+        for s, (a, b), c, p in fields
+    ]
 
 
 def prediction_record(item: EntitySpan | WordPrediction) -> dict:
@@ -370,14 +392,39 @@ def predict_batch(tagger: Tagger, texts: Sequence[str], **kwargs) -> list[BatchI
     return [BatchItem(i, *_contained(predict, tagger, t, **kwargs)) for i, t in items]
 
 
-def _line_record(
+# The predict_file output line, written as json.dumps(..., ensure_ascii=False)
+# writes its record: strings through the encoder's own escaper, offsets with
+# %d and probabilities with %r, which are the int and float reprs the
+# encoder writes. Every value has an exact type: offsets come from
+# re.Match.span, probabilities from float() after the [0, 1] check, tags
+# from Label.serialize or a class name sliced off a label.
+_LINE = '{"text": %s, "predictions": [%s]}\n'
+_ITEM = {
+    "word": '{"word": %s, "char_start": %d, "char_end": %d, "tag": %s',
+    "entity": '{"char_start": %d, "char_end": %d, "token": %s, "tag": %s',
+}
+_WITH_PROBABILITY = ', "probability": %r}'
+_WITHOUT_PROBABILITY = "%.0s}"  # takes the None probability and writes nothing
+
+
+class _Tags(dict):
+    """The JSON string of each tag of a run, escaped once: a word's Label
+    serialized, or an entity's class name."""
+
+    def __missing__(self, tag: Label | str) -> str:
+        literal = self[tag] = encode_basestring(tag if type(tag) is str else tag.serialize())
+        return literal
+
+
+def _output_line(
     tagger: Tagger,
     line: bytes,
     level: str,
     with_probabilities: bool,
     tables: dict[AnnotationScheme, LabelTable],
-) -> dict:
-    """The output record of one predict_file input line."""
+    tags: _Tags,
+) -> str:
+    """The output line of one predict_file input line."""
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -385,8 +432,27 @@ def _line_record(
     record = load_json(text, line=None)  # predict_file numbers the error
     if not isinstance(record, dict) or not isinstance(record.get("text"), str):
         raise MalformedJson('line needs a {"text": ...} object')
-    predictions = _predict(tagger, record["text"], level, with_probabilities, tables)
-    return {"text": record["text"], "predictions": [prediction_record(p) for p in predictions]}
+    text = record["text"]
+    fields = _prediction_fields(tagger, text, level, with_probabilities, tables)
+    item = _ITEM[level] + (_WITH_PROBABILITY if with_probabilities else _WITHOUT_PROBABILITY)
+    if level == "word":
+        items = [
+            item % (encode_basestring(s), a, b, tags[label], p)
+            for s, (a, b), label, p in fields
+        ]
+    else:
+        items = [
+            item % (a, b, encode_basestring(s), tags[c.class_name], p)
+            for s, (a, b), c, p in fields
+        ]
+    return _LINE % (encode_basestring(text), ", ".join(items))
+
+
+def _same_file(first: str | Path, second: str | Path) -> bool:
+    try:
+        return os.path.samefile(first, second)
+    except OSError:  # one of them does not exist
+        return False
 
 
 def predict_file(
@@ -398,26 +464,30 @@ def predict_file(
     with_probabilities: bool = False,
 ) -> FileSummary:
     """Streaming file inference: JSONL in ({"text": ...} per line),
-    line-aligned JSONL out ({"text", "predictions": [...]}).
+    line-aligned JSONL out ({"text", "predictions": [...]}), each line
+    the bytes json.dumps(..., ensure_ascii=False) gives for its record.
 
     Lines end at "\\n". A line that fails, for bad JSON, bytes that are not
     UTF-8 or anything else, becomes an {"error": "line N: ..."} output
     line and is counted as failed; it never aborts the run. Memory use
     is bounded by one line and the run's distinct labels; output order
-    matches input order.
+    matches input order. A bad ``level`` raises ValueError, and an output
+    that is the input file raises OutputIsInput, before any file is opened.
     """
+    _check_level(level)
+    if _same_file(input_path, output_path):
+        raise OutputIsInput(f"output file {output_path} is the input file")
     processed = failed = 0
     tables: dict[AnnotationScheme, LabelTable] = {}
+    tags = _Tags()
     encode = json.JSONEncoder(ensure_ascii=False).encode
     with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
         for lineno, line in enumerate(src, 1):
             line = line.rstrip(b"\n")
-            ok, record, error = _contained(
-                _line_record, tagger, line, level, with_probabilities, tables
+            ok, output, error = _contained(
+                _output_line, tagger, line, level, with_probabilities, tables, tags
             )
             processed += ok
             failed += not ok
-            payload = record if ok else {"error": f"line {lineno}: {error}"}
-            dst.write(encode(payload))
-            dst.write("\n")
+            dst.write(output if ok else encode({"error": f"line {lineno}: {error}"}) + "\n")
     return FileSummary(processed, failed)

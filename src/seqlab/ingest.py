@@ -15,17 +15,18 @@ sizing, so the same input and seed always produce the same splits.
 
 Outside input enters through `read_text` (a file's UTF-8 text) and
 `load_json` (every JSON text the package reads); both raise typed errors
-naming the line. Readers take text as one string and turn every source
-into canonical records, each paired with its line: a CoNLL sentence
-becomes a "words" + "labels" record, a Doccano line or a LabelStudio
-task a "text" + "entities" record. One function, `_document_from_record`,
-checks a record and builds its `Document`, and its errors are the only
-ones a record raises. `_canonical_documents` builds the documents of the
-readers and of `set_up`, which passes it the records of all its files at
-once. It parses every label first, naming its line, through one
-`LabelTable` under the given scheme, else under BILOU, which admits every
-prefix, and reads the scheme off the table's labels before it builds any
-document.
+naming the line. `load_json` also rejects lone surrogate escapes, so
+every string read can be written out as UTF-8. Readers take text as one
+string and turn every source into canonical records, each paired with
+its line: a CoNLL sentence becomes a "words" + "labels" record, a
+Doccano line or a LabelStudio task a "text" + "entities" record. One
+function, `_document_from_record`, checks a record and builds its
+`Document`, and its errors are the only ones a record raises.
+`_canonical_documents` builds the documents of the readers and of
+`set_up`, which passes it the records of all its files at once. It
+parses every label first, naming its line, through one `LabelTable`
+under the given scheme, else under BILOU, which admits every prefix, and
+reads the scheme off the table's labels before it builds any document.
 
 `evaluate`, `convert` and the `echo:` tagger need only the words and
 labels of a record. `_word_labeled` parses the labels the same way, then
@@ -41,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from enum import Enum
 from itertools import chain, islice
 from operator import itemgetter
@@ -153,19 +155,44 @@ def read_text(path: str | Path) -> str:
         ) from None
 
 
+# One escape of a JSON string, read left to right as the decoder reads
+# it: a surrogate pair, which decodes to one code point; a lone surrogate
+# (group 1), which decodes to a str that cannot be written as UTF-8; or
+# any other escape, "\\" included, so no backslash is read twice. A
+# backslash outside a string is bad syntax, which json.loads rejects first.
+_ESCAPE = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)",
+    re.DOTALL,
+)
+#: what every surrogate escape starts with; a text without it needs no scan
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def load_json(text: str, *, line: int | None = 1) -> object:
     """Decode JSON that comes from outside the package, whose first line
-    is ``line``. Bad syntax, nesting too deep to decode and integers too
-    long to convert raise MalformedJson naming the line; ``line=None``
-    leaves it to the caller to number the error."""
+    is ``line``. Bad syntax, nesting too deep to decode, integers too
+    long to convert and lone surrogate escapes ("\\ud800", valid syntax
+    that no UTF-8 output can hold) raise MalformedJson naming the line;
+    ``line=None`` leaves it to the caller to number the error."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as err:
         reason, offset = err.msg, err.lineno - 1
     except RecursionError:
         reason, offset = "nested too deeply", 0
     except ValueError:
         reason, offset = "number too long", 0
+    else:
+        # the one-character search costs next to nothing, and most lines
+        # hold no backslash; the regex search for the rest is faster than
+        # a two-character `in`
+        if "\\" not in text or not _SURROGATE_ESCAPE.search(text):
+            return value
+        lone = next((m for m in _ESCAPE.finditer(text) if m.group(1)), None)
+        if lone is None:
+            return value
+        reason, offset = "lone surrogate", text.count("\n", 0, lone.start())
     raise MalformedJson(f"invalid JSON ({reason})", line=None if line is None else line + offset)
 
 

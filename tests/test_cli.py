@@ -352,6 +352,16 @@ class TestPredict:
         code, out, err = run(["predict", "--tagger", "all-o", "--input", str(source)], capsys)
         assert (code, out, err) == (2, "", "file mode needs --output\n")
 
+    def test_output_that_is_the_input_is_refused(self, tmp_path, capsys):
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"text": "x"}\n')
+        for output in (source, tmp_path / "." / "in.jsonl"):
+            code, out, err = run(["predict", "--tagger", "all-o", "--input", str(source),
+                                  "--output", str(output)], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: output file ") and err.count("\n") == 1
+            assert source.read_text() == '{"text": "x"}\n'
+
     def test_bad_tagger_uri_fails_cleanly(self, capsys):
         code, _, err = run(
             ["predict", "--tagger", "hub:whatever", "--text", "x"], capsys
@@ -612,6 +622,21 @@ def long_integer_jsonl(tmp_path):
     return set_up_file(tmp_path, "long.jsonl", '{"text": "a", "n": ' + "1" * 5000 + "}\n")
 
 
+LONE_SURROGATE = '{"words":["a"],"labels":["O"]}\n{"words":["Ann","\\ud800"],"labels":["B-PER","O"]}\n'
+
+
+def lone_surrogate_set_up(tmp_path):
+    (tmp_path / "lone.jsonl").write_text(LONE_SURROGATE)
+    return ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "HF",
+            "--name", "x", "--path", str(tmp_path / "lone.jsonl")]
+
+
+def lone_surrogate_convert(tmp_path):
+    (tmp_path / "lone.jsonl").write_text(LONE_SURROGATE)
+    return ["convert", "--from", "BIO", "--to", "BILOU", "--input", str(tmp_path / "lone.jsonl"),
+            "--output", str(tmp_path / "out.jsonl")]
+
+
 def nested_run_record(tmp_path):
     (tmp_path / "runs").mkdir()
     (tmp_path / "runs" / "a.json").write_text(DEEP)
@@ -671,7 +696,8 @@ class TestErrorBoundary:
          empty_entity_label, nested_jsonl, nested_labelstudio, long_integer_jsonl,
          nested_run_record, nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
          non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets,
-         non_finite_metric, metric_too_large_for_a_float, colliding_metric_paths],
+         non_finite_metric, metric_too_large_for_a_float, colliding_metric_paths,
+         lone_surrogate_set_up, lone_surrogate_convert],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
         argv = case(tmp_path)
@@ -709,7 +735,8 @@ class TestErrorBoundary:
         """Set-up errors name their line, the scheme detected or not."""
         for case, line in [(non_utf8, 2), (bad_label_jsonl, 3), (bad_label_conll, 4),
                            (non_string_entity_label, 2), (non_integer_entity_offsets, 2),
-                           (non_integer_word_offsets, 2)]:
+                           (non_integer_word_offsets, 2), (lone_surrogate_set_up, 2),
+                           (lone_surrogate_convert, 2)]:
             directory = tmp_path / case.__name__
             directory.mkdir()
             code, _, err = run(case(directory), capsys)

@@ -63,9 +63,10 @@ def evaluate(tmp):
              str(tmp / "ds"), "--output", str(tmp / "report.json")], [tmp / "report.json"])
 
 
-def predict(tmp):
-    return (["predict", "--tagger", f"lexicon:{tmp / 'lexicon.json'}", "--input",
-             str(tmp / "in.jsonl"), "--output", str(tmp / "out.jsonl")], [tmp / "out.jsonl"])
+def predict(*extra):
+    return lambda tmp: (["predict", "--tagger", f"lexicon:{tmp / 'lexicon.json'}", "--input",
+                         str(tmp / "in.jsonl"), "--output", str(tmp / "out.jsonl"), *extra],
+                        [tmp / "out.jsonl"])
 
 
 #: command -> ({input file: valid bytes}, argv and output paths under a directory)
@@ -81,7 +82,9 @@ COMMANDS = {
                              [tmp / "out.jsonl"])),
     "evaluate": ({"ds/test.jsonl": CANONICAL, "ds/analysis.json": ANALYSIS,
                   "lexicon.json": LEXICON}, evaluate),
-    "predict": ({"in.jsonl": PREDICT_INPUT, "lexicon.json": LEXICON}, predict),
+    "predict": ({"in.jsonl": PREDICT_INPUT, "lexicon.json": LEXICON}, predict()),
+    "predict word": ({"in.jsonl": PREDICT_INPUT, "lexicon.json": LEXICON},
+                     predict("--level", "word", "--probabilities")),
     "aggregate": ({"runs/a.json": RUN % (b"a", 0, 5), "runs/b.json": RUN % (b"b", 1, 7)},
                   lambda tmp: (["aggregate", "--runs-dir", str(tmp / "runs")],
                                [tmp / "runs" / "aggregate.json"])),
@@ -96,7 +99,8 @@ COMMANDS = {
 MEANINGFUL = b'{}[]",:.-0123456789 \t\neE\\OBILU' + b"\xff\xc3\x80"
 #: values a mutation may put in place of a JSON string, a number or a word
 TOKENS = [b'"I-PER"', b'"B-"', b'"O"', b'"X"', b'""', b"null", b"true", b"[]", b"{}", b"-1",
-          b"3.5", b"1e999", b"NaN", b'"\\n"', b'"\\u2028"', b"\n\n", b"I-PER", b"O"]
+          b"3.5", b"1e999", b"NaN", b'"\\n"', b'"\\u2028"', b'"\\ud800"', b'"\\ud83d\\ude00"',
+          b"\n\n", b"I-PER", b"O"]
 #: a JSON string, or a run of bytes that holds no JSON punctuation or space
 VALUE = re.compile(rb'"[^"\n]*"|[^\s"{}\[\],:]+')
 

@@ -244,15 +244,33 @@ class TestPredictFile:
         assert lines[0]["text"] == "a" and lines[2]["text"] == "b"
 
     def test_undecodable_and_deeply_nested_lines_fail_alone(self, tmp_path):
+        """So does a lone surrogate escape, which no UTF-8 line can hold."""
         source = tmp_path / "in.jsonl"
         sink = tmp_path / "out.jsonl"
-        source.write_bytes(b'{"text": "a\xff"}\n' + b"[" * 100_000 + b'\n{"text": "b"}\r\n')
-        summary = predict_file(UN_LEXICON, source, sink)
-        assert (summary.processed, summary.failed) == (1, 2)
-        lines = [json.loads(l) for l in sink.read_text().splitlines()]
-        assert lines[0]["error"].startswith("line 1: byte 11 is not UTF-8")
-        assert lines[1]["error"].startswith("line 2: invalid JSON")
-        assert lines[2] == {"text": "b", "predictions": []}
+        source.write_bytes(
+            b'{"text": "a\xff"}\n' + b"[" * 100_000 + b'\n{"text": "b"}\r\n'
+            + b'{"text": "Ann \\ud800 went"}\n{"text": "\\ud83d\\ude00"}\n'
+        )
+        for level in ("entity", "word"):
+            summary = predict_file(UN_LEXICON, source, sink, level=level)
+            assert (summary.processed, summary.failed) == (2, 3)
+            lines = [json.loads(l) for l in sink.read_text(encoding="utf-8").splitlines()]
+            assert lines[0]["error"].startswith("line 1: byte 11 is not UTF-8")
+            assert lines[1]["error"].startswith("line 2: invalid JSON")
+            assert lines[2]["text"] == "b"
+            assert lines[3] == {"error": "line 4: invalid JSON (lone surrogate)"}
+            assert lines[4]["text"] == "\U0001f600"
+
+    def test_bad_level_is_refused_before_any_file_is_opened(self, tmp_path):
+        source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        sink.write_text("old output\n")
+        for lines in ([], ['{"text": "a"}']):
+            self.write_lines(source, lines)
+            with pytest.raises(ValueError, match="level must be"):
+                predict_file(UN_LEXICON, source, sink, level="token")
+            with pytest.raises(ValueError, match="level must be"):
+                predict_file(UN_LEXICON, tmp_path / "missing.jsonl", sink, level="token")
+            assert sink.read_text() == "old output\n"
 
     def test_too_long_integer_fails_its_line_only(self, tmp_path):
         source = tmp_path / "in.jsonl"

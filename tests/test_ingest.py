@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seqlab.core import AnnotationScheme
 from seqlab.errors import (
@@ -28,6 +29,7 @@ from seqlab.ingest import (
     analyze,
     document_to_record,
     load_analysis,
+    load_json,
     load_split,
     parse_annotation_tool_export,
     parse_conll,
@@ -492,6 +494,11 @@ RAW_SEEDS = [
 ]
 
 
+#: JSON string escapes around the surrogate range, paired and lone
+ESCAPES = ["\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF", "\\ud83d", "\\uDE00", "\\uD7FF",
+           "\\ue000", "\\\\", "\\\\u", "u", "\\n", "\\\"", "a", "\u00e9"]
+
+
 class TestRawBytes:
     def test_non_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "bad.conll"
@@ -499,6 +506,34 @@ class TestRawBytes:
         with pytest.raises(UndecodableInput) as excinfo:
             parse_file(path)
         assert excinfo.value.line == 4
+
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path):
+        """A lone surrogate escape is valid JSON syntax, but it decodes to a
+        string no UTF-8 file can hold: it fails where it is, not at the write."""
+        pretokenized = tmp_path / "lone.jsonl"
+        pretokenized.write_text(
+            '{"words": ["Ann", "\\ud83d\\ude00"], "labels": ["B-PER", "O"]}\n'
+            '{"words": ["Ann", "\\\\ud800", "\\udc00"], "labels": ["B-PER", "O", "O"]}\n'
+        )
+        tasks = tmp_path / "export.json"
+        tasks.write_text('[{"data": {"text": "Ann"},\n "annotations": [],\n "x": "\\udbff"}]')
+        for path, line in [(pretokenized, 2), (tasks, 3)]:
+            with pytest.raises(MalformedJson, match=r"invalid JSON \(lone surrogate\)") as excinfo:
+                parse_file(path)
+            assert excinfo.value.line == line
+
+    @given(st.lists(st.sampled_from(ESCAPES), max_size=6), st.sampled_from(["", "\\udfff"]))
+    def test_lone_surrogate_check_agrees_with_the_decoder(self, escapes, key):
+        """load_json rejects exactly the JSON whose decoded strings, keys
+        included, cannot be encoded as UTF-8."""
+        source = '{"k%s": "%s"}' % (key, "".join(escapes))
+        try:
+            json.dumps(json.loads(source), ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(MalformedJson, match="lone surrogate"):
+                load_json(source)
+        else:
+            assert load_json(source) == json.loads(source)
 
     def test_corrupt_analysis_is_typed(self, tmp_path):
         (tmp_path / "analysis.json").write_text('{"scheme_detected":\n')
