@@ -257,9 +257,10 @@ class TestPredictFile:
             lines = [json.loads(l) for l in sink.read_text(encoding="utf-8").splitlines()]
             assert lines[0]["error"].startswith("line 1: byte 11 is not UTF-8")
             assert lines[1]["error"].startswith("line 2: invalid JSON")
-            assert lines[2]["text"] == "b"
+            for index, text in ((2, "b"), (4, "\U0001f600")):
+                expected = [prediction_record(p) for p in predict(UN_LEXICON, text, level=level)]
+                assert lines[index] == {"text": text, "predictions": expected}
             assert lines[3] == {"error": "line 4: invalid JSON (lone surrogate)"}
-            assert lines[4]["text"] == "\U0001f600"
 
     def test_bad_level_is_refused_before_any_file_is_opened(self, tmp_path):
         source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"

@@ -72,12 +72,15 @@ def expected_line(tagger, text, lineno, level, with_probabilities):
     return json.dumps(record, ensure_ascii=False) + "\n"
 
 
-def run(tagger, texts, level, with_probabilities, ascii_input=True):
+def run(tagger, texts, level, with_probabilities, ascii_input=True, ends=("\n",)):
+    """Each input line ends with the next of `ends` in turn."""
     with tempfile.TemporaryDirectory() as tmp:
         source, sink = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
-        source.write_text(
-            "".join(json.dumps({"text": t}, ensure_ascii=ascii_input) + "\n" for t in texts),
-            encoding="utf-8",
+        source.write_bytes(
+            "".join(
+                json.dumps({"text": t}, ensure_ascii=ascii_input) + end
+                for t, end in zip(texts, cycle(ends))
+            ).encode("utf-8")
         )
         summary = predict_file(
             tagger, source, sink, level=level, with_probabilities=with_probabilities
@@ -92,11 +95,12 @@ def run(tagger, texts, level, with_probabilities, ascii_input=True):
     level=st.sampled_from(["entity", "word"]),
     with_probabilities=st.booleans(),
     ascii_input=st.booleans(),
+    ends=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1, max_size=4),
 )
 def test_lines_are_json_dumps_of_the_prediction_records(
-    tagger, texts, level, with_probabilities, ascii_input
+    tagger, texts, level, with_probabilities, ascii_input, ends
 ):
-    summary, written = run(tagger, texts, level, with_probabilities, ascii_input)
+    summary, written = run(tagger, texts, level, with_probabilities, ascii_input, ends)
     expected = [
         expected_line(tagger, text, lineno, level, with_probabilities)
         for lineno, text in enumerate(texts, 1)
