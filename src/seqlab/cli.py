@@ -129,7 +129,8 @@ def cmd_convert(args) -> int:
     records = ingest._json_records(ingest.read_text(args.input))
     items = ingest._word_labeled(records, source)[0]
     problems = []  # (line, what went wrong)
-    converted = []  # output records
+    lines = []  # output lines
+    literals = ingest._Literals()
     for (lineno, record), item in zip(records, items):
         is_document = type(item) is Document
         gold = item.word_labels if is_document else LabelSequence(item[1], source)
@@ -137,7 +138,7 @@ def cmd_convert(args) -> int:
             problems.append((lineno, "document has no word labels to convert"))
             continue
         try:
-            labels = convert_scheme(gold, target)
+            labels = convert_scheme(gold, target).labels
         except InconsistentSource as err:
             problems.extend(
                 (lineno, f"{violation.kind.value} at position {violation.position}")
@@ -145,11 +146,16 @@ def cmd_convert(args) -> int:
             )
             continue
         if is_document:
-            # _replace builds the tuple without Document.__new__, so the words
-            # checked as the document was read are not checked again
-            converted.append(ingest.document_to_record(item._replace(word_labels=labels)))
+            text, words, entities = item.text, item.words, item.entities
         else:
-            converted.append(ingest._relabeled_record(record, labels.serialized()))
+            # a record `_checked_surfaces` passed: its words are checked spans of
+            # its text, or strings joined with single spaces where it has none
+            text, entities = record.get("text"), None
+            if text is None:
+                text, words = ingest._synthetic_words(record["words"])
+            else:
+                words = map(ingest._WORD_FIELDS, record["words"])
+        lines.append(ingest._canonical_line(text, words, labels, entities, literals))
     if problems:
         if args.verbose:
             for lineno, problem in problems:
@@ -158,8 +164,8 @@ def cmd_convert(args) -> int:
         more = f" (and {len(problems) - 1} more; --verbose lists all)" if len(problems) > 1 else ""
         raise UnconvertibleInput(problem + more, line=lineno)
     with open(args.output, "w", encoding="utf-8") as handle:
-        ingest._write_records(converted, handle)
-    print(f"converted {len(converted)} documents {source.value} -> {target.value}")
+        handle.writelines(lines)
+    print(f"converted {len(lines)} documents {source.value} -> {target.value}")
     return 0
 
 

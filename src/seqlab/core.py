@@ -18,6 +18,7 @@ indexing) is a `FrozenRecord`.
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import MalformedLabel, PrefixNotInScheme
@@ -49,6 +50,7 @@ _SCHEME_PREFIXES = {
     AnnotationScheme.BILOU: frozenset({"B", "I", "L", "O", "U"}),
 }
 _LABEL_PREFIXES = _SCHEME_PREFIXES[AnnotationScheme.BILOU]  # BILOU admits every prefix
+_prefix = attrgetter("prefix")
 
 
 class FrozenRecord:
@@ -180,9 +182,9 @@ class LabelSequence(FrozenRecord):
     def __init__(self, labels: Iterable[Label], scheme: AnnotationScheme):
         labels = tuple(labels)
         allowed = _SCHEME_PREFIXES[scheme]
-        for lab in labels:
-            if lab.prefix not in allowed:
-                raise PrefixNotInScheme(lab.serialize(), scheme.value)
+        if not allowed.issuperset(map(_prefix, labels)):
+            lab = next(lab for lab in labels if lab.prefix not in allowed)
+            raise PrefixNotInScheme(lab.serialize(), scheme.value)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scheme", scheme)
 
@@ -485,20 +487,22 @@ class Document(_DocumentFields):
         return self
 
     def _check_words(self):
+        text = self.text
+        size = len(text)
         prev_end = 0
         for w in self.words:
-            if w.char_start < prev_end:
+            surface, start, end = w
+            if start < prev_end:
                 raise ValueError(f"word spans overlap or decrease at {w!r}")
-            if w.char_end <= w.char_start:
+            if end <= start:
                 raise ValueError(f"empty or inverted word span at {w!r}")
-            if w.char_end > len(self.text):
+            if end > size:
                 raise ValueError(f"word span out of text bounds: {w!r}")
-            if self.text[w.char_start : w.char_end] != w.surface:
+            if text[start:end] != surface:
                 raise ValueError(
-                    f"word surface {w.surface!r} does not match text slice "
-                    f"{self.text[w.char_start:w.char_end]!r}"
+                    f"word surface {surface!r} does not match text slice {text[start:end]!r}"
                 )
-            prev_end = w.char_end
+            prev_end = end
 
     def _check_entities(self):
         prev_end = 0

@@ -409,10 +409,18 @@ _WITHOUT_PROBABILITY = "%.0s}"  # takes the None probability and writes nothing
 
 class _Tags(dict):
     """The JSON string of each tag of a run, escaped once: a word's Label
-    serialized, or an entity's class name."""
+    serialized, or an entity's class name. A tag that cannot be written as
+    UTF-8 (one holding a lone surrogate) is never stored: each lookup
+    raises TaggerContractError, so it fails only the lines that carry it."""
 
     def __missing__(self, tag: Label | str) -> str:
-        literal = self[tag] = encode_basestring(tag if type(tag) is str else tag.serialize())
+        string = tag if type(tag) is str else tag.serialize()
+        literal = encode_basestring(string)
+        try:
+            literal.encode("utf-8")
+        except UnicodeEncodeError:
+            raise TaggerContractError(f"tag {string!a} cannot be written as UTF-8") from None
+        self[tag] = literal
         return literal
 
 

@@ -35,6 +35,15 @@ decoded words (`_checked_surfaces`) and keeps its surfaces and labels,
 building no `Word` or `Document`. Every other record, and every record
 that fails a check, goes to `_document_from_record`, so the errors stay
 those of the readers.
+
+Canonical lines are formatted, not built as dicts for the JSON encoder.
+`_canonical_line` fills fixed templates from a document's fields:
+strings through the encoder's own escaper (`encode_basestring`), offsets
+with %d, each distinct Label escaped once per write. `write_canonical_jsonl`
+(and so `set_up`) and `convert` write through it, and each line is byte
+for byte what ``json.dumps(document_to_record(doc), ensure_ascii=False)``
+writes; a document with fields of other types (a bool offset, say) is
+written through the encoder.
 """
 
 from __future__ import annotations
@@ -44,8 +53,10 @@ import math
 import random
 import re
 from enum import Enum
-from itertools import chain, islice
-from operator import itemgetter
+from functools import partial
+from itertools import accumulate, chain, islice, repeat
+from json.encoder import encode_basestring
+from operator import add, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -82,6 +93,8 @@ DEFAULT_SPLIT_RATIO = (0.8, 0.1, 0.1)
 BUILTIN_DATASETS = {"mini-conll": "mini_conll"}
 
 _WORD_FIELDS = itemgetter("surface", "start", "end")
+#: a Word from its (surface, start, end), built in C; Word has no __new__ of its own
+_new_word = partial(tuple.__new__, Word)
 
 
 class SourceKind(Enum):
@@ -214,11 +227,12 @@ def _parse_labels(
 
 
 def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
-    words, pos = [], 0
-    for surface in surfaces:
-        words.append(Word(surface, pos, pos + len(surface)))
-        pos += len(surface) + 1
-    return " ".join(surfaces), tuple(words)
+    """The single-space join of the surfaces, and each surface's Word in it."""
+    lengths = list(map(len, surfaces))
+    # each word starts one past the end of the one before it
+    starts = list(accumulate(map(add, lengths, repeat(1)), initial=0))
+    ends = map(add, starts, lengths)
+    return " ".join(surfaces), tuple(map(_new_word, zip(surfaces, starts, ends)))
 
 
 def _conll_records(source: str) -> list[tuple[tuple[int, ...], dict]]:
@@ -608,28 +622,72 @@ def document_to_record(doc: Document) -> dict:
     }
 
 
-def _relabeled_record(record: dict, labels: list[str]) -> dict:
-    """A record that `_checked_surfaces` passed, as `document_to_record`
-    writes its Document, with other labels."""
-    text = record.get("text")
-    if text is None:
-        text, spans = _synthetic_words(record["words"])
-    else:
-        spans = map(_WORD_FIELDS, record["words"])
-    words = [{"surface": surface, "start": start, "end": end} for surface, start, end in spans]
-    return {"text": text, "words": words, "labels": labels, "entities": None}
+# A canonical line as json.dumps(document_to_record(doc), ensure_ascii=False)
+# writes it: strings through the encoder's own escaper and offsets with %d,
+# which is the int repr the encoder writes. Both raise TypeError for a value
+# of the other type; `write_canonical_jsonl` sends a document with any other
+# type (a bool offset, which the encoder writes as true) through the encoder.
+_LINE = '{"text": %s, "words": %s, "labels": %s, "entities": %s}\n'
+_WORD = '{"surface": %s, "start": %d, "end": %d}'
+_ENTITY = '{"start": %d, "end": %d, "label": %s}'
+_ENTITY_FIELDS = itemgetter(0, 1, 2)  # class name, start and end of an EntitySpan
+_STR_AND_INT = frozenset({str, int})
 
 
-def _write_records(records: Iterable[dict], dest: IO[str]) -> None:
-    """One line of JSON per record, all through one encoder."""
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    for record in records:
-        dest.write(encode(record))
-        dest.write("\n")
+class _Literals(dict):
+    """The JSON string of each Label of a write, serialized and escaped once."""
+
+    def __missing__(self, label: Label) -> str:
+        literal = self[label] = encode_basestring(label.serialize())
+        return literal
+
+
+def _canonical_line(
+    text: str,
+    words: Iterable[tuple[str, int, int]] | None,
+    labels: Iterable[Label] | None,
+    entities: Iterable[EntitySpan] | None,
+    literals: _Literals,
+) -> str:
+    """The canonical line of a document with these fields; ``words`` are
+    (surface, start, end) triples, ``literals`` the Label cache of the write."""
+    words_json = labels_json = entities_json = "null"
+    if words is not None:
+        words_json = "[%s]" % ", ".join(
+            [_WORD % (encode_basestring(s), start, end) for s, start, end in words]
+        )
+    if labels is not None:
+        labels_json = "[%s]" % ", ".join(map(literals.__getitem__, labels))
+    if entities is not None:
+        entities_json = "[%s]" % ", ".join(
+            [
+                _ENTITY % (start, end, encode_basestring(class_name))
+                for class_name, start, end in map(_ENTITY_FIELDS, entities)
+            ]
+        )
+    return _LINE % (encode_basestring(text), words_json, labels_json, entities_json)
 
 
 def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
-    _write_records(map(document_to_record, documents), dest)
+    """One canonical line per document, byte for byte what
+    ``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes.
+
+    Each line is formatted from the document's fields, each distinct Label
+    escaped once per call. A document whose text, surfaces, entity class
+    names and offsets are not all of type str or int (a bool offset, say)
+    is written through the encoder."""
+    literals = _Literals()
+    for doc in documents:
+        text, words, entities = doc.text, doc.words, doc.entities
+        fields = chain((text,), *(words or ()), *map(_ENTITY_FIELDS, entities or ()))
+        line = None
+        if _STR_AND_INT.issuperset(map(type, fields)):
+            labels = None if doc.word_labels is None else doc.word_labels.labels
+            try:
+                line = _canonical_line(text, words, labels, entities, literals)
+            except TypeError:  # an int where a str belongs, or the other way round
+                pass
+        dest.write(line or json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
 
 
 def save_canonical_jsonl(documents: Iterable[Document], path: str | Path) -> None:

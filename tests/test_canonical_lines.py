@@ -1,0 +1,190 @@
+"""Canonical lines are formatted from a document's fields, not built as
+dicts and passed to the JSON encoder. Every line `write_canonical_jsonl`,
+`dataset set-up` and `convert` write must still be the bytes that
+`json.dumps(document_to_record(doc), ensure_ascii=False)` gives.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqlab.cli import main
+from seqlab.core import (
+    OUTSIDE,
+    AnnotationScheme,
+    Document,
+    EntitySpan,
+    Label,
+    LabelSequence,
+    Word,
+)
+from seqlab.errors import PrefixNotInScheme
+from seqlab.ingest import (
+    _synthetic_words,
+    document_to_record,
+    read_canonical_jsonl,
+    save_canonical_jsonl,
+    write_canonical_jsonl,
+)
+from seqlab.schemes import convert_scheme
+
+#: characters the JSON escaper treats specially, and some it leaves alone
+CHARACTERS = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", " ", "\t", "\n", "\x85", "\u2028", "\u2029",
+     "\u00e9", "\u4e2d", "\U0001f600", "/", "A", "b"]
+)
+CLASSES = st.sampled_from(["PER", 'q"\\', "\u00e9t\u00e9", "\U0001f600-x", "\u2028\x01", "\x85"])
+LABELS = st.one_of(st.just(OUTSIDE), st.builds(Label, st.sampled_from("BILU"), CLASSES))
+
+
+def encoded(documents) -> str:
+    return "".join(json.dumps(document_to_record(d), ensure_ascii=False) + "\n" for d in documents)
+
+
+def written(documents) -> str:
+    buffer = io.StringIO()
+    write_canonical_jsonl(documents, buffer)
+    return buffer.getvalue()
+
+
+@st.composite
+def documents(draw):
+    """A document with words only, words and labels, entities only, all
+    three, or none, over text full of characters JSON escapes."""
+    surfaces = draw(st.lists(st.text(CHARACTERS, min_size=1, max_size=4), max_size=6))
+    text = draw(st.text(CHARACTERS, max_size=2))
+    words = []
+    for surface in surfaces:
+        words.append(Word(surface, len(text), len(text) + len(surface)))
+        text += surface + draw(st.text(CHARACTERS, max_size=2))
+    shape = draw(st.sampled_from(["words", "labels", "entities", "all", "text"]))
+    labels = entities = None
+    if shape in ("labels", "all"):
+        labels = LabelSequence(
+            draw(st.lists(LABELS, min_size=len(words), max_size=len(words))),
+            AnnotationScheme.BILOU,
+        )
+    if shape in ("entities", "all"):
+        cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=6)))
+        entities = [
+            EntitySpan(draw(CLASSES), start, end, text[start:end])
+            for start, end in zip(cuts[::2], cuts[1::2])
+        ]
+    if shape in ("entities", "text"):
+        words = None
+    return Document(text, words=words, word_labels=labels, entities=entities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs=st.lists(documents(), max_size=4))
+def test_lines_are_json_dumps_of_the_records(docs):
+    assert written(docs) == encoded(docs)
+
+
+def test_documents_of_other_types_go_through_the_encoder():
+    """A bool offset is an int to %d but true or false to the encoder; a
+    text that is no string is not one to the escaper."""
+    docs = [
+        Document("ab", words=[Word("a", False, True), Word("b", True, 2)],
+                 word_labels=LabelSequence.from_raw(["B-X", "O"], AnnotationScheme.BIO)),
+        Document("ab", entities=[EntitySpan("X", False, True, "a")]),
+        Document("ab", words=[Word("a", 0, 1)], entities=[EntitySpan("X", 1, 2, "b")]),
+        Document(5),
+    ]
+    lines = written(docs)
+    assert lines == encoded(docs)
+    assert lines.startswith('{"text": "ab", "words": [{"surface": "a", "start": false, "end": true')
+
+
+def test_an_offset_the_encoder_cannot_write_raises_as_it_does():
+    class Offset:
+        """An index that is no int: a slice takes it, JSON has no form for it."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+        def __lt__(self, other):
+            return self.value < other
+
+        def __le__(self, other):
+            return self.value <= other
+
+        def __gt__(self, other):
+            return self.value > other
+
+    doc = Document("ab", words=[Word("a", 0, Offset(1))])
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        written([doc])
+
+
+@given(st.lists(st.text(CHARACTERS, min_size=1, max_size=4), max_size=8))
+def test_synthetic_words_are_the_single_space_join(surfaces):
+    text, words = _synthetic_words(surfaces)
+    assert text == " ".join(surfaces)
+    assert all(type(w) is Word and text[w.char_start:w.char_end] == w.surface for w in words)
+    assert [w.surface for w in words] == surfaces
+    assert [b.char_start - a.char_end for a, b in zip(words, words[1:])] == [1] * (len(words) - 1)
+
+
+def test_a_label_sequence_names_its_first_label_outside_the_scheme():
+    labels = (Label("B", "X"), Label("U", "Y"), Label("L", "X"))
+    with pytest.raises(PrefixNotInScheme, match="^prefix of 'U-Y' is not part of scheme BIO$"):
+        LabelSequence(labels, AnnotationScheme.BIO)
+
+
+def converted(source: Path) -> str:
+    """What `convert --from BIO --to BILOU` wrote before lines were formatted:
+    each document with its new labels, through `document_to_record` and the
+    encoder."""
+    docs = read_canonical_jsonl(source.read_text(encoding="utf-8"), scheme="BIO")
+    return encoded(
+        d._replace(word_labels=convert_scheme(d.word_labels, AnnotationScheme.BILOU)) for d in docs
+    )
+
+
+def set_up_file(tmp_path: Path) -> Path:
+    assert main(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+                 "--name", "mini-conll"]) == 0
+    return tmp_path / "mini-conll" / "test.jsonl"
+
+
+def plain_word_file(tmp_path: Path) -> Path:
+    path = tmp_path / "plain.jsonl"
+    records = [
+        {"words": ['"q"', "a\\b", "\u2028x", "\U0001f600"],
+         "labels": ["B-PER", "I-PER", "O", "B-X"]},
+        {"words": ["\x85", "\u00e9"], "labels": ["O", "O"]},
+        {"text": "Ann  Lee", "words": ["Ann", "Lee"], "labels": ["B-PER", "I-PER"]},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def entity_file(tmp_path: Path) -> Path:
+    path = tmp_path / "entities.jsonl"
+    doc = Document(
+        "Ada \u2028Lovelace \"met\"",
+        words=[Word("Ada", 0, 3), Word("Lovelace", 5, 13), Word('"met"', 14, 19)],
+        word_labels=LabelSequence.from_raw(["B-PER", "I-PER", "B-q\"\\"], AnnotationScheme.BIO),
+        entities=[
+            EntitySpan("PER", 0, 13, "Ada \u2028Lovelace"), EntitySpan('q"\\', 14, 19, '"met"')
+        ],
+    )
+    save_canonical_jsonl([doc, doc._replace(entities=None)], path)
+    return path
+
+
+@pytest.mark.parametrize("make_input", [set_up_file, plain_word_file, entity_file])
+def test_convert_writes_the_bytes_of_the_encoder(tmp_path, capsys, make_input):
+    source = make_input(tmp_path)
+    target = tmp_path / "out.jsonl"
+    assert main(["convert", "--from", "BIO", "--to", "BILOU", "--input", str(source),
+                 "--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == converted(source)
+    capsys.readouterr()

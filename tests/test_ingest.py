@@ -25,7 +25,6 @@ from seqlab.evaluation import extract_entities
 from seqlab.ingest import (
     DatasetSplit,
     SourceKind,
-    _write_records,
     analyze,
     document_to_record,
     load_analysis,
@@ -249,24 +248,24 @@ class TestCanonicalRoundTrip:
         assert read_canonical_jsonl(buffer.getvalue()) == docs
 
     def test_lines_are_the_bytes_of_json_dumps(self):
-        """One encoder for the call writes each line as json.dumps(...,
-        ensure_ascii=False) writes it: non-ASCII text and U+2028 left
-        unescaped, nulls and floats as JSON writes them."""
+        """The writer writes each line as json.dumps(..., ensure_ascii=False)
+        writes it: non-ASCII text, astral characters and U+2028 left
+        unescaped, control characters escaped, nulls as JSON writes them."""
         docs = [
             *parse_annotation_tool_export(
                 '{"text":"Z\\u00fcrich\\u2028\\u4e2d d","label":[[0,6,"LOC"]]}\n', "DoccanoJsonl"
             ),
             *parse_conll("\u00c6r\u00f8 B-LOC\nx O\n"),
+            *read_canonical_jsonl(
+                '{"text": "\\u00e9\\u2028\\ud83d\\ude00\\u0001", "words": null, "labels": null,'
+                ' "entities": [{"start": 0, "end": 2, "label": "q\\"\\\\"}]}\n'
+            ),
         ]
         buffer = io.StringIO()
         write_canonical_jsonl(docs, buffer)
         assert buffer.getvalue() == "".join(
             json.dumps(document_to_record(doc), ensure_ascii=False) + "\n" for doc in docs
         )
-        records = [{"p": 1 / 3, "q": [0.1, -0.0, 1e300, None], "t": "\u00e9\u2028\U0001f600"}]
-        buffer = io.StringIO()
-        _write_records(records, buffer)
-        assert buffer.getvalue() == json.dumps(records[0], ensure_ascii=False) + "\n"
 
     def test_entity_documents_survive(self):
         docs = parse_annotation_tool_export(

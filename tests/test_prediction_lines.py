@@ -128,3 +128,29 @@ def test_file_path_builds_no_prediction_object(monkeypatch, level, with_probabil
         monkeypatch.setattr(inference, name, built)
     assert run(tagger, texts, level, with_probabilities) == before
     assert before[0] == (3, 1)
+
+
+class SurrogateTagger:
+    """Tags the word "x" with a label holding a lone surrogate, which no
+    UTF-8 file can hold, and every other word with a valid label."""
+
+    scheme = AnnotationScheme.BIO
+
+    def tag(self, words):
+        return [("B-\ud800" if word == "x" else "B-PER", 0.5) for word in words]
+
+
+@pytest.mark.parametrize("level", ["entity", "word"])
+def test_a_tag_that_is_not_utf8_fails_only_its_lines(level):
+    tagger = SurrogateTagger()
+    texts = ["Ann Lee", "Ann x Lee", "é \U0001f600", "x", "x x", "Bo"]
+    summary, output = run(tagger, texts, level, False)
+    tag = "B-\\\\ud800" if level == "word" else "\\\\ud800"
+    expected = [
+        f"{{\"error\": \"line {lineno}: tag '{tag}' cannot be written as UTF-8\"}}\n"
+        if "x" in text.split()
+        else expected_line(tagger, text, lineno, level, False)
+        for lineno, text in enumerate(texts, 1)
+    ]
+    assert output.decode("utf-8") == "".join(expected)
+    assert summary == (3, 3)
