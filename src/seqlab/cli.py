@@ -99,17 +99,17 @@ def cmd_dataset_setup(args) -> int:
     except ValueError:
         print(f"bad --split-ratio: {args.split_ratio!r}", file=sys.stderr)
         return 2
-    _, analysis = ingest.set_up(
+    # the files and analysis of `ingest.set_up`, without its Documents
+    _, analysis = ingest._set_up(
         args.source,
         name=args.name,
         path=args.path,
-        train_path=args.train_path,
-        val_path=args.val_path,
-        test_path=args.test_path,
+        split_paths=(args.train_path, args.val_path, args.test_path),
         dialect=args.dialect,
         split_ratio=ratio,
         seed=args.seed,
-        train_fraction=args.fraction,
+        fractions=(args.fraction, None, None),
+        scheme=None,
         data_dir=args.data_dir,
     )
     out_dir = ingest.resolve_data_dir(args.data_dir) / args.name
@@ -146,16 +146,11 @@ def cmd_convert(args) -> int:
             )
             continue
         if is_document:
-            text, words, entities = item.text, item.words, item.entities
+            lines.append(
+                ingest._canonical_line(item.text, item.words, labels, item.entities, literals)
+            )
         else:
-            # a record `_checked_surfaces` passed: its words are checked spans of
-            # its text, or strings joined with single spaces where it has none
-            text, entities = record.get("text"), None
-            if text is None:
-                text, words = ingest._synthetic_words(record["words"])
-            else:
-                words = map(ingest._WORD_FIELDS, record["words"])
-        lines.append(ingest._canonical_line(text, words, labels, entities, literals))
+            lines.append(ingest._record_line(record, labels, literals))
     if problems:
         if args.verbose:
             for lineno, problem in problems:

@@ -34,6 +34,10 @@ class AnnotationScheme(Enum):
     BIO = "BIO"
     BILOU = "BILOU"
 
+    # equality is identity, so the identity hash, computed in C, is
+    # consistent with it; Enum's own hashes the name in Python
+    __hash__ = object.__hash__
+
     @classmethod
     def coerce(cls, value: "AnnotationScheme | str") -> "AnnotationScheme":
         if isinstance(value, AnnotationScheme):

@@ -379,11 +379,13 @@ def prediction_record(item: EntitySpan | WordPrediction) -> dict:
 
 
 def _contained(work: Callable, *args, **kwargs) -> tuple[bool, object, str | None]:
-    """The one per-item handler: (ok, value, error); a SeqlabError fails the item."""
+    """The one per-item handler: (ok, value, error); a SeqlabError fails the
+    item. A lone surrogate in its message (a tagger's exception may quote
+    one) is written as its \\u escape, so that the error can be written as UTF-8."""
     try:
         return True, work(*args, **kwargs), None
     except SeqlabError as err:
-        return False, None, str(err)
+        return False, None, str(err).encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def predict_batch(tagger: Tagger, texts: Sequence[str], **kwargs) -> list[BatchItem]:

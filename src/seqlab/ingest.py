@@ -22,28 +22,31 @@ its line: a CoNLL sentence becomes a "words" + "labels" record, a
 Doccano line or a LabelStudio task a "text" + "entities" record. One
 function, `_document_from_record`, checks a record and builds its
 `Document`, and its errors are the only ones a record raises.
-`_canonical_documents` builds the documents of the readers and of
-`set_up`, which passes it the records of all its files at once. It
-parses every label first, naming its line, through one `LabelTable`
-under the given scheme, else under BILOU, which admits every prefix, and
-reads the scheme off the table's labels before it builds any document.
+`_canonical_documents` builds the documents of the readers. It parses
+every label first, naming its line, through one `LabelTable` under the
+given scheme, else under BILOU, which admits every prefix, and reads the
+scheme off the table's labels before it builds any document.
 
-`evaluate`, `convert` and the `echo:` tagger need only the words and
-labels of a record. `_word_labeled` parses the labels the same way, then
-checks each word-labeled record without "entities" in one loop over its
-decoded words (`_checked_surfaces`) and keeps its surfaces and labels,
-building no `Word` or `Document`. Every other record, and every record
-that fails a check, goes to `_document_from_record`, so the errors stay
-those of the readers.
+`dataset set-up`, `evaluate`, `convert` and the `echo:` tagger need only
+the words and labels of a record. `_word_labeled` parses the labels the
+same way, then checks each word-labeled record without "entities" in one
+loop over its decoded words (`_checked_surfaces`) and keeps its surfaces
+and labels, building no `Word` or `Document`. Every other record, and
+every record that fails a check, goes to `_document_from_record`, so the
+errors stay those of the readers. `_set_up` reads the records of all the
+set-up files at once this way, then splits, analyzes and writes them;
+the public `set_up` builds the kept records' Documents afterwards.
 
 Canonical lines are formatted, not built as dicts for the JSON encoder.
 `_canonical_line` fills fixed templates from a document's fields:
 strings through the encoder's own escaper (`encode_basestring`), offsets
 with %d, each distinct Label escaped once per write. `write_canonical_jsonl`
-(and so `set_up`) and `convert` write through it, and each line is byte
-for byte what ``json.dumps(document_to_record(doc), ensure_ascii=False)``
-writes; a document with fields of other types (a bool offset, say) is
-written through the encoder.
+writes Documents through it, and `_record_line` a record that
+`_checked_surfaces` passed, single-space offsets computed without Words;
+set-up and `convert` write through both. Each line is byte for byte what
+``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes; a
+document with fields of other types (a bool offset, say) is written
+through the encoder.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import random
 import re
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from json.encoder import encode_basestring
 from operator import add, itemgetter
 from pathlib import Path
@@ -226,13 +229,19 @@ def _parse_labels(
         raise MalformedLabel(str(err), line=line) from None
 
 
-def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
-    """The single-space join of the surfaces, and each surface's Word in it."""
+def _synthetic_spans(surfaces: Sequence[str]) -> tuple[str, Iterable[tuple[str, int, int]]]:
+    """The single-space join of the surfaces, and each surface's
+    (surface, start, end) in it."""
     lengths = list(map(len, surfaces))
     # each word starts one past the end of the one before it
     starts = list(accumulate(map(add, lengths, repeat(1)), initial=0))
-    ends = map(add, starts, lengths)
-    return " ".join(surfaces), tuple(map(_new_word, zip(surfaces, starts, ends)))
+    return " ".join(surfaces), zip(surfaces, starts, map(add, starts, lengths))
+
+
+def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
+    """The single-space join of the surfaces, and each surface's Word in it."""
+    text, spans = _synthetic_spans(surfaces)
+    return text, tuple(map(_new_word, spans))
 
 
 def _conll_records(source: str) -> list[tuple[tuple[int, ...], dict]]:
@@ -504,7 +513,7 @@ def _word_labeled(
     parsed, scheme = _record_labels(records, scheme)
     items = []
     for (lineno, record), labels in zip(records, parsed):
-        surfaces = _checked_surfaces(record, labels)
+        surfaces = None if labels is None else _checked_surfaces(record, labels)
         if surfaces is None:
             items.append(_document_from_record(lineno, record, labels, scheme))
         else:
@@ -668,6 +677,18 @@ def _canonical_line(
     return _LINE % (encode_basestring(text), words_json, labels_json, entities_json)
 
 
+def _record_line(record: dict, labels: Iterable[Label], literals: _Literals) -> str:
+    """The canonical line, with these labels, of a record `_checked_surfaces`
+    passed: its words are checked spans of its text, or strings joined with
+    single spaces where it has none."""
+    text = record.get("text")
+    if text is None:
+        text, words = _synthetic_spans(record["words"])
+    else:
+        words = map(_WORD_FIELDS, record["words"])
+    return _canonical_line(text, words, labels, None, literals)
+
+
 def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
     """One canonical line per document, byte for byte what
     ``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes.
@@ -693,6 +714,18 @@ def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
 def save_canonical_jsonl(documents: Iterable[Document], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         write_canonical_jsonl(documents, handle)
+
+
+def _save_items(items: Iterable, path: str | Path) -> None:
+    """Write set-up items: a run of Documents through `write_canonical_jsonl`,
+    each ((line, record), (surfaces, labels)) through `_record_line`."""
+    literals = _Literals()
+    with open(path, "w", encoding="utf-8") as handle:
+        for kind, run in groupby(items, type):
+            if kind is Document:
+                write_canonical_jsonl(run, handle)
+            else:
+                handle.writelines([_record_line(r[1], p[1], literals) for r, p in run])
 
 
 def split_documents(
@@ -734,7 +767,10 @@ def analyze(
     """Compute corpus statistics: document/word counts, per-class entity
     counts (strict chunk decoding for labeled documents), the scheme
     (``scheme`` if given, else read off the documents' parsed labels),
-    and whether the corpus is pretokenized."""
+    and whether the corpus is pretokenized. A split may hold, in place of
+    a word-labeled Document, its (word surfaces, parsed labels) pair, as
+    `count_documents` takes it; such pairs are decoded in ``scheme``,
+    which they need."""
     num_documents = {}
     num_words = {}
     entity_counts: dict[str, dict[str, int]] = {}
@@ -745,17 +781,22 @@ def analyze(
         words = 0
         counts: dict[str, int] = {}
         for doc in split.documents:
-            if doc.words is None:
-                pretokenized = False
+            if type(doc) is not Document:
+                words += len(doc[0])
+                labels = LabelSequence(doc[1], AnnotationScheme.coerce(scheme))
             else:
-                words += len(doc.words)
-            if doc.word_labels is not None:
-                sequences.append(doc.word_labels)
-                for chunk in decode(doc.word_labels).strict:
+                if doc.words is None:
+                    pretokenized = False
+                else:
+                    words += len(doc.words)
+                labels = doc.word_labels
+                if labels is None and doc.entities is not None:
+                    for entity in doc.entities:
+                        counts[entity.class_name] = counts.get(entity.class_name, 0) + 1
+            if labels is not None:
+                sequences.append(labels)
+                for chunk in decode(labels).strict:
                     counts[chunk.class_name] = counts.get(chunk.class_name, 0) + 1
-            elif doc.entities is not None:
-                for entity in doc.entities:
-                    counts[entity.class_name] = counts.get(entity.class_name, 0) + 1
         num_words[split.name] = words
         entity_counts[split.name] = dict(sorted(counts.items()))
     return DatasetAnalysis(
@@ -838,43 +879,85 @@ def set_up(
 
     Pre-split sources (three paths, or a built-in) pass through; unsplit
     sources are shuffled with the seed and split by ratio. The labels of
-    all files are parsed before any document is built, and each document
-    is built once, in ``scheme`` if given, else the one read off all the
-    labels. Optional per-split fractions prune after splitting. Canonical
-    {train,val,test}.jsonl and analysis.json are written under
-    data_dir/name and the splits plus analysis are returned.
+    all files are parsed before any record is checked, in ``scheme`` if
+    given, else the one read off all the labels. Optional per-split
+    fractions prune after splitting. Canonical {train,val,test}.jsonl and
+    analysis.json are written under data_dir/name and the splits plus
+    analysis are returned.
+
+    The files and the analysis come from `_set_up`, which builds no
+    Document for a word-labeled record without "entities"; the returned
+    splits build those Documents afterwards from the kept records.
     """
+    splits, analysis = _set_up(
+        source, name=name, path=path, split_paths=(train_path, val_path, test_path),
+        dialect=dialect, split_ratio=split_ratio, seed=seed,
+        fractions=(train_fraction, val_fraction, test_fraction), scheme=scheme, data_dir=data_dir,
+    )
+    scheme = analysis.scheme_detected
+    return tuple(
+        DatasetSplit(split.name, [
+            item if type(item) is Document else _document_from_record(*item[0], item[1][1], scheme)
+            for item in split.documents
+        ])
+        for split in splits
+    ), analysis
+
+
+def _set_up(
+    source: SourceKind | str,
+    *,
+    name: str,
+    path: str | Path | None,
+    split_paths: Sequence[str | Path | None],
+    dialect: str | None,
+    split_ratio: Sequence[float],
+    seed: int,
+    fractions: Sequence[float | None],
+    scheme: AnnotationScheme | str | None,
+    data_dir: str | Path | None,
+) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], DatasetAnalysis]:
+    """`set_up`'s files and analysis, and its splits with each record that
+    `_word_labeled` reads without a Document left as ((line, record),
+    (surfaces, parsed labels)). The shuffle depends only on the number of
+    records and the seed, so the splits hold the same records as
+    Documents would."""
     kind = SourceKind.coerce(source)
     if kind is SourceKind.BUILT_IN:
         files = _builtin_records(name)
-    elif train_path or val_path or test_path:
-        if not (train_path and val_path and test_path):
+    elif any(split_paths):
+        if not all(split_paths):
             raise UnresolvableSource("pre-split input needs all three split paths")
-        files = [_file_records(p, dialect) for p in (train_path, val_path, test_path)]
+        files = [_file_records(p, dialect) for p in split_paths]
     else:
         if path is None:
             raise UnresolvableSource(f"source {kind.value} needs a file path")
         files = [_file_records(path, dialect)]
 
-    documents, scheme = _canonical_documents(list(chain.from_iterable(files)), scheme)
+    records = list(chain.from_iterable(files))
+    items, scheme = _word_labeled(records, scheme)
+    items = [i if type(i) is Document else (r, i) for r, i in zip(records, items)]
 
     if len(files) == 1:
-        splits, used_seed = split_documents(documents, split_ratio, seed), seed
+        splits, used_seed = split_documents(items, split_ratio, seed), seed
     else:
-        remaining = iter(documents)
+        remaining = iter(items)
         splits = [DatasetSplit(s, islice(remaining, len(f))) for s, f in zip(SPLIT_NAMES, files)]
         used_seed = None
     splits = tuple(
         split if fraction is None else prune(split, fraction)
-        for split, fraction in zip(splits, (train_fraction, val_fraction, test_fraction))
+        for split, fraction in zip(splits, fractions)
     )
 
-    analysis = analyze(splits, scheme=scheme, seed=used_seed)
+    pairs = [[i if type(i) is Document else i[1] for i in s.documents] for s in splits]
+    analysis = analyze(
+        [DatasetSplit(s.name, p) for s, p in zip(splits, pairs)], scheme=scheme, seed=used_seed
+    )
 
     out_dir = resolve_data_dir(data_dir) / name
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
-        save_canonical_jsonl(split.documents, out_dir / f"{split.name}.jsonl")
+        _save_items(split.documents, out_dir / f"{split.name}.jsonl")
     with open(out_dir / "analysis.json", "w", encoding="utf-8") as handle:
         json.dump(analysis.as_dict(), handle, ensure_ascii=False, indent=2)
         handle.write("\n")

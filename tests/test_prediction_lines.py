@@ -154,3 +154,45 @@ def test_a_tag_that_is_not_utf8_fails_only_its_lines(level):
     ]
     assert output.decode("utf-8") == "".join(expected)
     assert summary == (3, 3)
+
+
+class RaisingTagger:
+    """Raises an exception whose message holds a lone surrogate for a text
+    with the word "x", and tags every other text with valid labels."""
+
+    scheme = AnnotationScheme.BIO
+
+    def tag(self, words):
+        if "x" in words:
+            raise ValueError("word \ud800 x")
+        return [("B-PER", 0.5) for _ in words]
+
+
+RAISED = '{"error": "line 2: tagger raised ValueError: word \\\\ud800 x"}\n'
+
+
+@pytest.mark.parametrize("level", ["entity", "word"])
+def test_an_exception_message_that_is_not_utf8_fails_only_its_line(level):
+    tagger = RaisingTagger()
+    texts = ["Ann Lee", "Ann x Lee", "é \U0001f600", "Bo"]
+    summary, output = run(tagger, texts, level, True)
+    expected = [
+        RAISED if lineno == 2 else expected_line(tagger, text, lineno, level, True)
+        for lineno, text in enumerate(texts, 1)
+    ]
+    assert output.decode("utf-8") == "".join(expected)
+    assert summary == (3, 1)
+
+
+@pytest.mark.parametrize("level", ["entity", "word"])
+def test_predict_input_writes_the_exception_line_and_goes_on(tmp_path, monkeypatch, capsys, level):
+    from seqlab import cli
+
+    monkeypatch.setattr(cli, "load_tagger", lambda uri: RaisingTagger())
+    source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    source.write_text('{"text": "Ann"}\n{"text": "x"}\n{"text": "Bo"}\n', encoding="utf-8")
+    assert cli.main(["predict", "--tagger", "all-o", "--input", str(source),
+                     "--output", str(sink), "--level", level]) == 0
+    lines = sink.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 3 and lines[1] == RAISED
+    assert capsys.readouterr().out == "processed=2 failed=1\n"

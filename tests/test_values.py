@@ -265,3 +265,21 @@ def test_validation_errors_keep_type_and_message(build, error, message):
 def test_unknown_config_field_names_the_type_and_the_field():
     with pytest.raises(TypeError, match=r"ScheduleConfig.*'warmup'"):
         ScheduleConfig(max_lr=1, warmup=0.1)
+
+
+@pytest.mark.parametrize("scheme", list(AnnotationScheme), ids=lambda s: s.value)
+def test_schemes_compare_hash_pickle_and_coerce_as_members(scheme):
+    """An AnnotationScheme hashes by identity, which its equality is."""
+    others = [s for s in AnnotationScheme if s is not scheme]
+    assert scheme == scheme and all(scheme != other for other in others)
+    assert scheme != scheme.value
+    assert hash(scheme) == hash(AnnotationScheme[scheme.name]) == hash(copy.copy(scheme))
+    assert pickle.loads(pickle.dumps(scheme)) is scheme
+    assert copy.deepcopy(scheme) is scheme
+    for value in (scheme, scheme.value, scheme.value.lower(), scheme.name):
+        assert AnnotationScheme.coerce(value) is scheme
+    table = {scheme: 1}
+    assert table[AnnotationScheme(scheme.value)] == 1 and scheme.value not in table
+    assert len({*AnnotationScheme, *AnnotationScheme}) == 3
+    with pytest.raises(ValueError, match="unknown annotation scheme: 'BIOES'"):
+        AnnotationScheme.coerce("BIOES")
