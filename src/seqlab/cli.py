@@ -18,18 +18,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import ingest, runs, schedule
-from .core import AnnotationScheme, Document, LabelSequence
+from .core import AnnotationScheme, LabelSequence
 from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
-from .evaluation import DatasetEvaluation, count_documents
+from .evaluation import DatasetEvaluation, _count_rows
 from .inference import load_tagger, predict, predict_file, prediction_record
 from .schemes import convert_scheme
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
+#: what may not occur in a set-up name, which is one directory entry
+_SEPARATORS = {"/", os.sep, os.altsep} - {None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,13 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_commands = dataset.add_subparsers(dest="dataset_command", required=True)
     setup = dataset_commands.add_parser("set-up", help="normalize a dataset into canonical files")
     setup.add_argument("--source", required=True, choices=["LF", "HF", "AT", "BI"])
-    setup.add_argument("--name", required=True)
+    setup.add_argument("--name", required=True, help="directory entry under the data directory")
     setup.add_argument("--path")
     setup.add_argument("--train-path")
     setup.add_argument("--val-path")
     setup.add_argument("--test-path")
     setup.add_argument("--dialect", choices=["labelstudio", "doccano"])
-    setup.add_argument("--split-ratio", default="0.8,0.1,0.1")
+    setup.add_argument("--split-ratio", default="0.8,0.1,0.1",
+                       help="train,val,test shares: finite, non-negative, summing to 1")
     setup.add_argument("--fraction", type=float, help="prune the training split")
     setup.set_defaults(handler=cmd_dataset_setup)
 
@@ -95,14 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_dataset_setup(args) -> int:
     try:
-        ratio = tuple(float(r) for r in args.split_ratio.split(","))
+        ratio = ingest._split_ratio([float(r) for r in args.split_ratio.split(",")])
     except ValueError:
         print(f"bad --split-ratio: {args.split_ratio!r}", file=sys.stderr)
+        return 2
+    name = args.name
+    if name in ("", ".", "..") or "\0" in name or any(sep in name for sep in _SEPARATORS):
+        print(f"bad --name: {name!r} is not one directory entry", file=sys.stderr)
         return 2
     # the files and analysis of `ingest.set_up`, without its Documents
     _, analysis = ingest._set_up(
         args.source,
-        name=args.name,
+        name=name,
         path=args.path,
         split_paths=(args.train_path, args.val_path, args.test_path),
         dialect=args.dialect,
@@ -112,7 +120,7 @@ def cmd_dataset_setup(args) -> int:
         scheme=None,
         data_dir=args.data_dir,
     )
-    out_dir = ingest.resolve_data_dir(args.data_dir) / args.name
+    out_dir = ingest.resolve_data_dir(args.data_dir) / name
     print(f"wrote canonical dataset to {out_dir}")
     print(json.dumps(analysis.as_dict(), ensure_ascii=False, indent=2))
     return 0
@@ -126,31 +134,23 @@ def cmd_convert(args) -> int:
             "warning: IO output merges adjacent same-class chunks (lossy)",
             file=sys.stderr,
         )
-    records = ingest._json_records(ingest.read_text(args.input))
-    items = ingest._word_labeled(records, source)[0]
+    rows = ingest._rows(ingest._json_records(ingest.read_text(args.input)), source)[0]
     problems = []  # (line, what went wrong)
     lines = []  # output lines
     literals = ingest._Literals()
-    for (lineno, record), item in zip(records, items):
-        is_document = type(item) is Document
-        gold = item.word_labels if is_document else LabelSequence(item[1], source)
-        if gold is None:
-            problems.append((lineno, "document has no word labels to convert"))
+    for row in rows:
+        if row.labels is None:
+            problems.append((row.line, "document has no word labels to convert"))
             continue
         try:
-            labels = convert_scheme(gold, target).labels
+            labels = convert_scheme(LabelSequence(row.labels, source), target).labels
         except InconsistentSource as err:
             problems.extend(
-                (lineno, f"{violation.kind.value} at position {violation.position}")
+                (row.line, f"{violation.kind.value} at position {violation.position}")
                 for violation in err.violations
             )
             continue
-        if is_document:
-            lines.append(
-                ingest._canonical_line(item.text, item.words, labels, item.entities, literals)
-            )
-        else:
-            lines.append(ingest._record_line(record, labels, literals))
+        lines.append(ingest._canonical_line(row._replace(labels=labels), literals))
     if problems:
         if args.verbose:
             for lineno, problem in problems:
@@ -180,9 +180,9 @@ def cmd_evaluate(args) -> int:
     except (SeqlabError, KeyError, TypeError, ValueError):
         scheme = None  # no usable analysis.json: the split's reader detects it
     # the scheme read off the split's labels where none is named: BIO when all are O
-    gold, scheme = ingest._word_labeled(ingest._split_records(dataset_dir, args.phase), scheme)
+    gold, scheme = ingest._rows(ingest._split_records(dataset_dir, args.phase), scheme)
     tagger = load_tagger(args.tagger)
-    result = DatasetEvaluation.from_counts(count_documents(tagger, gold, scheme))
+    result = DatasetEvaluation.from_counts(_count_rows(tagger, gold, scheme))
     report = result.as_dict()
     encoded = json.dumps(report, ensure_ascii=False, indent=2)
     print(encoded)

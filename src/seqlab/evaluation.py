@@ -24,8 +24,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import AnnotationScheme, Chunk, Document, FrozenRecord, LabelSequence, Word, decode
 from .errors import LengthMismatch, MissingGold, OverlapWithinList
-from .inference import _tag_and_parse, split_words
-from .schemes import entities_to_word_labels
+from .inference import _tag_and_parse, _word_spans
+from .ingest import _document_row, _Row, _synthetic_offsets
+from .schemes import _span_labels
 
 EXTRACTION_MODES = ("strict", "lenient")
 
@@ -276,43 +277,51 @@ class DatasetEvaluation(FrozenRecord):
         return self._block("strict")[key]
 
 
+def _cut_at(spans: Iterable[tuple[int, int]], cuts: Sequence[int]) -> list[tuple[int, int]]:
+    """Each (start, end) span cut at every one of the sorted ``cuts``
+    strictly inside it."""
+    pieces = []
+    for start, end in spans:
+        bounds = [start, *cuts[bisect_right(cuts, start) : bisect_left(cuts, end)], end]
+        pieces.extend(zip(bounds, bounds[1:]))
+    return pieces
+
+
 def _split_at_entities(text: str, words: Sequence[Word], entities) -> tuple[Word, ...]:
     """Words cut at every entity boundary strictly inside one; every
     piece is an exact text slice."""
     cuts = sorted({e.char_start for e in entities} | {e.char_end for e in entities})
-    pieces = []
-    for word in words:
-        inner = cuts[bisect_right(cuts, word.char_start) : bisect_left(cuts, word.char_end)]
-        bounds = [word.char_start, *inner, word.char_end]
-        pieces.extend(Word(text[a:b], a, b) for a, b in zip(bounds, bounds[1:]))
-    return tuple(pieces)
+    pieces = _cut_at([w[1:] for w in words], cuts)
+    return tuple(Word(text[a:b], a, b) for a, b in pieces)
 
 
-def _gold(item, scheme: AnnotationScheme) -> tuple[Sequence[str], LabelSequence]:
-    """Word surfaces and gold labels of a Document, or of the (surfaces,
-    parsed labels) pair a word-labeled read gives in its place."""
-    if type(item) is not Document:
-        surfaces, labels = item
-        return surfaces, LabelSequence(labels, scheme)
-    if item.word_labels is not None:
-        return [w.surface for w in item.words], item.word_labels
-    if item.entities is None:
-        raise MissingGold(f"document has no gold annotation: {item.text[:50]!r}")
-    words = _split_at_entities(item.text, item.words or split_words(item.text), item.entities)
-    doc = Document(item.text, words=words, entities=item.entities)
-    return [w.surface for w in words], entities_to_word_labels(doc, scheme)
+def _gold(row: _Row, scheme: AnnotationScheme) -> tuple[Sequence[str], LabelSequence]:
+    """Word surfaces and gold labels of a row: its words and labels, else
+    its words, or its whitespace-split text, cut at every entity boundary
+    and labeled with its entities."""
+    if row.labels is not None:
+        return row.surfaces, LabelSequence(row.labels, scheme)
+    if row.entities is None:
+        raise MissingGold(f"document has no gold annotation: {row.text[:50]!r}")
+    offsets = (row.offsets or _synthetic_offsets(row.surfaces)) if row.surfaces else None
+    cuts = sorted({offset for start, end, _ in row.entities for offset in (start, end)})
+    pieces = _cut_at(zip(*offsets) if offsets else _word_spans(row.text), cuts)
+    return [row.text[a:b] for a, b in pieces], _span_labels(pieces, row.entities, scheme)
 
 
-def count_documents(tagger, documents: Iterable, scheme: AnnotationScheme) -> Counts:
-    """Tag and count each document. ``documents`` may hold, in place of a
-    word-labeled Document, the (word surfaces, parsed labels) pair that
-    `seqlab.ingest` reads it into. ``scheme`` is the gold scheme, and the
+def count_documents(tagger, documents: Iterable[Document], scheme: AnnotationScheme) -> Counts:
+    """Tag and count each document. ``scheme`` is the gold scheme, and the
     prediction scheme only for taggers that declare none. The documents
     are one tagger run: each distinct predicted label is parsed once."""
+    return _count_rows(tagger, map(_document_row, documents), scheme)
+
+
+def _count_rows(tagger, rows: Iterable[_Row], scheme: AnnotationScheme) -> Counts:
+    """`count_documents` of rows, as `seqlab.ingest` reads them."""
     counts = Counts()
     tables = {}
-    for item in documents:
-        surfaces, gold_seq = _gold(item, scheme)
+    for row in rows:
+        surfaces, gold_seq = _gold(row, scheme)
         pred_seq = _tag_and_parse(tagger, surfaces, scheme, tables)[0]
         gold, pred = decode(gold_seq), decode(pred_seq)
         counts.add_chunks("strict", gold.strict, pred.strict)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
@@ -46,7 +46,7 @@ from .errors import (
     UndecodableInput,
     UnloadableTagger,
 )
-from .ingest import _json_records, _word_labeled, load_json, read_text
+from .ingest import _document_row, _json_records, _rows, load_json, read_text
 from .schemes import chunk_prefixes, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
@@ -125,29 +125,23 @@ class EchoTagger(NamedTuple):
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "EchoTagger":
-        gold = {}
-        scheme = AnnotationScheme.BIO
-        for doc in documents:
-            if doc.words is None or doc.word_labels is None:
-                continue
-            key = tuple(w.surface for w in doc.words)
-            gold[key] = tuple(doc.word_labels.serialized())
-            scheme = doc.word_labels.scheme
-        return cls(gold, scheme)
+        """Words and labels of the documents that have both; the scheme is
+        the last such document's."""
+        documents = [d for d in documents if d.words is not None and d.word_labels is not None]
+        scheme = documents[-1].word_labels.scheme if documents else AnnotationScheme.BIO
+        return cls._from_rows(map(_document_row, documents), scheme)
 
     @classmethod
     def from_canonical_file(cls, path: str | Path) -> "EchoTagger":
         """Words and labels of a canonical JSONL file, checked as a
-        dataset read checks them, without building a Document for a
-        word-labeled record; the scheme is read off the labels."""
-        records = _json_records(read_text(path))
-        items, scheme = _word_labeled(records, None)
-        gold = {}
-        for (_, record), item in zip(records, items):
-            if type(item) is not Document:
-                gold[tuple(item[0])] = tuple(record["labels"])
-            elif item.word_labels is not None:
-                gold[tuple([w.surface for w in item.words])] = tuple(record["labels"])
+        dataset read checks them; the scheme is read off the labels."""
+        return cls._from_rows(*_rows(_json_records(read_text(path)), None))
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable, scheme: AnnotationScheme) -> "EchoTagger":
+        rows = [row for row in rows if row.labels is not None]
+        strings = {label: label.serialize() for label in set(chain(*[r.labels for r in rows]))}
+        gold = {tuple(row.surfaces): tuple(map(strings.__getitem__, row.labels)) for row in rows}
         return cls(gold, scheme)
 
 

@@ -19,34 +19,28 @@ naming the line. `load_json` also rejects lone surrogate escapes, so
 every string read can be written out as UTF-8. Readers take text as one
 string and turn every source into canonical records, each paired with
 its line: a CoNLL sentence becomes a "words" + "labels" record, a
-Doccano line or a LabelStudio task a "text" + "entities" record. One
-function, `_document_from_record`, checks a record and builds its
-`Document`, and its errors are the only ones a record raises.
-`_canonical_documents` builds the documents of the readers. It parses
-every label first, naming its line, through one `LabelTable` under the
-given scheme, else under BILOU, which admits every prefix, and reads the
-scheme off the table's labels before it builds any document.
+Doccano line or a LabelStudio task a "text" + "entities" record.
 
-`dataset set-up`, `evaluate`, `convert` and the `echo:` tagger need only
-the words and labels of a record. `_word_labeled` parses the labels the
-same way, then checks each word-labeled record without "entities" in one
-loop over its decoded words (`_checked_surfaces`) and keeps its surfaces
-and labels, building no `Word` or `Document`. Every other record, and
-every record that fails a check, goes to `_document_from_record`, so the
-errors stay those of the readers. `_set_up` reads the records of all the
-set-up files at once this way, then splits, analyzes and writes them;
-the public `set_up` builds the kept records' Documents afterwards.
+Every record is then read into one checked row, `_Row`: its line, text,
+word surfaces and offsets, parsed labels and entity (start, end, class)
+triples. `_rows` parses every label first, naming its line, through one
+`LabelTable` under the given scheme, else under BILOU, which admits every
+prefix, and reads the scheme off the table's labels; then `_check_record`
+applies each rule to each record once and raises the first one broken.
+`dataset set-up`, `evaluate`, `convert` and the `echo:` tagger read rows
+only: set-up splits, analyzes and writes them, and builds no `Word`,
+`EntitySpan` or `Document`. `_documents` builds those, from rows, only
+where the public API returns them: the readers, `parse_file`,
+`load_split` and `set_up`. Public functions that take Documents read
+each as a row once on entry (`_document_row`).
 
 Canonical lines are formatted, not built as dicts for the JSON encoder.
-`_canonical_line` fills fixed templates from a document's fields:
-strings through the encoder's own escaper (`encode_basestring`), offsets
-with %d, each distinct Label escaped once per write. `write_canonical_jsonl`
-writes Documents through it, and `_record_line` a record that
-`_checked_surfaces` passed, single-space offsets computed without Words;
-set-up and `convert` write through both. Each line is byte for byte what
-``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes; a
-document with fields of other types (a bool offset, say) is written
-through the encoder.
+`_canonical_line` fills fixed templates from a row: strings through the
+encoder's own escaper (`encode_basestring`), offsets with %d, each
+distinct Label escaped once per write. Each line is byte for byte what
+``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes for
+the row's document; `write_canonical_jsonl` sends a document with fields
+of other types (a bool offset, say) through the encoder.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ import random
 import re
 from enum import Enum
 from functools import partial
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import add, itemgetter
 from pathlib import Path
@@ -96,8 +90,13 @@ DEFAULT_SPLIT_RATIO = (0.8, 0.1, 0.1)
 BUILTIN_DATASETS = {"mini-conll": "mini_conll"}
 
 _WORD_FIELDS = itemgetter("surface", "start", "end")
-#: a Word from its (surface, start, end), built in C; Word has no __new__ of its own
+# The value types from checked fields, built in C without their
+# constructors' checks: Word has no __new__ of its own, and a row has
+# passed every check that EntitySpan's and Document's make.
 _new_word = partial(tuple.__new__, Word)
+_new_entity = partial(tuple.__new__, EntitySpan)
+_new_document = partial(tuple.__new__, Document)
+_STR, _DICT, _INT = frozenset({str}), frozenset({dict}), frozenset({int})
 
 
 class SourceKind(Enum):
@@ -135,6 +134,19 @@ class DatasetSplit(FrozenRecord):
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    def _as_rows(self) -> Iterable[_Row]:
+        """Each document read as a row, as `analyze` reads it."""
+        return map(_document_row, self.documents)
+
+
+class _RowSplit(DatasetSplit):
+    """A split of the rows `_set_up` reads, which `analyze` reads as they are."""
+
+    __slots__ = ()
+
+    def _as_rows(self) -> Iterable[_Row]:
+        return self.documents
 
 
 class DatasetAnalysis(NamedTuple):
@@ -219,7 +231,7 @@ def _parse_labels(
     which is ``line``, or its entry for that label where ``line`` holds
     one line per label."""
     try:
-        return tuple([table[raw] for raw in raws])
+        return tuple(map(table.__getitem__, raws))
     except (PrefixNotInScheme, MalformedLabel) as err:
         # the first label not in the table is the one that failed: it is never stored
         index = next(i for i, raw in enumerate(raws) if raw not in table)
@@ -229,19 +241,18 @@ def _parse_labels(
         raise MalformedLabel(str(err), line=line) from None
 
 
-def _synthetic_spans(surfaces: Sequence[str]) -> tuple[str, Iterable[tuple[str, int, int]]]:
-    """The single-space join of the surfaces, and each surface's
-    (surface, start, end) in it."""
+def _synthetic_offsets(surfaces: Sequence[str]) -> tuple[list[int], list[int]]:
+    """The starts and ends of the surfaces in their single-space join."""
     lengths = list(map(len, surfaces))
     # each word starts one past the end of the one before it
     starts = list(accumulate(map(add, lengths, repeat(1)), initial=0))
-    return " ".join(surfaces), zip(surfaces, starts, map(add, starts, lengths))
+    del starts[-1]
+    return starts, list(map(add, starts, lengths))
 
 
 def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
     """The single-space join of the surfaces, and each surface's Word in it."""
-    text, spans = _synthetic_spans(surfaces)
-    return text, tuple(map(_new_word, spans))
+    return " ".join(surfaces), tuple(map(_new_word, zip(surfaces, *_synthetic_offsets(surfaces))))
 
 
 def _conll_records(source: str) -> list[tuple[tuple[int, ...], dict]]:
@@ -275,7 +286,7 @@ def parse_conll(
     Word offsets are synthetic (single-space joined). Entities are left
     unset; they are derivable from the labels when needed.
     """
-    return _canonical_documents(_conll_records(source), scheme)[0]
+    return _documents(*_rows(_conll_records(source), scheme))
 
 
 def write_conll(documents: Iterable[Document], dest: IO[str]) -> None:
@@ -303,229 +314,231 @@ def _json_records(source: str) -> list[tuple[int, dict]]:
     return records
 
 
-def _align_words(text: str, surfaces: Sequence[str], lineno: int) -> tuple[Word, ...]:
-    words = []
-    cursor = 0
-    for surface in surfaces:
-        position = text.find(surface, cursor)
-        if not surface or position < 0:
-            raise MalformedJson(
-                f"word {surface!r} cannot be aligned with the text", line=lineno
-            )
-        words.append(Word(surface, position, position + len(surface)))
-        cursor = position + len(surface)
-    return tuple(words)
+class _Row(NamedTuple):
+    """One checked canonical record, as every reader path carries it.
+
+    ``surfaces`` are its words, or None where it has none. ``offsets``
+    are their (starts, ends), or None where the words are the single-space
+    join that is ``text`` (`_synthetic_offsets` gives them), or there are
+    none. ``labels`` are one parsed Label per word, ``entities`` the
+    sorted, disjoint (start, end, class) triples of its entities trimmed of
+    edge whitespace; each is None where the record has none. ``line`` is
+    the record's line, or each word's for a CoNLL sentence, or None for a
+    row read off a Document.
+    """
+
+    line: int | tuple[int, ...] | None
+    text: str
+    surfaces: Sequence[str] | None
+    offsets: tuple[Sequence[int], Sequence[int]] | None
+    labels: tuple[Label, ...] | None
+    entities: list[tuple[int, int, str]] | None
 
 
-def _word_strings(raw_words, lineno: int) -> list[str] | None:
-    """A "words" array of non-empty strings, or None for one of objects."""
-    if not isinstance(raw_words, list) or not raw_words:
-        raise MalformedJson('"words" must be a non-empty array', line=lineno)
-    if all(isinstance(w, str) for w in raw_words):
-        if not all(raw_words):
-            raise MalformedJson("words cannot be empty strings", line=lineno)
-        return raw_words
-    if all(isinstance(w, dict) for w in raw_words):
-        return None
-    raise MalformedJson('"words" mixes strings and objects', line=lineno)
+_new_row = partial(tuple.__new__, _Row)
 
 
-def _words_from_record(record: dict, lineno: int) -> tuple[str, tuple[Word, ...]]:
-    surfaces = _word_strings(record["words"], lineno)
-    text = record.get("text")
-    if surfaces is not None:
-        if text is None:
-            return _synthetic_words(surfaces)
-        if not isinstance(text, str):
-            raise MalformedJson('"text" must be a string', line=lineno)
-        return text, _align_words(text, surfaces, lineno)
-    if not isinstance(text, str):
-        raise MalformedJson('offset-bearing "words" require a "text" string', line=lineno)
-    try:
-        words = tuple([Word(w["surface"], w["start"], w["end"]) for w in record["words"]])
-    except KeyError as err:
-        raise MalformedJson(f"bad word record: {err}", line=lineno) from None
-    if not all([type(start) is int and type(end) is int for _, start, end in words]):
-        raise MalformedJson("word offsets must be JSON integers", line=lineno)
-    return text, words
+def _check_record(
+    line: int | tuple[int, ...], record: dict, labels: tuple[Label, ...] | None
+) -> _Row:
+    """The row of one canonical record; ``labels`` are its parsed string
+    "labels", None where they are not an array of strings. The record's
+    rules, in the order their errors come, each naming ``line``: "words" is
+    a non-empty array of non-empty strings (found in order in "text" where
+    there is one, else joined with single spaces) or of objects on a "text"
+    with "surface" and JSON integer "start" and "end"; without "words",
+    "text" is a string; "labels" are strings, one per word; "entities" are
+    objects with JSON integer offsets of a span inside the text and a class
+    name that is a non-empty string other than "O", trimmed of edge
+    whitespace (dropped if nothing is left) and disjoint; last, object
+    words give non-empty, increasing spans of the text, each its surface.
 
-
-def _entities_from_record(text: str, raw_entities: list, lineno: int) -> tuple[EntitySpan, ...]:
-    spans = []
-    for item in raw_entities:
-        try:
-            start, end, label = item["start"], item["end"], item["label"]
-        except (KeyError, TypeError, ValueError) as err:
-            raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
-        if type(start) is not int or type(end) is not int:
-            raise MalformedJson(
-                f"entity offsets {start!r:.20} and {end!r:.20} are not JSON integers",
-                line=lineno,
-            )
-        if not isinstance(label, str):
-            raise MalformedJson(f"entity label {label!r:.40} is not a string", line=lineno)
-        if not label:
-            raise MalformedJson("entity label cannot be empty", line=lineno)
-        if label == "O":
-            raise MalformedJson('"O" is the outside label, not an entity class', line=lineno)
-        if not (0 <= start < end <= len(text)):
-            raise SpanOutOfBounds(
-                f"span [{start}, {end}) outside text of length {len(text)}",
-                line=lineno,
-            )
-        while start < end and text[start].isspace():
-            start += 1
-        while start < end and text[end - 1].isspace():
-            end -= 1
-        if start < end:  # a span of whitespace only marks nothing
-            spans.append((start, end, label))
-    spans.sort()
-    previous_end = 0
-    for start, end, _ in spans:
-        if start < previous_end:
-            raise OverlappingSpans(
-                f"span starting at {start} overlaps the previous one", line=lineno
-            )
-        previous_end = end
-    return tuple([EntitySpan(label, start, end, text[start:end]) for start, end, label in spans])
-
-
-def _has_labels(
-    record: dict, labels: tuple[Label, ...] | None, words: Sequence | None, lineno: int
-) -> bool:
-    """Whether the record carries word labels; raises unless its parsed
-    string "labels" fit its words one to one."""
-    if record.get("labels") is None:
-        return False
-    if words is None:
-        raise MalformedJson('"labels" require "words"', line=lineno)
-    if labels is None:
-        raise MalformedJson('"labels" must be an array of strings', line=lineno)
-    if len(labels) != len(words):
-        raise LengthMismatch(f"{len(labels)} labels for {len(words)} words", line=lineno)
-    return True
-
-
-def _document_from_record(
-    lineno: int, record: dict, labels: tuple[Label, ...] | None, scheme: AnnotationScheme
-) -> Document:
-    """One record's document; ``labels`` are its parsed string "labels"."""
-    words = word_labels = entities = None
-    text = record.get("text")
-
-    if record.get("words") is not None:
-        text, words = _words_from_record(record, lineno)
+    Object words are read in one pass that only tells whether they pass;
+    only where they do not does an ordered walk name the first broken rule,
+    the last one through the walk of `Document`'s own check.
+    """
+    text, words = record.get("text"), record.get("words")
+    surfaces = offsets = None
+    bad_spans = False  # object words that pass every rule but the last
+    if words is not None:
+        if type(words) is list and words and type(text) is str:
+            surfaces, starts, ends, end = [], [], [], 0
+            try:
+                for word in words:
+                    surface, start, stop = word["surface"], word["start"], word["end"]
+                    if (
+                        type(start) is not int
+                        or type(stop) is not int
+                        or not end <= start < stop
+                        or text[start:stop] != surface
+                    ):
+                        break
+                    surfaces.append(surface)
+                    starts.append(start)
+                    ends.append(stop)
+                    end = stop
+            except (KeyError, TypeError):  # a word that is not an object, or lacks a key
+                pass
+            # the ends increase, so the last one is the largest
+            if len(surfaces) == len(words) and end <= len(text):
+                offsets = starts, ends
+            else:
+                surfaces = None
+        if offsets is None:  # the ordered walk, for string words and words the pass failed
+            if not isinstance(words, list) or not words:
+                raise MalformedJson('"words" must be a non-empty array', line=line)
+            kinds = set(map(type, words))
+            if kinds == _STR:
+                if not all(words):
+                    raise MalformedJson("words cannot be empty strings", line=line)
+                surfaces = words
+                if text is None:
+                    text = " ".join(words)
+                elif not isinstance(text, str):
+                    raise MalformedJson('"text" must be a string', line=line)
+                else:
+                    starts, ends, cursor = [], [], 0
+                    for surface in words:
+                        start = text.find(surface, cursor)
+                        if start < 0:
+                            raise MalformedJson(
+                                f"word {surface!r} cannot be aligned with the text", line=line
+                            )
+                        cursor = start + len(surface)
+                        starts.append(start)
+                        ends.append(cursor)
+                    offsets = starts, ends
+            elif kinds == _DICT:
+                if not isinstance(text, str):
+                    raise MalformedJson(
+                        'offset-bearing "words" require a "text" string', line=line
+                    )
+                try:
+                    surfaces, starts, ends = zip(*map(_WORD_FIELDS, words))
+                except KeyError as err:
+                    raise MalformedJson(f"bad word record: {err}", line=line) from None
+                if not _INT.issuperset(map(type, starts)) or not _INT.issuperset(map(type, ends)):
+                    raise MalformedJson("word offsets must be JSON integers", line=line)
+                offsets, bad_spans = (starts, ends), True
+            else:
+                raise MalformedJson('"words" mixes strings and objects', line=line)
     elif not isinstance(text, str):
-        raise MalformedJson('record needs a "text" string', line=lineno)
+        raise MalformedJson('record needs a "text" string', line=line)
 
-    if _has_labels(record, labels, words, lineno):
-        word_labels = LabelSequence(labels, scheme)
+    if record.get("labels") is not None:
+        if surfaces is None:
+            raise MalformedJson('"labels" require "words"', line=line)
+        if labels is None:
+            raise MalformedJson('"labels" must be an array of strings', line=line)
+        if len(labels) != len(surfaces):
+            raise LengthMismatch(f"{len(labels)} labels for {len(surfaces)} words", line=line)
 
-    raw_entities = record.get("entities")
-    if raw_entities is not None:
-        if not isinstance(raw_entities, list):
-            raise MalformedJson('"entities" must be an array', line=lineno)
-        entities = _entities_from_record(text, raw_entities, lineno)
+    entities = record.get("entities")
+    if entities is not None:
+        if not isinstance(entities, list):
+            raise MalformedJson('"entities" must be an array', line=line)
+        spans = []
+        for item in entities:
+            try:
+                start, end, label = item["start"], item["end"], item["label"]
+            except (KeyError, TypeError, ValueError) as err:
+                raise MalformedJson(f"bad entity record: {err}", line=line) from None
+            if type(start) is not int or type(end) is not int:
+                raise MalformedJson(
+                    f"entity offsets {start!r:.20} and {end!r:.20} are not JSON integers",
+                    line=line,
+                )
+            if not isinstance(label, str):
+                raise MalformedJson(f"entity label {label!r:.40} is not a string", line=line)
+            if not label:
+                raise MalformedJson("entity label cannot be empty", line=line)
+            if label == "O":
+                raise MalformedJson('"O" is the outside label, not an entity class', line=line)
+            if not (0 <= start < end <= len(text)):
+                raise SpanOutOfBounds(
+                    f"span [{start}, {end}) outside text of length {len(text)}", line=line
+                )
+            while start < end and text[start].isspace():
+                start += 1
+            while start < end and text[end - 1].isspace():
+                end -= 1
+            if start < end:  # a span of whitespace only marks nothing
+                spans.append((start, end, label))
+        spans.sort()
+        previous_end = 0
+        for start, end, _ in spans:
+            if start < previous_end:
+                raise OverlappingSpans(
+                    f"span starting at {start} overlaps the previous one", line=line
+                )
+            previous_end = end
+        entities = spans
 
-    try:
-        return Document(text, words=words, word_labels=word_labels, entities=entities)
-    except ValueError as err:
-        raise MalformedJson(str(err), line=lineno) from None
+    if bad_spans:  # the walk of Document's own check names the first span that breaks it
+        try:
+            Document(text, words=map(Word, surfaces, *offsets))
+        except ValueError as err:
+            raise MalformedJson(str(err), line=line) from None
+    return _new_row((line, text, surfaces, offsets, labels, entities))
 
 
-def _record_labels(
-    records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
-) -> tuple[list[tuple[Label, ...] | None], AnnotationScheme]:
-    """Each record's parsed string "labels" (None where they are not an
-    array of strings), all through one table, and the scheme read off them."""
+def _rows(
+    records: list[tuple[int | tuple[int, ...], dict]], scheme: AnnotationScheme | str | None
+) -> tuple[list[_Row], AnnotationScheme]:
+    """The rows of canonical records, and the scheme read off all their
+    labels, which are parsed before any record is checked. A CoNLL sentence
+    is paired with the line of each word, so that a bad label names its
+    own line."""
     table = LabelTable(AnnotationScheme.coerce(scheme or AnnotationScheme.BILOU))
     parsed = []
-    for lineno, record in records:
+    for line, record in records:
         raws = record.get("labels")
-        strings = isinstance(raws, list) and all(isinstance(raw, str) for raw in raws)
-        parsed.append(_parse_labels(raws, lineno, table) if strings else None)
-    return parsed, resolve_scheme(table.values(), scheme)
+        strings = type(raws) is list and _STR.issuperset(map(type, raws))
+        parsed.append(_parse_labels(raws, line, table) if strings else None)
+    scheme = resolve_scheme(table.values(), scheme)
+    return [_check_record(*r, p) for r, p in zip(records, parsed)], scheme
 
 
-def _canonical_documents(
-    records: list[tuple[int | tuple[int, ...], dict]], scheme: AnnotationScheme | str | None
-) -> tuple[list[Document], AnnotationScheme]:
-    """Documents from canonical records, and the scheme read off all their labels, which
-    are parsed before any document is built. The public readers and `set_up` end here. A
-    CoNLL sentence is paired with the line of each word, so that a bad label names its own
-    line."""
-    parsed, scheme = _record_labels(records, scheme)
-    return [_document_from_record(*r, p, scheme) for r, p in zip(records, parsed)], scheme
+def _documents(rows: Iterable[_Row], scheme: AnnotationScheme) -> list[Document]:
+    """The Documents of rows whose labels are in ``scheme``."""
+    documents = []
+    for _, text, surfaces, offsets, labels, entities in rows:
+        words = word_labels = None
+        if surfaces is not None:
+            if offsets is None:
+                words = _synthetic_words(surfaces)[1]
+            else:
+                words = tuple(map(_new_word, zip(surfaces, *offsets)))
+        if labels is not None:
+            word_labels = LabelSequence(labels, scheme)
+        if entities is not None:
+            entities = tuple([
+                _new_entity((label, start, end, text[start:end], None, None, None))
+                for start, end, label in entities
+            ])
+        documents.append(_new_document((text, words, word_labels, entities)))
+    return documents
 
 
-def _checked_surfaces(record: dict, labels: tuple[Label, ...] | None) -> list[str] | None:
-    """The word surfaces of a word-labeled record without "entities" that
-    passes every check `_document_from_record` makes, found without
-    building a Word or a Document; None for any other record, which that
-    function then reads or rejects. ``labels`` are the record's parsed
-    string "labels".
-
-    The words are non-empty strings where the record has no "text", else
-    objects with "surface", "start" and "end" whose offsets are JSON
-    integers and give non-empty, increasing spans inside the text, each
-    sliced to its surface. There are as many labels as words."""
-    words = record.get("words")
-    if (
-        labels is None
-        or type(words) is not list
-        or not words
-        or len(words) != len(labels)
-        or record.get("entities") is not None
-    ):
-        return None
-    text = record.get("text")
-    if text is None:
-        return words if all([type(w) is str and w for w in words]) else None
-    if type(text) is not str:
-        return None
-    surfaces = []
-    end = 0
-    try:
-        for word in words:
-            surface, start, stop = word["surface"], word["start"], word["end"]
-            if (
-                type(start) is not int
-                or type(stop) is not int
-                or not end <= start < stop
-                or text[start:stop] != surface
-            ):
-                return None
-            surfaces.append(surface)
-            end = stop
-    except (KeyError, TypeError):  # a word that is not an object, or lacks a key
-        return None
-    # the ends increase, so the last one is the largest
-    return surfaces if end <= len(text) else None
-
-
-def _word_labeled(
-    records: list[tuple[int, dict]], scheme: AnnotationScheme | str | None
-) -> tuple[list[tuple[list[str], tuple[Label, ...]] | Document], AnnotationScheme]:
-    """For each record, its (word surfaces, parsed labels) where
-    `_checked_surfaces` passes it, else its Document; and the scheme read
-    off all labels. Labels, scheme and errors are those of
-    `_canonical_documents`."""
-    parsed, scheme = _record_labels(records, scheme)
-    items = []
-    for (lineno, record), labels in zip(records, parsed):
-        surfaces = None if labels is None else _checked_surfaces(record, labels)
-        if surfaces is None:
-            items.append(_document_from_record(lineno, record, labels, scheme))
-        else:
-            items.append((surfaces, labels))
-    return items, scheme
+def _document_row(doc: Document) -> _Row:
+    """A Document's fields as a row."""
+    text, words, word_labels, entities = doc
+    surfaces = offsets = labels = None
+    if words is not None:
+        surfaces, starts, ends = tuple(zip(*words)) or ((), (), ())
+        offsets = starts, ends
+    if word_labels is not None:
+        labels = word_labels.labels
+    if entities is not None:
+        entities = [(e.char_start, e.char_end, e.class_name) for e in entities]
+    return _Row(None, text, surfaces, offsets, labels, entities)
 
 
 def read_canonical_jsonl(
     source: str, *, scheme: AnnotationScheme | str | None = None
 ) -> list[Document]:
     """Read the canonical JSONL format (word-level, entity-level, or both)."""
-    return _canonical_documents(_json_records(source), scheme)[0]
+    return _documents(*_rows(_json_records(source), scheme))
 
 
 def parse_pretokenized_jsonl(
@@ -538,7 +551,7 @@ def parse_pretokenized_jsonl(
     for lineno, record in records:
         if record.get("words") is None or record.get("labels") is None:
             raise MalformedJson('pretokenized records need "words" and "labels"', line=lineno)
-    return _canonical_documents(records, scheme)[0]
+    return _documents(*_rows(records, scheme))
 
 
 def _doccano_records(records: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
@@ -609,7 +622,7 @@ def parse_annotation_tool_export(source: str, dialect: str) -> list[Document]:
     "DoccanoJsonl" (one object per line with "text" and
     "label": [[start, end, class], ...]). Ends are exclusive.
     """
-    return _canonical_documents(_export_records(source, dialect), None)[0]
+    return _documents(*_rows(_export_records(source, dialect), None))
 
 
 def document_to_record(doc: Document) -> dict:
@@ -639,7 +652,6 @@ def document_to_record(doc: Document) -> dict:
 _LINE = '{"text": %s, "words": %s, "labels": %s, "entities": %s}\n'
 _WORD = '{"surface": %s, "start": %d, "end": %d}'
 _ENTITY = '{"start": %d, "end": %d, "label": %s}'
-_ENTITY_FIELDS = itemgetter(0, 1, 2)  # class name, start and end of an EntitySpan
 _STR_AND_INT = frozenset({str, int})
 
 
@@ -651,17 +663,12 @@ class _Literals(dict):
         return literal
 
 
-def _canonical_line(
-    text: str,
-    words: Iterable[tuple[str, int, int]] | None,
-    labels: Iterable[Label] | None,
-    entities: Iterable[EntitySpan] | None,
-    literals: _Literals,
-) -> str:
-    """The canonical line of a document with these fields; ``words`` are
-    (surface, start, end) triples, ``literals`` the Label cache of the write."""
+def _canonical_line(row: _Row, literals: _Literals) -> str:
+    """The canonical line of a row; ``literals`` is the Label cache of the write."""
+    _, text, surfaces, offsets, labels, entities = row
     words_json = labels_json = entities_json = "null"
-    if words is not None:
+    if surfaces is not None:
+        words = zip(surfaces, *(offsets or _synthetic_offsets(surfaces)))
         words_json = "[%s]" % ", ".join(
             [_WORD % (encode_basestring(s), start, end) for s, start, end in words]
         )
@@ -669,43 +676,28 @@ def _canonical_line(
         labels_json = "[%s]" % ", ".join(map(literals.__getitem__, labels))
     if entities is not None:
         entities_json = "[%s]" % ", ".join(
-            [
-                _ENTITY % (start, end, encode_basestring(class_name))
-                for class_name, start, end in map(_ENTITY_FIELDS, entities)
-            ]
+            [_ENTITY % (start, end, encode_basestring(label)) for start, end, label in entities]
         )
     return _LINE % (encode_basestring(text), words_json, labels_json, entities_json)
-
-
-def _record_line(record: dict, labels: Iterable[Label], literals: _Literals) -> str:
-    """The canonical line, with these labels, of a record `_checked_surfaces`
-    passed: its words are checked spans of its text, or strings joined with
-    single spaces where it has none."""
-    text = record.get("text")
-    if text is None:
-        text, words = _synthetic_spans(record["words"])
-    else:
-        words = map(_WORD_FIELDS, record["words"])
-    return _canonical_line(text, words, labels, None, literals)
 
 
 def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
     """One canonical line per document, byte for byte what
     ``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes.
 
-    Each line is formatted from the document's fields, each distinct Label
+    Each line is formatted from the document's row, each distinct Label
     escaped once per call. A document whose text, surfaces, entity class
     names and offsets are not all of type str or int (a bool offset, say)
     is written through the encoder."""
     literals = _Literals()
     for doc in documents:
-        text, words, entities = doc.text, doc.words, doc.entities
-        fields = chain((text,), *(words or ()), *map(_ENTITY_FIELDS, entities or ()))
+        row = _document_row(doc)
+        _, text, surfaces, offsets, _, entities = row
+        fields = chain((text,), surfaces or (), *(offsets or ()), *(entities or ()))
         line = None
         if _STR_AND_INT.issuperset(map(type, fields)):
-            labels = None if doc.word_labels is None else doc.word_labels.labels
             try:
-                line = _canonical_line(text, words, labels, entities, literals)
+                line = _canonical_line(row, literals)
             except TypeError:  # an int where a str belongs, or the other way round
                 pass
         dest.write(line or json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
@@ -716,16 +708,16 @@ def save_canonical_jsonl(documents: Iterable[Document], path: str | Path) -> Non
         write_canonical_jsonl(documents, handle)
 
 
-def _save_items(items: Iterable, path: str | Path) -> None:
-    """Write set-up items: a run of Documents through `write_canonical_jsonl`,
-    each ((line, record), (surfaces, labels)) through `_record_line`."""
-    literals = _Literals()
-    with open(path, "w", encoding="utf-8") as handle:
-        for kind, run in groupby(items, type):
-            if kind is Document:
-                write_canonical_jsonl(run, handle)
-            else:
-                handle.writelines([_record_line(r[1], p[1], literals) for r, p in run])
+def _split_ratio(ratio: Sequence[float]) -> tuple[float, float, float]:
+    """``ratio`` as a tuple; ValueError unless it is three finite,
+    non-negative numbers that sum to 1 (within 1e-9)."""
+    ratio = tuple(ratio)
+    finite = all(map(math.isfinite, ratio))
+    if len(ratio) != 3 or not finite or any(r < 0 for r in ratio) or abs(sum(ratio) - 1) > 1e-9:
+        raise ValueError(
+            f"split ratio must be three finite, non-negative numbers summing to 1, got {ratio}"
+        )
+    return ratio
 
 
 def split_documents(
@@ -734,9 +726,9 @@ def split_documents(
     seed: int = 42,
 ) -> tuple[DatasetSplit, DatasetSplit, DatasetSplit]:
     """Deterministic shuffled split: train and val sizes are floored,
-    test takes the remainder."""
-    if len(ratio) != 3 or any(r < 0 for r in ratio) or abs(sum(ratio) - 1.0) > 1e-9:
-        raise ValueError(f"split ratio must be three non-negative numbers summing to 1, got {ratio}")
+    test takes the remainder. The shuffle depends only on the number of
+    documents and the seed, so set-up splits its rows the same way."""
+    ratio = _split_ratio(ratio)
     shuffled = list(documents)
     random.Random(seed).shuffle(shuffled)
     n = len(shuffled)
@@ -767,43 +759,35 @@ def analyze(
     """Compute corpus statistics: document/word counts, per-class entity
     counts (strict chunk decoding for labeled documents), the scheme
     (``scheme`` if given, else read off the documents' parsed labels),
-    and whether the corpus is pretokenized. A split may hold, in place of
-    a word-labeled Document, its (word surfaces, parsed labels) pair, as
-    `count_documents` takes it; such pairs are decoded in ``scheme``,
-    which they need."""
-    num_documents = {}
-    num_words = {}
-    entity_counts: dict[str, dict[str, int]] = {}
-    sequences: list[LabelSequence] = []
+    and whether the corpus is pretokenized. Labels are decoded in that
+    scheme."""
+    rows = [list(split._as_rows()) for split in splits]
+    labels = [row.labels for split in rows for row in split if row.labels is not None]
+    scheme = resolve_scheme(chain.from_iterable(labels), scheme)
+    num_documents, num_words, entity_counts = {}, {}, {}
     pretokenized = True
-    for split in splits:
-        num_documents[split.name] = len(split.documents)
+    for split, split_rows in zip(splits, rows):
+        num_documents[split.name] = len(split_rows)
         words = 0
         counts: dict[str, int] = {}
-        for doc in split.documents:
-            if type(doc) is not Document:
-                words += len(doc[0])
-                labels = LabelSequence(doc[1], AnnotationScheme.coerce(scheme))
+        for row in split_rows:
+            if row.surfaces is None:
+                pretokenized = False
             else:
-                if doc.words is None:
-                    pretokenized = False
-                else:
-                    words += len(doc.words)
-                labels = doc.word_labels
-                if labels is None and doc.entities is not None:
-                    for entity in doc.entities:
-                        counts[entity.class_name] = counts.get(entity.class_name, 0) + 1
-            if labels is not None:
-                sequences.append(labels)
-                for chunk in decode(labels).strict:
-                    counts[chunk.class_name] = counts.get(chunk.class_name, 0) + 1
+                words += len(row.surfaces)
+            if row.labels is not None:
+                classes = [c.class_name for c in decode(LabelSequence(row.labels, scheme)).strict]
+            else:
+                classes = [label for _, _, label in row.entities or ()]
+            for class_name in classes:
+                counts[class_name] = counts.get(class_name, 0) + 1
         num_words[split.name] = words
         entity_counts[split.name] = dict(sorted(counts.items()))
     return DatasetAnalysis(
         num_documents=num_documents,
         num_words=num_words,
         entity_counts=entity_counts,
-        scheme_detected=resolve_scheme(chain.from_iterable(sequences), scheme),
+        scheme_detected=scheme,
         pretokenized=pretokenized,
         seed=seed,
     )
@@ -840,7 +824,7 @@ def parse_file(
     scheme: AnnotationScheme | str | None = None,
 ) -> list[Document]:
     """Parse one dataset file, of any format `set_up` reads."""
-    return _canonical_documents(_file_records(path, dialect), scheme)[0]
+    return _documents(*_rows(_file_records(path, dialect), scheme))
 
 
 def _builtin_records(name: str) -> list[list[tuple[int, dict]]]:
@@ -885,9 +869,8 @@ def set_up(
     analysis.json are written under data_dir/name and the splits plus
     analysis are returned.
 
-    The files and the analysis come from `_set_up`, which builds no
-    Document for a word-labeled record without "entities"; the returned
-    splits build those Documents afterwards from the kept records.
+    The files and the analysis come from `_set_up`, which reads rows;
+    only the returned splits build Documents, from the kept rows.
     """
     splits, analysis = _set_up(
         source, name=name, path=path, split_paths=(train_path, val_path, test_path),
@@ -896,11 +879,7 @@ def set_up(
     )
     scheme = analysis.scheme_detected
     return tuple(
-        DatasetSplit(split.name, [
-            item if type(item) is Document else _document_from_record(*item[0], item[1][1], scheme)
-            for item in split.documents
-        ])
-        for split in splits
+        DatasetSplit(split.name, _documents(split.documents, scheme)) for split in splits
     ), analysis
 
 
@@ -917,11 +896,7 @@ def _set_up(
     scheme: AnnotationScheme | str | None,
     data_dir: str | Path | None,
 ) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], DatasetAnalysis]:
-    """`set_up`'s files and analysis, and its splits with each record that
-    `_word_labeled` reads without a Document left as ((line, record),
-    (surfaces, parsed labels)). The shuffle depends only on the number of
-    records and the seed, so the splits hold the same records as
-    Documents would."""
+    """`set_up`'s files and analysis, and its splits of rows."""
     kind = SourceKind.coerce(source)
     if kind is SourceKind.BUILT_IN:
         files = _builtin_records(name)
@@ -934,30 +909,25 @@ def _set_up(
             raise UnresolvableSource(f"source {kind.value} needs a file path")
         files = [_file_records(path, dialect)]
 
-    records = list(chain.from_iterable(files))
-    items, scheme = _word_labeled(records, scheme)
-    items = [i if type(i) is Document else (r, i) for r, i in zip(records, items)]
-
+    rows, scheme = _rows(list(chain.from_iterable(files)), scheme)
     if len(files) == 1:
-        splits, used_seed = split_documents(items, split_ratio, seed), seed
+        splits, used_seed = split_documents(rows, split_ratio, seed), seed
     else:
-        remaining = iter(items)
+        remaining = iter(rows)
         splits = [DatasetSplit(s, islice(remaining, len(f))) for s, f in zip(SPLIT_NAMES, files)]
         used_seed = None
     splits = tuple(
-        split if fraction is None else prune(split, fraction)
+        _RowSplit(split.name, (split if fraction is None else prune(split, fraction)).documents)
         for split, fraction in zip(splits, fractions)
     )
-
-    pairs = [[i if type(i) is Document else i[1] for i in s.documents] for s in splits]
-    analysis = analyze(
-        [DatasetSplit(s.name, p) for s, p in zip(splits, pairs)], scheme=scheme, seed=used_seed
-    )
+    analysis = analyze(splits, scheme=scheme, seed=used_seed)
 
     out_dir = resolve_data_dir(data_dir) / name
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
-        _save_items(split.documents, out_dir / f"{split.name}.jsonl")
+        literals = _Literals()
+        with open(out_dir / f"{split.name}.jsonl", "w", encoding="utf-8") as handle:
+            handle.writelines([_canonical_line(row, literals) for row in split.documents])
     with open(out_dir / "analysis.json", "w", encoding="utf-8") as handle:
         json.dump(analysis.as_dict(), handle, ensure_ascii=False, indent=2)
         handle.write("\n")
@@ -992,7 +962,7 @@ def load_split(
     scheme: AnnotationScheme | str | None = None,
 ) -> DatasetSplit:
     """Load one canonical split file written by `set_up`."""
-    return DatasetSplit(phase, _canonical_documents(_split_records(dataset_dir, phase), scheme)[0])
+    return DatasetSplit(phase, _documents(*_rows(_split_records(dataset_dir, phase), scheme)))
 
 
 def load_analysis(dataset_dir: str | Path) -> dict:

@@ -165,19 +165,28 @@ def entities_to_word_labels(doc: Document, scheme: AnnotationScheme) -> LabelSeq
     """
     if doc.words is None:
         raise ValueError("document has no word tokenization")
-    starts = {w.char_start: i for i, w in enumerate(doc.words)}
-    ends = {w.char_end: i + 1 for i, w in enumerate(doc.words)}
+    entities = [(e.char_start, e.char_end, e.class_name) for e in doc.entities or ()]
+    return _span_labels([w[1:] for w in doc.words], entities, scheme)
+
+
+def _span_labels(
+    words: Sequence[tuple[int, int]], entities: Iterable[tuple[int, int, str]], scheme: AnnotationScheme
+) -> LabelSequence:
+    """`entities_to_word_labels` of words given as (start, end) offsets and
+    entities as (start, end, class) triples."""
+    starts = {start: i for i, (start, _) in enumerate(words)}
+    ends = {end: i + 1 for i, (_, end) in enumerate(words)}
     chunks = []
-    for ent in doc.entities or ():
-        word_start = starts.get(ent.char_start)
-        word_end = ends.get(ent.char_end)
+    for start, end, class_name in entities:
+        word_start = starts.get(start)
+        word_end = ends.get(end)
         if word_start is None or word_end is None:
             raise MisalignedEntity(
-                f"entity {ent.class_name!r} at chars [{ent.char_start}, {ent.char_end}) "
+                f"entity {class_name!r} at chars [{start}, {end}) "
                 f"does not align with word boundaries"
             )
-        chunks.append(Chunk(ent.class_name, word_start, word_end))
-    return encode_chunks(chunks, len(doc.words), scheme)
+        chunks.append(Chunk(class_name, word_start, word_end))
+    return encode_chunks(chunks, len(words), scheme)
 
 
 def word_labels_to_token_labels(

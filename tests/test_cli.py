@@ -94,6 +94,64 @@ class TestDatasetSetup:
         assert (code, err) == (2, "bad --split-ratio: 'a,b'\n")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "ratio", ["0.5,0.5,0.5", "0.8,0.1", "inf,0,0", "1e309,0,0", "nan,0,1", "-0.1,0.6,0.5"]
+    )
+    def test_split_ratio_out_of_the_contract_is_a_usage_error(self, tmp_path, capsys, ratio):
+        """Three finite, non-negative numbers that sum to 1; anything else
+        exits 2 before the source is read."""
+        source = tmp_path / "data.conll"
+        source.write_text("a B-X\n\nb O\n")
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(
+            ["--data-dir", str(tmp_path / "data"), "dataset", "set-up", "--source", "LF",
+             "--name", "x", "--path", str(source), f"--split-ratio={ratio}"],
+            capsys,
+        )
+        assert (code, err) == (2, f"bad --split-ratio: {ratio!r}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("ratio", ["-0,0,1", "0.8,0.1,0.1"])
+    def test_split_ratio_in_the_contract_sets_up(self, tmp_path, capsys, ratio):
+        source = tmp_path / "data.conll"
+        source.write_text("a B-X\n\nb O\n")
+        code, _, _ = run(
+            ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",
+             "--name", "x", "--path", str(source), f"--split-ratio={ratio}"],
+            capsys,
+        )
+        assert code == 0
+        assert (tmp_path / "x" / "analysis.json").is_file()
+
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "../../esc", "a/b", "/abs", "a" + os.sep + "b", "a\0b"]
+    )
+    def test_name_must_be_one_directory_entry(self, tmp_path, capsys, name):
+        """A set-up name is one entry under the data directory: never a
+        path that leaves it, nor the data directory itself."""
+        data_dir = tmp_path / "deep" / "er" / "data"
+        data_dir.mkdir(parents=True)
+        code, _, err = run(
+            ["--data-dir", str(data_dir), "dataset", "set-up", "--source", "BI", "--name", name],
+            capsys,
+        )
+        assert (code, err) == (2, f"bad --name: {name!r} is not one directory entry\n")
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "deep", tmp_path / "deep" / "er",
+                                               data_dir]
+
+    @pytest.mark.parametrize("name", ["mini-conll", "données", "..x", ".hidden"])
+    def test_name_may_be_any_other_entry(self, tmp_path, capsys, name):
+        source = tmp_path / "data.conll"
+        source.write_text("a B-X\n\nb O\n")
+        code, _, _ = run(
+            ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF", "--name", name,
+             "--path", str(source)],
+            capsys,
+        )
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+            "analysis.json", "test.jsonl", "train.jsonl", "val.jsonl"]
+
     def test_missing_path_is_a_data_error(self, tmp_path, capsys):
         code, _, err = run(
             ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",

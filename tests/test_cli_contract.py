@@ -168,3 +168,43 @@ def test_mutated_input_keeps_the_error_contract(command, data):
             assert all(line.startswith(("usage:", "bad ")) for line in lines), err
         if code:
             assert not any(path.exists() for path in outputs), err
+
+
+#: numbers that float() reads, at the edges of the contract
+NUMBERS = ["nan", "inf", "-inf", "-0", "0", "1", "1e309", "-1e309", "0.5", "-0.5", "0.8", "0.1",
+           "1.0000000001", "2"]
+#: one path segment: empty, dot, dot-dot, ASCII, non-ASCII, a space
+SEGMENTS = st.sampled_from(["", ".", "..", "ds", "données", "中", " ", "a b"])
+NAMES = st.one_of(
+    SEGMENTS,
+    # a relative path of two to four segments, which climbs at most four levels
+    st.lists(SEGMENTS, min_size=2, max_size=4).map("/".join).filter(lambda n: n[:1] != "/"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ratio=st.lists(st.sampled_from([*NUMBERS, "x", ""]), min_size=1, max_size=4).map(",".join),
+    name=NAMES,
+    fraction=st.sampled_from([None, *NUMBERS]),
+)
+def test_set_up_arguments_keep_the_error_contract(ratio, name, fraction):
+    """Whatever the --split-ratio, --name and --fraction, `dataset set-up`
+    of a valid two-sentence CoNLL file exits 0, 1 or 2; a failure prints
+    one stderr line and no traceback, and no file lands outside --data-dir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.conll").write_bytes(CONLL)
+        data_dir = tmp / "a" / "b" / "c" / "d" / "data"  # deeper than a name can climb
+        data_dir.mkdir(parents=True)
+        before = set(tmp.rglob("*"))
+        options = [] if fraction is None else [f"--fraction={fraction}"]
+        code, err = quiet_main(["--data-dir", str(data_dir), "dataset", "set-up", "--source",
+                                "LF", "--name", name, "--path", str(tmp / "corpus.conll"),
+                                f"--split-ratio={ratio}", *options])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code:
+            assert len(err.splitlines()) == 1, err
+        written = set(tmp.rglob("*")) - before
+        assert all(data_dir in path.parents for path in written), sorted(written)

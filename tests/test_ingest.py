@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from pathlib import Path
 
@@ -310,6 +311,16 @@ class TestSplitting:
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             split_documents(tiny_docs(4), (0.5, 0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "ratio",
+        [(math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0), (0.8, 0.2), (-0.1, 0.6, 0.5), (0.5,) * 3],
+    )
+    def test_ratio_outside_the_contract(self, ratio):
+        """Three finite, non-negative numbers that sum to 1; NaN passes no
+        comparison, so it is named."""
+        with pytest.raises(ValueError, match="three finite, non-negative numbers"):
+            split_documents(tiny_docs(4), ratio)
 
 
 class TestPrune:

@@ -1,10 +1,8 @@
 """`dataset set-up` builds no Word or Document for a word-labeled record.
 
-`ingest._set_up` reads every record through `ingest._word_labeled`:
-a word-labeled record without "entities" stays its (line, record) and
-its (surfaces, parsed labels) while it is split, pruned, analyzed and
-written; every other record is a Document. The public `set_up` builds
-the Documents of the kept records afterwards.
+`ingest._set_up` reads every record into a checked row (`ingest._rows`),
+and splits, prunes, analyzes and writes the rows. The public `set_up`
+builds the Documents of the kept rows afterwards.
 
 Hypothesis builds CoNLL files, pretokenized JSONL with or without a
 "text", canonical records with offset-bearing words, and word-labeled
@@ -12,7 +10,8 @@ records mixed with entity-bearing ones, as one unsplit file or as three
 pre-split files, with or without `--fraction`. The files `dataset set-up`
 writes must be `json.dumps(document_to_record(doc), ensure_ascii=False)`
 of the documents the public `set_up` returns, and those documents and
-the analysis must be what reading every record as a Document gives.
+the analysis must be what reading every record as a Document gives, by
+the frozen reference reader in `tests.oracles`.
 """
 
 import contextlib
@@ -27,6 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from seqlab import ingest
 from seqlab.cli import main
+
+from .oracles import oracle_canonical_documents
 
 SPLITS = ("train", "val", "test")
 #: characters JSON escapes or the word splitter treats specially; none is
@@ -97,10 +98,9 @@ def cli_set_up(data_dir, arguments) -> int:
 
 
 def documents_set_up(paths, ratio, seed, fraction):
-    """The splits and analysis of reading every record as a Document, as
-    `set_up` did before it kept word-labeled records as items."""
+    """The splits and analysis of reading every record as a Document."""
     files = [ingest._file_records(path, None) for path in paths]
-    documents, scheme = ingest._canonical_documents(list(chain.from_iterable(files)), None)
+    documents, scheme = oracle_canonical_documents(list(chain.from_iterable(files)), None)
     if len(files) == 1:
         splits, used_seed = ingest.split_documents(documents, ratio, seed), seed
     else:
@@ -181,7 +181,7 @@ PRETOKENIZED = "".join(
 
 @pytest.mark.parametrize("source", ["conll", "pretokenized"])
 def test_set_up_of_word_labeled_records_builds_no_word_or_document(tmp_path, monkeypatch, source):
-    """With Document, Word and the record builders raising, set-up of a
+    """With Document, Word and the row builders raising, set-up of a
     CoNLL or pretokenized source writes the same files and analysis.json."""
     if source == "conll":
         paths = {}
@@ -206,7 +206,8 @@ def test_set_up_of_word_labeled_records_builds_no_word_or_document(tmp_path, mon
     def built(*args, **kwargs):
         raise Built
 
-    for name in ("Document", "Word", "_new_word", "_document_from_record", "_synthetic_words"):
+    for name in ("Document", "Word", "EntitySpan", "_new_word", "_new_entity", "_new_document",
+                 "_documents", "_synthetic_words"):
         monkeypatch.setattr(ingest, name, built)
     assert set_up("items") == expected
     assert sorted(expected) == ["analysis.json", "test.jsonl", "train.jsonl", "val.jsonl"]

@@ -1,16 +1,19 @@
-"""Word-labeled reads build no Document, and agree with the reads that do.
+"""Every record is read into one checked row, as the frozen reference
+reader reads it into a Document; no CLI path builds a Document.
 
-`evaluate`, `convert` and the `echo:` tagger read a word-labeled record
-without "entities" through `ingest._word_labeled`, which checks its
-decoded words in one loop (`ingest._checked_surfaces`) and hands every
-record that fails a check, and every other record, to
-`ingest._document_from_record`. Hypothesis mutates valid offset-bearing
-records (offsets that are booleans, floats or strings, missing keys,
-words that are not objects, overlap, are empty, decrease or leave the
-text, surfaces that are not their slice, a "text" that is not a string,
-plain string words mixed in, label lists of the wrong length or with bad
-labels, entities) and checks that the loop and the Document path give
-the same surfaces and labels, or the same error class, message and line.
+`ingest._rows` checks each canonical record once (`ingest._check_record`)
+and gives its row; `ingest._documents` builds Documents from rows only
+where the public API returns them. `tests.oracles.oracle_canonical_documents`
+is the reader that checked each record by building its Document. Hypothesis
+mutates valid offset-bearing records (offsets that are booleans, floats or
+strings, missing keys, words that are not objects, overlap, are empty,
+decrease or leave the text, surfaces that are not their slice, a "text" that
+is not a string, plain string words mixed in, label lists of the wrong length
+or with bad labels, entities), adds entities (odd offsets and labels, missing
+keys, spans outside the text, of whitespace only, overlapping) and builds
+Doccano and LabelStudio exports. Both readers must give the same Documents,
+and the rows the same surfaces and labels, or both the same error class,
+message and line.
 """
 
 import json
@@ -19,13 +22,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqlab
 from seqlab import ingest
 from seqlab.cli import main
-from seqlab.core import AnnotationScheme, Document
+from seqlab.core import AnnotationScheme
 from seqlab.errors import SeqlabError
 from seqlab.evaluation import evaluate_on_dataset
 from seqlab.inference import EchoTagger, LexiconTagger, load_tagger
 from seqlab.schemes import convert_scheme
+
+from .oracles import oracle_canonical_documents
 
 DATA = Path(__file__).parent / "data"
 SURFACES = st.text(alphabet="abé中.", min_size=1, max_size=3)
@@ -33,6 +39,7 @@ GAPS = st.text(alphabet=" \t  ", min_size=1, max_size=2)
 LABELS = st.sampled_from(["O", "B-X", "I-X", "L-X", "U-X", "B-Y.z", "I-Y.z", "I-"])
 SCHEMES = st.sampled_from([None, "IO", "BIO", "BILOU"])
 ODD_VALUES = st.sampled_from([True, False, 1.0, 2.5, "1", None, [], {}, -1, 10**6])
+CLASSES = st.sampled_from(["X", "Y.z", "", "O", 3, None])
 
 
 @st.composite
@@ -128,21 +135,70 @@ def mutated_records(draw):
     return record
 
 
+@st.composite
+def entity_lists(draw, text):
+    """Entities on a text of this length: offsets near its bounds or of
+    other JSON types, odd class names, missing keys, items that are no
+    objects."""
+    size = len(text) if isinstance(text, (str, list)) else 3
+    offsets = st.one_of(st.integers(-1, size + 1), ODD_VALUES)
+    entities = []
+    for _ in range(draw(st.integers(0, 3))):
+        entity = {"start": draw(offsets), "end": draw(offsets), "label": draw(CLASSES)}
+        if draw(st.booleans()):  # mostly valid spans, so that later rules are reached
+            start = draw(st.integers(0, size))
+            entity.update(start=start, end=draw(st.integers(start, size)), label="X")
+        if draw(st.integers(0, 9)) == 0:
+            entity.pop(draw(st.sampled_from(["start", "end", "label"])))
+        if draw(st.integers(0, 9)) == 0:
+            entity = draw(ODD_VALUES)
+        entities.append(entity)
+    return entities
+
+
+@st.composite
+def entity_records(draw):
+    """A mutated word record with entities, or a text with entities only."""
+    if draw(st.booleans()):
+        record = draw(mutated_records())
+    else:
+        record = {"text": draw(st.text(alphabet="ab \t中.", max_size=8))}
+    record["entities"] = draw(entity_lists(record.get("text")))
+    return record
+
+
+def read(records, scheme):
+    """The Documents the row reader gives."""
+    return ingest._documents(*ingest._rows(records, scheme))
+
+
+def reference(records, scheme):
+    return oracle_canonical_documents(records, scheme)[0]
+
+
 def outcome(read):
-    """(surfaces, labels) of each record read, or the error's class, message and line."""
+    """What a read gives, or the error's class, message and line."""
     try:
-        items = read()
+        return read()
     except SeqlabError as err:
         return type(err), str(err), getattr(err, "line", None)
-    pairs = []
-    for item in items:
-        if type(item) is Document:
-            if item.word_labels is None:
-                pairs.append(None)
-                continue
-            item = ([w.surface for w in item.words], item.word_labels.labels)
-        pairs.append((list(item[0]), tuple(item[1])))
-    return pairs
+
+
+def words_and_labels(items):
+    """(surfaces, labels) of each row, or of each Document's fields; None
+    where it has no labels."""
+    if isinstance(items, tuple):  # an error
+        return items
+    rows = [i if isinstance(i, ingest._Row) else ingest._document_row(i) for i in items]
+    return [None if r.labels is None else (list(r.surfaces), r.labels) for r in rows]
+
+
+def assert_same_reads(records, scheme):
+    documents = outcome(lambda: reference(records, scheme))
+    assert outcome(lambda: read(records, scheme)) == documents
+    rows = outcome(lambda: ingest._rows(records, scheme)[0])
+    assert words_and_labels(rows) == words_and_labels(documents)
+    return documents
 
 
 def entry(surface, start, end):
@@ -182,51 +238,108 @@ GOOD = [entry("ab", 0, 2), entry("c", 3, 4)]
 def test_each_check_fails_as_in_the_document_path(text, words, labels):
     records = [(1, {"text": "ab c", "words": GOOD, "labels": ["O", "B-X"]}),
                (2, {"text": text, "words": words, "labels": labels, "entities": None})]
-    fast = outcome(lambda: ingest._word_labeled(records, "BIO")[0])
-    assert fast == outcome(lambda: ingest._canonical_documents(records, "BIO")[0])
-    assert isinstance(fast, tuple) and fast[2] == 2  # an error, naming the second line
+    error = assert_same_reads(records, "BIO")
+    assert isinstance(error, tuple) and error[2] == 2  # an error, naming the second line
 
 
 @settings(max_examples=600, deadline=None)
 @given(records=st.lists(mutated_records(), min_size=1, max_size=3), scheme=SCHEMES)
 def test_the_loop_reads_what_the_document_path_reads(records, scheme):
-    numbered = [(lineno, record) for lineno, record in enumerate(records, 3)]
-    fast = outcome(lambda: ingest._word_labeled(numbered, scheme)[0])
-    slow = outcome(lambda: ingest._canonical_documents(numbered, scheme)[0])
-    assert fast == slow
+    assert_same_reads(list(enumerate(records, 3)), scheme)
 
 
 @settings(max_examples=600, deadline=None)
-@given(record=mutated_records(), scheme=SCHEMES)
+@given(records=st.lists(entity_records(), min_size=1, max_size=3), scheme=SCHEMES)
+def test_entities_are_read_as_the_document_path_reads_them(records, scheme):
+    assert_same_reads(list(enumerate(records, 3)), scheme)
+
+
+@st.composite
+def exports(draw):
+    """(dialect, source) of a Doccano or LabelStudio export whose texts
+    hold spaces at span edges, punctuation and odd entity values."""
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(st.text(alphabet="ab \t中.", max_size=8))
+        entities = draw(entity_lists(text))
+        triples = [[e.get("start"), e.get("end"), e.get("label")] if isinstance(e, dict) else e
+                   for e in entities]
+        tasks.append((draw(st.sampled_from([text, None, 5])), triples))
+    if draw(st.booleans()):
+        lines = [json.dumps({"text": text, "label": triples}) for text, triples in tasks]
+        return "doccano", "\n".join(lines) + "\n"
+    results = [
+        [{"type": "labels", "value": {"start": s, "end": e, "labels": [c]}}
+         for s, e, c in (t for t in triples if isinstance(t, list) and len(t) == 3)]
+        for _, triples in tasks
+    ]
+    return "labelstudio", json.dumps([
+        {"data": {"text": text}, "annotations": [{"result": result}]}
+        for (text, _), result in zip(tasks, results)
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(export=exports())
+def test_exports_are_read_as_the_document_path_reads_them(export):
+    try:
+        records = ingest._export_records(export[1], export[0])
+    except SeqlabError:
+        return  # the shape of the export, which both readers share
+    assert_same_reads(records, None)
+
+
+@settings(max_examples=600, deadline=None)
+@given(record=st.one_of(mutated_records(), entity_records()), scheme=SCHEMES)
 def test_the_loop_passes_only_what_the_document_path_passes(record, scheme):
-    """The loop decides alone only for records the Document path would read
-    into the same words and labels; it passes every record set-up writes."""
+    """A record is a row exactly where the reference reads it into a
+    Document, and the row holds that Document's fields."""
     try:
-        parsed, resolved = ingest._record_labels([(1, record)], scheme)
+        rows, resolved = ingest._rows([(1, record)], scheme)
     except SeqlabError:
-        return
-    surfaces = ingest._checked_surfaces(record, parsed[0])
+        rows = None
     try:
-        doc = ingest._document_from_record(1, record, parsed[0], resolved)
+        (document,), _ = oracle_canonical_documents([(1, record)], scheme)
     except SeqlabError:
-        doc = None
-    if surfaces is not None:
-        assert doc is not None and doc.word_labels is not None
-        assert surfaces == [w.surface for w in doc.words]
-        assert parsed[0] == doc.word_labels.labels
-    elif doc is not None and doc.word_labels is not None and record.get("entities") is None:
-        # only plain string words aligned with a "text" are left to the Document path
-        assert isinstance(record.get("text"), str)
-        assert all(isinstance(w, str) for w in record["words"])
+        document = None
+    assert (rows is None) == (document is None)
+    if document is not None:
+        (row,), expected = rows, ingest._document_row(document)
+        assert columns(row) == columns(expected)
+        assert ingest._documents(rows, resolved) == [document]
+
+
+def columns(row):
+    """A row's text, surfaces, labels and entities; surfaces as a list."""
+    surfaces = None if row.surfaces is None else list(row.surfaces)
+    return row.text, surfaces, row.labels, row.entities
+
+
+def no_builders(patch):
+    """Make every name a CLI path could build a Word, EntitySpan or
+    Document through raise DocumentBuilt, in each seqlab module that binds it."""
+
+    def built(*args, **kwargs):
+        raise DocumentBuilt
+
+    names = ("Document", "Word", "EntitySpan", "_new_word", "_new_entity", "_new_document",
+             "_documents", "_synthetic_words", "split_words")
+    for module in (ingest, seqlab.evaluation, seqlab.inference, seqlab.schemes, seqlab.cli):
+        for name in names:
+            if hasattr(module, name):
+                patch(module, name, built)
 
 
 @given(record=valid_records(), scheme=SCHEMES)
 def test_set_up_records_never_build_a_document(record, scheme):
     try:
-        parsed, _ = ingest._record_labels([(1, record)], scheme)
+        rows, _ = ingest._rows([(1, record)], scheme)
     except SeqlabError:
         return  # a label not in the scheme
-    assert ingest._checked_surfaces(record, parsed[0]) == [w["surface"] for w in record["words"]]
+    assert list(rows[0].surfaces) == [w["surface"] for w in record["words"]]
+    with pytest.MonkeyPatch.context() as patcher:
+        no_builders(patcher.setattr)
+        assert ingest._rows([(1, record)], scheme)[0] == rows
 
 
 class DocumentBuilt(Exception):
@@ -239,9 +352,9 @@ def set_up(tmp_path, *args):
 
 
 def test_evaluate_convert_and_echo_build_no_document(tmp_path, monkeypatch, capsys):
-    """With `_document_from_record` raising, word-labeled gold still
-    evaluates, converts and loads as an echo tagger, to the same outputs
-    as the Document path gives."""
+    """With every builder raising, word-labeled gold still evaluates,
+    converts and loads as an echo tagger, to the same outputs as the
+    Documents of the public reader give."""
     dataset = set_up(tmp_path, "--source", "BI", "--name", "mini-conll")
     test_file = dataset / "test.jsonl"
     lexicon = LexiconTagger.from_json(DATA / "fixture_lexicon.json")
@@ -259,10 +372,7 @@ def test_evaluate_convert_and_echo_build_no_document(tmp_path, monkeypatch, caps
         json.dumps(ingest.document_to_record(d), ensure_ascii=False) + "\n" for d in converted
     )
 
-    def boom(*args):
-        raise DocumentBuilt
-
-    monkeypatch.setattr(ingest, "_document_from_record", boom)
+    no_builders(monkeypatch.setattr)
     loaded = load_tagger(f"echo:{test_file}")
     assert (loaded.gold, loaded.scheme) == (echo.gold, echo.scheme)
     taggers = [f"lexicon:{DATA / 'fixture_lexicon.json'}", f"echo:{test_file}"]
@@ -280,19 +390,24 @@ def test_evaluate_convert_and_echo_build_no_document(tmp_path, monkeypatch, caps
     capsys.readouterr()
 
 
-def test_entity_only_gold_evaluates_through_documents(tmp_path, monkeypatch, capsys):
-    dataset = set_up(tmp_path, "--source", "AT", "--name", "tool", "--split-ratio", "0,0,1",
-                     "--path", str(DATA / "doccano_sample.jsonl"), "--dialect", "doccano")
-    built = []
-    original = ingest._document_from_record
-
-    def counted(*args):
-        built.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(ingest, "_document_from_record", counted)
+@pytest.mark.parametrize("export", ["doccano_sample.jsonl", "labelstudio_sample.json"])
+def test_entity_only_gold_evaluates_without_documents(tmp_path, monkeypatch, capsys, export):
+    """Set-up and evaluation of an annotation-tool export, whose records
+    hold only entities, with every builder raising; the report is the one
+    the public reader's Documents give."""
+    expected = set_up(tmp_path, "--source", "AT", "--name", "documents", "--split-ratio",
+                      "0,0,1", "--path", str(DATA / export))
+    split = ingest.load_split(expected, "test")
+    report = evaluate_on_dataset(load_tagger("all-o"), split, AnnotationScheme.BIO).as_dict()
+    no_builders(monkeypatch.setattr)
+    dataset = set_up(tmp_path, "--source", "AT", "--name", "rows", "--split-ratio", "0,0,1",
+                     "--path", str(DATA / export))
+    for name in ("train.jsonl", "val.jsonl", "test.jsonl", "analysis.json"):
+        assert (dataset / name).read_bytes() == (expected / name).read_bytes()
     assert main(["evaluate", "--tagger", "all-o", "--dataset", str(dataset)]) == 0
-    assert sorted(built) == [1, 2, 3]
-    report = json.loads((dataset / "eval_test.json").read_text(encoding="utf-8"))
-    assert sorted(report["strict"]["per_class"]) == ["LOC", "ORG", "PER"]
+    written = json.loads((dataset / "eval_test.json").read_text(encoding="utf-8"))
+    assert written == report
+    assert sorted(written["strict"]["per_class"]) == sorted(
+        {e.class_name for d in split.documents for e in d.entities}
+    )
     capsys.readouterr()
