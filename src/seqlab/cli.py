@@ -213,6 +213,8 @@ def cmd_predict(args) -> int:
         args.output,
         level=args.level,
         with_probabilities=args.probabilities,
+        # the CPU set the command may use (taskset, cpusets) bounds the split
+        processes=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1,
     )
     print(f"processed={summary.processed} failed={summary.failed}")
     return 0

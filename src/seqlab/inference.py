@@ -9,6 +9,15 @@ fails only its own item. One function, `_prediction_fields`, computes
 what every prediction holds; `predict` builds objects from it, and file
 inference formats each output line from it directly.
 
+`predict_file(..., processes=N)` splits an input file of at least two
+`_MIN_RANGE_BYTES` (128 KiB) into up to N byte ranges cut at line starts,
+and runs each range after the first in a forked child with the same one
+per-line loop. The output bytes, their order, the line numbers in error
+lines and the summary are those of a one-process run, and the one-line
+memory bound holds per process. The default, 1, never forks: pass more
+only for a tagger that is safe to fork. The CLI passes the number of
+CPUs in its CPU set, so `taskset` bounds the processes.
+
 Raw text is split on Unicode whitespace and punctuation is not split
 off; real subword tokenization belongs to the model behind the tagger
 interface, not here. This keeps offsets trivially exact: every emitted
@@ -20,10 +29,25 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import chain, repeat
+import shutil
+import signal
+import stat
+import tempfile
+import threading
+from itertools import repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import (
+    BinaryIO,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Protocol,
+    Sequence,
+    TextIO,
+)
 
 from .core import (
     AnnotationScheme,
@@ -46,7 +70,7 @@ from .errors import (
     UndecodableInput,
     UnloadableTagger,
 )
-from .ingest import _document_row, _json_records, _rows, load_json, read_text
+from .ingest import _json_records, _rows, load_json, read_text
 from .schemes import chunk_prefixes, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
@@ -129,19 +153,25 @@ class EchoTagger(NamedTuple):
         the last such document's."""
         documents = [d for d in documents if d.words is not None and d.word_labels is not None]
         scheme = documents[-1].word_labels.scheme if documents else AnnotationScheme.BIO
-        return cls._from_rows(map(_document_row, documents), scheme)
+        gold = {
+            tuple([w.surface for w in d.words]): tuple(d.word_labels.serialized())
+            for d in documents
+        }
+        return cls(gold, scheme)
 
     @classmethod
     def from_canonical_file(cls, path: str | Path) -> "EchoTagger":
         """Words and labels of a canonical JSONL file, checked as a
         dataset read checks them; the scheme is read off the labels."""
-        return cls._from_rows(*_rows(_json_records(read_text(path)), None))
-
-    @classmethod
-    def _from_rows(cls, rows: Iterable, scheme: AnnotationScheme) -> "EchoTagger":
-        rows = [row for row in rows if row.labels is not None]
-        strings = {label: label.serialize() for label in set(chain(*[r.labels for r in rows]))}
-        gold = {tuple(row.surfaces): tuple(map(strings.__getitem__, row.labels)) for row in rows}
+        records = _json_records(read_text(path))
+        rows, scheme = _rows(records, None)
+        # a label parses only from the string it serializes to, so a
+        # checked row's labels are its record's strings as they were read
+        gold = {
+            tuple(row.surfaces): tuple(record["labels"])
+            for (_, record), row in zip(records, rows)
+            if row.labels is not None
+        }
         return cls(gold, scheme)
 
 
@@ -459,6 +489,15 @@ def _same_file(first: str | Path, second: str | Path) -> bool:
         return False
 
 
+#: The least input a predict_file process is given, in bytes. On a 2-vCPU
+#: machine a whole `predict` command on an input under twice this gained
+#: no more from a split than its run-to-run noise.
+_MIN_RANGE_BYTES = 64 * 1024
+#: fork is trusted only where the CPU set can be read as well: macOS, whose
+#: system libraries are not safe to fork, has os.fork but not this
+_CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+
+
 def predict_file(
     tagger: Tagger,
     input_path: str | Path,
@@ -466,6 +505,7 @@ def predict_file(
     *,
     level: str = "entity",
     with_probabilities: bool = False,
+    processes: int = 1,
 ) -> FileSummary:
     """Streaming file inference: JSONL in ({"text": ...} per line),
     line-aligned JSONL out ({"text", "predictions": [...]}), each line
@@ -474,24 +514,179 @@ def predict_file(
     Lines end at "\\n". A line that fails, for bad JSON, bytes that are not
     UTF-8 or anything else, becomes an {"error": "line N: ..."} output
     line and is counted as failed; it never aborts the run. Memory use
-    is bounded by one line and the run's distinct labels; output order
-    matches input order. A bad ``level`` raises ValueError, and an output
-    that is the input file raises OutputIsInput, before any file is opened.
+    is bounded, in each process, by one line and the run's distinct
+    labels; output order matches input order. A bad ``level`` raises
+    ValueError, and an output that is the input file raises OutputIsInput,
+    before any file is opened.
+
+    With ``processes`` above 1, a regular input file of at least two
+    `_MIN_RANGE_BYTES` is cut at line starts into up to ``processes``
+    contiguous byte ranges, each the size of the others give or take a
+    line. This process runs the first; a forked child runs each other
+    one into an anonymous temporary file, which is appended in order. The
+    output bytes, their line numbers and the summary are those of one
+    process. The input stays in one process where os.fork or
+    os.sched_getaffinity is missing (so fork is not trusted) or where
+    another thread runs; a range whose child fails or dies is run again
+    here. Pass it only for a tagger that is safe to fork: one that holds
+    no thread, lock or connection a child cannot use.
     """
     _check_level(level)
     if _same_file(input_path, output_path):
         raise OutputIsInput(f"output file {output_path} is the input file")
+    job = (tagger, level, with_probabilities)
+    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
+        return _predict_ranges(input_path, src, dst, _ranges(src, processes), job)
+
+
+def _predict_range(
+    src: BinaryIO,
+    dst: TextIO,
+    lineno: int,
+    size: int | None,
+    tagger: Tagger,
+    level: str,
+    with_probabilities: bool,
+) -> FileSummary:
+    """Write the output of the input lines that start in the next ``size``
+    bytes of ``src``, or in all the rest when it is None, numbered from
+    ``lineno``; the one per-line loop of predict_file."""
     processed = failed = 0
     tables: dict[AnnotationScheme, LabelTable] = {}
     tags = _Tags()
     encode = json.JSONEncoder(ensure_ascii=False).encode
-    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
-        for lineno, line in enumerate(src, 1):
-            line = line.rstrip(b"\n")
-            ok, output, error = _contained(
-                _output_line, tagger, line, level, with_probabilities, tables, tags
-            )
-            processed += ok
-            failed += not ok
-            dst.write(output if ok else encode({"error": f"line {lineno}: {error}"}) + "\n")
+    for lineno, line in enumerate(src if size is None else _lines_within(src, size), lineno):
+        line = line.rstrip(b"\n")
+        ok, output, error = _contained(
+            _output_line, tagger, line, level, with_probabilities, tables, tags
+        )
+        processed += ok
+        failed += not ok
+        dst.write(output if ok else encode({"error": f"line {lineno}: {error}"}) + "\n")
     return FileSummary(processed, failed)
+
+
+def _lines_within(src: BinaryIO, size: int) -> Iterator[bytes]:
+    """The lines of ``src`` that start in its next ``size`` bytes."""
+    for line in src:
+        yield line
+        size -= len(line)
+        if size <= 0:
+            return
+
+
+def _ranges(src: BinaryIO, processes: int) -> list[tuple[int, int | None]]:
+    """The (start, size) byte ranges that predict_file runs in processes of
+    their own: each starts at a line start, and the last runs to the end of
+    the file (size None). One range unless the input can be split."""
+    whole = [(0, None)]
+    if processes < 2 or not _CAN_FORK or threading.active_count() > 1:
+        return whole
+    info = os.fstat(src.fileno())
+    count = min(processes, info.st_size // _MIN_RANGE_BYTES)
+    if count < 2 or not stat.S_ISREG(info.st_mode):
+        return whole
+    starts = [0]
+    for k in range(1, count):
+        src.seek(k * info.st_size // count - 1)
+        src.readline()  # up to the first line start at or after the even cut
+        if starts[-1] < src.tell() < info.st_size:
+            starts.append(src.tell())
+    src.seek(0)
+    return [(a, b - a) for a, b in zip(starts, starts[1:])] + [(starts[-1], None)]
+
+
+def _predict_ranges(
+    input_path: str | Path,
+    src: BinaryIO,
+    dst: TextIO,
+    ranges: list[tuple[int, int | None]],
+    job: tuple[Tagger, str, bool],
+) -> FileSummary:
+    """predict_file over ``ranges``: a child is forked for each range after
+    the first, this process runs the first, then appends each child's
+    output in order, or runs its range again if the child failed. One
+    range runs here alone."""
+    children = []  # (pid, summary pipe, output file) of the children not reaped
+    try:
+        for start, size in ranges[1:]:
+            children.append(_fork_range(input_path, start, size, job))
+        processed, failed = _predict_range(src, dst, 1, ranges[0][1], *job)
+        for start, size in ranges[1:]:
+            pid, pipe, output = children[0]
+            summary = _joined(pid, pipe)
+            del children[0]
+            with pipe, output:
+                if summary is None:
+                    summary = _predict_at(src, dst, start, size, job)
+                else:
+                    dst.flush()
+                    output.seek(0)
+                    shutil.copyfileobj(output, dst.buffer)
+            processed += summary.processed
+            failed += summary.failed
+    finally:
+        for pid, pipe, output in children:
+            with pipe, output:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return FileSummary(processed, failed)
+
+
+def _fork_range(
+    input_path: str | Path, start: int, size: int | None, job: tuple[Tagger, str, bool]
+) -> tuple[int | None, BinaryIO, BinaryIO]:
+    """(pid, summary pipe, output file) of a forked child that runs one
+    range and sends its summary; the pid is None if fork failed."""
+    output = tempfile.TemporaryFile()
+    try:
+        reader, writer = os.pipe()
+    except BaseException:
+        output.close()
+        raise
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:  # the child, which never returns to the caller
+        code = 1
+        try:
+            with open(input_path, "rb") as src, open(
+                output.fileno(), "w", encoding="utf-8", closefd=False
+            ) as dst:
+                summary = _predict_at(src, dst, start, size, job)
+            os.write(writer, b"%d %d" % summary)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    return pid, open(reader, "rb"), output
+
+
+def _joined(pid: int | None, pipe: BinaryIO) -> FileSummary | None:
+    """The summary a child sent, once it has exited 0; None if it failed,
+    died or was never forked."""
+    if pid is None:
+        return None
+    _, status = os.waitpid(pid, 0)
+    sent = pipe.read()
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        return FileSummary(*map(int, sent.split()))
+    except (TypeError, ValueError):  # it exited 0 without sending one
+        return None
+
+
+def _predict_at(
+    src: BinaryIO, dst: TextIO, start: int, size: int | None, job: tuple[Tagger, str, bool]
+) -> FileSummary:
+    """`_predict_range` over the range at byte ``start`` of ``src``, its
+    lines numbered as in the whole file."""
+    src.seek(0)
+    lines, left = 0, start
+    while left > 0 and (chunk := src.read(min(left, 1 << 20))):
+        lines += chunk.count(b"\n")
+        left -= len(chunk)
+    return _predict_range(src, dst, 1 + lines, size, *job)

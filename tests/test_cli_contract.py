@@ -208,3 +208,76 @@ def test_set_up_arguments_keep_the_error_contract(ratio, name, fraction):
             assert len(err.splitlines()) == 1, err
         written = set(tmp.rglob("*")) - before
         assert all(data_dir in path.parents for path in written), sorted(written)
+
+
+#: usage errors that `cmd_predict` reports itself, one line each
+PREDICT_USAGE = ("predict needs exactly one of --text or --input", "file mode needs --output")
+
+
+def predict_tagger(tmp, kind):
+    return {
+        "lexicon": f"lexicon:{tmp / 'lexicon.json'}",
+        "echo": f"echo:{tmp / 'echo.jsonl'}",
+        "all-o": "all-o",
+        "unknown kind": f"model:{tmp / 'lexicon.json'}",
+        "no colon": "lexicon",
+        "missing file": f"lexicon:{tmp / 'missing.json'}",
+        "non-JSON lexicon": f"lexicon:{tmp / 'bad.json'}",
+        "non-JSON echo": f"echo:{tmp / 'bad.json'}",
+    }.get(kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tagger=st.sampled_from([None, "lexicon", "echo", "all-o", "unknown kind", "no colon",
+                            "missing file", "non-JSON lexicon", "non-JSON echo"]),
+    level=st.sampled_from([None, "entity", "word", "", "Entity", "char"]),
+    text=st.sampled_from([None, "Ada met Grace", "", "   "]),
+    source=st.sampled_from([None, "in.jsonl", "missing.jsonl", "."]),
+    sink=st.sampled_from([None, "out.jsonl", "input", "."]),
+    probabilities=st.booleans(),
+)
+def test_predict_arguments_keep_the_error_contract(tagger, level, text, source, sink,
+                                                   probabilities):
+    """Whatever the --tagger, --level, --text, --input and --output, `predict`
+    exits 0; or 2 with one usage line (after argparse's synopsis); or 1 with
+    one `error:` line. It never prints a traceback, and a failing command
+    writes no output file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.jsonl").write_bytes(PREDICT_INPUT + b"not json\n")
+        (tmp / "lexicon.json").write_bytes(LEXICON)
+        (tmp / "echo.jsonl").write_bytes(CANONICAL)
+        (tmp / "bad.json").write_bytes(b"{not json")
+        argv = ["predict"]
+        if tagger is not None:
+            argv += ["--tagger", predict_tagger(tmp, tagger)]
+        if level is not None:
+            argv.append(f"--level={level}")
+        if text is not None:
+            argv.append(f"--text={text}")
+        if source is not None:
+            argv += ["--input", str(tmp / source)]
+        output = None
+        if sink is not None:
+            output = tmp / (source or "in.jsonl") if sink == "input" else tmp / sink
+            argv += ["--output", str(output)]
+        if probabilities:
+            argv.append("--probabilities")
+        before = (tmp / "in.jsonl").read_bytes()
+        code, err = quiet_main(argv)
+        lines = err.splitlines()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+        elif code == 2:
+            # argparse's synopsis is a "usage:" line and its indented continuations
+            message = [line for line in lines if not line.startswith(("usage:", " "))]
+            assert len(message) == 1 and message[0] == lines[-1], err
+            assert message[0].startswith(("seqlab predict: error: ", *PREDICT_USAGE)), err
+        else:
+            assert err == ""
+        assert (tmp / "in.jsonl").read_bytes() == before
+        if code and output is not None and output.name == "out.jsonl":
+            assert not output.exists(), err

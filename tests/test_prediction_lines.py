@@ -1,11 +1,15 @@
 """`predict_file` writes each output line from the columns it holds per
 line (surfaces, offsets, parsed labels, probabilities), not from
 prediction objects. Its lines must still be the bytes that `json.dumps`
-gives for the records `predict` and `prediction_record` build.
+gives for the records `predict` and `prediction_record` build, and an
+input split across processes must give the bytes and summary of one.
 """
 
 import json
+import os
+import signal
 import tempfile
+import threading
 from itertools import cycle
 from pathlib import Path
 
@@ -196,3 +200,146 @@ def test_predict_input_writes_the_exception_line_and_goes_on(tmp_path, monkeypat
     lines = sink.read_text(encoding="utf-8").splitlines(keepends=True)
     assert len(lines) == 3 and lines[1] == RAISED
     assert capsys.readouterr().out == "processed=2 failed=1\n"
+
+
+# Splitting an input across processes: with the minimum range size made
+# tiny, 2 and 3 processes must write what one process writes.
+
+#: input lines that are not {"text": ...} objects of valid UTF-8: malformed
+#: JSON, non-UTF-8 bytes, blank lines, a lone surrogate escape, a CR end
+ODD_LINES = st.sampled_from(
+    [b'{"text": "Ann', b'{"text": 1}', b"[]", b"\xff\xfe", b'{"text": "caf\xc3"}', b"", b"   ",
+     b'{"text": "\\ud800"}', b'{"text": "Ann Lee"}\r']
+)
+LINES = st.one_of(
+    st.builds(
+        lambda text, ascii_input: json.dumps({"text": text}, ensure_ascii=ascii_input).encode(),
+        TEXTS,
+        st.booleans(),
+    ),
+    ODD_LINES,
+)
+#: the shortest line that pads a block: {"text": ""} and its line end
+PAD = 13
+
+
+def pad_line(size):
+    return b'{"text": "' + b"p" * (size - PAD) + b'"}\n'
+
+
+@st.composite
+def split_inputs(draw):
+    """(input bytes, processes, the byte offsets where the input is cut or
+    None). The input is one block per process, each padded to one width,
+    so each block starts right at a cut and its first line, of any kind,
+    sits there. It may also hold a line longer than a range, or end
+    without a final newline."""
+    processes = draw(st.sampled_from([2, 3]))
+    blocks = [b"".join(line + b"\n" for line in draw(st.lists(LINES, min_size=1, max_size=4)))
+              for _ in range(processes)]
+    width = max(map(len, blocks)) + PAD
+    blocks = [block + pad_line(width - len(block)) for block in blocks]
+    cuts = [width * k for k in range(1, processes)]
+    if draw(st.booleans()):  # a line longer than any range, in place of a block's first line
+        at = draw(st.integers(0, processes - 1))
+        blocks[at] = json.dumps({"text": "w " * width * processes}).encode() + b"\n" + blocks[at]
+        cuts = None
+    data = b"".join(blocks)
+    if draw(st.booleans()):
+        data = data[:-1]
+    return data, processes, cuts
+
+
+def run_file(tagger, data, level, with_probabilities, processes):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, sink = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+        source.write_bytes(data)
+        summary = predict_file(tagger, source, sink, level=level,
+                               with_probabilities=with_probabilities, processes=processes)
+        return summary, sink.read_bytes()
+
+
+def cut_offsets(data, processes):
+    """Where `predict_file` cuts ``data`` for ``processes``."""
+    with tempfile.TemporaryFile() as src:
+        src.write(data)
+        src.seek(0)
+        return [start for start, _ in inference._ranges(src, processes)][1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tagger=TAGGERS,
+    split=split_inputs(),
+    level=st.sampled_from(["entity", "word"]),
+    with_probabilities=st.booleans(),
+)
+def test_split_runs_write_what_one_process_writes(tagger, split, level, with_probabilities):
+    data, processes, cuts = split
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inference, "_MIN_RANGE_BYTES", 1)
+        found = cut_offsets(data, processes)
+        assert found and (cuts is None or found == cuts)
+        one = run_file(tagger, data, level, with_probabilities, 1)
+        assert run_file(tagger, data, level, with_probabilities, processes) == one
+    assert sum(one[0]) == data.count(b"\n") + (not data.endswith(b"\n"))
+
+
+INPUT = b"".join(
+    json.dumps({"text": text}).encode() + b"\n"
+    for text in ["Ann Lee", "", "Bo x", "   ", "Ann \U0001f600 Lee"] * 8
+) + b'{"text": \n\xff\n'
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_a_failed_child_has_its_range_run_again(tmp_path, monkeypatch, failure):
+    """A child whose range function raises, or which is killed, fails only
+    itself: the parent runs its range, and no temporary file is left."""
+    tagger = CyclingTagger([("B-PER", 0.5), ("I-PER", 1.0), ("O", 0.25)], AnnotationScheme.BIO)
+    expected = run_file(tagger, INPUT, "word", True, 1)
+    parent = os.getpid()
+    original = inference._predict_range
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("the child's range fails")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args)
+
+    monkeypatch.setattr(inference, "_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(inference, "_predict_range", failing)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    (tmp_path / "out").mkdir()
+    source, sink = tmp_path / "in.jsonl", tmp_path / "out" / "out.jsonl"
+    source.write_bytes(INPUT)
+    assert len(cut_offsets(INPUT, 3)) == 2
+    summary = predict_file(tagger, source, sink, level="word", with_probabilities=True,
+                           processes=3)
+    assert (summary, sink.read_bytes()) == expected
+    assert list((tmp_path / "tmp").iterdir()) == []
+    assert list((tmp_path / "out").iterdir()) == [sink]
+
+
+def test_the_default_and_a_threaded_caller_never_fork(tmp_path, monkeypatch):
+    tagger = CyclingTagger([("B-PER", 0.5), ("O", 1.0)], AnnotationScheme.BIO)
+    expected = run_file(tagger, INPUT, "entity", False, 1)
+    monkeypatch.setattr(inference, "_MIN_RANGE_BYTES", 64)
+
+    def fork():
+        raise AssertionError("predict_file forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    source.write_bytes(INPUT)
+    assert (predict_file(tagger, source, sink), sink.read_bytes()) == expected
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert (predict_file(tagger, source, sink, processes=2), sink.read_bytes()) == expected
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
