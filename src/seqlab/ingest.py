@@ -173,7 +173,11 @@ class DatasetAnalysis(NamedTuple):
 def read_text(path: str | Path) -> str:
     """A file's UTF-8 text; bytes that are not UTF-8 raise UndecodableInput
     naming their line."""
-    data = Path(path).read_bytes()
+    return _decoded(Path(path).read_bytes(), path)
+
+
+def _decoded(data: bytes, path: str | Path) -> str:
+    """`read_text` of the file at ``path`` whose bytes are ``data``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -1,0 +1,167 @@
+"""One file of lines, run as contiguous byte ranges across processes.
+
+`predict --input` and `convert` each read a file line by line, and each
+line's output depends on that line alone. `_run_ranges` runs such a
+job, a `Work`, over the byte ranges that `_ranges` cuts. A regular input
+file of at least two of the job's least ranges (128 KiB for `predict`,
+768 KiB for `convert`, whose lines cost less) is cut at line starts into
+up to N ranges, each the size of the others give or take a line.
+The calling process runs the first range; a forked child runs each
+other one into an anonymous temporary file, which is appended to the
+caller's output in order. So the output bytes, their order, the line
+numbers the job writes and the summary it returns are those of a
+one-process run, and a job's memory bound holds per process. A range
+whose child fails or dies is run again in the caller, so a job that
+raises on bad input raises there, as in one process. The input stays in
+one process where os.fork or os.sched_getaffinity is missing (so fork
+is not trusted) or where another thread runs. The commands pass
+`_cpu_count()`, the CPUs in their CPU set, so `taskset` bounds the
+processes. Pass more than one process only for a job that is safe to
+fork: one that holds no thread, lock or connection a child cannot use.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import stat
+import tempfile
+import threading
+from operator import add
+from typing import BinaryIO, Callable, TextIO
+
+#: A job over one range: given the input at the range's start, the output,
+#: the number of the range's first line and the range's size in bytes
+#: (None: to the end of the file), it writes the range's output and
+#: returns its summary, a tuple of counts that add up over ranges.
+Work = Callable[[BinaryIO, TextIO, int, int | None], tuple[int, ...]]
+
+#: fork is trusted only where the CPU set can be read as well: macOS, whose
+#: system libraries are not safe to fork, has os.fork but not this
+_CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on: its CPU set, so that
+    `taskset` and cpusets bound a split; 1 where that cannot be read."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _ranges(src: BinaryIO, processes: int, least: int) -> list[tuple[int, int | None]]:
+    """The (start, size) byte ranges of ``src`` to run in processes of their
+    own, each about ``least`` bytes or more: each starts at a line start,
+    and the last runs to the end of the file (size None). One range unless
+    the input can be split."""
+    whole = [(0, None)]
+    if processes < 2 or not _CAN_FORK or threading.active_count() > 1:
+        return whole
+    info = os.fstat(src.fileno())
+    count = min(processes, info.st_size // least)
+    if count < 2 or not stat.S_ISREG(info.st_mode):
+        return whole
+    starts = [0]
+    for k in range(1, count):
+        src.seek(k * info.st_size // count - 1)
+        src.readline()  # up to the first line start at or after the even cut
+        if starts[-1] < src.tell() < info.st_size:
+            starts.append(src.tell())
+    src.seek(0)
+    return [(a, b - a) for a, b in zip(starts, starts[1:])] + [(starts[-1], None)]
+
+
+def _run_ranges(
+    input_path: str | os.PathLike,
+    src: BinaryIO,
+    dst: TextIO,
+    ranges: list[tuple[int, int | None]],
+    work: Work,
+) -> tuple[int, ...]:
+    """``work`` over ``ranges`` of the file ``src``, which is at its start,
+    into ``dst``; the summaries added up. A child is forked for each range
+    after the first, this process runs the first, then appends each
+    child's output in order, or runs its range again here if the child
+    failed or died. One range runs here alone. An exception of the work
+    run here is raised once every child is stopped."""
+    children = []  # (pid, summary pipe, output file) of the children not reaped
+    try:
+        for start, size in ranges[1:]:
+            children.append(_fork_range(input_path, start, size, work))
+        total = work(src, dst, 1, ranges[0][1])
+        for start, size in ranges[1:]:
+            pid, pipe, output = children[0]
+            summary = _joined(pid, pipe)
+            del children[0]
+            with pipe, output:
+                if summary is None:
+                    summary = _run_at(src, dst, start, size, work)
+                else:
+                    dst.flush()
+                    output.seek(0)
+                    shutil.copyfileobj(output, dst.buffer)
+            total = tuple(map(add, total, summary))
+    finally:
+        for pid, pipe, output in children:
+            with pipe, output:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return total
+
+
+def _fork_range(
+    input_path: str | os.PathLike, start: int, size: int | None, work: Work
+) -> tuple[int | None, BinaryIO, BinaryIO]:
+    """(pid, summary pipe, output file) of a forked child that runs one
+    range and sends its summary; the pid is None if fork failed."""
+    output = tempfile.TemporaryFile()
+    try:
+        reader, writer = os.pipe()
+    except BaseException:
+        output.close()
+        raise
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:  # the child, which never returns to the caller
+        code = 1
+        try:
+            with open(input_path, "rb") as src, open(
+                output.fileno(), "w", encoding="utf-8", closefd=False
+            ) as dst:
+                summary = _run_at(src, dst, start, size, work)
+            os.write(writer, " ".join(map(str, summary)).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    return pid, open(reader, "rb"), output
+
+
+def _joined(pid: int | None, pipe: BinaryIO) -> tuple[int, ...] | None:
+    """The summary a child sent, once it has exited 0; None if it failed,
+    died or was never forked."""
+    if pid is None:
+        return None
+    _, status = os.waitpid(pid, 0)
+    sent = pipe.read()
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    try:
+        return tuple(map(int, sent.split())) or None  # None: it exited 0 without sending one
+    except ValueError:
+        return None
+
+
+def _run_at(
+    src: BinaryIO, dst: TextIO, start: int, size: int | None, work: Work
+) -> tuple[int, ...]:
+    """``work`` over the range at byte ``start`` of ``src``, its lines
+    numbered as in the whole file."""
+    src.seek(0)
+    lines, left = 0, start
+    while left > 0 and (chunk := src.read(min(left, 1 << 20))):
+        lines += chunk.count(b"\n")
+        left -= len(chunk)
+    return work(src, dst, 1 + lines, size)

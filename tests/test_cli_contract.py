@@ -184,14 +184,17 @@ NAMES = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    ratio=st.lists(st.sampled_from([*NUMBERS, "x", ""]), min_size=1, max_size=4).map(",".join),
-    name=NAMES,
+    # a valid ratio and name half the time, so that --fraction is reached
+    ratio=st.just("0.8,0.1,0.1")
+    | st.lists(st.sampled_from([*NUMBERS, "x", ""]), min_size=1, max_size=4).map(",".join),
+    name=st.just("ds") | NAMES,
     fraction=st.sampled_from([None, *NUMBERS]),
 )
 def test_set_up_arguments_keep_the_error_contract(ratio, name, fraction):
     """Whatever the --split-ratio, --name and --fraction, `dataset set-up`
     of a valid two-sentence CoNLL file exits 0, 1 or 2; a failure prints
-    one stderr line and no traceback, and no file lands outside --data-dir."""
+    one stderr line and no traceback, and no file lands outside --data-dir.
+    A --fraction that is not a finite number in (0, 1] exits 2."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "corpus.conll").write_bytes(CONLL)
@@ -206,8 +209,29 @@ def test_set_up_arguments_keep_the_error_contract(ratio, name, fraction):
         assert "Traceback" not in err
         if code:
             assert len(err.splitlines()) == 1, err
+        if fraction is not None and not 0 < float(fraction) <= 1:
+            assert code == 2, err  # a usage error, found before any file is read
         written = set(tmp.rglob("*")) - before
         assert all(data_dir in path.parents for path in written), sorted(written)
+
+
+def assert_usage_contract(code, err, command, usage=(), warning=None):
+    """Exit 0; or 2 with one usage line (after argparse's synopsis), which
+    argparse or the command (one of ``usage``) prints; or 1 with one
+    `error:` line. No traceback, and stderr holds nothing else but the
+    command's one ``warning`` line."""
+    lines = [line for line in err.splitlines() if line != warning]
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    elif code == 2:
+        # argparse's synopsis is a "usage:" line and its indented continuations
+        message = [line for line in lines if not line.startswith(("usage:", " "))]
+        assert len(message) == 1 and message[0] == lines[-1], err
+        assert message[0].startswith((f"seqlab {command}: error: ", *usage)), err
+    else:
+        assert lines == [], err
 
 
 #: usage errors that `cmd_predict` reports itself, one line each
@@ -266,18 +290,101 @@ def test_predict_arguments_keep_the_error_contract(tagger, level, text, source, 
             argv.append("--probabilities")
         before = (tmp / "in.jsonl").read_bytes()
         code, err = quiet_main(argv)
-        lines = err.splitlines()
-        assert code in (0, 1, 2), err
-        assert "Traceback" not in err
-        if code == 1:
-            assert len(lines) == 1 and lines[0].startswith("error: "), err
-        elif code == 2:
-            # argparse's synopsis is a "usage:" line and its indented continuations
-            message = [line for line in lines if not line.startswith(("usage:", " "))]
-            assert len(message) == 1 and message[0] == lines[-1], err
-            assert message[0].startswith(("seqlab predict: error: ", *PREDICT_USAGE)), err
-        else:
-            assert err == ""
+        assert_usage_contract(code, err, "predict", PREDICT_USAGE)
         assert (tmp / "in.jsonl").read_bytes() == before
         if code and output is not None and output.name == "out.jsonl":
             assert not output.exists(), err
+
+
+SCHEMES = st.sampled_from([None, "IO", "BIO", "BILOU", "bio", "X", ""])
+#: the one line `convert` prints to stderr on success too
+IO_WARNING = "warning: IO output merges adjacent same-class chunks (lossy)"
+
+
+# each argument is one that converts the input half the time, so that
+# some runs succeed
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.just("BIO") | SCHEMES,
+    target=st.just("BILOU") | SCHEMES,
+    given_input=st.just("in.jsonl")
+    | st.sampled_from([None, "missing.jsonl", ".", "empty.jsonl", "latin1.jsonl"]),
+    sink=st.just("out.jsonl") | st.sampled_from([None, ".", "input"]),
+)
+def test_convert_arguments_keep_the_error_contract(source, target, given_input, sink):
+    """Whatever the --from, --to, --input and --output, `convert` keeps the
+    contract of `assert_usage_contract`, and a failing run writes no file
+    and leaves its input as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.jsonl").write_bytes(CANONICAL)
+        (tmp / "empty.jsonl").write_bytes(b"")
+        (tmp / "latin1.jsonl").write_bytes(CANONICAL.replace(b"Ada", b"Ad\xe9"))
+        argv = ["convert"]
+        for option, value in [("--from", source), ("--to", target)]:
+            if value is not None:
+                argv.append(f"{option}={value}")
+        if given_input is not None:
+            argv += ["--input", str(tmp / given_input)]
+        if sink is not None:
+            argv += ["--output", str(tmp / (given_input or "in.jsonl") if sink == "input"
+                                     else tmp / sink)]
+        before = {path: path.read_bytes() for path in tmp.iterdir() if path.is_file()}
+        code, err = quiet_main(argv)
+        assert_usage_contract(code, err, "convert", warning=IO_WARNING)
+        if code:
+            assert {path: path.read_bytes() for path in tmp.iterdir() if path.is_file()} == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phase=st.sampled_from([None, "train", "val", "test", "dev", ""]),
+    dataset=st.sampled_from([None, "directory", "name", "missing", "file"]),
+    report=st.booleans(),
+)
+def test_evaluate_arguments_keep_the_error_contract(phase, dataset, report):
+    """Whatever the --phase and --dataset (a directory, a name under
+    --data-dir, a missing one, a file), `evaluate` keeps the contract of
+    `assert_usage_contract`, and a failing run writes no report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("ds", "data/ds"):
+            (tmp / name).mkdir(parents=True)
+            (tmp / name / "test.jsonl").write_bytes(CANONICAL)
+            (tmp / name / "val.jsonl").write_bytes(b"")
+            (tmp / name / "analysis.json").write_bytes(ANALYSIS)
+        (tmp / "lexicon.json").write_bytes(LEXICON)
+        argv = ["--data-dir", str(tmp / "data"), "evaluate", "--tagger",
+                f"lexicon:{tmp / 'lexicon.json'}"]
+        if phase is not None:
+            argv.append(f"--phase={phase}")
+        if dataset is not None:
+            argv += ["--dataset", {"directory": str(tmp / "ds"), "name": "ds",
+                                   "missing": str(tmp / "nothing"),
+                                   "file": str(tmp / "lexicon.json")}[dataset]]
+        if report:
+            argv += ["--output", str(tmp / "report.json")]
+        before = set(tmp.rglob("*"))
+        code, err = quiet_main(argv)
+        assert_usage_contract(code, err, "evaluate")
+        if code:
+            assert set(tmp.rglob("*")) == before, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(metric=st.sampled_from([None, "strict.micro.entity.f1", "strict.micro.entity", "strict",
+                               "seed", "missing.metric", "", ".", "strict.micro.entity.f1."]))
+def test_aggregate_arguments_keep_the_error_contract(metric):
+    """Whatever the --selection-metric, `aggregate` keeps the contract of
+    `assert_usage_contract`, and a failing run writes no aggregate.json."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = Path(tmp) / "runs"
+        runs.mkdir()
+        (runs / "a.json").write_bytes(RUN % (b"a", 0, 5))
+        (runs / "b.json").write_bytes(RUN % (b"b", 1, 7))
+        argv = ["aggregate", "--runs-dir", str(runs)]
+        if metric is not None:
+            argv.append(f"--selection-metric={metric}")
+        code, err = quiet_main(argv)
+        assert_usage_contract(code, err, "aggregate")
+        assert (runs / "aggregate.json").exists() == (code == 0), err

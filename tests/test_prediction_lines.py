@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab import inference
+from seqlab import inference, ranges
 from seqlab.core import AnnotationScheme
 from seqlab.errors import SeqlabError
 from seqlab.inference import predict, predict_file, prediction_record
@@ -264,7 +264,8 @@ def cut_offsets(data, processes):
     with tempfile.TemporaryFile() as src:
         src.write(data)
         src.seek(0)
-        return [start for start, _ in inference._ranges(src, processes)][1:]
+        cuts = ranges._ranges(src, processes, inference._MIN_RANGE_BYTES)
+        return [start for start, _ in cuts][1:]
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,12 +301,12 @@ def test_a_failed_child_has_its_range_run_again(tmp_path, monkeypatch, failure):
     parent = os.getpid()
     original = inference._predict_range
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         if os.getpid() != parent:
             if failure == "raises":
                 raise RuntimeError("the child's range fails")
             os.kill(os.getpid(), signal.SIGKILL)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(inference, "_MIN_RANGE_BYTES", 64)
     monkeypatch.setattr(inference, "_predict_range", failing)
