@@ -30,8 +30,6 @@ from .evaluation import (
     EvalReport,
     evaluate_on_dataset,
     extract_entities,
-    score_entities,
-    score_words,
 )
 from .inference import (
     EchoTagger,
@@ -47,17 +45,14 @@ from .inference import (
 from .ingest import (
     DatasetAnalysis,
     DatasetSplit,
-    SourceKind,
     analyze,
     parse_annotation_tool_export,
     parse_conll,
-    parse_pretokenized_jsonl,
     prune,
     read_canonical_jsonl,
     set_up,
     split_documents,
     write_canonical_jsonl,
-    write_conll,
 )
 from .runs import AggregateResult, RunRecord, aggregate, best_model
 from .schedule import (
@@ -99,7 +94,6 @@ __all__ = [
     "ScheduleConfig",
     "ScheduleState",
     "SeqlabError",
-    "SourceKind",
     "Tagger",
     "TokenAlignment",
     "Violation",
@@ -122,14 +116,11 @@ __all__ = [
     "parse_annotation_tool_export",
     "parse_conll",
     "parse_label",
-    "parse_pretokenized_jsonl",
     "predict",
     "predict_batch",
     "predict_file",
     "prune",
     "read_canonical_jsonl",
-    "score_entities",
-    "score_words",
     "set_up",
     "simulate",
     "split_documents",
@@ -138,5 +129,4 @@ __all__ = [
     "validate_sequence",
     "word_labels_to_token_labels",
     "write_canonical_jsonl",
-    "write_conll",
 ]

@@ -231,7 +231,7 @@ class Chunk(NamedTuple):
     """A maximal contiguous run of words carrying one entity class.
 
     Only ``0 <= word_start < word_end`` is a chunk; the decoders emit no
-    other, and scoring checks chunks that come from outside.
+    other.
     """
 
     class_name: str

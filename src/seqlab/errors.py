@@ -98,10 +98,6 @@ class MisalignedEntity(SeqlabError):
 
 # evaluation
 
-class OverlapWithinList(SeqlabError):
-    """Chunks within a single gold or prediction list overlap."""
-
-
 class MissingGold(SeqlabError):
     """Document carries no gold annotation to evaluate against."""
 

@@ -22,8 +22,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .core import AnnotationScheme, Chunk, Document, FrozenRecord, LabelSequence, Word, decode
-from .errors import LengthMismatch, MissingGold, OverlapWithinList
+from .core import AnnotationScheme, Chunk, Document, FrozenRecord, LabelSequence, decode
+from .errors import MissingGold
 from .inference import _tag_and_parse, _word_spans
 from .ingest import _document_row, _Row, _synthetic_offsets
 from .schemes import _span_labels
@@ -141,12 +141,12 @@ class Counts:
     def add_words(self, gold: LabelSequence, pred: LabelSequence) -> None:
         self.words.update(zip(_word_classes(gold), _word_classes(pred)))
 
-    def report(self, level: str, mode: str, classes: Iterable[str] = ()) -> EvalReport:
+    def report(self, level: str, mode: str) -> EvalReport:
         """The report at one level in one mode. Every class that occurs in
-        the counts, and every one in ``classes``, gets a per-class row."""
+        the counts gets a per-class row."""
         names = {cls for cls, _ in self.strict} | {cls for cls, _ in self.lenient}
         names.update(cls for pair in self.words for cls in pair if cls != "O")
-        names = sorted(names.union(classes))
+        names = sorted(names)
         confusion = None
         if level == "word":
             outcomes: Counter = Counter()
@@ -172,58 +172,6 @@ class Counts:
             for name in ("precision", "recall", "f1")
         ))
         return EvalReport(per_class, micro, macro, level, mode, confusion)
-
-
-def _check_no_overlap(chunks: Sequence[Chunk], which: str):
-    """Every chunk spans ``0 <= word_start < word_end``, and none overlap."""
-    ordered = sorted(chunks, key=lambda c: c.word_start)
-    for c in ordered:
-        if c.word_start < 0 or c.word_end <= c.word_start:
-            raise ValueError(f"invalid {which} chunk span [{c.word_start}, {c.word_end})")
-    for a, b in zip(ordered, ordered[1:]):
-        if b.word_start < a.word_end:
-            raise OverlapWithinList(f"{which} chunks overlap: {a} and {b}")
-
-
-def _check_classes(classes: Iterable[str]) -> set[str]:
-    names = set(classes)
-    if names & {"O", ""}:
-        raise ValueError('"O" and empty strings are not entity classes')
-    return names
-
-
-def score_entities(
-    gold: Sequence[Chunk], pred: Sequence[Chunk], classes: Iterable[str], *, mode: str = "strict"
-) -> EvalReport:
-    """Exact-boundary entity scoring for a single sequence; every class
-    in ``classes`` gets a per-class row.
-
-    A predicted chunk is a true positive iff an identical
-    (class, start, end) chunk exists in gold.
-    """
-    classes = _check_classes(classes)
-    _check_no_overlap(gold, "gold")
-    _check_no_overlap(pred, "predicted")
-    counts = Counts()
-    counts.add_chunks(mode, gold, pred)
-    return counts.report("entity", mode, classes)
-
-
-def score_words(
-    gold: LabelSequence, pred: LabelSequence, classes: Iterable[str], *, mode: str = "strict"
-) -> EvalReport:
-    """Per-word scoring after stripping scheme prefixes.
-
-    B-PER and I-PER both count as class PER, so boundary encoding does
-    not affect word-level numbers. "O" is excluded from per-class
-    metrics but appears in the confusion matrix.
-    """
-    classes = _check_classes(classes)
-    if len(gold) != len(pred):
-        raise LengthMismatch(f"gold has {len(gold)} labels, prediction {len(pred)}")
-    counts = Counts()
-    counts.add_words(gold, pred)
-    return counts.report("word", mode, classes)
 
 
 class DatasetEvaluation(FrozenRecord):
@@ -285,14 +233,6 @@ def _cut_at(spans: Iterable[tuple[int, int]], cuts: Sequence[int]) -> list[tuple
         bounds = [start, *cuts[bisect_right(cuts, start) : bisect_left(cuts, end)], end]
         pieces.extend(zip(bounds, bounds[1:]))
     return pieces
-
-
-def _split_at_entities(text: str, words: Sequence[Word], entities) -> tuple[Word, ...]:
-    """Words cut at every entity boundary strictly inside one; every
-    piece is an exact text slice."""
-    cuts = sorted({e.char_start for e in entities} | {e.char_end for e in entities})
-    pieces = _cut_at([w[1:] for w in words], cuts)
-    return tuple(Word(text[a:b], a, b) for a, b in pieces)
 
 
 def _gold(row: _Row, scheme: AnnotationScheme) -> tuple[Sequence[str], LabelSequence]:

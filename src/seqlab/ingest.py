@@ -1,10 +1,13 @@
 """Dataset ingestion and normalization.
 
-Datasets arrive from four kinds of sources: local files, exports from
-the big model-hub ecosystem (pretokenized JSONL), annotation-tool
-exports (LabelStudio JSON, Doccano JSONL), and small built-in corpora
-bundled with the package. Whatever the source, `set_up` turns them into
-one canonical on-disk format: UTF-8 JSONL with one document per line,
+Datasets arrive from four kinds of sources, which `set_up` takes as a
+code in any case: local files ("LF"), exports from the big model-hub
+ecosystem ("HF", pretokenized JSONL), annotation-tool exports ("AT",
+LabelStudio JSON, Doccano JSONL), and small built-in corpora bundled
+with the package ("BI"). Only a built-in corpus is read differently; a
+file's extension, or the dialect given, picks its format. Whatever the
+source, `set_up` turns them into one canonical on-disk format: UTF-8
+JSONL with one document per line,
 
     {"text": ..., "words": [{"surface", "start", "end"}, ...] | null,
      "labels": [...] | null, "entities": [{"start", "end", "label"}, ...] | null}
@@ -49,7 +52,6 @@ import json
 import math
 import random
 import re
-from enum import Enum
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
@@ -97,28 +99,6 @@ _new_word = partial(tuple.__new__, Word)
 _new_entity = partial(tuple.__new__, EntitySpan)
 _new_document = partial(tuple.__new__, Document)
 _STR, _DICT, _INT = frozenset({str}), frozenset({dict}), frozenset({int})
-
-
-class SourceKind(Enum):
-    """Where a dataset comes from."""
-
-    LOCAL_FILE = "LF"
-    HUGGINGFACE_EXPORT = "HF"
-    ANNOTATION_TOOL_EXPORT = "AT"
-    BUILT_IN = "BI"
-
-    @classmethod
-    def coerce(cls, value: "SourceKind | str") -> "SourceKind":
-        if isinstance(value, SourceKind):
-            return value
-        try:
-            return cls(str(value).upper())
-        except ValueError:
-            pass
-        try:
-            return cls[str(value).upper()]
-        except KeyError:
-            raise UnresolvableSource(f"unknown source kind: {value!r}") from None
 
 
 class DatasetSplit(FrozenRecord):
@@ -254,11 +234,6 @@ def _synthetic_offsets(surfaces: Sequence[str]) -> tuple[list[int], list[int]]:
     return starts, list(map(add, starts, lengths))
 
 
-def _synthetic_words(surfaces: Sequence[str]) -> tuple[str, tuple[Word, ...]]:
-    """The single-space join of the surfaces, and each surface's Word in it."""
-    return " ".join(surfaces), tuple(map(_new_word, zip(surfaces, *_synthetic_offsets(surfaces))))
-
-
 def _conll_records(source: str) -> list[tuple[tuple[int, ...], dict]]:
     """One pretokenized record per sentence of whitespace-column text,
     paired with the line of each of its words."""
@@ -291,16 +266,6 @@ def parse_conll(
     unset; they are derivable from the labels when needed.
     """
     return _documents(*_rows(_conll_records(source), scheme))
-
-
-def write_conll(documents: Iterable[Document], dest: IO[str]) -> None:
-    """Inverse of `parse_conll` for word-labeled documents."""
-    for doc in documents:
-        if doc.words is None or doc.word_labels is None:
-            raise ValueError("column output needs words and word labels")
-        for word, label in zip(doc.words, doc.word_labels):
-            dest.write(f"{word.surface} {label.serialize()}\n")
-        dest.write("\n")
 
 
 def _json_records(source: str) -> list[tuple[int, dict]]:
@@ -509,10 +474,7 @@ def _documents(rows: Iterable[_Row], scheme: AnnotationScheme) -> list[Document]
     for _, text, surfaces, offsets, labels, entities in rows:
         words = word_labels = None
         if surfaces is not None:
-            if offsets is None:
-                words = _synthetic_words(surfaces)[1]
-            else:
-                words = tuple(map(_new_word, zip(surfaces, *offsets)))
+            words = tuple(map(_new_word, zip(surfaces, *(offsets or _synthetic_offsets(surfaces)))))
         if labels is not None:
             word_labels = LabelSequence(labels, scheme)
         if entities is not None:
@@ -543,19 +505,6 @@ def read_canonical_jsonl(
 ) -> list[Document]:
     """Read the canonical JSONL format (word-level, entity-level, or both)."""
     return _documents(*_rows(_json_records(source), scheme))
-
-
-def parse_pretokenized_jsonl(
-    source: str, *, scheme: AnnotationScheme | str | None = None
-) -> list[Document]:
-    """Parse pretokenized JSONL: every record carries "words" and
-    "labels" of equal length; "text" is optional and synthesized by
-    single-space joining when absent."""
-    records = _json_records(source)
-    for lineno, record in records:
-        if record.get("words") is None or record.get("labels") is None:
-            raise MalformedJson('pretokenized records need "words" and "labels"', line=lineno)
-    return _documents(*_rows(records, scheme))
 
 
 def _doccano_records(records: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
@@ -847,7 +796,7 @@ def _builtin_records(name: str) -> list[list[tuple[int, dict]]]:
 
 
 def set_up(
-    source: SourceKind | str,
+    source: str,
     *,
     name: str,
     path: str | Path | None = None,
@@ -865,13 +814,14 @@ def set_up(
 ) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], DatasetAnalysis]:
     """Normalize a dataset from any source into canonical files.
 
-    Pre-split sources (three paths, or a built-in) pass through; unsplit
-    sources are shuffled with the seed and split by ratio. The labels of
-    all files are parsed before any record is checked, in ``scheme`` if
-    given, else the one read off all the labels. Optional per-split
-    fractions prune after splitting. Canonical {train,val,test}.jsonl and
-    analysis.json are written under data_dir/name and the splits plus
-    analysis are returned.
+    ``source`` is "LF", "HF", "AT" or "BI", in any case; any other raises
+    UnresolvableSource. Pre-split sources (three paths, or a built-in)
+    pass through; unsplit sources are shuffled with the seed and split by
+    ratio. The labels of all files are parsed before any record is
+    checked, in ``scheme`` if given, else the one read off all the labels.
+    Optional per-split fractions prune after splitting. Canonical
+    {train,val,test}.jsonl and analysis.json are written under
+    data_dir/name and the splits plus analysis are returned.
 
     The files and the analysis come from `_set_up`, which reads rows;
     only the returned splits build Documents, from the kept rows.
@@ -888,7 +838,7 @@ def set_up(
 
 
 def _set_up(
-    source: SourceKind | str,
+    source: str,
     *,
     name: str,
     path: str | Path | None,
@@ -901,8 +851,10 @@ def _set_up(
     data_dir: str | Path | None,
 ) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], DatasetAnalysis]:
     """`set_up`'s files and analysis, and its splits of rows."""
-    kind = SourceKind.coerce(source)
-    if kind is SourceKind.BUILT_IN:
+    kind = str(source).upper()
+    if kind not in ("LF", "HF", "AT", "BI"):
+        raise UnresolvableSource(f"unknown source kind: {source!r}")
+    if kind == "BI":
         files = _builtin_records(name)
     elif any(split_paths):
         if not all(split_paths):
@@ -910,7 +862,7 @@ def _set_up(
         files = [_file_records(p, dialect) for p in split_paths]
     else:
         if path is None:
-            raise UnresolvableSource(f"source {kind.value} needs a file path")
+            raise UnresolvableSource(f"source {kind} needs a file path")
         files = [_file_records(path, dialect)]
 
     rows, scheme = _rows(list(chain.from_iterable(files)), scheme)

@@ -23,10 +23,8 @@ fork: one that holds no thread, lock or connection a child cannot use.
 from __future__ import annotations
 
 import os
-import shutil
 import signal
 import stat
-import tempfile
 import threading
 from operator import add
 from typing import BinaryIO, Callable, TextIO
@@ -96,6 +94,8 @@ def _run_ranges(
                 if summary is None:
                     summary = _run_at(src, dst, start, size, work)
                 else:
+                    import shutil  # it loads bz2 and lzma, so only a split imports it
+
                     dst.flush()
                     output.seek(0)
                     shutil.copyfileobj(output, dst.buffer)
@@ -114,6 +114,8 @@ def _fork_range(
 ) -> tuple[int | None, BinaryIO, BinaryIO]:
     """(pid, summary pipe, output file) of a forked child that runs one
     range and sends its summary; the pid is None if fork failed."""
+    import tempfile  # only a split needs it, so it stays out of start-up
+
     output = tempfile.TemporaryFile()
     try:
         reader, writer = os.pipe()

@@ -99,6 +99,13 @@ class ScheduleConfig(_ScheduleConfigFields):
         steps_per_epoch: int = 1,
         preset: str | None = None,
     ):
+        for name, value in (
+            ("max_lr", max_lr), ("min_lr", min_lr),
+            ("restart_period_mult", restart_period_mult),
+            ("early_stop_min_delta", early_stop_min_delta),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if max_lr <= 0:
             raise ValueError("max_lr must be > 0")
         if not 0 <= min_lr <= max_lr:

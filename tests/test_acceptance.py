@@ -15,13 +15,9 @@ import pytest
 from seqlab.cli import main
 from seqlab.core import AnnotationScheme, LabelSequence
 from seqlab.errors import SeqlabError
-from seqlab.evaluation import Chunk, extract_entities, score_entities
+from seqlab.evaluation import Chunk, Counts, extract_entities
 from seqlab.inference import LexiconTagger, predict
-from seqlab.ingest import (
-    parse_annotation_tool_export,
-    parse_conll,
-    parse_pretokenized_jsonl,
-)
+from seqlab.ingest import parse_annotation_tool_export, parse_conll, read_canonical_jsonl
 from seqlab.runs import RunRecord, aggregate, best_model
 from seqlab.schedule import ScheduleConfig, ScheduleState, initial_state, lr_at, observe_validation
 from seqlab.schemes import convert_scheme
@@ -210,10 +206,9 @@ def test_criterion_4_metric_correctness():
     started = time.monotonic()
     assert len(SCORING_FIXTURES) >= 10
     for gold_raw, pred_raw, micro, macro, per_class in SCORING_FIXTURES:
-        gold = [Chunk(*c) for c in gold_raw]
-        pred = [Chunk(*c) for c in pred_raw]
-        classes = sorted({c[0] for c in gold_raw + pred_raw}) or ["X"]
-        result = score_entities(gold, pred, classes)
+        counts = Counts()
+        counts.add_chunks("strict", [Chunk(*c) for c in gold_raw], [Chunk(*c) for c in pred_raw])
+        result = counts.report("entity", "strict")
         assert result.micro.precision == pytest.approx(micro[0], abs=1e-12)
         assert result.micro.recall == pytest.approx(micro[1], abs=1e-12)
         assert result.micro.f1 == pytest.approx(micro[2], abs=1e-12)
@@ -238,7 +233,7 @@ def test_criterion_4_metric_correctness():
             assert (only.precision, only.recall, only.f1) == (
                 result.micro.precision, result.micro.recall, result.micro.f1,
             )
-    report(4, started, f"score_entities reproduces {len(SCORING_FIXTURES)} "
+    report(4, started, f"Counts reproduces {len(SCORING_FIXTURES)} "
                        f"hand-computed cases to 1e-12")
 
 
@@ -380,7 +375,7 @@ def _parse_fixture(kind, payload):
     if kind == "conll":
         return parse_conll(payload)
     if kind == "pretokenized":
-        return parse_pretokenized_jsonl(payload)
+        return read_canonical_jsonl(payload)
     if kind == "doccano":
         return parse_annotation_tool_export(payload, "DoccanoJsonl")
     return parse_annotation_tool_export(payload, "LabelStudioJson")
@@ -397,7 +392,7 @@ def test_criterion_9_format_robustness():
     assert ragged.value.line == 2 and "line 2" in str(ragged.value)
 
     with pytest.raises(LengthMismatch) as mismatched:
-        parse_pretokenized_jsonl(
+        read_canonical_jsonl(
             '{"words":["a"],"labels":["O"]}\n{"words":["a","b"],"labels":["O"]}\n'
         )
     assert mismatched.value.line == 2 and "line 2" in str(mismatched.value)

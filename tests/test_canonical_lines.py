@@ -23,7 +23,7 @@ from seqlab.core import (
 )
 from seqlab.errors import PrefixNotInScheme
 from seqlab.ingest import (
-    _synthetic_words,
+    _synthetic_offsets,
     document_to_record,
     read_canonical_jsonl,
     save_canonical_jsonl,
@@ -125,11 +125,10 @@ def test_an_offset_the_encoder_cannot_write_raises_as_it_does():
 
 @given(st.lists(st.text(CHARACTERS, min_size=1, max_size=4), max_size=8))
 def test_synthetic_words_are_the_single_space_join(surfaces):
-    text, words = _synthetic_words(surfaces)
-    assert text == " ".join(surfaces)
-    assert all(type(w) is Word and text[w.char_start:w.char_end] == w.surface for w in words)
-    assert [w.surface for w in words] == surfaces
-    assert [b.char_start - a.char_end for a, b in zip(words, words[1:])] == [1] * (len(words) - 1)
+    text = " ".join(surfaces)
+    starts, ends = _synthetic_offsets(surfaces)
+    assert starts == [len(" ".join(surfaces[:i])) + bool(i) for i in range(len(surfaces))]
+    assert [text[a:b] for a, b in zip(starts, ends)] == surfaces
 
 
 def test_a_label_sequence_names_its_first_label_outside_the_scheme():

@@ -503,6 +503,23 @@ class TestScheduleSimulate:
         assert code == 2
         assert re.match(f"bad schedule config: {message}", err.strip())
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e309"])
+    @pytest.mark.parametrize(
+        "field", ["max_lr", "min_lr", "restart_period_mult", "early_stop_min_delta"]
+    )
+    def test_non_finite_config_value_is_a_usage_error(self, tmp_path, capsys, field, value):
+        cfg, out_csv = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(
+            '{"max_lr": 0.1, "max_epochs": 5, "restart_period_initial": 1, '
+            f'"val_losses": [1.0, 0.9], "{field}": {value}}}'
+        )
+        code, out, err = run(
+            ["schedule", "simulate", "--config", str(cfg), "--output", str(out_csv)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert re.match(f"bad schedule config: {field} must be a finite number", err)
+        assert err.count("\n") == 1 and not out_csv.exists()
+
 
 class TestAggregateCommand:
     def write_run(self, directory, name, seed, f1):
@@ -852,10 +869,11 @@ def test_start_up_loads_no_module_only_some_commands_use():
     """Every command pays for what `import seqlab.cli` loads. dataclasses
     (with inspect, ast and dis) and logging (with traceback and tokenize)
     are not used at all; statistics and csv are imported by the one
-    command that uses each. `-S` keeps site-packages out, so the import
+    command that uses each, shutil (with bz2 and lzma) and tempfile only
+    where an input is split. `-S` keeps site-packages out, so the import
     also needs nothing beyond the standard library."""
     src = Path(__file__).parents[1] / "src"
-    unused = "{'dataclasses', 'statistics', 'csv', 'logging'}"
+    unused = "{'dataclasses', 'statistics', 'csv', 'logging', 'shutil', 'tempfile'}"
     probe = f"import sys, seqlab.cli; print(sorted({unused} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(

@@ -12,15 +12,14 @@ from seqlab.core import (
     Word,
     decode,
 )
-from seqlab.errors import LengthMismatch, MissingGold, OverlapWithinList
+from seqlab.errors import MissingGold
 from seqlab.evaluation import (
     Chunk,
     Counts,
+    DatasetEvaluation,
     count_documents,
     evaluate_on_dataset,
     extract_entities,
-    score_entities,
-    score_words,
 )
 from seqlab.inference import EchoTagger, LexiconTagger
 from seqlab.ingest import DatasetSplit, parse_annotation_tool_export
@@ -136,49 +135,40 @@ class TestLenientExtraction:
                 assert extract_entities(s, "strict") == extract_entities(s, "lenient"), raw
 
 
+def entity_report(gold, pred):
+    """The strict entity report of one sequence's chunks."""
+    counts = Counts()
+    counts.add_chunks("strict", gold, pred)
+    return counts.report("entity", "strict")
+
+
+def word_report(gold, pred):
+    """The word report of one sequence's labels."""
+    counts = Counts()
+    counts.add_words(gold, pred)
+    return counts.report("word", "strict")
+
+
 class TestScoreEntities:
+    """Entity scoring of one sequence through `Counts`."""
+
     def test_half_precision_full_recall(self):
         gold = [Chunk("PER", 0, 2)]
         pred = [Chunk("PER", 0, 2), Chunk("ORG", 3, 4)]
-        report = score_entities(gold, pred, ("PER", "ORG"))
+        report = entity_report(gold, pred)
         assert report.micro.precision == 0.5
         assert report.micro.recall == 1.0
         assert report.micro.f1 == pytest.approx(2 / 3, abs=1e-15)
 
     def test_identity(self):
         gold = [Chunk("PER", 0, 2), Chunk("LOC", 4, 5)]
-        report = score_entities(gold, list(gold), ("PER", "LOC"))
+        report = entity_report(gold, list(gold))
         assert report.micro == report.micro.__class__(1.0, 1.0, 1.0)
         assert report.macro.f1 == 1.0
 
     def test_boundary_mismatch_scores_zero(self):
-        report = score_entities(
-            [Chunk("PER", 0, 2)], [Chunk("PER", 0, 3)], ("PER",)
-        )
+        report = entity_report([Chunk("PER", 0, 2)], [Chunk("PER", 0, 3)])
         assert report.micro.f1 == 0.0
-
-    def test_overlap_within_list_rejected(self):
-        with pytest.raises(OverlapWithinList):
-            score_entities(
-                [Chunk("PER", 0, 3), Chunk("ORG", 2, 4)], [], ("PER",)
-            )
-
-    def test_rejects_outside(self):
-        """"O" and "" are no class names; duplicates are harmless."""
-        for classes in [("PER", "O"), ("PER", ""), {"O"}]:
-            with pytest.raises(ValueError):
-                score_entities([], [], classes)
-            with pytest.raises(ValueError):
-                score_words(seq(["O"], BIO), seq(["O"], BIO), classes)
-        report = score_entities([Chunk("PER", 0, 1)], [], ["PER", "PER"])
-        assert list(report.per_class) == ["PER"]
-
-    def test_invalid_chunks_rejected(self):
-        for start, end in [(2, 2), (-1, 1)]:
-            with pytest.raises(ValueError):
-                score_entities([Chunk("PER", start, end)], [], ["PER"])
-            with pytest.raises(ValueError):
-                score_entities([], [Chunk("PER", start, end)], ["PER"])
 
     def test_swap_exchanges_precision_and_recall(self):
         rng = random.Random(7)
@@ -190,9 +180,8 @@ class TestScoreEntities:
                     length = rng.randint(1, 2)
                     chunks.append(Chunk(rng.choice("AB"), position, position + length))
                     position += length + rng.randint(0, 2)
-            tagset = ("A", "B")
-            forward = score_entities(gold, pred, tagset)
-            backward = score_entities(pred, gold, tagset)
+            forward = entity_report(gold, pred)
+            backward = entity_report(pred, gold)
             assert forward.micro.precision == backward.micro.recall
             assert forward.micro.recall == backward.micro.precision
             assert forward.micro.f1 == pytest.approx(backward.micro.f1, abs=1e-12)
@@ -200,7 +189,7 @@ class TestScoreEntities:
     def test_single_class_micro_equals_per_class(self):
         gold = [Chunk("PER", 0, 1), Chunk("PER", 3, 5)]
         pred = [Chunk("PER", 0, 1), Chunk("PER", 2, 4)]
-        report = score_entities(gold, pred, ("PER",))
+        report = entity_report(gold, pred)
         per = report.per_class["PER"]
         assert (per.precision, per.recall, per.f1) == (
             report.micro.precision,
@@ -210,30 +199,28 @@ class TestScoreEntities:
 
     def test_macro_skips_zero_support_classes(self):
         gold = [Chunk("PER", 0, 1)]
-        pred = [Chunk("PER", 0, 1)]
-        report = score_entities(gold, pred, ("PER", "ORG"))
+        pred = [Chunk("PER", 0, 1), Chunk("ORG", 3, 4)]  # ORG: predicted, never gold
+        report = entity_report(gold, pred)
         assert report.per_class["ORG"].support == 0
         assert report.macro.f1 == 1.0
 
 
 class TestScoreWords:
+    """Word scoring of one sequence through `Counts`."""
+
     def test_prefix_stripping_counts_class_match(self):
-        report = score_words(seq(["B-PER"], BIO), seq(["I-PER"], BIO), ("PER",))
+        report = word_report(seq(["B-PER"], BIO), seq(["I-PER"], BIO))
         assert report.per_class["PER"].f1 == 1.0
 
     def test_identical_sequences_score_one(self):
         s = seq(["B-PER", "I-PER", "O"], BIO)
-        report = score_words(s, s, ("PER",))
+        report = word_report(s, s)
         assert report.micro.f1 == 1.0
 
     def test_false_positive_lands_in_confusion(self):
-        report = score_words(seq(["O"], BIO), seq(["B-PER"], BIO), ("PER",))
+        report = word_report(seq(["O"], BIO), seq(["B-PER"], BIO))
         assert report.per_class["PER"].precision == 0.0
         assert report.confusion["O"]["PER"] == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            score_words(seq(["O"], BIO), seq(["O", "O"], BIO), ("PER",))
 
     def test_confusion_row_sums_equal_gold_counts(self):
         rng = random.Random(13)
@@ -242,7 +229,7 @@ class TestScoreWords:
             n = rng.randint(1, 15)
             gold_raw = [rng.choice(labels) for _ in range(n)]
             pred_raw = [rng.choice(labels) for _ in range(n)]
-            report = score_words(seq(gold_raw, BIO), seq(pred_raw, BIO), ("A", "B"))
+            report = word_report(seq(gold_raw, BIO), seq(pred_raw, BIO))
             for gold_class, row in report.confusion.items():
                 expected = sum(
                     1
@@ -449,6 +436,7 @@ class TestCounts:
         assert calls == {(raw, BIO): 1 for raw in predicted}
 
     def test_single_document_scores_match_dataset_blocks(self):
+        """One document is scored by evaluating a split of it alone."""
         rng = random.Random(8)
         for _ in range(30):
             (doc,), tagger = random_word_docs(rng, 1)
@@ -457,19 +445,14 @@ class TestCounts:
             pred = LabelSequence.from_raw(
                 [lab for lab, _ in tagger.tag([w.surface for w in doc.words])], BIO
             )
-            if all(lab.is_outside for lab in (*gold, *pred)):
-                continue
-            # the classes the document shows
-            tagset = {lab.class_name for lab in (*gold, *pred) if not lab.is_outside}
-            blocks = (("strict", result.strict_entity), ("lenient", result.lenient_entity))
-            for mode, report in blocks:
-                gold_chunks = getattr(decode(gold), mode)
-                pred_chunks = getattr(decode(pred), mode)
-                assert score_entities(gold_chunks, pred_chunks, tagset, mode=mode) == report
-            assert score_words(gold, pred, tagset) == result.strict_word
+            counts = Counts()
+            for mode in ("strict", "lenient"):
+                counts.add_chunks(mode, getattr(decode(gold), mode), getattr(decode(pred), mode))
+            counts.add_words(gold, pred)
+            assert DatasetEvaluation.from_counts(counts) == result
 
     def test_metrics_support_only_on_class_rows(self):
-        report = score_entities([Chunk("PER", 0, 1)], [], ("PER",))
+        report = entity_report([Chunk("PER", 0, 1)], [])
         assert report.per_class["PER"].as_dict() == {
             "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1
         }

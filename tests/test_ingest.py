@@ -25,7 +25,6 @@ from seqlab.errors import (
 from seqlab.evaluation import extract_entities
 from seqlab.ingest import (
     DatasetSplit,
-    SourceKind,
     analyze,
     document_to_record,
     load_analysis,
@@ -34,13 +33,11 @@ from seqlab.ingest import (
     parse_annotation_tool_export,
     parse_conll,
     parse_file,
-    parse_pretokenized_jsonl,
     prune,
     read_canonical_jsonl,
     set_up,
     split_documents,
     write_canonical_jsonl,
-    write_conll,
 )
 
 from .oracles import oracle_prune_size
@@ -80,46 +77,41 @@ class TestParseConll:
         assert doc.text == "a bb ccc"
         assert [(w.char_start, w.char_end) for w in doc.words] == [(0, 1), (2, 4), (5, 8)]
 
-    def test_round_trip_through_column_writer(self):
-        docs = parse_conll("EU B-ORG\nrejects O\n\nGermany B-LOC\n")
-        buffer = io.StringIO()
-        write_conll(docs, buffer)
-        again = parse_conll(buffer.getvalue())
-        assert again == docs
-
 
 class TestParsePretokenizedJsonl:
+    """Pretokenized JSONL reads through `read_canonical_jsonl`."""
+
     def test_minimal_record(self):
-        docs = parse_pretokenized_jsonl('{"words":["Hi"],"labels":["O"]}\n')
+        docs = read_canonical_jsonl('{"words":["Hi"],"labels":["O"]}\n')
         assert len(docs) == 1
         assert docs[0].text == "Hi"
         assert docs[0].word_labels.serialized() == ["O"]
 
     def test_length_mismatch_reports_line(self):
         with pytest.raises(LengthMismatch) as excinfo:
-            parse_pretokenized_jsonl('{"words":["a","b"],"labels":["O"]}\n')
+            read_canonical_jsonl('{"words":["a","b"],"labels":["O"]}\n')
         assert excinfo.value.line == 1
 
     def test_order_preserved(self):
-        docs = parse_pretokenized_jsonl(
+        docs = read_canonical_jsonl(
             '{"words":["a"],"labels":["O"]}\n{"words":["b"],"labels":["O"]}\n'
         )
         assert [d.text for d in docs] == ["a", "b"]
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(MalformedJson) as excinfo:
-            parse_pretokenized_jsonl('{"words":["a"],"labels":["O"]}\nnot json\n')
+            read_canonical_jsonl('{"words":["a"],"labels":["O"]}\nnot json\n')
         assert excinfo.value.line == 2
 
     def test_explicit_text_is_aligned(self):
-        docs = parse_pretokenized_jsonl(
+        docs = read_canonical_jsonl(
             '{"text":"a  bb","words":["a","bb"],"labels":["O","O"]}\n'
         )
         assert [(w.char_start, w.char_end) for w in docs[0].words] == [(0, 1), (3, 5)]
 
     def test_unalignable_word_is_malformed(self):
         with pytest.raises(MalformedJson):
-            parse_pretokenized_jsonl(
+            read_canonical_jsonl(
                 '{"text":"a bb","words":["zz"],"labels":["O"]}\n'
             )
         # offset-bearing words whose span is empty, inverted or negative
@@ -488,11 +480,15 @@ class TestSetUp:
         with pytest.raises(UnresolvableSource):
             set_up("LF", name="nothing", data_dir=tmp_path)
 
-    def test_source_kind_coercion(self):
-        assert SourceKind.coerce("lf") is SourceKind.LOCAL_FILE
-        assert SourceKind.coerce("BUILT_IN") is SourceKind.BUILT_IN
-        with pytest.raises(UnresolvableSource):
-            SourceKind.coerce("??")
+    def test_source_kind_coercion(self, tmp_path):
+        """A source code is read in any case; anything else is unresolvable."""
+        source = tmp_path / "data.conll"
+        source.write_text("a B-X\n\nb O\n")
+        splits, _ = set_up("lf", name="lower", path=source, data_dir=tmp_path)
+        assert sum(map(len, splits)) == 2
+        with pytest.raises(UnresolvableSource, match="unknown source kind"):
+            set_up("??", name="unknown", path=source, data_dir=tmp_path)
+        assert not (tmp_path / "unknown").exists()
 
 
 RAW_SEEDS = [

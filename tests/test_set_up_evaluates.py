@@ -22,12 +22,13 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from hypothesis import given, settings, strategies as st
 
 from seqlab.cli import main
-from seqlab.core import AnnotationScheme
-from seqlab.evaluation import _split_at_entities, evaluate_on_dataset
+from seqlab.core import AnnotationScheme, Word
+from seqlab.evaluation import _cut_at, evaluate_on_dataset
 from seqlab.inference import split_words
 from seqlab.ingest import load_split
 
@@ -171,6 +172,14 @@ def exports(draw):
         return dialect, files, None, None
     files = [export(dialect, draw(st.lists(documents, min_size=1, max_size=10)))]
     return dialect, files, draw(RATIOS), draw(st.integers(0, 99))
+
+
+def _split_at_entities(text: str, words: Sequence[Word], entities) -> tuple[Word, ...]:
+    """Words cut at every entity boundary strictly inside one; every
+    piece is an exact text slice."""
+    cuts = sorted({e.char_start for e in entities} | {e.char_end for e in entities})
+    pieces = _cut_at([w[1:] for w in words], cuts)
+    return tuple(Word(text[a:b], a, b) for a, b in pieces)
 
 
 class EntityEcho:

@@ -207,7 +207,7 @@ def test_set_up_of_word_labeled_records_builds_no_word_or_document(tmp_path, mon
         raise Built
 
     for name in ("Document", "Word", "EntitySpan", "_new_word", "_new_entity", "_new_document",
-                 "_documents", "_synthetic_words"):
+                 "_documents"):
         monkeypatch.setattr(ingest, name, built)
     assert set_up("items") == expected
     assert sorted(expected) == ["analysis.json", "test.jsonl", "train.jsonl", "val.jsonl"]

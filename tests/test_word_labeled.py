@@ -323,7 +323,7 @@ def no_builders(patch):
         raise DocumentBuilt
 
     names = ("Document", "Word", "EntitySpan", "_new_word", "_new_entity", "_new_document",
-             "_documents", "_synthetic_words", "split_words")
+             "_documents", "split_words")
     for module in (ingest, seqlab.evaluation, seqlab.inference, seqlab.schemes, seqlab.cli):
         for name in names:
             if hasattr(module, name):
