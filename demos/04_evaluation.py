@@ -51,12 +51,13 @@ print(f"lenient entity micro F1: {results['lenient']['micro']['entity']['f1']:.4
 print(f"word-level micro F1    : {results['strict']['micro']['word']['f1']:.4f}")
 
 print("\nper-class entity metrics (strict):")
-for cls, metrics in results.strict_entity.per_class.items():
-    print(f"  {cls:5s} P={metrics.precision:.2f} R={metrics.recall:.2f} "
-          f"F1={metrics.f1:.2f} support={metrics.support}")
+for cls, row in results["per_class"].items():
+    metrics = row["entity"]
+    print(f"  {cls:5s} P={metrics['precision']:.2f} R={metrics['recall']:.2f} "
+          f"F1={metrics['f1']:.2f} support={metrics['support']}")
 
 print("\nword-level confusion (gold x predicted):")
-confusion = results.strict_word.confusion
+confusion = results["confusion"]
 classes = list(confusion)
 print("        " + " ".join(f"{c:>5s}" for c in classes))
 for gold_class in classes:

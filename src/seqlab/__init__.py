@@ -27,7 +27,6 @@ from .core import (
 from .errors import SeqlabError
 from .evaluation import (
     DatasetEvaluation,
-    EvalReport,
     evaluate_on_dataset,
     extract_entities,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "Document",
     "EchoTagger",
     "EntitySpan",
-    "EvalReport",
     "Label",
     "LabelSequence",
     "LexiconTagger",

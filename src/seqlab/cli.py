@@ -37,7 +37,7 @@ from typing import BinaryIO, Sequence, TextIO
 from . import ingest, runs, schedule
 from .core import AnnotationScheme, LabelSequence
 from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
-from .evaluation import DatasetEvaluation, _count_rows
+from .evaluation import _count_rows
 from .inference import load_tagger, predict, predict_file, prediction_record
 from .ranges import _cpu_count, _ranges, _run_ranges
 from .schemes import convert_scheme
@@ -276,8 +276,7 @@ def cmd_evaluate(args) -> int:
     # the scheme read off the split's labels where none is named: BIO when all are O
     gold, scheme = ingest._rows(ingest._split_records(dataset_dir, args.phase), scheme)
     tagger = load_tagger(args.tagger)
-    result = DatasetEvaluation.from_counts(_count_rows(tagger, gold, scheme))
-    report = result.as_dict()
+    report = _count_rows(tagger, gold, scheme).report()
     encoded = json.dumps(report, ensure_ascii=False, indent=2)
     print(encoded)
     micro_f1 = report["strict"]["micro"]["entity"]["f1"]

@@ -10,19 +10,23 @@ are comparable with those tools. Both modes, and the scheme violations,
 come from one scan of each sequence (`seqlab.core.decode`), so dataset
 evaluation decodes every gold and predicted sequence once.
 
-All scoring fills one `Counts` value, which ``+`` pools; `Counts.report`
-builds every report. Metrics are precision, recall and F1 per class,
-micro-averaged over pooled counts, and macro-averaged over classes with
-nonzero gold support. 0/0 cells are 0 so aggregation stays stable.
+All scoring fills one `Counts` value, which ``+`` pools. `Counts.report`
+builds the one report, a `DatasetEvaluation`: the plain dict tree that
+`evaluate` writes as JSON and `seqlab.runs.aggregate` reads, with a
+strict block (entity and word level, and the word confusion matrix) and
+a lenient block (entity level). Metrics are precision, recall and F1 per
+class, micro-averaged over pooled counts, and macro-averaged over
+classes with nonzero gold support. 0/0 cells are 0 so aggregation stays
+stable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .core import AnnotationScheme, Chunk, Document, FrozenRecord, LabelSequence, decode
+from .core import AnnotationScheme, Chunk, Document, LabelSequence, decode
 from .errors import MissingGold
 from .inference import _tag_and_parse, _word_spans
 from .ingest import _document_row, _Row, _synthetic_offsets
@@ -46,51 +50,13 @@ def extract_entities(seq: LabelSequence, mode: str = "strict") -> list[Chunk]:
     return decoding.strict if mode == "strict" else decoding.lenient
 
 
-class Metrics(NamedTuple):
-    """Precision, recall and F1; per-class rows also carry gold support."""
-
-    precision: float
-    recall: float
-    f1: float
-    support: int | None = None
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int, support: int | None = None) -> "Metrics":
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        return cls(precision, recall, f1, support)
-
-    def as_dict(self) -> dict[str, float]:
-        out = {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-        if self.support is not None:
-            out["support"] = self.support
-        return out
-
-
-class EvalReport(NamedTuple):
-    """Per-class, micro and macro metrics at one level in one mode.
-
-    The confusion matrix (gold class x predicted class, including "O")
-    is defined at word level and is None for entity-level reports.
-    Macro averages skip classes with zero gold support.
-    """
-
-    per_class: Mapping[str, Metrics]
-    micro: Metrics
-    macro: Metrics
-    level: str  # "entity" | "word"
-    mode: str  # "strict" | "lenient"
-    confusion: Mapping[str, Mapping[str, int]] | None = None
-
-
 def _word_classes(seq: LabelSequence) -> list[str]:
     """Each position's class without its prefix; "O" outside entities."""
     return [label.class_name or "O" for label in seq.labels]
 
 
 class Counts:
-    """The counts behind every report; ``a + b`` pools two.
+    """The counts behind the report; ``a + b`` pools two.
 
     ``strict`` and ``lenient`` count entity outcomes keyed by
     (class, "tp" | "fp" | "fn"); ``words`` counts (gold class,
@@ -141,88 +107,65 @@ class Counts:
     def add_words(self, gold: LabelSequence, pred: LabelSequence) -> None:
         self.words.update(zip(_word_classes(gold), _word_classes(pred)))
 
-    def report(self, level: str, mode: str) -> EvalReport:
-        """The report at one level in one mode. Every class that occurs in
-        the counts gets a per-class row."""
+    def report(self) -> "DatasetEvaluation":
+        """The report tree. Each mode's block holds micro and macro
+        metrics per level, a per-class row for every class that occurs in
+        the counts and, in the strict block, the word confusion matrix
+        (gold class x predicted class, including "O")."""
         names = {cls for cls, _ in self.strict} | {cls for cls, _ in self.lenient}
         names.update(cls for pair in self.words for cls in pair if cls != "O")
         names = sorted(names)
-        confusion = None
-        if level == "word":
-            outcomes: Counter = Counter()
-            for (gold, pred), n in self.words.items():
-                if gold != "O":
-                    outcomes[gold, "tp" if gold == pred else "fn"] += n
-                if pred not in ("O", gold):
-                    outcomes[pred, "fp"] += n
-            labels = sorted({*names, "O"})
-            confusion = {g: {p: self.words[g, p] for p in labels} for g in labels}
-        else:
-            outcomes = self.strict if mode == "strict" else self.lenient
-        per_class = {}
+        words: Counter = Counter()
+        for (gold, pred), n in self.words.items():
+            if gold != "O":
+                words[gold, "tp" if gold == pred else "fn"] += n
+            if pred not in ("O", gold):
+                words[pred, "fp"] += n
+        strict = _block(names, entity=self.strict, word=words)
+        labels = sorted({*names, "O"})
+        strict["confusion"] = {g: {p: self.words[g, p] for p in labels} for g in labels}
+        return DatasetEvaluation(strict=strict, lenient=_block(names, entity=self.lenient))
+
+
+def _scores(tp: int, fp: int, fn: int) -> dict[str, float]:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def _block(names: Sequence[str], **outcomes: Counter) -> dict:
+    """One mode's block from its (class, "tp" | "fp" | "fn") counts per
+    level. Per-class rows carry gold support; macro averages skip classes
+    without it."""
+    micro, macro, per_class = {}, {}, {cls: {} for cls in names}
+    for level, counts in outcomes.items():
         for cls in names:
-            tp, fn = outcomes[cls, "tp"], outcomes[cls, "fn"]
-            per_class[cls] = Metrics.from_counts(tp, outcomes[cls, "fp"], fn, support=tp + fn)
-        micro = Metrics.from_counts(
-            *(sum(outcomes[cls, kind] for cls in names) for kind in ("tp", "fp", "fn"))
+            tp, fn = counts[cls, "tp"], counts[cls, "fn"]
+            per_class[cls][level] = {**_scores(tp, counts[cls, "fp"], fn), "support": tp + fn}
+        micro[level] = _scores(
+            *(sum(counts[cls, kind] for cls in names) for kind in ("tp", "fp", "fn"))
         )
-        supported = [m for m in per_class.values() if m.support]
-        macro = Metrics(*(
-            sum(getattr(m, name) for m in supported) / len(supported) if supported else 0.0
+        supported = [row[level] for row in per_class.values() if row[level]["support"]]
+        macro[level] = {
+            name: sum(row[name] for row in supported) / len(supported) if supported else 0.0
             for name in ("precision", "recall", "f1")
-        ))
-        return EvalReport(per_class, micro, macro, level, mode, confusion)
-
-
-class DatasetEvaluation(FrozenRecord):
-    """Full evaluation result: strict entity + word, lenient entity.
-
-    Addressable like the serialized form: ``result["micro"]["entity"]["f1"]``
-    reads from the strict block (the default), ``result["strict"]`` and
-    ``result["lenient"]`` select a block explicitly. Each access builds
-    only the block it reads.
-    """
-
-    __slots__ = ("strict_entity", "strict_word", "lenient_entity")
-
-    def __init__(
-        self, strict_entity: EvalReport, strict_word: EvalReport, lenient_entity: EvalReport
-    ):
-        object.__setattr__(self, "strict_entity", strict_entity)
-        object.__setattr__(self, "strict_word", strict_word)
-        object.__setattr__(self, "lenient_entity", lenient_entity)
-
-    @classmethod
-    def from_counts(cls, counts: Counts) -> "DatasetEvaluation":
-        return cls(
-            counts.report("entity", "strict"),
-            counts.report("word", "strict"),
-            counts.report("entity", "lenient"),
-        )
-
-    def _block(self, mode: str) -> dict:
-        reports = {"entity": self.lenient_entity}
-        if mode == "strict":
-            reports = {"entity": self.strict_entity, "word": self.strict_word}
-        out = {
-            name: {level: getattr(r, name).as_dict() for level, r in reports.items()}
-            for name in ("micro", "macro")
         }
-        out["per_class"] = {}
-        for cls in sorted({cls for r in reports.values() for cls in r.per_class}):
-            rows = {level: r.per_class.get(cls) for level, r in reports.items()}
-            out["per_class"][cls] = {lvl: m.as_dict() for lvl, m in rows.items() if m is not None}
-        if mode == "strict" and self.strict_word.confusion is not None:
-            out["confusion"] = {g: dict(row) for g, row in self.strict_word.confusion.items()}
-        return out
+    return {"micro": micro, "macro": macro, "per_class": per_class}
 
-    def as_dict(self) -> dict:
-        return {mode: self._block(mode) for mode in EXTRACTION_MODES}
 
-    def __getitem__(self, key: str):
+class DatasetEvaluation(dict):
+    """The evaluation report: ``{"strict": block, "lenient": block}``, the
+    tree `evaluate` writes as JSON. A key other than a mode reads from
+    the strict block, so ``result["micro"]["entity"]["f1"]`` is the
+    strict entity micro F1."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
         if key in EXTRACTION_MODES:
-            return self._block(key)
-        return self._block("strict")[key]
+            raise KeyError(key)
+        return self["strict"][key]
 
 
 def _cut_at(spans: Iterable[tuple[int, int]], cuts: Sequence[int]) -> list[tuple[int, int]]:
@@ -271,9 +214,9 @@ def _count_rows(tagger, rows: Iterable[_Row], scheme: AnnotationScheme) -> Count
 
 
 def evaluate_on_dataset(tagger, split, scheme: AnnotationScheme) -> DatasetEvaluation:
-    """Run a tagger over a dataset split and compute all report variants.
+    """Run a tagger over a dataset split and build its report.
 
     The counts are pooled over documents, so the result is independent
     of document order.
     """
-    return DatasetEvaluation.from_counts(count_documents(tagger, split.documents, scheme))
+    return count_documents(tagger, split.documents, scheme).report()

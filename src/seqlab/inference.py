@@ -308,7 +308,15 @@ def predict(
     the exact text slice (inner whitespace preserved). When probabilities
     are requested, an entity's probability is the minimum over its words.
     """
-    return _predict(tagger, text, level, with_probabilities, {})
+    fields = _prediction_fields(tagger, text, level, with_probabilities, {})
+    if level == "word":
+        return [WordPrediction(s, a, b, label, p) for s, (a, b), label, p in fields]
+    return [
+        EntitySpan(
+            c.class_name, a, b, s, word_start=c.word_start, word_end=c.word_end, probability=p
+        )
+        for s, (a, b), c, p in fields
+    ]
 
 
 def _check_level(level: str) -> None:
@@ -351,25 +359,6 @@ def _prediction_fields(
         )
         fields.append((text[start:end], (start, end), chunk, probability))
     return fields
-
-
-def _predict(
-    tagger: Tagger,
-    text: str,
-    level: str,
-    with_probabilities: bool,
-    tables: dict[AnnotationScheme, LabelTable],
-) -> list[EntitySpan] | list[WordPrediction]:
-    """`predict` with the label tables of the run it belongs to."""
-    fields = _prediction_fields(tagger, text, level, with_probabilities, tables)
-    if level == "word":
-        return [WordPrediction(s, a, b, label, p) for s, (a, b), label, p in fields]
-    return [
-        EntitySpan(
-            c.class_name, a, b, s, word_start=c.word_start, word_end=c.word_end, probability=p
-        )
-        for s, (a, b), c, p in fields
-    ]
 
 
 def prediction_record(item: EntitySpan | WordPrediction) -> dict:

@@ -42,8 +42,9 @@ Canonical lines are formatted, not built as dicts for the JSON encoder.
 encoder's own escaper (`encode_basestring`), offsets with %d, each
 distinct Label escaped once per write. Each line is byte for byte what
 ``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes for
-the row's document; `write_canonical_jsonl` sends a document with fields
-of other types (a bool offset, say) through the encoder.
+the row's document when its text, surfaces and class names are str and
+its offsets int. A bool offset is written as the int it equals; a text,
+surface or class name that is no str raises TypeError.
 """
 
 from __future__ import annotations
@@ -600,12 +601,10 @@ def document_to_record(doc: Document) -> dict:
 # A canonical line as json.dumps(document_to_record(doc), ensure_ascii=False)
 # writes it: strings through the encoder's own escaper and offsets with %d,
 # which is the int repr the encoder writes. Both raise TypeError for a value
-# of the other type; `write_canonical_jsonl` sends a document with any other
-# type (a bool offset, which the encoder writes as true) through the encoder.
+# of the other type.
 _LINE = '{"text": %s, "words": %s, "labels": %s, "entities": %s}\n'
 _WORD = '{"surface": %s, "start": %d, "end": %d}'
 _ENTITY = '{"start": %d, "end": %d, "label": %s}'
-_STR_AND_INT = frozenset({str, int})
 
 
 class _Literals(dict):
@@ -635,25 +634,16 @@ def _canonical_line(row: _Row, literals: _Literals) -> str:
 
 
 def write_canonical_jsonl(documents: Iterable[Document], dest: IO[str]) -> None:
-    """One canonical line per document, byte for byte what
+    """One canonical line per document, formatted from its row with each
+    distinct Label escaped once per call: for str text, surfaces and class
+    names and int offsets, byte for byte what
     ``json.dumps(document_to_record(doc), ensure_ascii=False)`` writes.
 
-    Each line is formatted from the document's row, each distinct Label
-    escaped once per call. A document whose text, surfaces, entity class
-    names and offsets are not all of type str or int (a bool offset, say)
-    is written through the encoder."""
+    A bool offset is written as the int it equals. A text, surface or
+    class name that is no str raises TypeError, and then nothing is
+    written."""
     literals = _Literals()
-    for doc in documents:
-        row = _document_row(doc)
-        _, text, surfaces, offsets, _, entities = row
-        fields = chain((text,), surfaces or (), *(offsets or ()), *(entities or ()))
-        line = None
-        if _STR_AND_INT.issuperset(map(type, fields)):
-            try:
-                line = _canonical_line(row, literals)
-            except TypeError:  # an int where a str belongs, or the other way round
-                pass
-        dest.write(line or json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
+    dest.writelines([_canonical_line(_document_row(doc), literals) for doc in documents])
 
 
 def save_canonical_jsonl(documents: Iterable[Document], path: str | Path) -> None:

@@ -106,6 +106,12 @@ class ScheduleConfig(_ScheduleConfigFields):
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name, value in (
+            ("restart_period_initial", restart_period_initial), ("max_epochs", max_epochs),
+            ("steps_per_epoch", steps_per_epoch), ("early_stop_patience", early_stop_patience),
+        ):
+            if type(value) is not int and not (value is None and name == "early_stop_patience"):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if max_lr <= 0:
             raise ValueError("max_lr must be > 0")
         if not 0 <= min_lr <= max_lr:

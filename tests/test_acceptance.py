@@ -208,30 +208,30 @@ def test_criterion_4_metric_correctness():
     for gold_raw, pred_raw, micro, macro, per_class in SCORING_FIXTURES:
         counts = Counts()
         counts.add_chunks("strict", [Chunk(*c) for c in gold_raw], [Chunk(*c) for c in pred_raw])
-        result = counts.report("entity", "strict")
-        assert result.micro.precision == pytest.approx(micro[0], abs=1e-12)
-        assert result.micro.recall == pytest.approx(micro[1], abs=1e-12)
-        assert result.micro.f1 == pytest.approx(micro[2], abs=1e-12)
-        assert result.macro.precision == pytest.approx(macro[0], abs=1e-12)
-        assert result.macro.recall == pytest.approx(macro[1], abs=1e-12)
-        assert result.macro.f1 == pytest.approx(macro[2], abs=1e-12)
+        strict = counts.report()["strict"]
+        result_micro, result_macro = strict["micro"]["entity"], strict["macro"]["entity"]
+        for got, expected in ((result_micro, micro), (result_macro, macro)):
+            assert got["precision"] == pytest.approx(expected[0], abs=1e-12)
+            assert got["recall"] == pytest.approx(expected[1], abs=1e-12)
+            assert got["f1"] == pytest.approx(expected[2], abs=1e-12)
+        rows = {cls: row["entity"] for cls, row in strict["per_class"].items()}
         for cls, (p, r, f1, support) in per_class.items():
-            row = result.per_class[cls]
-            assert row.precision == pytest.approx(p, abs=1e-12)
-            assert row.recall == pytest.approx(r, abs=1e-12)
-            assert row.f1 == pytest.approx(f1, abs=1e-12)
-            assert row.support == support
+            row = rows[cls]
+            assert row["precision"] == pytest.approx(p, abs=1e-12)
+            assert row["recall"] == pytest.approx(r, abs=1e-12)
+            assert row["f1"] == pytest.approx(f1, abs=1e-12)
+            assert row["support"] == support
 
         # consistency identities: pooled micro counts and macro means
-        supported = [m for m in result.per_class.values() if m.support > 0]
+        supported = [m for m in rows.values() if m["support"] > 0]
         if supported:
-            assert result.macro.f1 == pytest.approx(
-                sum(m.f1 for m in supported) / len(supported), abs=1e-12
+            assert result_macro["f1"] == pytest.approx(
+                sum(m["f1"] for m in supported) / len(supported), abs=1e-12
             )
-        if len(result.per_class) == 1:
-            (only,) = result.per_class.values()
-            assert (only.precision, only.recall, only.f1) == (
-                result.micro.precision, result.micro.recall, result.micro.f1,
+        if len(rows) == 1:
+            (only,) = rows.values()
+            assert (only["precision"], only["recall"], only["f1"]) == (
+                result_micro["precision"], result_micro["recall"], result_micro["f1"],
             )
     report(4, started, f"Counts reproduces {len(SCORING_FIXTURES)} "
                        f"hand-computed cases to 1e-12")

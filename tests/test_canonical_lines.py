@@ -84,43 +84,58 @@ def test_lines_are_json_dumps_of_the_records(docs):
     assert written(docs) == encoded(docs)
 
 
-def test_documents_of_other_types_go_through_the_encoder():
-    """A bool offset is an int to %d but true or false to the encoder; a
-    text that is no string is not one to the escaper."""
+def with_bool_offsets(doc):
+    """The document with every offset 0 or 1 as False or True."""
+    def flip(offset):
+        return bool(offset) if offset in (0, 1) else offset
+
+    words = entities = None
+    if doc.words is not None:
+        words = [w._replace(char_start=flip(w.char_start), char_end=flip(w.char_end))
+                 for w in doc.words]
+    if doc.entities is not None:
+        entities = [e._replace(char_start=flip(e.char_start), char_end=flip(e.char_end))
+                    for e in doc.entities]
+    return Document(doc.text, words=words, word_labels=doc.word_labels, entities=entities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(documents().filter(lambda d: d.words != ()), min_size=1, max_size=4),
+    bools=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_every_written_line_reads_back_to_its_document(docs, bools):
+    """Documents as the reader gives them (it trims entity spans, and
+    takes no empty input or empty word list) are written so that it
+    gives them back; bool offsets are written as the ints they equal."""
+    docs = read_canonical_jsonl(written(docs), scheme="BILOU")
+    docs = [with_bool_offsets(d) if as_bools else d for d, as_bools in zip(docs, bools)]
+    assert read_canonical_jsonl(written(docs), scheme="BILOU") == docs
+
+
+def test_bool_offsets_are_written_as_ints():
     docs = [
-        Document("ab", words=[Word("a", False, True), Word("b", True, 2)],
-                 word_labels=LabelSequence.from_raw(["B-X", "O"], AnnotationScheme.BIO)),
+        Document("ab", words=[Word("a", False, True), Word("b", True, 2)]),
         Document("ab", entities=[EntitySpan("X", False, True, "a")]),
-        Document("ab", words=[Word("a", 0, 1)], entities=[EntitySpan("X", 1, 2, "b")]),
-        Document(5),
     ]
-    lines = written(docs)
-    assert lines == encoded(docs)
-    assert lines.startswith('{"text": "ab", "words": [{"surface": "a", "start": false, "end": true')
+    assert written(docs) == (
+        '{"text": "ab", "words": [{"surface": "a", "start": 0, "end": 1}, '
+        '{"surface": "b", "start": 1, "end": 2}], "labels": null, "entities": null}\n'
+        '{"text": "ab", "words": null, "labels": null, '
+        '"entities": [{"start": 0, "end": 1, "label": "X"}]}\n'
+    )
 
 
-def test_an_offset_the_encoder_cannot_write_raises_as_it_does():
-    class Offset:
-        """An index that is no int: a slice takes it, JSON has no form for it."""
-
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
-
-        def __lt__(self, other):
-            return self.value < other
-
-        def __le__(self, other):
-            return self.value <= other
-
-        def __gt__(self, other):
-            return self.value > other
-
-    doc = Document("ab", words=[Word("a", 0, Offset(1))])
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        written([doc])
+@pytest.mark.parametrize("doc", [
+    Document(5),
+    Document(b"ab", words=[Word(b"a", 0, 1)]),
+    Document("ab", entities=[EntitySpan(5, 0, 1, "a")]),
+], ids=["text", "surface", "class_name"])
+def test_a_field_that_is_no_string_raises_before_anything_is_written(doc):
+    buffer = io.StringIO()
+    with pytest.raises(TypeError, match="^first argument must be a string"):
+        write_canonical_jsonl([Document("fine"), doc], buffer)
+    assert buffer.getvalue() == ""
 
 
 @given(st.lists(st.text(CHARACTERS, min_size=1, max_size=4), max_size=8))

@@ -520,6 +520,23 @@ class TestScheduleSimulate:
         assert re.match(f"bad schedule config: {field} must be a finite number", err)
         assert err.count("\n") == 1 and not out_csv.exists()
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1.5", "true"])
+    @pytest.mark.parametrize(
+        "field", ["restart_period_initial", "max_epochs", "steps_per_epoch", "early_stop_patience"]
+    )
+    def test_non_integer_config_value_is_a_usage_error(self, tmp_path, capsys, field, value):
+        cfg, out_csv = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(
+            '{"max_lr": 0.1, "max_epochs": 3, "restart_period_initial": 1, '
+            f'"val_losses": [1.0, 0.9], "{field}": {value}}}'
+        )
+        code, out, err = run(
+            ["schedule", "simulate", "--config", str(cfg), "--output", str(out_csv)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert re.match(f"bad schedule config: {field} must be an integer, got ", err)
+        assert err.count("\n") == 1 and not out_csv.exists()
+
 
 class TestAggregateCommand:
     def write_run(self, directory, name, seed, f1):

@@ -136,17 +136,17 @@ class TestLenientExtraction:
 
 
 def entity_report(gold, pred):
-    """The strict entity report of one sequence's chunks."""
+    """The strict block of one sequence's chunks; read its "entity" level."""
     counts = Counts()
     counts.add_chunks("strict", gold, pred)
-    return counts.report("entity", "strict")
+    return counts.report()["strict"]
 
 
 def word_report(gold, pred):
-    """The word report of one sequence's labels."""
+    """The strict block of one sequence's labels; read its "word" level."""
     counts = Counts()
     counts.add_words(gold, pred)
-    return counts.report("word", "strict")
+    return counts.report()["strict"]
 
 
 class TestScoreEntities:
@@ -155,20 +155,20 @@ class TestScoreEntities:
     def test_half_precision_full_recall(self):
         gold = [Chunk("PER", 0, 2)]
         pred = [Chunk("PER", 0, 2), Chunk("ORG", 3, 4)]
-        report = entity_report(gold, pred)
-        assert report.micro.precision == 0.5
-        assert report.micro.recall == 1.0
-        assert report.micro.f1 == pytest.approx(2 / 3, abs=1e-15)
+        micro = entity_report(gold, pred)["micro"]["entity"]
+        assert micro["precision"] == 0.5
+        assert micro["recall"] == 1.0
+        assert micro["f1"] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_identity(self):
         gold = [Chunk("PER", 0, 2), Chunk("LOC", 4, 5)]
         report = entity_report(gold, list(gold))
-        assert report.micro == report.micro.__class__(1.0, 1.0, 1.0)
-        assert report.macro.f1 == 1.0
+        assert report["micro"]["entity"] == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+        assert report["macro"]["entity"]["f1"] == 1.0
 
     def test_boundary_mismatch_scores_zero(self):
         report = entity_report([Chunk("PER", 0, 2)], [Chunk("PER", 0, 3)])
-        assert report.micro.f1 == 0.0
+        assert report["micro"]["entity"]["f1"] == 0.0
 
     def test_swap_exchanges_precision_and_recall(self):
         rng = random.Random(7)
@@ -180,29 +180,26 @@ class TestScoreEntities:
                     length = rng.randint(1, 2)
                     chunks.append(Chunk(rng.choice("AB"), position, position + length))
                     position += length + rng.randint(0, 2)
-            forward = entity_report(gold, pred)
-            backward = entity_report(pred, gold)
-            assert forward.micro.precision == backward.micro.recall
-            assert forward.micro.recall == backward.micro.precision
-            assert forward.micro.f1 == pytest.approx(backward.micro.f1, abs=1e-12)
+            forward = entity_report(gold, pred)["micro"]["entity"]
+            backward = entity_report(pred, gold)["micro"]["entity"]
+            assert forward["precision"] == backward["recall"]
+            assert forward["recall"] == backward["precision"]
+            assert forward["f1"] == pytest.approx(backward["f1"], abs=1e-12)
 
     def test_single_class_micro_equals_per_class(self):
         gold = [Chunk("PER", 0, 1), Chunk("PER", 3, 5)]
         pred = [Chunk("PER", 0, 1), Chunk("PER", 2, 4)]
         report = entity_report(gold, pred)
-        per = report.per_class["PER"]
-        assert (per.precision, per.recall, per.f1) == (
-            report.micro.precision,
-            report.micro.recall,
-            report.micro.f1,
-        )
+        per = report["per_class"]["PER"]["entity"]
+        micro = report["micro"]["entity"]
+        assert {name: per[name] for name in ("precision", "recall", "f1")} == micro
 
     def test_macro_skips_zero_support_classes(self):
         gold = [Chunk("PER", 0, 1)]
         pred = [Chunk("PER", 0, 1), Chunk("ORG", 3, 4)]  # ORG: predicted, never gold
         report = entity_report(gold, pred)
-        assert report.per_class["ORG"].support == 0
-        assert report.macro.f1 == 1.0
+        assert report["per_class"]["ORG"]["entity"]["support"] == 0
+        assert report["macro"]["entity"]["f1"] == 1.0
 
 
 class TestScoreWords:
@@ -210,17 +207,17 @@ class TestScoreWords:
 
     def test_prefix_stripping_counts_class_match(self):
         report = word_report(seq(["B-PER"], BIO), seq(["I-PER"], BIO))
-        assert report.per_class["PER"].f1 == 1.0
+        assert report["per_class"]["PER"]["word"]["f1"] == 1.0
 
     def test_identical_sequences_score_one(self):
         s = seq(["B-PER", "I-PER", "O"], BIO)
         report = word_report(s, s)
-        assert report.micro.f1 == 1.0
+        assert report["micro"]["word"]["f1"] == 1.0
 
     def test_false_positive_lands_in_confusion(self):
         report = word_report(seq(["O"], BIO), seq(["B-PER"], BIO))
-        assert report.per_class["PER"].precision == 0.0
-        assert report.confusion["O"]["PER"] == 1
+        assert report["per_class"]["PER"]["word"]["precision"] == 0.0
+        assert report["confusion"]["O"]["PER"] == 1
 
     def test_confusion_row_sums_equal_gold_counts(self):
         rng = random.Random(13)
@@ -230,7 +227,7 @@ class TestScoreWords:
             gold_raw = [rng.choice(labels) for _ in range(n)]
             pred_raw = [rng.choice(labels) for _ in range(n)]
             report = word_report(seq(gold_raw, BIO), seq(pred_raw, BIO))
-            for gold_class, row in report.confusion.items():
+            for gold_class, row in report["confusion"].items():
                 expected = sum(
                     1
                     for lab in gold_raw
@@ -266,18 +263,15 @@ class TestEvaluateOnDataset:
         split = DatasetSplit("test", tuple(FIXTURE_DOCS))
         tagger = EchoTagger.from_documents(FIXTURE_DOCS)
         result = evaluate_on_dataset(tagger, split, BIO)
-        data = result.as_dict()
         for mode in ("strict", "lenient"):
-            assert data[mode]["micro"]["entity"]["f1"] == 1.0
-        assert data["strict"]["micro"]["word"]["f1"] == 1.0
+            assert result[mode]["micro"]["entity"]["f1"] == 1.0
+        assert result["strict"]["micro"]["word"]["f1"] == 1.0
         assert result["micro"]["entity"]["f1"] == 1.0  # default block is strict
 
     def test_all_outside_tagger_scores_zero(self):
         split = DatasetSplit("test", tuple(FIXTURE_DOCS))
         result = evaluate_on_dataset(LexiconTagger({}), split, BIO)
-        assert result.strict_entity.micro.precision == 0.0
-        assert result.strict_entity.micro.recall == 0.0
-        assert result.strict_entity.micro.f1 == 0.0
+        assert result["strict"]["micro"]["entity"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
     def test_missing_gold(self):
         split = DatasetSplit("test", (Document("no annotation at all"),))
@@ -292,26 +286,23 @@ class TestEvaluateOnDataset:
         split = DatasetSplit("test", (doc,))
         tagger = LexiconTagger({"United": "ORG", "Nations": "ORG"})
         result = evaluate_on_dataset(tagger, split, BIO)
-        assert result.strict_entity.micro.f1 == 1.0
+        assert result["strict"]["micro"]["entity"]["f1"] == 1.0
 
     def test_micro_invariant_under_document_permutation(self):
         docs = list(FIXTURE_DOCS)
         tagger = LexiconTagger({"Alice": "PER", "Acme": "ORG", "Geneva": "LOC"})
-        baseline = evaluate_on_dataset(
-            tagger, DatasetSplit("test", tuple(docs)), BIO
-        ).strict_entity.micro
+        baseline = evaluate_on_dataset(tagger, DatasetSplit("test", tuple(docs)), BIO)
         rng = random.Random(3)
         for _ in range(5):
             rng.shuffle(docs)
-            shuffled = evaluate_on_dataset(
-                tagger, DatasetSplit("test", tuple(docs)), BIO
-            ).strict_entity.micro
-            assert shuffled == baseline
+            shuffled = evaluate_on_dataset(tagger, DatasetSplit("test", tuple(docs)), BIO)
+            assert shuffled["strict"]["micro"] == baseline["strict"]["micro"]
 
     def test_report_serialization_nesting(self):
         split = DatasetSplit("test", tuple(FIXTURE_DOCS))
         tagger = EchoTagger.from_documents(FIXTURE_DOCS)
-        data = evaluate_on_dataset(tagger, split, BIO).as_dict()
+        data = evaluate_on_dataset(tagger, split, BIO)
+        assert type(data) is DatasetEvaluation and isinstance(data, dict)
         assert set(data) == {"strict", "lenient"}
         assert set(data["strict"]["micro"]) == {"entity", "word"}
         assert set(data["lenient"]["micro"]) == {"entity"}
@@ -322,13 +313,16 @@ class TestEvaluateOnDataset:
         split = DatasetSplit("test", tuple(FIXTURE_DOCS))
         tagger = LexiconTagger({"Geneva": "LOC", "Moreau": "PER"})
         result = evaluate_on_dataset(tagger, split, BIO)
-        data = result.as_dict()
-        assert result["strict"] == data["strict"]
-        assert result["lenient"] == data["lenient"]
-        assert result["micro"] == data["strict"]["micro"]
-        assert result["per_class"] == data["strict"]["per_class"]
+        assert result["micro"] is result["strict"]["micro"]
+        assert result["per_class"] is result["strict"]["per_class"]
+        assert result["confusion"] is result["strict"]["confusion"]
+        assert "micro" not in result and result.get("micro") is None
         with pytest.raises(KeyError):
             result["nonexistent"]
+        with pytest.raises(KeyError):  # a missing mode is not read from the strict block
+            DatasetEvaluation(strict={"lenient": {}})["lenient"]
+        with pytest.raises(KeyError):
+            DatasetEvaluation()["micro"]
 
 
 class TestPredictionScheme:
@@ -339,14 +333,14 @@ class TestPredictionScheme:
         doc = word_doc(["Acme", "Corp", "hired", "Bob"], ["B-ORG", "I-ORG", "O", "B-PER"])
         tagger = LexiconTagger({"Acme": "ORG", "Corp": "ORG", "Bob": "PER"}, BILOU)
         result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BIO)
-        assert result.strict_entity.micro.f1 == 1.0
+        assert result["strict"]["micro"]["entity"]["f1"] == 1.0
 
     def test_bio_tagger_on_bilou_dataset(self):
         doc = word_doc(["Acme", "Corp", "hired"], ["B-ORG", "L-ORG", "O"], BILOU)
         tagger = LexiconTagger({"Acme": "ORG", "Corp": "ORG"}, BIO)
         result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BILOU)
-        assert result.strict_entity.micro.f1 == 1.0
-        assert result.lenient_entity.micro.f1 == 1.0
+        assert result["strict"]["micro"]["entity"]["f1"] == 1.0
+        assert result["lenient"]["micro"]["entity"]["f1"] == 1.0
 
     def test_dataset_scheme_is_the_default(self):
         class Undeclared:
@@ -355,7 +349,7 @@ class TestPredictionScheme:
 
         doc = word_doc(["Acme", "Corp"], ["I-ORG", "I-ORG"], IO)
         result = evaluate_on_dataset(Undeclared(), DatasetSplit("test", (doc,)), IO)
-        assert result.strict_entity.micro.f1 == 1.0
+        assert result["strict"]["micro"]["entity"]["f1"] == 1.0
 
 
 class TestEntityOnlyGold:
@@ -365,8 +359,8 @@ class TestEntityOnlyGold:
         )
         tagger = LexiconTagger({"Paris": "LOC"})
         result = evaluate_on_dataset(tagger, DatasetSplit("test", (doc,)), BIO)
-        assert result.strict_entity.micro.f1 == 1.0
-        assert result.strict_word.micro.f1 == 1.0
+        assert result["strict"]["micro"]["entity"]["f1"] == 1.0
+        assert result["strict"]["micro"]["word"]["f1"] == 1.0
 
     def test_words_are_cut_into_exact_slices(self):
         text = "(New York)-based firms"
@@ -396,9 +390,6 @@ def random_word_docs(rng, n_docs, classes=("A", "B")):
     return docs, EchoTagger.from_documents(predicted)
 
 
-REPORT_KINDS = [("entity", "strict"), ("word", "strict"), ("entity", "lenient")]
-
-
 class TestCounts:
     def test_sharded_sum_equals_one_pass(self):
         rng = random.Random(23)
@@ -411,15 +402,13 @@ class TestCounts:
             shards = [count_documents(tagger, docs[a:b], BIO) for a, b in zip(bounds, bounds[1:])]
             pooled = sum(shards, Counts())
             assert pooled == whole
-            for level, mode in REPORT_KINDS:
-                assert pooled.report(level, mode) == whole.report(level, mode)
+            assert pooled.report() == whole.report()
 
     def test_one_pass_matches_evaluate_on_dataset(self):
         docs, tagger = random_word_docs(random.Random(5), 12)
         counts = count_documents(tagger, docs, BIO)
         result = evaluate_on_dataset(tagger, DatasetSplit("test", tuple(docs)), BIO)
-        reports = [counts.report(level, mode) for level, mode in REPORT_KINDS]
-        assert reports == [result.strict_entity, result.strict_word, result.lenient_entity]
+        assert counts.report() == result
 
     def test_one_pass_parses_each_distinct_label_once(self, monkeypatch):
         docs, tagger = random_word_docs(random.Random(3), 20)
@@ -449,15 +438,15 @@ class TestCounts:
             for mode in ("strict", "lenient"):
                 counts.add_chunks(mode, getattr(decode(gold), mode), getattr(decode(pred), mode))
             counts.add_words(gold, pred)
-            assert DatasetEvaluation.from_counts(counts) == result
+            assert counts.report() == result
 
     def test_metrics_support_only_on_class_rows(self):
         report = entity_report([Chunk("PER", 0, 1)], [])
-        assert report.per_class["PER"].as_dict() == {
+        assert report["per_class"]["PER"]["entity"] == {
             "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1
         }
-        assert report.micro.support is None
-        assert "support" not in report.micro.as_dict()
+        assert "support" not in report["micro"]["entity"]
+        assert "support" not in report["macro"]["entity"]
 
 
 class TestLexiconTaggerOnBundledCorpus:
@@ -517,9 +506,10 @@ class TestLexiconTaggerOnBundledCorpus:
             split = load_split(Path(tmp) / "mini-conll", "test")
         tagger = LexiconTagger(lexicon)
         result = evaluate_on_dataset(tagger, split, BIO)
-        assert result.strict_entity.micro.precision == pytest.approx(precision, abs=1e-12)
-        assert result.strict_entity.micro.recall == pytest.approx(recall, abs=1e-12)
-        assert result.strict_entity.micro.f1 == pytest.approx(f1, abs=1e-12)
+        micro = result["strict"]["micro"]["entity"]
+        assert micro["precision"] == pytest.approx(precision, abs=1e-12)
+        assert micro["recall"] == pytest.approx(recall, abs=1e-12)
+        assert micro["f1"] == pytest.approx(f1, abs=1e-12)
         # the fixture is designed to score strictly between 0 and 1
         assert 0.0 < f1 < 1.0
         # and the concrete value is frozen: 5 TP, 2 FP, 2 FN -> 5/7

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from seqlab.core import AnnotationScheme
 from seqlab.errors import DuplicateMetricPath, EmptyRunSet, MissingMetric, NonFiniteMetric
 from seqlab.evaluation import evaluate_on_dataset
+from seqlab.inference import LexiconTagger
 from seqlab.ingest import DatasetSplit, parse_conll
 from seqlab.runs import (
     DEFAULT_SELECTION_METRIC,
@@ -253,6 +254,24 @@ class TestPersistence:
         with pytest.raises(EmptyRunSet):
             load_runs(tmp_path / "nope")
 
+    def test_evaluate_on_dataset_results_are_run_reports(self, tmp_path):
+        """The library's evaluation result is the tree a run record holds:
+        it aggregates as it is, and after a save and load."""
+        gold = parse_conll("Ann B-PER\nsings O\n\nin O\nRome B-LOC\n", scheme="BIO")
+        split = DatasetSplit("test", gold)
+        lexicons = ({"Ann": "PER"}, {"Ann": "PER", "Rome": "LOC"})
+        results = [
+            evaluate_on_dataset(LexiconTagger(lexicon), split, AnnotationScheme.BIO)
+            for lexicon in lexicons
+        ]
+        records = [RunRecord(f"run{i}", i, result) for i, result in enumerate(results)]
+        aggregated = aggregate(records)
+        assert aggregated.best_run == "run1"
+        assert aggregated.metrics[METRIC].per_run == (2 / 3, 1.0)
+        for record in records:
+            save_run(record, tmp_path)
+        assert aggregate(load_runs(tmp_path)) == aggregated
+
 
 def numeric_leaves(tree, keys=()):
     """(key chain, value) of every numeric leaf."""
@@ -291,7 +310,7 @@ def test_every_leaf_of_a_dotted_class_report_is_aggregated_once(classes, data):
     gold = [parse_conll("".join(f"w{i} {g}\n" for i, (g, _) in enumerate(doc)), scheme="IO")[0]
             for doc in documents]
     tagger = EchoOf([[p for _, p in doc] for doc in documents])
-    report = evaluate_on_dataset(tagger, DatasetSplit("test", gold), AnnotationScheme.IO).as_dict()
+    report = evaluate_on_dataset(tagger, DatasetSplit("test", gold), AnnotationScheme.IO)
     leaves = list(numeric_leaves(report))
     paths = [".".join(chain) for chain, _ in leaves]
     records = [RunRecord("r0", 0, report), RunRecord("r1", 1, report)]

@@ -23,7 +23,7 @@ from seqlab.core import (
     Word,
 )
 from seqlab.errors import MalformedLabel, PrefixNotInScheme
-from seqlab.evaluation import Counts, DatasetEvaluation, EvalReport, Metrics
+from seqlab.evaluation import Counts
 from seqlab.inference import (
     BatchItem,
     EchoTagger,
@@ -38,8 +38,6 @@ from seqlab.schemes import TokenAlignment
 
 BIO = AnnotationScheme.BIO
 PER = Label("B", "PER")
-METRICS = Metrics(1.0, 0.5, 2 / 3, 2)
-REPORT = EvalReport({"PER": METRICS}, METRICS, METRICS, "entity", "strict")
 WORDS = (Word("Ann", 0, 3), Word("sings", 4, 9))
 DEFAULT_CONFIG = dict(
     min_lr=0.0, restart_period_initial=1, restart_period_mult=1.0, max_epochs=1,
@@ -73,19 +71,9 @@ RECORDS = [
              entity_counts={"test": {"PER": 1}}, scheme_detected=BIO, pretokenized=True,
              seed=None),
     ),
-    (Metrics, (1.0, 0.5, 2 / 3), {}, dict(precision=1.0, recall=0.5, f1=2 / 3, support=None)),
-    (
-        EvalReport, ({"PER": METRICS}, METRICS, METRICS, "entity", "strict"), {},
-        dict(per_class={"PER": METRICS}, micro=METRICS, macro=METRICS, level="entity",
-             mode="strict", confusion=None),
-    ),
     (
         Counts, (Counter({("PER", "tp"): 1}),), {},
         dict(strict=Counter({("PER", "tp"): 1}), lenient=Counter(), words=Counter()),
-    ),
-    (
-        DatasetEvaluation, (REPORT, REPORT, REPORT), {},
-        dict(strict_entity=REPORT, strict_word=REPORT, lenient_entity=REPORT),
     ),
     (
         TokenAlignment, ([(0, 1), (0, 0)],), {},

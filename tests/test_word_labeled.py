@@ -362,7 +362,7 @@ def test_evaluate_convert_and_echo_build_no_document(tmp_path, monkeypatch, caps
     echo = EchoTagger.from_documents(documents)
     expected_reports = [
         evaluate_on_dataset(tagger, ingest.DatasetSplit("test", documents), AnnotationScheme.BIO)
-        .as_dict() for tagger in (lexicon, echo)
+        for tagger in (lexicon, echo)
     ]
     converted = [
         d._replace(word_labels=convert_scheme(d.word_labels, AnnotationScheme.BILOU))
@@ -398,7 +398,7 @@ def test_entity_only_gold_evaluates_without_documents(tmp_path, monkeypatch, cap
     expected = set_up(tmp_path, "--source", "AT", "--name", "documents", "--split-ratio",
                       "0,0,1", "--path", str(DATA / export))
     split = ingest.load_split(expected, "test")
-    report = evaluate_on_dataset(load_tagger("all-o"), split, AnnotationScheme.BIO).as_dict()
+    report = evaluate_on_dataset(load_tagger("all-o"), split, AnnotationScheme.BIO)
     no_builders(monkeypatch.setattr)
     dataset = set_up(tmp_path, "--source", "AT", "--name", "rows", "--split-ratio", "0,0,1",
                      "--path", str(DATA / export))
