@@ -459,7 +459,8 @@ class Document(_DocumentFields):
     """The canonical record: raw text plus whichever annotations exist.
 
     A document may carry word tokenization, word-level labels, character
-    entities, any combination, or none. Word spans must be non-empty,
+    entities, any combination, or none. Words, where given, are at least
+    one, as a canonical line's "words" are; word spans must be non-empty,
     non-overlapping and strictly increasing; entities must be
     non-overlapping and sorted by char_start; every span's surface must
     equal the text slice.
@@ -491,6 +492,8 @@ class Document(_DocumentFields):
         return self
 
     def _check_words(self):
+        if not self.words:
+            raise ValueError("words must be None or at least one word")
         text = self.text
         size = len(text)
         prev_end = 0

@@ -1,16 +1,19 @@
 """One file of lines, run as contiguous byte ranges across processes.
 
-`predict --input` and `convert` each read a file line by line, and each
-line's output depends on that line alone. `_run_ranges` runs such a
-job, a `Work`, over the byte ranges that `_ranges` cuts. A regular input
-file of at least two of the job's least ranges (128 KiB for `predict`,
-768 KiB for `convert`, whose lines cost less) is cut at line starts into
+`predict --input`, `convert` and `evaluate` each read a file line by
+line. For the first two each line's output depends on that line alone;
+`evaluate` writes one line of counts per range, which add up to the
+counts of the whole file. `_run_ranges` runs such a job, a `Work`, over
+the byte ranges that `_ranges` cuts. A regular input file of at least two
+of the job's least ranges (128 KiB for `predict`, 768 KiB for `convert`,
+whose lines cost less, 512 KiB for `evaluate`) is cut at line starts into
 up to N ranges, each the size of the others give or take a line.
 The calling process runs the first range; a forked child runs each
 other one into an anonymous temporary file, which is appended to the
-caller's output in order. So the output bytes, their order, the line
-numbers the job writes and the summary it returns are those of a
-one-process run, and a job's memory bound holds per process. A range
+caller's output in order. So the output bytes of a line-wise job, their
+order, the line numbers it writes and the summary it returns are those of
+a one-process run, the counts `evaluate` adds up are those of one
+process, and a job's memory bound holds per process. A range
 whose child fails or dies is run again in the caller, so a job that
 raises on bad input raises there, as in one process. The input stays in
 one process where os.fork or os.sched_getaffinity is missing (so fork

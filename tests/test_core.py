@@ -174,6 +174,11 @@ class TestSpansAndDocuments:
             with pytest.raises(ValueError):
                 Document("ab", words=tuple(Word(*span) for span in spans))
 
+    def test_an_empty_word_list_is_rejected(self):
+        # the reader rejects "words": [] too, so no written document fails to read back
+        with pytest.raises(ValueError):
+            Document("", words=())
+
     def test_valid_document(self):
         doc = Document(
             "The United Nations",

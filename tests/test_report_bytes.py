@@ -11,6 +11,7 @@ leave it unchanged.
 
 import json
 
+from seqlab import cli, ranges
 from seqlab.cli import main
 
 GOLD = [
@@ -228,4 +229,36 @@ def test_evaluate_writes_the_pinned_report(tmp_path, capsys):
     assert written == EXPECTED + "\n"
     report = json.loads(written)
     assert json.dumps(report, ensure_ascii=False, indent=2) == EXPECTED
+    assert capsys.readouterr().out == EXPECTED + "\nstrict entity micro f1 = 0.5714\n"
+
+
+def test_a_split_evaluate_writes_the_pinned_report(tmp_path, capsys, monkeypatch):
+    """The same evaluation, its three records counted in three ranges, one
+    in this process and two in forked children, writes the same bytes."""
+    dataset = tmp_path / "pinned"
+    dataset.mkdir()
+    (dataset / "test.jsonl").write_text(_lines(GOLD), encoding="utf-8")
+    (dataset / "analysis.json").write_text('{"scheme_detected": "BIO"}', encoding="utf-8")
+    predicted = tmp_path / "predicted.jsonl"
+    predicted.write_text(
+        _lines((surfaces, labels) for (surfaces, _), labels in zip(GOLD, PREDICTED)),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    with open(dataset / "test.jsonl", "rb") as src:
+        assert len(ranges._ranges(src, 3, 1)) == 3
+    here = []  # the first line of each range counted in this process
+    original = cli._evaluate_range
+
+    def counted(src, dst, lineno, size, **kwargs):
+        here.append(lineno)
+        return original(src, dst, lineno, size, **kwargs)
+
+    monkeypatch.setattr(cli, "_evaluate_range", counted)
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--tagger", f"echo:{predicted}", "--dataset", str(dataset),
+                 "--output", str(out)]) == 0
+    assert here == [1]  # the other two ranges were counted in children
+    assert out.read_text(encoding="utf-8") == EXPECTED + "\n"
     assert capsys.readouterr().out == EXPECTED + "\nstrict entity micro f1 = 0.5714\n"
