@@ -1,17 +1,24 @@
-"""The bytes of one evaluation report, pinned.
+"""The bytes of the JSON files seqlab writes, pinned.
 
-`evaluate` writes ``json.dumps(report, ensure_ascii=False, indent=2)``.
-This fixed evaluation covers every part of the layout: two gold classes,
-strict and lenient counts that differ, a class that only the tagger
-predicts, a gold class with zero strict entity support (its only chunk
-opens with I-) and the word confusion matrix. The expected text fixes
-key order and float arithmetic, so a rewrite of the report builder must
-leave it unchanged.
+`evaluate`, `dataset set-up` and `aggregate` each write one tree as
+``json.dumps(tree, ensure_ascii=False, indent=2)`` and print it or a
+line from it. The expected texts fix key order and float arithmetic, so
+a rewrite of the code that builds a tree must leave them unchanged.
+
+The fixed evaluation covers every part of the report's layout: two gold
+classes, strict and lenient counts that differ, a class that only the
+tagger predicts, a gold class with zero strict entity support (its only
+chunk opens with I-) and the word confusion matrix. The set-ups cover a
+pre-split pretokenized source (``"seed": null``) and an unsplit
+annotation-tool export split with a seed, an empty split included. The
+aggregate covers three runs, a dotted class name as the selection metric,
+a tie on it broken by the lower seed, paths whose values differ and a
+path whose values are equal (uncertainty ``0.0``).
 """
 
 import json
 
-from seqlab import cli, ranges
+from seqlab import cli, ranges, runs
 from seqlab.cli import main
 
 GOLD = [
@@ -262,3 +269,161 @@ def test_a_split_evaluate_writes_the_pinned_report(tmp_path, capsys, monkeypatch
     assert here == [1]  # the other two ranges were counted in children
     assert out.read_text(encoding="utf-8") == EXPECTED + "\n"
     assert capsys.readouterr().out == EXPECTED + "\nstrict entity micro f1 = 0.5714\n"
+
+
+TRAIN = "Ann B-PER\nLee L-PER\nvisited O\nRome U-LOC\n\nThe O\nAcme B-ORG\nCorp L-ORG\ngrew O\n\n"
+VAL = "Bob U-PER\nleft O\n\n"
+TEST = "Paris U-LOC\nand O\nRome U-LOC\n\n"
+EXPORT = [
+    {"text": "Ann met Bob in Rome", "label": [[0, 3, "PER"], [8, 11, "PER"], [15, 19, "LOC"]]},
+    {"text": "Acme hired Lee", "label": [[0, 4, "ORG"], [11, 14, "PER"]]},
+    {"text": "nothing here", "label": []},
+    {"text": "Paris is big", "label": [[0, 5, "LOC"]]},
+    {"text": "Bob and Ann", "label": [[0, 3, "PER"], [8, 11, "PER"]]},
+]
+
+EXPECTED_PRESPLIT_ANALYSIS = """\
+{
+  "num_documents": {
+    "train": 2,
+    "val": 1,
+    "test": 1
+  },
+  "num_words": {
+    "train": 8,
+    "val": 2,
+    "test": 3
+  },
+  "entity_counts": {
+    "train": {
+      "LOC": 1,
+      "ORG": 1,
+      "PER": 1
+    },
+    "val": {
+      "PER": 1
+    },
+    "test": {
+      "LOC": 2
+    }
+  },
+  "scheme_detected": "BILOU",
+  "pretokenized": true,
+  "seed": null
+}"""
+
+EXPECTED_UNSPLIT_ANALYSIS = """\
+{
+  "num_documents": {
+    "train": 3,
+    "val": 1,
+    "test": 1
+  },
+  "num_words": {
+    "train": 0,
+    "val": 0,
+    "test": 0
+  },
+  "entity_counts": {
+    "train": {
+      "LOC": 2,
+      "PER": 4
+    },
+    "val": {
+      "ORG": 1,
+      "PER": 1
+    },
+    "test": {}
+  },
+  "scheme_detected": "BIO",
+  "pretokenized": false,
+  "seed": 7
+}"""
+
+EXPECTED_AGGREGATE = """\
+{
+  "selection_metric": "strict.per_class.org.x.entity.f1",
+  "best_run": "run-b",
+  "metrics": {
+    "strict.micro.entity.f1": {
+      "mean": 0.6166666666666667,
+      "uncertainty": 0.0726483157256779,
+      "n": 3,
+      "per_run": [
+        0.5,
+        0.75,
+        0.6
+      ]
+    },
+    "strict.per_class.org.x.entity.f1": {
+      "mean": 0.4166666666666667,
+      "uncertainty": 0.08333333333333333,
+      "n": 3,
+      "per_run": [
+        0.25,
+        0.5,
+        0.5
+      ]
+    },
+    "strict.per_class.org.x.entity.support": {
+      "mean": 3.0,
+      "uncertainty": 0.0,
+      "n": 3,
+      "per_run": [
+        3.0,
+        3.0,
+        3.0
+      ]
+    }
+  }
+}"""
+
+
+def _set_up(tmp_path, capsys, name, seed, options):
+    """The analysis.json and stdout of one `dataset set-up`, and its directory."""
+    data = tmp_path / "data"
+    assert main(["--data-dir", str(data), "--seed", seed, "dataset", "set-up", "--name", name,
+                 *options]) == 0
+    out_dir = data / name
+    return (out_dir / "analysis.json").read_text(encoding="utf-8"), capsys.readouterr().out, out_dir
+
+
+def test_a_pre_split_set_up_writes_and_prints_the_pinned_analysis(tmp_path, capsys):
+    for split, text in (("train", TRAIN), ("val", VAL), ("test", TEST)):
+        (tmp_path / f"{split}.conll").write_text(text, encoding="utf-8")
+    written, printed, out_dir = _set_up(tmp_path, capsys, "presplit", "42", [
+        "--source", "LF", "--train-path", str(tmp_path / "train.conll"),
+        "--val-path", str(tmp_path / "val.conll"), "--test-path", str(tmp_path / "test.conll"),
+    ])
+    assert written == EXPECTED_PRESPLIT_ANALYSIS + "\n"
+    assert printed == f"wrote canonical dataset to {out_dir}\n" + EXPECTED_PRESPLIT_ANALYSIS + "\n"
+
+
+def test_an_unsplit_set_up_writes_and_prints_the_pinned_analysis(tmp_path, capsys):
+    export = tmp_path / "export.jsonl"
+    export.write_text("".join(json.dumps(r) + "\n" for r in EXPORT), encoding="utf-8")
+    written, printed, out_dir = _set_up(tmp_path, capsys, "unsplit", "7", [
+        "--source", "AT", "--path", str(export), "--split-ratio", "0.6,0.2,0.2",
+    ])
+    assert written == EXPECTED_UNSPLIT_ANALYSIS + "\n"
+    assert printed == f"wrote canonical dataset to {out_dir}\n" + EXPECTED_UNSPLIT_ANALYSIS + "\n"
+
+
+def _report(micro_f1, class_f1, support):
+    return {"strict": {"micro": {"entity": {"f1": micro_f1}},
+                       "per_class": {"org.x": {"entity": {"f1": class_f1, "support": support}}}}}
+
+
+def test_aggregate_writes_the_pinned_tree_and_line(tmp_path, capsys):
+    for name, seed, report in (
+        ("run-a", 1, _report(0.5, 0.25, 3)),
+        ("run-b", 2, _report(0.75, 0.5, 3)),
+        ("run-c", 3, _report(0.6, 0.5, 3)),
+    ):
+        runs.save_run(runs.RunRecord(name, seed, report), tmp_path)
+    assert main(["aggregate", "--runs-dir", str(tmp_path),
+                 "--selection-metric", "strict.per_class.org.x.entity.f1"]) == 0
+    assert (tmp_path / "aggregate.json").read_text(encoding="utf-8") == EXPECTED_AGGREGATE + "\n"
+    assert capsys.readouterr().out == (
+        "strict.per_class.org.x.entity.f1: 0.4167 +/- 0.0833 (n=3), best run: run-b\n"
+    )
