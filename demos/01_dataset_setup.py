@@ -3,7 +3,8 @@
 Four source kinds are supported: local files (LF), pretokenized JSONL
 exports (HF), annotation-tool exports (AT), and small built-in corpora
 (BI). Whatever goes in, what comes out is always the same: canonical
-{train,val,test}.jsonl plus analysis.json.
+{train,val,test}.jsonl plus analysis.json, whose tree `set_up` also
+returns as a plain dict.
 """
 
 import json
@@ -22,8 +23,8 @@ splits, analysis = set_up("BI", name="mini-conll", data_dir=workdir)
 train, val, test = splits
 
 print(f"split sizes: train={len(train)} val={len(val)} test={len(test)}")
-print(f"detected scheme: {analysis.scheme_detected.value}")
-print(f"entity counts (train): {analysis.entity_counts['train']}")
+print(f"detected scheme: {analysis['scheme_detected']}")
+print(f"entity counts (train): {analysis['entity_counts']['train']}")
 print(f"files written under {workdir / 'mini-conll'}:")
 for path in sorted((workdir / "mini-conll").iterdir()):
     print(f"  {path.name}")
@@ -40,7 +41,7 @@ splits, analysis = set_up(
     seed=42, data_dir=workdir,
 )
 print(f"\n10 documents at 0.8/0.1/0.1 -> {[len(s) for s in splits]}")
-print(f"seed recorded in the analysis: {analysis.seed}")
+print(f"seed recorded in the analysis: {analysis['seed']}")
 
 # same seed, same shuffle: set-up is reproducible
 again, _ = set_up("LF", name="toy2", path=column_file, seed=42, data_dir=workdir)

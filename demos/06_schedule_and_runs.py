@@ -47,6 +47,6 @@ records = [
     for seed, f1 in enumerate([0.8, 0.9, 0.85])
 ]
 result = aggregate(records, metric)
-summary = result.metrics[metric]
-print(f"\n{metric}: {summary.mean:.4f} +/- {summary.uncertainty:.4f} (n={summary.n})")
+summary = result["metrics"][metric]
+print(f"\n{metric}: {summary['mean']:.4f} +/- {summary['uncertainty']:.4f} (n={summary['n']})")
 print(f"best run: {best_model(records, metric).run_name}")

@@ -42,7 +42,6 @@ from .inference import (
     split_words,
 )
 from .ingest import (
-    DatasetAnalysis,
     DatasetSplit,
     analyze,
     parse_annotation_tool_export,
@@ -53,7 +52,7 @@ from .ingest import (
     split_documents,
     write_canonical_jsonl,
 )
-from .runs import AggregateResult, RunRecord, aggregate, best_model
+from .runs import RunRecord, aggregate, best_model
 from .schedule import (
     ScheduleConfig,
     ScheduleState,
@@ -76,9 +75,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnotationScheme",
-    "AggregateResult",
     "Chunk",
-    "DatasetAnalysis",
     "DatasetEvaluation",
     "DatasetSplit",
     "Document",

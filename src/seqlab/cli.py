@@ -143,7 +143,7 @@ def cmd_dataset_setup(args) -> int:
     )
     out_dir = ingest.resolve_data_dir(args.data_dir) / name
     print(f"wrote canonical dataset to {out_dir}")
-    print(json.dumps(analysis.as_dict(), ensure_ascii=False, indent=2))
+    print(json.dumps(analysis, ensure_ascii=False, indent=2))
     return 0
 
 
@@ -434,10 +434,10 @@ def cmd_aggregate(args) -> int:
     records = runs.load_runs(args.runs_dir)
     result = runs.aggregate(records, args.selection_metric)
     runs.save_aggregate(result, args.runs_dir)
-    chosen = result.metrics[args.selection_metric]
+    chosen = result["metrics"][args.selection_metric]
     print(
-        f"{args.selection_metric}: {chosen.mean:.4f} +/- {chosen.uncertainty:.4f} "
-        f"(n={chosen.n}), best run: {result.best_run}"
+        f"{args.selection_metric}: {chosen['mean']:.4f} +/- {chosen['uncertainty']:.4f} "
+        f"(n={chosen['n']}), best run: {result['best_run']}"
     )
     return 0
 

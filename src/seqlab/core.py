@@ -463,7 +463,8 @@ class Document(_DocumentFields):
     one, as a canonical line's "words" are; word spans must be non-empty,
     non-overlapping and strictly increasing; entities must be
     non-overlapping and sorted by char_start; every span's surface must
-    equal the text slice.
+    equal the text slice, and an entity's surface neither starts nor ends
+    with whitespace, as the readers trim it.
     """
 
     __slots__ = ()
@@ -523,6 +524,8 @@ class Document(_DocumentFields):
                     f"entity surface {e.surface!r} does not match text slice "
                     f"{self.text[e.char_start:e.char_end]!r}"
                 )
+            if e.surface[0].isspace() or e.surface[-1].isspace():
+                raise ValueError(f"entity surface {e.surface!r} starts or ends with whitespace")
             if e.word_start is not None and self.words is not None:
                 if not (0 <= e.word_start < e.word_end <= len(self.words)):
                     raise ValueError(f"entity word span out of range: {e!r}")

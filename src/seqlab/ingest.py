@@ -12,7 +12,9 @@ JSONL with one document per line,
     {"text": ..., "words": [{"surface", "start", "end"}, ...] | null,
      "labels": [...] | null, "entities": [{"start", "end", "label"}, ...] | null}
 
-plus an `analysis.json` with corpus statistics. Splitting of unsplit
+plus an `analysis.json` with corpus statistics. That file holds the
+dict tree that `analyze` builds and `set_up` returns, key for key, so
+`load_analysis` reads back an equal dict. Splitting of unsplit
 sources is a deterministic seeded shuffle with floor/floor/remainder
 sizing, so the same input and seed always produce the same splits.
 
@@ -128,27 +130,6 @@ class _RowSplit(DatasetSplit):
 
     def _as_rows(self) -> Iterable[_Row]:
         return self.documents
-
-
-class DatasetAnalysis(NamedTuple):
-    """Corpus statistics computed during set-up."""
-
-    num_documents: dict[str, int]
-    num_words: dict[str, int]
-    entity_counts: dict[str, dict[str, int]]
-    scheme_detected: AnnotationScheme
-    pretokenized: bool
-    seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "num_documents": dict(self.num_documents),
-            "num_words": dict(self.num_words),
-            "entity_counts": {s: dict(c) for s, c in self.entity_counts.items()},
-            "scheme_detected": self.scheme_detected.value,
-            "pretokenized": self.pretokenized,
-            "seed": self.seed,
-        }
 
 
 def read_text(path: str | Path) -> str:
@@ -698,12 +679,13 @@ def analyze(
     *,
     scheme: AnnotationScheme | str | None = None,
     seed: int | None = None,
-) -> DatasetAnalysis:
-    """Compute corpus statistics: document/word counts, per-class entity
-    counts (strict chunk decoding for labeled documents), the scheme
-    (``scheme`` if given, else read off the documents' parsed labels),
-    and whether the corpus is pretokenized. Labels are decoded in that
-    scheme."""
+) -> dict:
+    """Corpus statistics as the tree that analysis.json holds: document
+    and word counts and per-class entity counts (strict chunk decoding
+    for labeled documents) per split, the scheme's name (``scheme`` if
+    given, else read off the documents' parsed labels), whether the
+    corpus is pretokenized, and the split seed. Labels are decoded in
+    that scheme."""
     rows = [list(split._as_rows()) for split in splits]
     labels = [row.labels for split in rows for row in split if row.labels is not None]
     scheme = resolve_scheme(chain.from_iterable(labels), scheme)
@@ -726,14 +708,14 @@ def analyze(
                 counts[class_name] = counts.get(class_name, 0) + 1
         num_words[split.name] = words
         entity_counts[split.name] = dict(sorted(counts.items()))
-    return DatasetAnalysis(
-        num_documents=num_documents,
-        num_words=num_words,
-        entity_counts=entity_counts,
-        scheme_detected=scheme,
-        pretokenized=pretokenized,
-        seed=seed,
-    )
+    return {
+        "num_documents": num_documents,
+        "num_words": num_words,
+        "entity_counts": entity_counts,
+        "scheme_detected": scheme.value,
+        "pretokenized": pretokenized,
+        "seed": seed,
+    }
 
 
 def _file_records(path: str | Path, dialect: str | None) -> list[tuple[int | tuple, dict]]:
@@ -801,7 +783,7 @@ def set_up(
     test_fraction: float | None = None,
     scheme: AnnotationScheme | str | None = None,
     data_dir: str | Path | None = None,
-) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], DatasetAnalysis]:
+) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], dict]:
     """Normalize a dataset from any source into canonical files.
 
     ``source`` is "LF", "HF", "AT" or "BI", in any case; any other raises
@@ -821,7 +803,7 @@ def set_up(
         dialect=dialect, split_ratio=split_ratio, seed=seed,
         fractions=(train_fraction, val_fraction, test_fraction), scheme=scheme, data_dir=data_dir,
     )
-    scheme = analysis.scheme_detected
+    scheme = AnnotationScheme.coerce(analysis["scheme_detected"])
     return tuple(
         DatasetSplit(split.name, _documents(split.documents, scheme)) for split in splits
     ), analysis
@@ -839,7 +821,7 @@ def _set_up(
     fractions: Sequence[float | None],
     scheme: AnnotationScheme | str | None,
     data_dir: str | Path | None,
-) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], DatasetAnalysis]:
+) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], dict]:
     """`set_up`'s files and analysis, and its splits of rows."""
     kind = str(source).upper()
     if kind not in ("LF", "HF", "AT", "BI"):
@@ -875,7 +857,7 @@ def _set_up(
         with open(out_dir / f"{split.name}.jsonl", "w", encoding="utf-8") as handle:
             handle.writelines([_canonical_line(row, literals) for row in split.documents])
     with open(out_dir / "analysis.json", "w", encoding="utf-8") as handle:
-        json.dump(analysis.as_dict(), handle, ensure_ascii=False, indent=2)
+        json.dump(analysis, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     return splits, analysis
 

@@ -18,8 +18,12 @@ metric is any path of these tables, a dotted class name included; the
 best run is its argmax, ties broken by the lowest seed, and a record
 without it raises MissingMetric.
 
-Records persist as JSON under ``runs/<training_name>/<run_name>.json``
-with the aggregate written next to them as ``aggregate.json``. A record
+``aggregate`` returns the tree that ``save_aggregate`` writes, key for
+key: ``{"selection_metric", "best_run", "metrics": {path: {"mean",
+"uncertainty", "n", "per_run"}}}``, the paths sorted and ``per_run`` in
+record order. Records persist as JSON under
+``runs/<training_name>/<run_name>.json`` with the aggregate written next
+to them as ``aggregate.json``. A record
 file that is not JSON (too deeply nested included), lacks ``run_name``,
 ``seed`` or ``reports``, names its run with anything but a string or
 gives a seed that is not a JSON integer (``1.9``, ``true``, ``"3"``)
@@ -50,34 +54,6 @@ class RunRecord(NamedTuple):
     seed: int
     reports: Mapping
     artifacts_path: str = ""
-
-
-class MetricAggregate(NamedTuple):
-    mean: float
-    uncertainty: float
-    n: int
-    per_run: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "uncertainty": self.uncertainty,
-            "n": self.n,
-            "per_run": list(self.per_run),
-        }
-
-
-class AggregateResult(NamedTuple):
-    metrics: Mapping[str, MetricAggregate]
-    best_run: str
-    selection_metric: str
-
-    def as_dict(self) -> dict:
-        return {
-            "selection_metric": self.selection_metric,
-            "best_run": self.best_run,
-            "metrics": {path: agg.as_dict() for path, agg in self.metrics.items()},
-        }
 
 
 def _metric_table(record: RunRecord) -> dict[str, float]:
@@ -142,9 +118,10 @@ def best_model(
 def aggregate(
     records: Sequence[RunRecord],
     selection_metric: str = DEFAULT_SELECTION_METRIC,
-) -> AggregateResult:
+) -> dict:
     """Mean and standard-error aggregation over every metric path
-    present (and numeric) in all records."""
+    present (and numeric) in all records, as the tree that
+    aggregate.json holds."""
     import statistics  # only this command needs it, so it stays out of start-up
 
     tables = [_metric_table(record) for record in records]
@@ -153,16 +130,16 @@ def aggregate(
     metrics = {}
     for path in sorted(shared):
         values = [table[path] for table in tables]
-        # stdev of equal finite values is 0.0; its exact arithmetic is slow
-        metrics[path] = MetricAggregate(
-            mean=statistics.fmean(values),
-            uncertainty=statistics.stdev(values) / math.sqrt(len(values))
+        metrics[path] = {
+            "mean": statistics.fmean(values),
+            # stdev of equal finite values is 0.0; its exact arithmetic is slow
+            "uncertainty": statistics.stdev(values) / math.sqrt(len(values))
             if len(set(values)) > 1
             else 0.0,
-            n=len(values),
-            per_run=tuple(values),
-        )
-    return AggregateResult(metrics, best.run_name, selection_metric)
+            "n": len(values),
+            "per_run": values,
+        }
+    return {"selection_metric": selection_metric, "best_run": best.run_name, "metrics": metrics}
 
 
 def save_run(record: RunRecord, directory: str | Path) -> Path:
@@ -212,10 +189,10 @@ def load_runs(directory: str | Path) -> list[RunRecord]:
     return records
 
 
-def save_aggregate(result: AggregateResult, directory: str | Path) -> Path:
+def save_aggregate(result: dict, directory: str | Path) -> Path:
     path = Path(directory) / "aggregate.json"
     path.write_text(
-        json.dumps(result.as_dict(), ensure_ascii=False, indent=2) + "\n",
+        json.dumps(result, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
     return path

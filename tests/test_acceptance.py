@@ -303,11 +303,11 @@ def test_criterion_7_aggregation():
 
     metric = "strict.micro.entity.f1"
     result = aggregate([record("a", 0, 0.8), record("b", 1, 0.9)], metric)
-    assert result.metrics[metric].mean == pytest.approx(0.85, abs=1e-12)
-    assert result.metrics[metric].uncertainty == pytest.approx(0.05, abs=1e-12)
+    assert result["metrics"][metric]["mean"] == pytest.approx(0.85, abs=1e-12)
+    assert result["metrics"][metric]["uncertainty"] == pytest.approx(0.05, abs=1e-12)
 
     single = aggregate([record("only", 0, 0.7)], metric)
-    assert single.metrics[metric].uncertainty == 0.0
+    assert single["metrics"][metric]["uncertainty"] == 0.0
 
     rng = random.Random(707)
     for _ in range(100):

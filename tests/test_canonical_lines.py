@@ -53,7 +53,9 @@ def written(documents) -> str:
 @st.composite
 def documents(draw):
     """A document with words only, words and labels, entities only, all
-    three, or none, over text full of characters JSON escapes."""
+    three, or none, over text full of characters JSON escapes. Entity
+    spans are trimmed of whitespace at both ends, as the readers trim
+    them and as a Document requires."""
     surfaces = draw(st.lists(st.text(CHARACTERS, min_size=1, max_size=4), max_size=6))
     text = draw(st.text(CHARACTERS, max_size=2))
     words = []
@@ -71,10 +73,14 @@ def documents(draw):
         )
     if shape in ("entities", "all"):
         cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=6)))
-        entities = [
-            EntitySpan(draw(CLASSES), start, end, text[start:end])
-            for start, end in zip(cuts[::2], cuts[1::2])
-        ]
+        entities = []
+        for start, end in zip(cuts[::2], cuts[1::2]):
+            while start < end and text[start].isspace():
+                start += 1
+            while start < end and text[end - 1].isspace():
+                end -= 1
+            if start < end:
+                entities.append(EntitySpan(draw(CLASSES), start, end, text[start:end]))
     if shape in ("entities", "text"):
         words = None
     return Document(text, words=words, word_labels=labels, entities=entities)
@@ -107,10 +113,8 @@ def with_bool_offsets(doc):
     bools=st.lists(st.booleans(), min_size=4, max_size=4),
 )
 def test_every_written_line_reads_back_to_its_document(docs, bools):
-    """Documents as the reader gives them (it trims entity spans, and
-    takes no empty input) are written so that it gives them back; bool
+    """Every document is written so that the reader gives it back; bool
     offsets are written as the ints they equal."""
-    docs = read_canonical_jsonl(written(docs), scheme="BILOU")
     docs = [with_bool_offsets(d) if as_bools else d for d, as_bools in zip(docs, bools)]
     assert read_canonical_jsonl(written(docs), scheme="BILOU") == docs
 

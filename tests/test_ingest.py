@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from seqlab.core import AnnotationScheme
 from seqlab.errors import (
     EmptyInput,
     FractionOutOfRange,
@@ -348,16 +347,16 @@ class TestAnalyze:
         analysis = analyze(
             [DatasetSplit("train", tuple(tiny_docs(2))), DatasetSplit("test", ())]
         )
-        assert analysis.num_documents["test"] == 0
-        assert analysis.num_words["test"] == 0
-        assert analysis.entity_counts["test"] == {}
+        assert analysis["num_documents"]["test"] == 0
+        assert analysis["num_words"]["test"] == 0
+        assert analysis["entity_counts"]["test"] == {}
 
     def test_single_chunk(self):
         docs = parse_conll("Ada B-PER\nLovelace I-PER\nwrote O\n")
         analysis = analyze([DatasetSplit("train", tuple(docs))])
-        assert analysis.entity_counts["train"] == {"PER": 1}
-        assert analysis.scheme_detected is AnnotationScheme.BIO
-        assert analysis.pretokenized
+        assert analysis["entity_counts"]["train"] == {"PER": 1}
+        assert analysis["scheme_detected"] == "BIO"
+        assert analysis["pretokenized"] is True
 
     def test_counts_match_extraction_oracle(self):
         rng = random.Random(17)
@@ -372,22 +371,22 @@ class TestAnalyze:
         for doc in docs:
             for chunk in extract_entities(doc.word_labels, "strict"):
                 expected[chunk.class_name] = expected.get(chunk.class_name, 0) + 1
-        assert analysis.entity_counts["train"] == expected
+        assert analysis["entity_counts"]["train"] == expected
 
     def test_entity_documents_counted_via_spans(self):
         docs = parse_annotation_tool_export(
             '{"text":"The United Nations","label":[[4,18,"ORG"]]}\n', "DoccanoJsonl"
         )
         analysis = analyze([DatasetSplit("train", tuple(docs))])
-        assert analysis.entity_counts["train"] == {"ORG": 1}
-        assert not analysis.pretokenized
+        assert analysis["entity_counts"]["train"] == {"ORG": 1}
+        assert analysis["pretokenized"] is False
 
 
 class TestSetUp:
     def test_builtin_dataset(self, tmp_path):
         splits, analysis = set_up("BI", name="mini-conll", data_dir=tmp_path)
         assert [len(s) for s in splits] == [18, 3, 3]
-        assert analysis.scheme_detected is AnnotationScheme.BIO
+        assert analysis["scheme_detected"] == "BIO"
         for split_name in ("train", "val", "test"):
             assert (tmp_path / "mini-conll" / f"{split_name}.jsonl").is_file()
         assert (tmp_path / "mini-conll" / "analysis.json").is_file()
@@ -403,7 +402,7 @@ class TestSetUp:
             "LF", name="ten", path=source, seed=42, data_dir=tmp_path
         )
         assert [len(s) for s in splits] == [8, 1, 1]
-        assert analysis.seed == 42
+        assert analysis["seed"] == 42
 
     def test_same_seed_same_splits(self, tmp_path):
         source = tmp_path / "data.conll"
@@ -426,7 +425,7 @@ class TestSetUp:
             data_dir=tmp_path,
         )
         assert [len(s) for s in splits] == [4, 2, 1]
-        assert analysis.seed is None
+        assert analysis["seed"] is None
 
     def test_train_fraction_prunes(self, tmp_path):
         source = tmp_path / "data.conll"
@@ -467,7 +466,7 @@ class TestSetUp:
             "AT", name="tool", path=source, dialect="doccano", data_dir=tmp_path
         )
         assert sum(len(s) for s in splits) == 10
-        assert not analysis.pretokenized
+        assert analysis["pretokenized"] is False
 
     def test_load_split_and_analysis(self, tmp_path):
         set_up("BI", name="mini-conll", data_dir=tmp_path)
@@ -475,6 +474,25 @@ class TestSetUp:
         assert len(split) == 3
         analysis = load_analysis(tmp_path / "mini-conll")
         assert analysis["scheme_detected"] == "BIO"
+
+    @pytest.mark.parametrize("source, file_name, content", [
+        ("BI", None, None),
+        ("LF", "data.conll", "".join(f"w{i} B-X\nv O\n\n" for i in range(10))),
+        ("AT", "export.jsonl", "".join(
+            json.dumps({"text": f"doc {i}", "label": [[0, 3, "X"]]}) + "\n" for i in range(10)
+        )),
+    ], ids=["BI", "LF", "AT"])
+    def test_the_analysis_is_the_tree_analysis_json_holds(self, tmp_path, source, file_name,
+                                                          content):
+        """set_up returns a plain dict equal to what load_analysis reads
+        back from the analysis.json it wrote."""
+        kwargs = {}
+        if file_name is not None:
+            kwargs = {"path": tmp_path / file_name, "seed": 5}
+            kwargs["path"].write_text(content)
+        _, analysis = set_up(source, name="mini-conll", data_dir=tmp_path, **kwargs)
+        assert type(analysis) is dict
+        assert load_analysis(tmp_path / "mini-conll") == analysis
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(UnresolvableSource):

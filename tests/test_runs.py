@@ -37,45 +37,45 @@ def record(name, seed, f1, extra=None):
 class TestAggregate:
     def test_two_runs_mean_and_standard_error(self):
         result = aggregate([record("r0", 0, 0.8), record("r1", 1, 0.9)], METRIC)
-        agg = result.metrics[METRIC]
-        assert agg.mean == pytest.approx(0.85, abs=1e-12)
+        agg = result["metrics"][METRIC]
+        assert agg["mean"] == pytest.approx(0.85, abs=1e-12)
         # s = 0.0707106..., s / sqrt(2) = 0.05 exactly
-        assert agg.uncertainty == pytest.approx(0.05, abs=1e-12)
-        assert agg.n == 2
-        assert agg.per_run == (0.8, 0.9)
+        assert agg["uncertainty"] == pytest.approx(0.05, abs=1e-12)
+        assert agg["n"] == 2
+        assert agg["per_run"] == [0.8, 0.9]
 
     def test_single_run_has_zero_uncertainty(self):
         result = aggregate([record("only", 3, 0.7)], METRIC)
-        agg = result.metrics[METRIC]
-        assert (agg.mean, agg.uncertainty, agg.n) == (0.7, 0.0, 1)
+        agg = result["metrics"][METRIC]
+        assert (agg["mean"], agg["uncertainty"], agg["n"]) == (0.7, 0.0, 1)
 
     def test_identical_runs_have_zero_uncertainty(self):
         records = [record(f"r{i}", i, 0.6) for i in range(3)]
-        agg = aggregate(records, METRIC).metrics[METRIC]
-        assert (agg.mean, agg.uncertainty) == (0.6, 0.0)
+        agg = aggregate(records, METRIC)["metrics"][METRIC]
+        assert (agg["mean"], agg["uncertainty"]) == (0.6, 0.0)
 
     def test_matches_arithmetic_oracle(self):
         rng = random.Random(31)
         for _ in range(100):
             values = [rng.random() for _ in range(rng.randint(1, 8))]
             records = [record(f"r{i}", i, v) for i, v in enumerate(values)]
-            agg = aggregate(records, METRIC).metrics[METRIC]
+            agg = aggregate(records, METRIC)["metrics"][METRIC]
             mean, sem = oracle_mean_sem(values)
-            assert agg.mean == pytest.approx(mean, abs=1e-12)
-            assert agg.uncertainty == pytest.approx(sem, abs=1e-12)
+            assert agg["mean"] == pytest.approx(mean, abs=1e-12)
+            assert agg["uncertainty"] == pytest.approx(sem, abs=1e-12)
 
     def test_mean_within_run_range(self):
         rng = random.Random(32)
         for _ in range(50):
             values = [rng.random() for _ in range(rng.randint(1, 6))]
             records = [record(f"r{i}", i, v) for i, v in enumerate(values)]
-            agg = aggregate(records, METRIC).metrics[METRIC]
-            assert min(values) <= agg.mean <= max(values)
+            agg = aggregate(records, METRIC)["metrics"][METRIC]
+            assert min(values) <= agg["mean"] <= max(values)
 
     def test_all_shared_numeric_paths_are_aggregated(self):
         records = [record("a", 0, 0.5), record("b", 1, 0.7)]
         result = aggregate(records, METRIC)
-        assert set(result.metrics) == {
+        assert set(result["metrics"]) == {
             "strict.micro.entity.f1",
             "strict.micro.entity.precision",
         }
@@ -101,7 +101,7 @@ class TestAggregate:
 
     def test_default_selection_metric(self):
         result = aggregate([record("a", 0, 0.5)])
-        assert result.selection_metric == DEFAULT_SELECTION_METRIC
+        assert result["selection_metric"] == DEFAULT_SELECTION_METRIC
 
     def test_colliding_paths_fail_naming_both_key_chains(self):
         """The confusion cells a.b -> c and a -> b.c join to one path;
@@ -178,7 +178,35 @@ def test_aggregate_matches_the_reference(trees, selected):
         RunRecord(f"r{i}", i, {**tree, "selected": value})
         for i, (tree, value) in enumerate(zip(trees, selected))
     ]
-    assert aggregate(records, "selected").as_dict()["metrics"] == reference_metrics(records)
+    assert aggregate(records, "selected")["metrics"] == reference_metrics(records)
+
+
+# Keys with dots, none of which splits into other keys, so no two leaves
+# share a path.
+DOTTED_TREES = st.recursive(
+    METRIC_LEAVES,
+    lambda children: st.dictionaries(st.sampled_from(["a", "org.x", "f1"]), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    trees=st.lists(st.dictionaries(st.sampled_from(["x", "per_class.org.x"]), DOTTED_TREES),
+                   min_size=2, max_size=4),
+    selected=st.lists(st.sampled_from([0.5, 0.75, 0.9]), min_size=4, max_size=4),
+)
+def test_the_aggregate_is_the_tree_aggregate_json_holds(trees, selected):
+    """aggregate returns a plain dict that reads back equal from the
+    aggregate.json that save_aggregate writes."""
+    records = [
+        RunRecord(f"r{i}", i, {**tree, "selected": value})
+        for i, (tree, value) in enumerate(zip(trees, selected))
+    ]
+    result = aggregate(records, "selected")
+    assert type(result) is dict
+    with tempfile.TemporaryDirectory() as tmp:
+        assert json.loads(save_aggregate(result, tmp).read_text(encoding="utf-8")) == result
 
 
 class TestBestModel:
@@ -234,7 +262,7 @@ class TestBestModel:
             record("b", 1, 0.1, {"per_class": {"org.x": {"f1": 0.7}}}),
         ]
         assert best_model(records, "per_class.org.x.f1").run_name == "b"
-        assert aggregate(records, "per_class.org.x.f1").best_run == "b"
+        assert aggregate(records, "per_class.org.x.f1")["best_run"] == "b"
 
 
 class TestPersistence:
@@ -266,8 +294,8 @@ class TestPersistence:
         ]
         records = [RunRecord(f"run{i}", i, result) for i, result in enumerate(results)]
         aggregated = aggregate(records)
-        assert aggregated.best_run == "run1"
-        assert aggregated.metrics[METRIC].per_run == (2 / 3, 1.0)
+        assert aggregated["best_run"] == "run1"
+        assert aggregated["metrics"][METRIC]["per_run"] == [2 / 3, 1.0]
         for record in records:
             save_run(record, tmp_path)
         assert aggregate(load_runs(tmp_path)) == aggregated

@@ -157,7 +157,7 @@ def test_set_up_files_are_the_records_of_its_documents(files, ratio, seed, fract
             for name in ("cli", "public"):
                 written = (tmp / name / f"{split.name}.jsonl").read_text(encoding="utf-8")
                 assert written == encoded(split.documents)
-        expected = json.dumps(analysis.as_dict(), ensure_ascii=False, indent=2) + "\n"
+        expected = json.dumps(analysis, ensure_ascii=False, indent=2) + "\n"
         for name in ("cli", "public"):
             assert (tmp / name / "analysis.json").read_text(encoding="utf-8") == expected
 

@@ -31,8 +31,8 @@ from seqlab.inference import (
     LexiconTagger,
     WordPrediction,
 )
-from seqlab.ingest import DatasetAnalysis, DatasetSplit
-from seqlab.runs import AggregateResult, MetricAggregate, RunRecord
+from seqlab.ingest import DatasetSplit
+from seqlab.runs import RunRecord
 from seqlab.schedule import ScheduleConfig, ScheduleState, SimulationRow
 from seqlab.schemes import TokenAlignment
 
@@ -66,12 +66,6 @@ RECORDS = [
         dict(name="test", documents=(Document("a"),)),
     ),
     (
-        DatasetAnalysis, ({"test": 1}, {"test": 2}, {"test": {"PER": 1}}, BIO, True), {},
-        dict(num_documents={"test": 1}, num_words={"test": 2},
-             entity_counts={"test": {"PER": 1}}, scheme_detected=BIO, pretokenized=True,
-             seed=None),
-    ),
-    (
         Counts, (Counter({("PER", "tp"): 1}),), {},
         dict(strict=Counter({("PER", "tp"): 1}), lenient=Counter(), words=Counter()),
     ),
@@ -90,14 +84,6 @@ RECORDS = [
     (
         RunRecord, ("r1", 7, {"f1": 1.0}), {},
         dict(run_name="r1", seed=7, reports={"f1": 1.0}, artifacts_path=""),
-    ),
-    (
-        MetricAggregate, (0.5, 0.1, 2, (0.4, 0.6)), {},
-        dict(mean=0.5, uncertainty=0.1, n=2, per_run=(0.4, 0.6)),
-    ),
-    (
-        AggregateResult, ({}, "r1", "f1"), {},
-        dict(metrics={}, best_run="r1", selection_metric="f1"),
     ),
     (ScheduleConfig, (), {"max_lr": 0.1}, dict(max_lr=0.1, **DEFAULT_CONFIG)),
     (
@@ -203,6 +189,14 @@ INVALID = [
     (
         lambda: Document("ab", entities=[entity(0, 1, "b")]), ValueError,
         "entity surface 'b' does not match text slice 'a'",
+    ),
+    (
+        lambda: Document(" x", entities=[EntitySpan("PER", 0, 2, " x")]), ValueError,
+        "entity surface ' x' starts or ends with whitespace",
+    ),
+    (
+        lambda: Document("x\u2028", entities=[entity(0, 2, "x\u2028")]), ValueError,
+        "entity surface 'x\\u2028' starts or ends with whitespace",
     ),
     (
         lambda: Document(
