@@ -2,8 +2,10 @@
 
 Every record type is checked for its field values, equality by value,
 its ``Name(field=value, ...)`` repr and a copy and pickle round trip; the
-immutable ones also for rejecting assignment to a field. Each validation
-error keeps its type and message.
+immutable ones also for rejecting assignment to a field. The trees that
+analysis.json and aggregate.json hold are plain dicts and are checked the
+same way: read by key, shown and compared as dicts, and assignable. Each
+validation error keeps its type and message.
 """
 
 import copy
@@ -31,8 +33,8 @@ from seqlab.inference import (
     LexiconTagger,
     WordPrediction,
 )
-from seqlab.ingest import DatasetSplit
-from seqlab.runs import RunRecord
+from seqlab.ingest import DatasetSplit, analyze
+from seqlab.runs import RunRecord, aggregate
 from seqlab.schedule import ScheduleConfig, ScheduleState, SimulationRow
 from seqlab.schemes import TokenAlignment
 
@@ -95,16 +97,51 @@ RECORDS = [
 ]
 MUTABLE = {Counts}
 
+RUNS = (RunRecord("r1", 7, {"f1": 1.0}), RunRecord("r2", 8, {"f1": 3.0}))
+F1 = dict(mean=2.0, uncertainty=1.0, n=2, per_run=[1.0, 3.0])
+
+
+def metric_tree(*records):
+    return aggregate(records, "f1")["metrics"]["f1"]
+
+
+# The analysis, one metric's aggregate and the whole aggregate, each built
+# by the function that returns it and named by the record type it was.
+TREES = {
+    "DatasetAnalysis": (
+        analyze,
+        ([DatasetSplit("test", [Document(
+            "Ann sings", words=list(WORDS), entities=[EntitySpan("PER", 0, 3, "Ann")]
+        )])],),
+        {"scheme": BIO, "seed": 7},
+        dict(num_documents={"test": 1}, num_words={"test": 2},
+             entity_counts={"test": {"PER": 1}}, scheme_detected="BIO", pretokenized=True,
+             seed=7),
+    ),
+    "MetricAggregate": (metric_tree, RUNS, {}, F1),
+    "AggregateResult": (
+        aggregate, (RUNS, "f1"), {}, dict(selection_metric="f1", best_run="r2", metrics={"f1": F1})
+    ),
+}
+
 
 def record_id(case):
     return case[0].__name__
 
 
-@pytest.mark.parametrize("cls, args, kwargs, fields", RECORDS, ids=map(record_id, RECORDS))
+def read(value, name):
+    return value[name] if isinstance(value, dict) else getattr(value, name)
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, fields",
+    RECORDS + list(TREES.values()),
+    ids=[*map(record_id, RECORDS), *TREES],
+)
 class TestRecordValues:
     def test_fields(self, cls, args, kwargs, fields):
         value = cls(*args, **kwargs)
-        assert {name: getattr(value, name) for name in fields} == fields
+        assert {name: read(value, name) for name in fields} == fields
 
     def test_equality_by_value(self, cls, args, kwargs, fields):
         first, second = cls(*args, **kwargs), cls(*args, **kwargs)
@@ -113,8 +150,12 @@ class TestRecordValues:
         assert first != object()
 
     def test_repr_names_every_field(self, cls, args, kwargs, fields):
+        value = cls(*args, **kwargs)
+        if isinstance(value, dict):
+            assert repr(value) == repr(fields)
+            return
         shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
-        assert repr(cls(*args, **kwargs)) == f"{cls.__name__}({shown})"
+        assert repr(value) == f"{cls.__name__}({shown})"
 
     def test_copy_and_pickle_keep_the_value(self, cls, args, kwargs, fields):
         value = cls(*args, **kwargs)
@@ -124,12 +165,14 @@ class TestRecordValues:
     def test_fields_are_read_only_unless_mutable(self, cls, args, kwargs, fields):
         value = cls(*args, **kwargs)
         for name, field_value in fields.items():
-            if cls in MUTABLE:
+            if isinstance(value, dict):
+                value[name] = field_value
+            elif cls in MUTABLE:
                 setattr(value, name, field_value)
             else:
                 with pytest.raises(AttributeError):
                     setattr(value, name, field_value)
-        assert {name: getattr(value, name) for name in fields} == fields
+        assert {name: read(value, name) for name in fields} == fields
 
 
 def entity(start, end, surface, **kwargs):
