@@ -33,9 +33,9 @@ print(f"lenient: {extract_entities(inconsistent, 'lenient')}")
 # Full dataset evaluation: strict entity + word level, lenient entity
 # =============================================================================
 
-workdir = Path(tempfile.mkdtemp(prefix="seqlab_demo_"))
-set_up("BI", name="mini-conll", data_dir=workdir)
-split = load_split(workdir / "mini-conll", "test")
+with tempfile.TemporaryDirectory(prefix="seqlab_demo_") as workdir:
+    set_up("BI", name="mini-conll", data_dir=workdir)
+    split = load_split(Path(workdir) / "mini-conll", "test")
 
 lexicon = LexiconTagger({
     "United": "ORG", "Nations": "ORG", "Geneva": "LOC",

@@ -45,15 +45,15 @@ for item in items:
 # File mode: streaming, line-aligned output
 # =============================================================================
 
-workdir = Path(tempfile.mkdtemp(prefix="seqlab_demo_"))
-source = workdir / "in.jsonl"
-sink = workdir / "out.jsonl"
-source.write_text("".join(
-    json.dumps({"text": text}) + "\n"
-    for text in ["The United Nations", "Geneva hosts talks", "nothing here"]
-))
+with tempfile.TemporaryDirectory(prefix="seqlab_demo_") as tmp:
+    source = Path(tmp) / "in.jsonl"
+    sink = Path(tmp) / "out.jsonl"
+    source.write_text("".join(
+        json.dumps({"text": text}) + "\n"
+        for text in ["The United Nations", "Geneva hosts talks", "nothing here"]
+    ))
 
-summary = predict_file(tagger, source, sink)
-print(f"\nprocessed={summary.processed} failed={summary.failed}")
-for line in sink.read_text().splitlines():
-    print(line)
+    summary = predict_file(tagger, source, sink)
+    print(f"\nprocessed={summary.processed} failed={summary.failed}")
+    for line in sink.read_text().splitlines():
+        print(line)

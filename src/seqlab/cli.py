@@ -32,7 +32,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from collections import Counter
 from functools import partial
@@ -48,8 +47,6 @@ from .ranges import _cpu_count, _ranges, _run_ranges
 from .schemes import convert_scheme
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
-#: what may not occur in a set-up name, which is one directory entry
-_SEPARATORS = {"/", os.sep, os.altsep} - {None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +119,7 @@ def cmd_dataset_setup(args) -> int:
         print(f"bad --split-ratio: {args.split_ratio!r}", file=sys.stderr)
         return 2
     name = args.name
-    if name in ("", ".", "..") or "\0" in name or any(sep in name for sep in _SEPARATORS):
+    if not ingest._is_entry(name):
         print(f"bad --name: {name!r} is not one directory entry", file=sys.stderr)
         return 2
     if args.fraction is not None and not 0.0 < args.fraction <= 1.0:

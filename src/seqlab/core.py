@@ -403,6 +403,28 @@ class Word(NamedTuple):
     char_end: int
 
 
+def _check_word_spans(text: str, words: Iterable[tuple]) -> None:
+    """The rules for (surface, start, end) words of ``text``, which
+    `Document` and the canonical reader both apply: each span is after the
+    one before it, non-empty, inside the text and its surface. The first
+    word that breaks one raises ValueError naming it and the rule."""
+    size = len(text)
+    prev_end = 0
+    for surface, start, end in words:
+        if not prev_end <= start < end <= size or text[start:end] != surface:
+            word = Word(surface, start, end)
+            if start < prev_end:
+                raise ValueError(f"word spans overlap or decrease at {word!r}")
+            if end <= start:
+                raise ValueError(f"empty or inverted word span at {word!r}")
+            if end > size:
+                raise ValueError(f"word span out of text bounds: {word!r}")
+            raise ValueError(
+                f"word surface {surface!r} does not match text slice {text[start:end]!r}"
+            )
+        prev_end = end
+
+
 class _EntitySpanFields(NamedTuple):
     class_name: str
     char_start: int
@@ -435,6 +457,8 @@ class EntitySpan(_EntitySpanFields):
     ):
         if not class_name:
             raise ValueError("entity class_name cannot be empty")
+        if class_name == "O":
+            raise ValueError('"O" is the outside label, not an entity class')
         if char_start < 0 or char_end <= char_start:
             raise ValueError(f"invalid char span [{char_start}, {char_end})")
         if (word_start is None) != (word_end is None):
@@ -460,11 +484,14 @@ class Document(_DocumentFields):
 
     A document may carry word tokenization, word-level labels, character
     entities, any combination, or none. Words, where given, are at least
-    one, as a canonical line's "words" are; word spans must be non-empty,
-    non-overlapping and strictly increasing; entities must be
-    non-overlapping and sorted by char_start; every span's surface must
-    equal the text slice, and an entity's surface neither starts nor ends
-    with whitespace, as the readers trim it.
+    one, as a canonical line's "words" are, and pass `_check_word_spans`,
+    the check the canonical reader applies too: spans non-empty,
+    strictly increasing, inside the text and each its surface. Entities
+    must be non-overlapping and sorted by char_start, each surface the
+    text slice, neither starting nor ending with whitespace, as the
+    readers trim it; `EntitySpan` refuses the class "O", as the reader
+    does. So a Document is accepted exactly where its canonical line
+    reads back as it.
     """
 
     __slots__ = ()
@@ -482,7 +509,9 @@ class Document(_DocumentFields):
             entities = tuple(entities)
         self = super().__new__(cls, text, words, word_labels, entities)
         if words is not None:
-            self._check_words()
+            if not words:
+                raise ValueError("words must be None or at least one word")
+            _check_word_spans(text, words)
         if word_labels is not None:
             if words is None:
                 raise ValueError("word_labels require words")
@@ -491,26 +520,6 @@ class Document(_DocumentFields):
         if entities is not None:
             self._check_entities()
         return self
-
-    def _check_words(self):
-        if not self.words:
-            raise ValueError("words must be None or at least one word")
-        text = self.text
-        size = len(text)
-        prev_end = 0
-        for w in self.words:
-            surface, start, end = w
-            if start < prev_end:
-                raise ValueError(f"word spans overlap or decrease at {w!r}")
-            if end <= start:
-                raise ValueError(f"empty or inverted word span at {w!r}")
-            if end > size:
-                raise ValueError(f"word span out of text bounds: {w!r}")
-            if text[start:end] != surface:
-                raise ValueError(
-                    f"word surface {surface!r} does not match text slice {text[start:end]!r}"
-                )
-            prev_end = end
 
     def _check_entities(self):
         prev_end = 0

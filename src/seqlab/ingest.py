@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 from functools import partial
@@ -71,6 +72,7 @@ from .core import (
     LabelSequence,
     LabelTable,
     Word,
+    _check_word_spans,
     decode,
 )
 from .errors import (
@@ -102,6 +104,8 @@ _new_word = partial(tuple.__new__, Word)
 _new_entity = partial(tuple.__new__, EntitySpan)
 _new_document = partial(tuple.__new__, Document)
 _STR, _DICT, _INT = frozenset({str}), frozenset({dict}), frozenset({int})
+#: what may not occur in one directory entry
+_NOT_IN_ENTRY = {"\0", "/", os.sep, os.altsep} - {None}
 
 
 class DatasetSplit(FrozenRecord):
@@ -302,77 +306,47 @@ def _check_record(
     objects with JSON integer offsets of a span inside the text and a class
     name that is a non-empty string other than "O", trimmed of edge
     whitespace (dropped if nothing is left) and disjoint; last, object
-    words give non-empty, increasing spans of the text, each its surface.
-
-    Object words are read in one pass that only tells whether they pass;
-    only where they do not does an ordered walk name the first broken rule,
-    the last one through the walk of `Document`'s own check.
+    words pass `_check_word_spans`, `Document`'s own check of its words.
     """
     text, words = record.get("text"), record.get("words")
-    surfaces = offsets = None
-    bad_spans = False  # object words that pass every rule but the last
+    surfaces = offsets = fields = None
     if words is not None:
-        if type(words) is list and words and type(text) is str:
-            surfaces, starts, ends, end = [], [], [], 0
-            try:
-                for word in words:
-                    surface, start, stop = word["surface"], word["start"], word["end"]
-                    if (
-                        type(start) is not int
-                        or type(stop) is not int
-                        or not end <= start < stop
-                        or text[start:stop] != surface
-                    ):
-                        break
-                    surfaces.append(surface)
+        if not isinstance(words, list) or not words:
+            raise MalformedJson('"words" must be a non-empty array', line=line)
+        kinds = set(map(type, words))
+        if kinds == _STR:
+            if not all(words):
+                raise MalformedJson("words cannot be empty strings", line=line)
+            surfaces = words
+            if text is None:
+                text = " ".join(words)
+            elif not isinstance(text, str):
+                raise MalformedJson('"text" must be a string', line=line)
+            else:
+                starts, ends, cursor = [], [], 0
+                for surface in words:
+                    start = text.find(surface, cursor)
+                    if start < 0:
+                        raise MalformedJson(
+                            f"word {surface!r} cannot be aligned with the text", line=line
+                        )
+                    cursor = start + len(surface)
                     starts.append(start)
-                    ends.append(stop)
-                    end = stop
-            except (KeyError, TypeError):  # a word that is not an object, or lacks a key
-                pass
-            # the ends increase, so the last one is the largest
-            if len(surfaces) == len(words) and end <= len(text):
+                    ends.append(cursor)
                 offsets = starts, ends
-            else:
-                surfaces = None
-        if offsets is None:  # the ordered walk, for string words and words the pass failed
-            if not isinstance(words, list) or not words:
-                raise MalformedJson('"words" must be a non-empty array', line=line)
-            kinds = set(map(type, words))
-            if kinds == _STR:
-                if not all(words):
-                    raise MalformedJson("words cannot be empty strings", line=line)
-                surfaces = words
-                if text is None:
-                    text = " ".join(words)
-                elif not isinstance(text, str):
-                    raise MalformedJson('"text" must be a string', line=line)
-                else:
-                    starts, ends, cursor = [], [], 0
-                    for surface in words:
-                        start = text.find(surface, cursor)
-                        if start < 0:
-                            raise MalformedJson(
-                                f"word {surface!r} cannot be aligned with the text", line=line
-                            )
-                        cursor = start + len(surface)
-                        starts.append(start)
-                        ends.append(cursor)
-                    offsets = starts, ends
-            elif kinds == _DICT:
-                if not isinstance(text, str):
-                    raise MalformedJson(
-                        'offset-bearing "words" require a "text" string', line=line
-                    )
-                try:
-                    surfaces, starts, ends = zip(*map(_WORD_FIELDS, words))
-                except KeyError as err:
-                    raise MalformedJson(f"bad word record: {err}", line=line) from None
-                if not _INT.issuperset(map(type, starts)) or not _INT.issuperset(map(type, ends)):
-                    raise MalformedJson("word offsets must be JSON integers", line=line)
-                offsets, bad_spans = (starts, ends), True
-            else:
-                raise MalformedJson('"words" mixes strings and objects', line=line)
+        elif kinds == _DICT:
+            if not isinstance(text, str):
+                raise MalformedJson('offset-bearing "words" require a "text" string', line=line)
+            try:
+                fields = list(map(_WORD_FIELDS, words))
+            except KeyError as err:
+                raise MalformedJson(f"bad word record: {err}", line=line) from None
+            surfaces, starts, ends = zip(*fields)
+            if not _INT.issuperset(map(type, starts + ends)):
+                raise MalformedJson("word offsets must be JSON integers", line=line)
+            offsets = starts, ends
+        else:
+            raise MalformedJson('"words" mixes strings and objects', line=line)
     elif not isinstance(text, str):
         raise MalformedJson('record needs a "text" string', line=line)
 
@@ -425,9 +399,9 @@ def _check_record(
             previous_end = end
         entities = spans
 
-    if bad_spans:  # the walk of Document's own check names the first span that breaks it
+    if fields is not None:
         try:
-            Document(text, words=map(Word, surfaces, *offsets))
+            _check_word_spans(text, fields)
         except ValueError as err:
             raise MalformedJson(str(err), line=line) from None
     return _new_row((line, text, surfaces, offsets, labels, entities))
@@ -862,9 +836,13 @@ def _set_up(
     return splits, analysis
 
 
-def resolve_data_dir(data_dir: str | Path | None = None) -> Path:
-    import os
+def _is_entry(name: str) -> bool:
+    """Whether ``name`` is one directory entry, as a set-up name and a run
+    name must be."""
+    return name not in ("", ".", "..") and not any(c in name for c in _NOT_IN_ENTRY)
 
+
+def resolve_data_dir(data_dir: str | Path | None = None) -> Path:
     if data_dir is not None:
         return Path(data_dir)
     return Path(os.environ.get("SEQLAB_DATA_DIR", "seqlab_data"))

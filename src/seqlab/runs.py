@@ -27,8 +27,9 @@ to them as ``aggregate.json``. A record
 file that is not JSON (too deeply nested included), lacks ``run_name``,
 ``seed`` or ``reports``, names its run with anything but a string or
 gives a seed that is not a JSON integer (``1.9``, ``true``, ``"3"``)
-raises MalformedJson naming the file; two records with one run name
-raise DuplicateRunName.
+raises MalformedJson naming the file, and ``save_run`` refuses such a
+record, or a run name that is not one directory entry, before it writes;
+two records with one run name raise DuplicateRunName.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple, Sequence
 from .errors import (
     DuplicateMetricPath, DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric, NonFiniteMetric
 )
-from .ingest import load_json, read_text
+from .ingest import _is_entry, load_json, read_text
 
 #: strict entity micro F1; prepend a phase segment ("val." etc.) when
 #: records store per-phase trees.
@@ -142,29 +143,36 @@ def aggregate(
     return {"selection_metric": selection_metric, "best_run": best.run_name, "metrics": metrics}
 
 
+def _check_run(run_name: object, seed: object) -> None:
+    """TypeError unless the run name is a string and the seed a JSON
+    integer, as a record file must give them."""
+    if not isinstance(run_name, str):
+        raise TypeError(f"run_name {run_name!r:.40} is not a string")
+    if type(seed) is not int:
+        raise TypeError(f"seed {seed!r:.40} is not a JSON integer")
+
+
 def save_run(record: RunRecord, directory: str | Path) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{record.run_name}.json"
-    payload = {
-        "run_name": record.run_name,
-        "seed": record.seed,
-        "reports": record.reports,
-        "artifacts_path": record.artifacts_path,
-    }
-    path.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
+    """Write the record as ``<run_name>.json`` in ``directory``. A record
+    that `load_run` would not read back (a string no UTF-8 holds included),
+    or whose run name is not one directory entry or is "aggregate", raises
+    TypeError or ValueError, and nothing is written."""
+    _check_run(record.run_name, record.seed)
+    if not _is_entry(record.run_name) or record.run_name == "aggregate":
+        raise ValueError(
+            f"run name {record.run_name!r} is not one directory entry other than 'aggregate'"
+        )
+    data = (json.dumps(record._asdict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    path = Path(directory) / f"{record.run_name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
     return path
 
 
 def load_run(path: str | Path) -> RunRecord:
     try:
         data = load_json(read_text(path))
-        if not isinstance(data["run_name"], str):
-            raise TypeError(f"run_name {data['run_name']!r:.40} is not a string")
-        if type(data["seed"]) is not int:
-            raise TypeError(f"seed {data['seed']!r:.40} is not a JSON integer")
+        _check_run(data["run_name"], data["seed"])
         return RunRecord(
             run_name=data["run_name"],
             seed=data["seed"],

@@ -190,6 +190,8 @@ INVALID = [
         "prefix of 'L-PER' is not part of scheme BIO",
     ),
     (lambda: EntitySpan("", 0, 1, "a"), ValueError, "entity class_name cannot be empty"),
+    (lambda: EntitySpan("O", 0, 1, "a"), ValueError,
+     '"O" is the outside label, not an entity class'),
     (lambda: entity(-1, 1, "a"), ValueError, "invalid char span [-1, 1)"),
     (lambda: entity(1, 1, ""), ValueError, "invalid char span [1, 1)"),
     (lambda: entity(0, 1, "a", word_start=0), ValueError,
