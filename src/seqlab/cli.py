@@ -7,17 +7,19 @@ tagger against a dataset, `predict` runs single-text or file inference,
 summarizes multi-seed runs.
 
 `predict --input` (from 128 KiB), `convert` (from 768 KiB) and `evaluate`
-(from 512 KiB, where `analysis.json` names the scheme) split their input
-across the CPUs in their CPU set (see `ranges`). A split never shows: the
-output bytes, the report, the summary line, the exit code and every error
-are those of one process. A child that fails or dies has its range run
-again in the command's own process. A split `convert` in which any range
-fails to decode, read or convert runs the whole input again in one
-process, which reports the error; it writes its output only after every
-range has converted. A split `evaluate` loads its tagger once, before
-the fork, and adds up the `Counts` of its ranges; if any range fails to
-decode, read, label or tag, the whole split is evaluated again in one
-process, which reports the error.
+(from 512 KiB) split their input across the CPUs in their CPU set (see
+`ranges`). A split never shows: the output bytes, the report, the summary
+line, the exit code and every error are those of one process. A child
+that fails or dies has its range run again in the command's own process.
+A split `convert` in which any range fails to decode, read or convert
+runs the whole input again in one process, which reports the error; it
+writes its output only after every range has converted. A split
+`evaluate` loads its tagger once, before the fork, and adds up the
+`Counts` of its ranges, each read in the scheme `analysis.json` names or,
+without one, in the scheme read off the range's own labels; if any range
+fails to decode, read, label or tag, or two ranges read different
+schemes, the whole split is evaluated again in one process, which
+reports the error.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
 `main` is the one error boundary: a SeqlabError or an OSError from any
@@ -32,6 +34,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from functools import partial
@@ -250,7 +253,7 @@ def _split_convert(
     work = partial(_convert_range, source=source, target=target)
     try:
         with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
-            documents, failed = _run_ranges(path, src, dst, ranges, work)
+            documents, failed = map(sum, zip(*_run_ranges(path, src, dst, ranges, work)))
             dst.flush()
             if not failed:
                 return documents, dst.buffer.getvalue()
@@ -275,9 +278,7 @@ def cmd_evaluate(args) -> int:
         scheme = AnnotationScheme.coerce(ingest.load_analysis(dataset_dir)["scheme_detected"])
     except (SeqlabError, KeyError, TypeError, ValueError):
         scheme = None  # no usable analysis.json: the split's reader detects it
-    counts = None
-    if scheme is not None:
-        counts = _split_evaluate(dataset_dir / f"{args.phase}.jsonl", args.tagger, scheme)
+    counts = _split_evaluate(dataset_dir / f"{args.phase}.jsonl", args.tagger, scheme)
     if counts is None:
         # the scheme read off the split's labels where none is named: BIO when all are O
         gold, scheme = ingest._rows(ingest._split_records(dataset_dir, args.phase), scheme)
@@ -299,14 +300,16 @@ def _evaluate_range(
     size: int | None,
     *,
     tagger,
-    scheme: AnnotationScheme,
-) -> tuple[int]:
-    """The range `Work` of `evaluate`: the `Counts` of the records in the
-    next ``size`` bytes of ``src``, or in all the rest, written to ``dst``
-    as one JSON line that holds a list of (key, key, count) triples per
-    counter; (0,). (1,), and nothing written, where the range holds bytes
-    that are not UTF-8, a record or label that does not read, or a record
-    the tagger fails on: the one-process run reports every error."""
+    scheme: AnnotationScheme | None,
+) -> list | None:
+    """The range `Work` of `evaluate`: the records in the next ``size``
+    bytes of ``src``, or in all the rest, read in ``scheme`` or, where it
+    is None, in the scheme read off their own labels, and counted. Its
+    summary is that scheme's name, then the `Counts` as one list of
+    [class, class, count] triples per counter; it writes nothing. None
+    where the range holds bytes that are not UTF-8, a record or label that
+    does not read, or a record the tagger fails on: the one-process run
+    reports every error."""
     try:
         try:
             records = ingest._json_records(src.read(size).decode("utf-8"))
@@ -314,14 +317,12 @@ def _evaluate_range(
             records = []  # a range of blank lines
         # numbered as in the whole file, though only the one-process run reports a line
         records = [(line + lineno - 1, record) for line, record in records]
-        counts = _count_rows(tagger, ingest._rows(records, scheme)[0], scheme)
+        rows, scheme = ingest._rows(records, scheme)
+        counts = _count_rows(tagger, rows, scheme)
     except Exception:  # whatever fails, the tagger included, fails the range
-        return (1,)
+        return None
     fields = counts.strict, counts.lenient, counts.words
-    triples = [[[*key, n] for key, n in c.items()] for c in fields]
-    # ASCII, so that a class name holding a lone surrogate reads back as it was
-    dst.write(json.dumps(triples, ensure_ascii=True) + "\n")
-    return (0,)
+    return [scheme.value, *([[*key, n] for key, n in c.items()] for c in fields)]
 
 
 #: The least input an `evaluate` process is given, in bytes. On a 2-vCPU
@@ -332,14 +333,25 @@ def _evaluate_range(
 _EVALUATE_MIN_RANGE_BYTES = 256 * 1024
 
 
-def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme) -> Counts | None:
+def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme | None) -> Counts | None:
     """The `Counts` of `evaluate` of the split file at ``path``, whose
-    labels are in ``scheme``, with the tagger ``uri`` loaded once and its
-    ranges counted across the CPUs this process may use (see `ranges`).
-    None where the file does not split, where the tagger does not load,
-    where a range fails or where a temporary file or pipe cannot be made:
-    the one-process run then gives the counts or the error, so neither
-    depends on the split."""
+    labels are in ``scheme`` (None: the scheme is read off the labels),
+    with the tagger ``uri`` loaded once and its ranges counted across the
+    CPUs this process may use (see `ranges`). None where the file does not
+    split, where the tagger does not load, where a range fails, where two
+    ranges read different schemes or where a temporary file or pipe cannot
+    be made: the one-process run then gives the counts or the error, so
+    neither depends on the split.
+
+    Ranges that agree on a scheme they read off their own labels agree
+    with the whole file, which `schemes.resolve_scheme` reads as BILOU if
+    any label has an L or U prefix, as IO if I occurs without B, and as
+    BIO otherwise. Where every range reads BILOU, some range has L or U,
+    and so has the file. Where every range reads IO, no range has B, L or
+    U and some range has I, and so has the file. Where every range reads
+    BIO, no range has L or U and each range has a B or has no I, so the
+    file has a B or has no I. So the summed `Counts` are those of one
+    process."""
     if not path.is_file():  # not opened: a FIFO would block
         return None
     try:
@@ -348,18 +360,18 @@ def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme) -> Counts | 
             if len(ranges) < 2:
                 return None
             work = partial(_evaluate_range, tagger=load_tagger(uri), scheme=scheme)
-            with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
-                (failed,) = _run_ranges(path, src, dst, ranges, work)
-                dst.flush()
-                lines = dst.buffer.getvalue().splitlines()
+            with open(os.devnull, "w", encoding="utf-8") as dst:  # a range writes nothing
+                summaries = _run_ranges(path, src, dst, ranges, work)
     except (OSError, SeqlabError):  # SeqlabError: the tagger does not load
         return None
-    return None if failed else sum(map(_read_counts, lines), Counts())
+    if None in summaries or len({summary[0] for summary in summaries}) > 1:
+        return None
+    return sum((_read_counts(summary[1:]) for summary in summaries), Counts())
 
 
-def _read_counts(line: bytes) -> Counts:
-    """The `Counts` of one line that `_evaluate_range` writes."""
-    return Counts(*(Counter({(a, b): n for a, b, n in c}) for c in json.loads(line)))
+def _read_counts(fields: list) -> Counts:
+    """The `Counts` of the triples of an `_evaluate_range` summary."""
+    return Counts(*(Counter({(a, b): n for a, b, n in c}) for c in fields))
 
 
 def cmd_predict(args) -> int:

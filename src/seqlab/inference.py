@@ -514,7 +514,7 @@ def predict_file(
     )
     with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
         ranges = _ranges(src, processes, _MIN_RANGE_BYTES)
-        return FileSummary(*_run_ranges(input_path, src, dst, ranges, work))
+        return FileSummary(*map(sum, zip(*_run_ranges(input_path, src, dst, ranges, work))))
 
 
 def _predict_range(

@@ -1,19 +1,19 @@
 """One file of lines, run as contiguous byte ranges across processes.
 
 `predict --input`, `convert` and `evaluate` each read a file line by
-line. For the first two each line's output depends on that line alone;
-`evaluate` writes one line of counts per range, which add up to the
-counts of the whole file. `_run_ranges` runs such a job, a `Work`, over
-the byte ranges that `_ranges` cuts. A regular input file of at least two
-of the job's least ranges (128 KiB for `predict`, 768 KiB for `convert`,
-whose lines cost less, 512 KiB for `evaluate`) is cut at line starts into
-up to N ranges, each the size of the others give or take a line.
-The calling process runs the first range; a forked child runs each
-other one into an anonymous temporary file, which is appended to the
-caller's output in order. So the output bytes of a line-wise job, their
-order, the line numbers it writes and the summary it returns are those of
-a one-process run, the counts `evaluate` adds up are those of one
-process, and a job's memory bound holds per process. A range
+line, and each line's output depends on that line alone. `_run_ranges`
+runs such a job, a `Work`, over the byte ranges that `_ranges` cuts. A
+regular input file of at least two of the job's least ranges (128 KiB
+for `predict`, 768 KiB for `convert`, whose lines cost less, 512 KiB for
+`evaluate`) is cut at line starts into up to N ranges, each the size of
+the others give or take a line. The calling process runs the first
+range; a forked child runs each other one into an anonymous temporary
+file, which is appended to the caller's output in order, and sends the
+range's summary, one JSON value, through a pipe. The caller gets the
+summaries in range order and merges them itself: `predict` and
+`convert` add their counts, `evaluate` adds its `Counts`. So the output
+bytes of a job, their order and the line numbers it writes are those of
+a one-process run, and a job's memory bound holds per process. A range
 whose child fails or dies is run again in the caller, so a job that
 raises on bad input raises there, as in one process. The input stays in
 one process where os.fork or os.sched_getaffinity is missing (so fork
@@ -25,18 +25,19 @@ fork: one that holds no thread, lock or connection a child cannot use.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import stat
 import threading
-from operator import add
 from typing import BinaryIO, Callable, TextIO
 
 #: A job over one range: given the input at the range's start, the output,
 #: the number of the range's first line and the range's size in bytes
 #: (None: to the end of the file), it writes the range's output and
-#: returns its summary, a tuple of counts that add up over ranges.
-Work = Callable[[BinaryIO, TextIO, int, int | None], tuple[int, ...]]
+#: returns its summary, one JSON value. A child sends it as JSON text, so
+#: a tuple comes back from a child as a list.
+Work = Callable[[BinaryIO, TextIO, int, int | None], object]
 
 #: fork is trusted only where the CPU set can be read as well: macOS, whose
 #: system libraries are not safe to fork, has os.fork but not this
@@ -77,39 +78,40 @@ def _run_ranges(
     dst: TextIO,
     ranges: list[tuple[int, int | None]],
     work: Work,
-) -> tuple[int, ...]:
+) -> list:
     """``work`` over ``ranges`` of the file ``src``, which is at its start,
-    into ``dst``; the summaries added up. A child is forked for each range
-    after the first, this process runs the first, then appends each
-    child's output in order, or runs its range again here if the child
-    failed or died. One range runs here alone. An exception of the work
-    run here is raised once every child is stopped."""
+    into ``dst``; the summaries of the ranges, in range order. A child is
+    forked for each range after the first, this process runs the first,
+    then appends each child's output in order, or runs its range again
+    here if the child failed or died. One range runs here alone. An
+    exception of the work run here is raised once every child is
+    stopped."""
     children = []  # (pid, summary pipe, output file) of the children not reaped
     try:
         for start, size in ranges[1:]:
             children.append(_fork_range(input_path, start, size, work))
-        total = work(src, dst, 1, ranges[0][1])
+        summaries = [work(src, dst, 1, ranges[0][1])]
         for start, size in ranges[1:]:
             pid, pipe, output = children[0]
-            summary = _joined(pid, pipe)
+            sent = _joined(pid, pipe)
             del children[0]
             with pipe, output:
-                if summary is None:
-                    summary = _run_at(src, dst, start, size, work)
+                if sent is None:
+                    summaries.append(_run_at(src, dst, start, size, work))
                 else:
                     import shutil  # it loads bz2 and lzma, so only a split imports it
 
                     dst.flush()
                     output.seek(0)
                     shutil.copyfileobj(output, dst.buffer)
-            total = tuple(map(add, total, summary))
+                    summaries.append(json.loads(sent))
     finally:
         for pid, pipe, output in children:
             with pipe, output:
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-    return total
+    return summaries
 
 
 def _fork_range(
@@ -136,7 +138,10 @@ def _fork_range(
                 output.fileno(), "w", encoding="utf-8", closefd=False
             ) as dst:
                 summary = _run_at(src, dst, start, size, work)
-            os.write(writer, " ".join(map(str, summary)).encode())
+            # ASCII, so that a string holding a lone surrogate reads back as it was
+            sent = memoryview(json.dumps(summary).encode())
+            while sent:  # a write to a pipe may take only part of it
+                sent = sent[os.write(writer, sent):]
             code = 0
         finally:
             os._exit(code)
@@ -144,24 +149,21 @@ def _fork_range(
     return pid, open(reader, "rb"), output
 
 
-def _joined(pid: int | None, pipe: BinaryIO) -> tuple[int, ...] | None:
-    """The summary a child sent, once it has exited 0; None if it failed,
-    died or was never forked."""
+def _joined(pid: int | None, pipe: BinaryIO) -> bytes | None:
+    """The summary a child sent, as JSON text, once it has exited 0; None
+    if it failed, died or was never forked. The pipe is read to its end
+    before the wait: a child whose summary does not fit in the pipe's
+    buffer exits only once the rest is read."""
     if pid is None:
         return None
-    _, status = os.waitpid(pid, 0)
     sent = pipe.read()
-    if os.waitstatus_to_exitcode(status) != 0:
-        return None
-    try:
-        return tuple(map(int, sent.split())) or None  # None: it exited 0 without sending one
-    except ValueError:
-        return None
+    _, status = os.waitpid(pid, 0)
+    return sent if os.waitstatus_to_exitcode(status) == 0 else None
 
 
 def _run_at(
     src: BinaryIO, dst: TextIO, start: int, size: int | None, work: Work
-) -> tuple[int, ...]:
+) -> object:
     """``work`` over the range at byte ``start`` of ``src``, its lines
     numbered as in the whole file."""
     src.seek(0)

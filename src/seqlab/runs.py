@@ -28,8 +28,9 @@ file that is not JSON (too deeply nested included), lacks ``run_name``,
 ``seed`` or ``reports``, names its run with anything but a string or
 gives a seed that is not a JSON integer (``1.9``, ``true``, ``"3"``)
 raises MalformedJson naming the file, and ``save_run`` refuses such a
-record, or a run name that is not one directory entry, before it writes;
-two records with one run name raise DuplicateRunName.
+record, a run name that is not one directory entry, or a report that
+would read back as another value (a tuple, a key that is not a string),
+before it writes; two records with one run name raise DuplicateRunName.
 """
 
 from __future__ import annotations
@@ -152,17 +153,38 @@ def _check_run(run_name: object, seed: object) -> None:
         raise TypeError(f"seed {seed!r:.40} is not a JSON integer")
 
 
+def _check_tree(tree: object) -> None:
+    """TypeError where JSON would read ``tree`` back as another value: a
+    tuple (read back as a list) or a key that is not a string (read back
+    as one). ``tree`` is one that json.dumps encodes, so it holds no cycle."""
+    stack = [tree]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            raise TypeError(f"{value!r:.40} is a tuple, which JSON reads back as a list")
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"key {key!r:.40} is not a string")
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+
+
 def save_run(record: RunRecord, directory: str | Path) -> Path:
     """Write the record as ``<run_name>.json`` in ``directory``. A record
-    that `load_run` would not read back (a string no UTF-8 holds included),
-    or whose run name is not one directory entry or is "aggregate", raises
-    TypeError or ValueError, and nothing is written."""
+    that `load_run` would not read back as it is (a string no UTF-8 holds,
+    a tuple or a key that is not a string included), or whose run name is
+    not one directory entry or is "aggregate", raises TypeError or
+    ValueError, and nothing is written."""
     _check_run(record.run_name, record.seed)
     if not _is_entry(record.run_name) or record.run_name == "aggregate":
         raise ValueError(
             f"run name {record.run_name!r} is not one directory entry other than 'aggregate'"
         )
-    data = (json.dumps(record._asdict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    fields = record._asdict()
+    data = (json.dumps(fields, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    _check_tree(fields)
     path = Path(directory) / f"{record.run_name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)

@@ -21,6 +21,8 @@ from seqlab import cli, inference, ingest, ranges
 from seqlab.core import AnnotationScheme
 from seqlab.schemes import chunk_prefixes
 
+pytestmark = pytest.mark.forks
+
 SCHEMES = [scheme.value for scheme in AnnotationScheme]
 #: words the JSON escaper treats specially, and some it leaves alone
 WORDS = st.sampled_from(["Ann", "Lee", "été", "中", "\U0001f600", 'q"', "a\\b", "x\x01"])

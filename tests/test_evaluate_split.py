@@ -1,9 +1,11 @@
 """`evaluate` counts a large split across processes through `ranges`; the
 split must not show. With the minimum range size made tiny, 1, 2 and 3
 processes must give the same report bytes (or no report), stdout, stderr,
-exit code and error line, with and without `--verbose`, whatever sits at a
-cut: a good record, a bad one, a blank line, a line longer than a range,
-or a record the tagger fails on or tags with a class name no UTF-8 holds.
+exit code and error line, with and without `--verbose` and with and
+without a scheme named in analysis.json, whatever sits at a cut: a good
+record, a bad one, a blank line, a line longer than a range, a record the
+tagger fails on or tags with a class name no UTF-8 holds, or ranges whose
+labels are in different schemes.
 """
 
 import contextlib
@@ -22,6 +24,8 @@ from seqlab import cli, ingest, ranges
 from seqlab.core import AnnotationScheme
 from seqlab.inference import load_tagger as load_named_tagger
 from seqlab.schemes import chunk_prefixes
+
+pytestmark = pytest.mark.forks
 
 #: words the JSON escaper treats specially, and some it leaves alone; the
 #: tagger below tags some of them
@@ -106,17 +110,24 @@ def pad_line(size):
 
 @st.composite
 def split_inputs(draw):
-    """(gold scheme, split file bytes, processes, the byte offsets where
-    the file is cut or None). The file is one block per process, each
-    padded to one width, so each block starts right at a cut and its first
-    line, of any kind, sits there. Most files hold no bad line at all;
-    some also hold a line longer than any range, or end without a newline."""
-    scheme = draw(st.sampled_from(list(AnnotationScheme)))
+    """(the scheme analysis.json names or None, split file bytes,
+    processes, the byte offsets where the file is cut or None). The file is
+    one block per process, each padded to one width, so each block starts
+    right at a cut and its first line, of any kind, sits there. The blocks'
+    labels are in one scheme, or in a scheme each, so that ranges may read
+    different ones. Most files hold no bad line at all; some also hold a
+    line longer than any range, or end without a newline."""
     processes = draw(st.sampled_from([2, 3]))
-    lines = good_lines(scheme)
-    lines = draw(st.sampled_from([lines, lines, lines | BAD_LINES, lines | SURROGATE_LINE]))
-    blocks = [b"".join(line + b"\n" for line in draw(st.lists(lines, min_size=1, max_size=4)))
-              for _ in range(processes)]
+    schemes = draw(st.lists(st.sampled_from(list(AnnotationScheme)),
+                            min_size=processes, max_size=processes))
+    if draw(st.booleans()):
+        schemes = schemes[:1] * processes
+    extra = draw(st.sampled_from([None, None, BAD_LINES, SURROGATE_LINE]))
+    blocks = []
+    for scheme in schemes:
+        lines = good_lines(scheme) if extra is None else good_lines(scheme) | extra
+        lines = draw(st.lists(lines, min_size=1, max_size=4))
+        blocks.append(b"".join(line + b"\n" for line in lines))
     width = max(map(len, blocks)) + PAD
     blocks = [block + pad_line(width - len(block)) for block in blocks]
     cuts = [width * k for k in range(1, processes)]
@@ -129,7 +140,8 @@ def split_inputs(draw):
     data = b"".join(blocks)
     if draw(st.booleans()):
         data = data[:-1]
-    return scheme.value, data, processes, cuts
+    named = draw(st.sampled_from([schemes[0].value, None]))
+    return named, data, processes, cuts
 
 
 def cut_offsets(data, processes):
@@ -279,15 +291,64 @@ def never_fork():
     raise AssertionError("evaluate forked")
 
 
-def test_a_dataset_without_analysis_is_not_split(tmp_path, monkeypatch, words_tagger):
-    """Without a named scheme every label must be read before any record is
-    checked, so the split stays in one process."""
+def test_a_dataset_without_analysis_is_counted_on_the_split_path(
+    tmp_path, monkeypatch, words_tagger
+):
+    """Without a named scheme each range reads its scheme off its own
+    labels; ranges that agree are counted on the split path, and the
+    one-process run, which reads the whole split, never starts."""
     make_dataset(tmp_path, good_input(), scheme=None)
     monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
     assert expected[0] == 0
-    monkeypatch.setattr(os, "fork", never_fork)
-    assert evaluate(tmp_path, 3, monkeypatch) == expected
+    monkeypatch.setattr(ingest, "_split_records", no_whole_read)
+    for processes in (2, 3):
+        assert evaluate(tmp_path, processes, monkeypatch) == expected
+
+
+def block_line(words, labels):
+    return json.dumps({"words": words, "labels": labels}).encode() + b"\n"
+
+
+#: pairs of blocks whose labels read as different schemes: IO beside BIO,
+#: and all O (BIO) beside BILOU
+DISAGREEING = {
+    "IO and BIO": (
+        block_line(["Ann", "Lee", "went"], ["I-PER", "I-PER", "O"]),
+        block_line(["Ann", "Lee", "went"], ["B-PER", "I-PER", "O"]),
+    ),
+    "O and BILOU": (
+        block_line(["went", "home"], ["O", "O"]),
+        block_line(["Ann", "Lee", "Rome"], ["B-PER", "L-PER", "U-LOC"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("first, second", DISAGREEING.values(), ids=DISAGREEING)
+def test_ranges_that_read_different_schemes_send_the_command_back_to_one_process(
+    tmp_path, monkeypatch, words_tagger, first, second
+):
+    """Two ranges that read different schemes off their labels are not
+    added up: the whole split is read once, in one process, and gives the
+    one-process report."""
+    first, second = first * 20, second * 20
+    width = max(len(first), len(second)) + PAD
+    data = first + pad_line(width - len(first)) + second + pad_line(width - len(second))
+    make_dataset(tmp_path, data, scheme=None)
+    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    assert cut_offsets(data, 2) == [width]
+    expected = evaluate(tmp_path, 1, monkeypatch)
+    assert expected[0] == 0
+    reads = []
+    original = ingest._split_records
+
+    def whole_read(dataset_dir, phase):
+        reads.append(phase)
+        return original(dataset_dir, phase)
+
+    monkeypatch.setattr(ingest, "_split_records", whole_read)
+    assert evaluate(tmp_path, 2, monkeypatch) == expected
+    assert reads == ["test"]
 
 
 def test_a_split_under_two_ranges_is_not_split(tmp_path, monkeypatch, words_tagger):

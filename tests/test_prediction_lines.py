@@ -21,6 +21,8 @@ from seqlab.core import AnnotationScheme
 from seqlab.errors import SeqlabError
 from seqlab.inference import predict, predict_file, prediction_record
 
+pytestmark = pytest.mark.forks
+
 
 class Tag(str):
     """A label string of a subclass whose str() and repr() are not its value."""

@@ -18,8 +18,13 @@ path whose values are equal (uncertainty ``0.0``).
 
 import json
 
+import pytest
+
 from seqlab import cli, ranges, runs
 from seqlab.cli import main
+
+# one test splits an evaluate across forked children
+pytestmark = pytest.mark.forks
 
 GOLD = [
     (["Ann", "Lee", "met", "Bob"], ["B-PER", "I-PER", "O", "B-PER"]),

@@ -304,6 +304,10 @@ REFUSED = {
     "run name aggregate": (RunRecord("aggregate", 1, {}), ValueError),
     "lone surrogate": (RunRecord("a\ud800", 1, {}), ValueError),
     "report that is no JSON": (RunRecord("a", 1, {"x": object()}), TypeError),
+    "int key": (RunRecord("a", 1, {1: 0.5}), TypeError),
+    "tuple": (RunRecord("a", 1, {"x": (1, 2)}), TypeError),
+    "bool key": (RunRecord("a", 1, {True: 1}), TypeError),
+    "None key": (RunRecord("a", 1, {None: 1}), TypeError),
 }
 
 
