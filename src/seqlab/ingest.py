@@ -56,12 +56,13 @@ import math
 import os
 import random
 import re
+from collections import Counter
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import add, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     AnnotationScheme,
@@ -128,7 +129,8 @@ class DatasetSplit(FrozenRecord):
 
 
 class _RowSplit(DatasetSplit):
-    """A split of the rows `_set_up` reads, which `analyze` reads as they are."""
+    """A split of what a set-up reads, kept as it is: `_set_up`'s rows,
+    which `analyze` reads as they are, or a split set-up's lines."""
 
     __slots__ = ()
 
@@ -663,25 +665,45 @@ def analyze(
     rows = [list(split._as_rows()) for split in splits]
     labels = [row.labels for split in rows for row in split if row.labels is not None]
     scheme = resolve_scheme(chain.from_iterable(labels), scheme)
+    return _analysis_tree(
+        [(split.name, _row_stats(split_rows, scheme)) for split, split_rows in zip(splits, rows)],
+        scheme,
+        seed,
+    )
+
+
+def _row_stats(rows: Iterable[_Row], scheme: AnnotationScheme) -> list[tuple[int | None, list]]:
+    """What `analyze` counts of each row: its number of words (None where
+    it has no words) and the classes of its entities, decoded strictly in
+    ``scheme`` where it has labels."""
+    stats = []
+    for row in rows:
+        if row.labels is not None:
+            classes = [c.class_name for c in decode(LabelSequence(row.labels, scheme)).strict]
+        else:
+            classes = [label for _, _, label in row.entities or ()]
+        stats.append((None if row.surfaces is None else len(row.surfaces), classes))
+    return stats
+
+
+def _analysis_tree(
+    splits: Iterable[tuple[str, Sequence[Sequence]]], scheme: AnnotationScheme, seed: int | None
+) -> dict:
+    """The analysis.json tree of (split name, `_row_stats` of its rows) pairs."""
     num_documents, num_words, entity_counts = {}, {}, {}
     pretokenized = True
-    for split, split_rows in zip(splits, rows):
-        num_documents[split.name] = len(split_rows)
+    for name, stats in splits:
+        num_documents[name] = len(stats)
         words = 0
-        counts: dict[str, int] = {}
-        for row in split_rows:
-            if row.surfaces is None:
+        counts: Counter[str] = Counter()
+        for count, classes in stats:
+            if count is None:
                 pretokenized = False
             else:
-                words += len(row.surfaces)
-            if row.labels is not None:
-                classes = [c.class_name for c in decode(LabelSequence(row.labels, scheme)).strict]
-            else:
-                classes = [label for _, _, label in row.entities or ()]
-            for class_name in classes:
-                counts[class_name] = counts.get(class_name, 0) + 1
-        num_words[split.name] = words
-        entity_counts[split.name] = dict(sorted(counts.items()))
+                words += count
+            counts.update(classes)
+        num_words[name] = words
+        entity_counts[name] = dict(sorted(counts.items()))
     return {
         "num_documents": num_documents,
         "num_words": num_words,
@@ -709,11 +731,14 @@ def _file_records(path: str | Path, dialect: str | None) -> list[tuple[int | tup
         return _labelstudio_records(data)
     if suffix == ".jsonl":
         records = _json_records(data)
-        first = records[0][1]
-        if "label" in first and "labels" not in first and "words" not in first:
-            return _doccano_records(records)
-        return records
+        return _doccano_records(records) if _is_doccano(records[0][1]) else records
     raise UnresolvableSource(f"cannot infer a format from extension {suffix!r}")
+
+
+def _is_doccano(first: dict) -> bool:
+    """Whether a .jsonl file read without a dialect, whose first record is
+    ``first``, is a Doccano export rather than canonical records."""
+    return "label" in first and "labels" not in first and "words" not in first
 
 
 def parse_file(
@@ -812,28 +837,57 @@ def _set_up(
         files = [_file_records(path, dialect)]
 
     rows, scheme = _rows(list(chain.from_iterable(files)), scheme)
-    if len(files) == 1:
-        splits, used_seed = split_documents(rows, split_ratio, seed), seed
+    return _write_set_up(
+        rows,
+        None if len(files) == 1 else list(map(len, files)),
+        partial(analyze, scheme=scheme),
+        lambda row, literals: _canonical_line(row, literals).encode(),
+        out_dir=resolve_data_dir(data_dir) / name,
+        split_ratio=split_ratio,
+        seed=seed,
+        fractions=fractions,
+    )
+
+
+def _write_set_up(
+    items: list,
+    sizes: Sequence[int] | None,
+    analysis: Callable[..., dict],
+    line: Callable[[object, _Literals], bytes],
+    *,
+    out_dir: Path,
+    split_ratio: Sequence[float],
+    seed: int,
+    fractions: Sequence[float | None],
+) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], dict]:
+    """The end of every set-up: the read ``items``, in file order, split
+    into train, val and test, pruned by ``fractions``, analyzed and written
+    under ``out_dir``; the splits of items and the analysis tree. ``sizes``
+    are the number of items of each pre-split file, or None where
+    ``items`` are shuffled with ``seed`` and split by ``split_ratio``.
+    ``analysis(splits, seed=...)`` gives the tree, ``line(item, literals)``
+    an item's canonical line as UTF-8 bytes."""
+    if sizes is None:
+        splits, used_seed = split_documents(items, split_ratio, seed), seed
     else:
-        remaining = iter(rows)
-        splits = [DatasetSplit(s, islice(remaining, len(f))) for s, f in zip(SPLIT_NAMES, files)]
+        remaining = iter(items)
+        splits = [DatasetSplit(s, islice(remaining, n)) for s, n in zip(SPLIT_NAMES, sizes)]
         used_seed = None
     splits = tuple(
         _RowSplit(split.name, (split if fraction is None else prune(split, fraction)).documents)
         for split, fraction in zip(splits, fractions)
     )
-    analysis = analyze(splits, scheme=scheme, seed=used_seed)
+    tree = analysis(splits, seed=used_seed)
 
-    out_dir = resolve_data_dir(data_dir) / name
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
         literals = _Literals()
-        with open(out_dir / f"{split.name}.jsonl", "w", encoding="utf-8") as handle:
-            handle.writelines([_canonical_line(row, literals) for row in split.documents])
+        with open(out_dir / f"{split.name}.jsonl", "wb") as handle:
+            handle.writelines([line(item, literals) for item in split.documents])
     with open(out_dir / "analysis.json", "w", encoding="utf-8") as handle:
-        json.dump(analysis, handle, ensure_ascii=False, indent=2)
+        json.dump(tree, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
-    return splits, analysis
+    return splits, tree
 
 
 def _is_entry(name: str) -> bool:

@@ -1,23 +1,24 @@
 """One file of lines, run as contiguous byte ranges across processes.
 
-`predict --input`, `convert` and `evaluate` each read a file line by
-line, and each line's output depends on that line alone. `_run_ranges`
-runs such a job, a `Work`, over the byte ranges that `_ranges` cuts. A
-regular input file of at least two of the job's least ranges (128 KiB
-for `predict`, 768 KiB for `convert`, whose lines cost less, 512 KiB for
-`evaluate`) is cut at line starts into up to N ranges, each the size of
-the others give or take a line. The calling process runs the first
-range; a forked child runs each other one into an anonymous temporary
-file, which is appended to the caller's output in order, and sends the
-range's summary, one JSON value, through a pipe. The caller gets the
-summaries in range order and merges them itself: `predict` and
-`convert` add their counts, `evaluate` adds its `Counts`. So the output
-bytes of a job, their order and the line numbers it writes are those of
-a one-process run, and a job's memory bound holds per process. A range
-whose child fails or dies is run again in the caller, so a job that
-raises on bad input raises there, as in one process. The input stays in
-one process where os.fork or os.sched_getaffinity is missing (so fork
-is not trusted) or where another thread runs. The commands pass
+`predict --input`, `convert`, `evaluate` and `dataset set-up` each read
+a file line by line, and each line's output depends on that line alone.
+`_run_ranges` runs such a job, a `Work`, over the byte ranges that
+`_ranges` cuts. A regular input file of at least two of the job's least
+ranges (128 KiB for `predict`, 768 KiB for `convert`, whose lines cost
+less, 512 KiB for `evaluate` and `dataset set-up`) is cut at line starts
+into up to N ranges, each the size of the others give or take a line.
+The calling process runs the first range; a forked child runs each other
+one into an anonymous temporary file, which is appended to the caller's
+output in order, and sends the range's summary, one JSON value, through
+a pipe. The caller gets the summaries in range order and merges them
+itself: `predict` and `convert` add their counts, `evaluate` adds its
+`Counts`, `dataset set-up` joins each row's counts to its line. So the
+output bytes of a job, their order and the line numbers it writes are
+those of a one-process run, and a job's memory bound holds per process.
+A range whose child fails or dies is run again in the caller, so a job
+that raises on bad input raises there, as in one process. The input
+stays in one process where os.fork or os.sched_getaffinity is missing
+(so fork is not trusted) or where another thread runs. The commands pass
 `_cpu_count()`, the CPUs in their CPU set, so `taskset` bounds the
 processes. Pass more than one process only for a job that is safe to
 fork: one that holds no thread, lock or connection a child cannot use.

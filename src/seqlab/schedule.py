@@ -104,8 +104,12 @@ class ScheduleConfig(_ScheduleConfigFields):
             ("restart_period_mult", restart_period_mult),
             ("early_stop_min_delta", early_stop_min_delta),
         ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
         for name, value in (
             ("restart_period_initial", restart_period_initial), ("max_epochs", max_epochs),
             ("steps_per_epoch", steps_per_epoch), ("early_stop_patience", early_stop_patience),

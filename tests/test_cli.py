@@ -478,8 +478,10 @@ class TestScheduleSimulate:
         "config, losses, message",
         [(DEEP, "[1.0]", "line 1: invalid JSON"),
          ('{"max_lr": 1.0, "restart_period_initial": 4}', '["a"]', "could not convert"),
-         ('{"preset": "stable"}', "[1.0, NaN]", "every loss must be a finite number")],
-        ids=["nested-config", "non-numeric-loss", "nan-loss"],
+         ('{"preset": "stable"}', "[1.0, NaN]", "every loss must be a finite number"),
+         ('{"preset": "stable"}', f"[1.0, {'9' * 400}]", "every loss must be a finite number"),
+         ('{"max_lr": 1' + "0" * 400 + "}", "[1.0]", "max_lr must be a finite number")],
+        ids=["nested-config", "non-numeric-loss", "nan-loss", "huge-int-loss", "huge-int-field"],
     )
     def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys, config, losses, message):
         (tmp_path / "cfg.json").write_text(config)

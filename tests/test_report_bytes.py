@@ -23,7 +23,7 @@ import pytest
 from seqlab import cli, ranges, runs
 from seqlab.cli import main
 
-# one test splits an evaluate across forked children
+# one test splits an evaluate, one a set-up, across forked children
 pytestmark = pytest.mark.forks
 
 GOLD = [
@@ -412,6 +412,37 @@ def test_an_unsplit_set_up_writes_and_prints_the_pinned_analysis(tmp_path, capsy
     ])
     assert written == EXPECTED_UNSPLIT_ANALYSIS + "\n"
     assert printed == f"wrote canonical dataset to {out_dir}\n" + EXPECTED_UNSPLIT_ANALYSIS + "\n"
+
+
+def test_a_split_set_up_writes_and_prints_the_pinned_analysis(tmp_path, capsys, monkeypatch):
+    """The same unsplit set-up, its five records read, checked and written
+    in three ranges, one in this process and two in forked children,
+    writes and prints the same analysis and the same split files."""
+    export = tmp_path / "export.jsonl"
+    export.write_text("".join(json.dumps(r) + "\n" for r in EXPORT), encoding="utf-8")
+    _, _, one_dir = _set_up(tmp_path, capsys, "one", "7", [
+        "--source", "AT", "--path", str(export), "--split-ratio", "0.6,0.2,0.2",
+    ])
+    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    with open(export, "rb") as src:
+        assert len(ranges._ranges(src, 3, 1)) == 3
+    here = []  # the first line of each range read in this process
+    original = cli._set_up_range
+
+    def read(src, dst, lineno, size, **kwargs):
+        here.append(lineno)
+        return original(src, dst, lineno, size, **kwargs)
+
+    monkeypatch.setattr(cli, "_set_up_range", read)
+    written, printed, out_dir = _set_up(tmp_path, capsys, "unsplit", "7", [
+        "--source", "AT", "--path", str(export), "--split-ratio", "0.6,0.2,0.2",
+    ])
+    assert here == [1]  # the other two ranges were read in children
+    assert written == EXPECTED_UNSPLIT_ANALYSIS + "\n"
+    assert printed == f"wrote canonical dataset to {out_dir}\n" + EXPECTED_UNSPLIT_ANALYSIS + "\n"
+    for split in ("train", "val", "test"):
+        assert (out_dir / f"{split}.jsonl").read_bytes() == (one_dir / f"{split}.jsonl").read_bytes()
 
 
 def _report(micro_f1, class_f1, support):
