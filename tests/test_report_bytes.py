@@ -404,6 +404,30 @@ def test_a_pre_split_set_up_writes_and_prints_the_pinned_analysis(tmp_path, caps
     assert printed == f"wrote canonical dataset to {out_dir}\n" + EXPECTED_PRESPLIT_ANALYSIS + "\n"
 
 
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_a_split_pre_split_set_up_writes_and_prints_the_pinned_analysis(
+    tmp_path, capsys, monkeypatch, processes
+):
+    """The same pre-split set-up, with the least input of a set-up process
+    made 1 byte and ``processes`` CPUs, so that its three files may be read
+    in groups across forked children, writes and prints the same analysis
+    and the same split files as one process."""
+    for split, text in (("train", TRAIN), ("val", VAL), ("test", TEST)):
+        (tmp_path / f"{split}.conll").write_text(text, encoding="utf-8")
+    options = [
+        "--source", "LF", "--train-path", str(tmp_path / "train.conll"),
+        "--val-path", str(tmp_path / "val.conll"), "--test-path", str(tmp_path / "test.conll"),
+    ]
+    _, _, one_dir = _set_up(tmp_path, capsys, "one", "42", options)
+    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: processes)
+    written, printed, out_dir = _set_up(tmp_path, capsys, "presplit", "42", options)
+    assert written == EXPECTED_PRESPLIT_ANALYSIS + "\n"
+    assert printed == f"wrote canonical dataset to {out_dir}\n" + EXPECTED_PRESPLIT_ANALYSIS + "\n"
+    for split in ("train", "val", "test"):
+        assert (out_dir / f"{split}.jsonl").read_bytes() == (one_dir / f"{split}.jsonl").read_bytes()
+
+
 def test_an_unsplit_set_up_writes_and_prints_the_pinned_analysis(tmp_path, capsys):
     export = tmp_path / "export.jsonl"
     export.write_text("".join(json.dumps(r) + "\n" for r in EXPORT), encoding="utf-8")
