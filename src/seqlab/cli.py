@@ -7,11 +7,12 @@ tagger against a dataset, `predict` runs single-text or file inference,
 summarizes multi-seed runs.
 
 `predict --input` (from 128 KiB), `convert` (from 768 KiB), `evaluate`
-(from 512 KiB) and `dataset set-up` of one JSONL file (from 512 KiB) split
-their input across the CPUs in their CPU set (see `ranges`). A split never
-shows: the output bytes, the report, the analysis, the summary line, the
-exit code and every error are those of one process. A child that fails or
-dies has its range run again in the command's own process.
+(from 512 KiB) and `dataset set-up` of one JSONL file or of a pre-split
+dataset (from 512 KiB) split their input across the CPUs in their CPU set
+(see `ranges`). A split never shows: the output bytes, the report, the
+analysis, the summary line, the exit code and every error are those of
+one process. A child that fails or dies has its part run again in the
+command's own process.
 A split `convert` in which any range fails to decode, read or convert
 runs the whole input again in one process, which reports the error; it
 writes its output only after every range has converted. A split
@@ -21,9 +22,10 @@ without one, in the scheme read off the range's own labels; if any range
 fails to decode, read, label or tag, or two ranges read different
 schemes, the whole split is evaluated again in one process, which
 reports the error. A split `dataset set-up` reads, checks and formats its
-records in ranges, each in the scheme read off its own labels, then
+records in ranges of one JSONL file, or in groups of a pre-split
+dataset's whole files, each in the scheme read off its own labels, then
 shuffles, prunes, analyzes and writes them in the command's own process,
-once every range has read; a range that fails, or ranges that read
+once every part has read; a part that fails, or parts that read
 different schemes, send it back to one process in the same way.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
@@ -44,14 +46,14 @@ import sys
 from collections import Counter
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Sequence, TextIO
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
 from . import ingest, runs, schedule
 from .core import AnnotationScheme, LabelSequence
 from .errors import EmptyInput, InconsistentSource, SeqlabError, UnconvertibleInput
 from .evaluation import Counts, _count_rows
 from .inference import load_tagger, predict, predict_file, prediction_record
-from .ranges import _cpu_count, _ranges, _run_ranges
+from .ranges import _cpu_count, _groups, _ranges, _run_at, _run_ranges
 from .schemes import convert_scheme
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
@@ -133,6 +135,9 @@ def cmd_dataset_setup(args) -> int:
     if args.fraction is not None and not 0.0 < args.fraction <= 1.0:
         print(f"bad --fraction: {args.fraction!r} is not a number in (0, 1]", file=sys.stderr)
         return 2
+    if args.path is not None and any((args.train_path, args.val_path, args.test_path)):
+        print(f"bad --path: {args.path!r} is given with split paths", file=sys.stderr)
+        return 2
     out_dir = ingest.resolve_data_dir(args.data_dir) / name
     analysis = _split_set_up(args, ratio, out_dir)
     if analysis is None:
@@ -160,11 +165,11 @@ def _set_up_range(
     """The range `Work` of `dataset set-up`: the records in the next
     ``size`` bytes of ``src``, or in all the rest, read (as Doccano lines
     where ``doccano``) and checked, and their canonical lines written to
-    ``dst``. Its summary is the name of the scheme read off their own
-    labels, then each row's `ingest._row_stats` in that scheme. None, and
-    nothing written, where the range holds bytes that are not UTF-8 or a
-    record or label that does not read: the one-process run reports every
-    error."""
+    ``dst``. Its summary holds one pair: the name of the scheme read off
+    their own labels, then each row's `ingest._row_stats` in that scheme.
+    None, and nothing written, where the range holds bytes that are not
+    UTF-8 or a record or label that does not read: the one-process run
+    reports every error."""
     try:
         try:
             records = ingest._json_records(src.read(size).decode("utf-8"))
@@ -172,16 +177,34 @@ def _set_up_range(
             records = []  # a range of blank lines
         # numbered as in the whole file, though only the one-process run reports a line
         records = [(line + lineno - 1, record) for line, record in records]
-        if doccano:
-            records = ingest._doccano_records(records)
-        rows, scheme = ingest._rows(records, None)
-        stats = ingest._row_stats(rows, scheme)
-        literals = ingest._Literals()
-        lines = [ingest._canonical_line(row, literals) for row in rows]
+        summary, lines = _set_up_lines(
+            ingest._doccano_records(records) if doccano else records)
     except Exception:  # whatever fails, fails the range
         return None
     dst.writelines(lines)
-    return [scheme.value, stats]
+    return [summary]
+
+
+def _set_up_files(group: tuple[str, ...], dst: TextIO, *, dialect: str | None) -> list | None:
+    """The part work of a pre-split `dataset set-up`: what `_set_up_range`
+    does of a range, done of each whole file of ``group`` as `ingest._set_up`
+    reads it; its summary holds one pair per file."""
+    try:
+        read = [_set_up_lines(ingest._file_records(path, dialect)) for path in group]
+    except Exception:  # whatever fails, fails the group
+        return None
+    for _, lines in read:
+        dst.writelines(lines)
+    return [summary for summary, _ in read]
+
+
+def _set_up_lines(records: list) -> tuple[list, list[str]]:
+    """([scheme name, each row's `ingest._row_stats`], canonical lines) of
+    the checked ``records``, in the scheme read off their own labels."""
+    rows, scheme = ingest._rows(records, None)
+    literals = ingest._Literals()
+    lines = [ingest._canonical_line(row, literals) for row in rows]
+    return [scheme.value, ingest._row_stats(rows, scheme)], lines
 
 
 #: The least input a `dataset set-up` process is given, in bytes. On a
@@ -196,51 +219,54 @@ _SET_UP_MIN_RANGE_BYTES = 256 * 1024
 
 
 def _split_set_up(args, ratio: tuple[float, float, float], out_dir: Path) -> dict | None:
-    """The analysis tree of `dataset set-up` of one JSONL file (``--path``
-    alone, a Doccano export or canonical records), whose records are read,
-    checked and formatted as canonical lines in ranges across the CPUs this
+    """The analysis tree of `dataset set-up` of a pre-split dataset, read in
+    groups of whole files, or of one JSONL file (``--path``, a Doccano
+    export or canonical records), read in byte ranges, across the CPUs this
     process may use (see `ranges`); this process then splits, prunes,
-    analyzes and writes them under ``out_dir`` as `ingest._set_up` does.
-    None, and nothing written, where the input is no such file, where it
-    does not split, where its first record does not read, where a range
-    fails, where two ranges read different schemes, where it holds no
-    record or where a temporary file or pipe cannot be made: the
-    one-process run then gives the files or the error, so neither depends
-    on the split. Ranges that agree on a scheme read off their own labels
-    agree with the whole file, as `_split_evaluate` shows."""
-    path = args.path
-    if args.source == "BI" or path is None or any((args.train_path, args.val_path, args.test_path)):
-        return None
-    jsonl = args.dialect == "doccano" or (
-        args.dialect is None and Path(path).suffix.lower() == ".jsonl"
-    )
-    if not jsonl or not Path(path).is_file():  # not opened: a FIFO would block
+    analyzes and writes what the parts read under ``out_dir`` as
+    `ingest._set_up` does. None, and nothing written, where the input is
+    neither, where it does not split, where a .jsonl file's first record
+    does not read, where a part fails, where the parts read different
+    schemes, where it holds no record or where a temporary file or pipe
+    cannot be made: the one-process run then gives the files or the error,
+    so neither depends on the split."""
+    path, files = args.path, [args.train_path, args.val_path, args.test_path]
+    if args.source == "BI" or not all(files) and path is None:
         return None
     try:
-        with open(path, "rb") as src:
-            ranges = _ranges(src, _cpu_count(), _SET_UP_MIN_RANGE_BYTES)
-            if len(ranges) < 2:
+        if all(files):
+            parts = _groups(files, _cpu_count(), _SET_UP_MIN_RANGE_BYTES)
+            work = partial(_set_up_files, dialect=args.dialect)
+        else:
+            jsonl = args.dialect == "doccano" or (
+                args.dialect is None and Path(path).suffix.lower() == ".jsonl"
+            )
+            if not jsonl or not Path(path).is_file():  # not opened: a FIFO would block
                 return None
-            doccano = args.dialect == "doccano"
-            if args.dialect is None:  # a .jsonl file, read as its first record reads
-                first = _first_record(src)
-                if first is None:
-                    return None
-                doccano = ingest._is_doccano(first)
-                src.seek(0)
-            work = partial(_set_up_range, doccano=doccano)
-            with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
-                summaries = _run_ranges(path, src, dst, ranges, work)
-                dst.flush()
-                output = dst.buffer.getvalue()
+            with open(path, "rb") as src:
+                parts = _ranges(src, _cpu_count(), _SET_UP_MIN_RANGE_BYTES)
+                doccano = args.dialect == "doccano"
+                if args.dialect is None and len(parts) > 1:  # read as its first record reads
+                    first = _first_record(src)
+                    if first is None:
+                        return None
+                    doccano = ingest._is_doccano(first)
+            work = partial(_run_at, path, partial(_set_up_range, doccano=doccano))
+        if len(parts) < 2:
+            return None
+        with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
+            summaries = _run_ranges(dst, parts, work)
+            dst.flush()
+            output = dst.buffer.getvalue()
     except OSError:
         return None
-    if None in summaries or len({summary[0] for summary in summaries}) > 1:
+    if None in summaries:
         return None
-    stats = [row for summary in summaries for row in summary[1]]
-    if not stats:
+    read = [pair for summary in summaries for pair in summary]  # one per range or file
+    scheme = _agreed_scheme(name for name, _ in read)
+    stats = [row for _, rows in read for row in rows]
+    if scheme is None or not stats:
         return None
-    scheme = AnnotationScheme.coerce(summaries[0][0])
 
     def analysis(splits, seed):
         named = [(split.name, [row for _, row in split.documents]) for split in splits]
@@ -249,9 +275,28 @@ def _split_set_up(args, ratio: tuple[float, float, float], out_dir: Path) -> dic
     # a canonical line escapes every "\r" and "\n" but its end
     pairs = list(zip(output.splitlines(keepends=True), stats))
     return ingest._write_set_up(
-        pairs, None, analysis, lambda pair, literals: pair[0], out_dir=out_dir,
-        split_ratio=ratio, seed=args.seed, fractions=(args.fraction, None, None),
+        pairs, [len(rows) for _, rows in read] if all(files) else None, analysis,
+        lambda pair, literals: pair[0], out_dir=out_dir, split_ratio=ratio, seed=args.seed,
+        fractions=(args.fraction, None, None),
     )[1]
+
+
+def _agreed_scheme(names: Iterable[str]) -> AnnotationScheme | None:
+    """The scheme that every part of an input read off its own labels,
+    ``names`` being what each read, where they all read the same one; None
+    where they did not. A part is a byte range of a file or a whole file.
+
+    Parts that agree on a scheme agree with their whole, which
+    `schemes.resolve_scheme` reads as BILOU if any label has an L or U
+    prefix, as IO if I occurs without B, and as BIO otherwise. Where every
+    part reads BILOU, some part has L or U, and so has the whole. Where
+    every part reads IO, no part has B, L or U and some part has I, and so
+    has the whole. Where every part reads BIO, no part has L or U and each
+    part has a B or has no I, so the whole has a B or has no I. So what the
+    parts read, count and decode in that scheme is what one process does
+    with the whole."""
+    names = set(names)
+    return AnnotationScheme.coerce(names.pop()) if len(names) == 1 else None
 
 
 def _first_record(src: BinaryIO) -> dict | None:
@@ -371,10 +416,10 @@ def _split_convert(
     ranges = _ranges(src, _cpu_count(), _CONVERT_MIN_RANGE_BYTES)
     if len(ranges) < 2:
         return None
-    work = partial(_convert_range, source=source, target=target)
+    work = partial(_run_at, path, partial(_convert_range, source=source, target=target))
     try:
         with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
-            documents, failed = map(sum, zip(*_run_ranges(path, src, dst, ranges, work)))
+            documents, failed = map(sum, zip(*_run_ranges(dst, ranges, work)))
             dst.flush()
             if not failed:
                 return documents, dst.buffer.getvalue()
@@ -462,17 +507,9 @@ def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme | None) -> Co
     split, where the tagger does not load, where a range fails, where two
     ranges read different schemes or where a temporary file or pipe cannot
     be made: the one-process run then gives the counts or the error, so
-    neither depends on the split.
-
-    Ranges that agree on a scheme they read off their own labels agree
-    with the whole file, which `schemes.resolve_scheme` reads as BILOU if
-    any label has an L or U prefix, as IO if I occurs without B, and as
-    BIO otherwise. Where every range reads BILOU, some range has L or U,
-    and so has the file. Where every range reads IO, no range has B, L or
-    U and some range has I, and so has the file. Where every range reads
-    BIO, no range has L or U and each range has a B or has no I, so the
-    file has a B or has no I. So the summed `Counts` are those of one
-    process."""
+    neither depends on the split. Ranges that agree on a scheme agree with
+    the whole file (see `_agreed_scheme`), so the summed `Counts` are those
+    of one process."""
     if not path.is_file():  # not opened: a FIFO would block
         return None
     try:
@@ -480,12 +517,12 @@ def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme | None) -> Co
             ranges = _ranges(src, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES)
             if len(ranges) < 2:
                 return None
-            work = partial(_evaluate_range, tagger=load_tagger(uri), scheme=scheme)
-            with open(os.devnull, "w", encoding="utf-8") as dst:  # a range writes nothing
-                summaries = _run_ranges(path, src, dst, ranges, work)
+        work = partial(_evaluate_range, tagger=load_tagger(uri), scheme=scheme)
+        with open(os.devnull, "w", encoding="utf-8") as dst:  # a range writes nothing
+            summaries = _run_ranges(dst, ranges, partial(_run_at, path, work))
     except (OSError, SeqlabError):  # SeqlabError: the tagger does not load
         return None
-    if None in summaries or len({summary[0] for summary in summaries}) > 1:
+    if None in summaries or _agreed_scheme(summary[0] for summary in summaries) is None:
         return None
     return sum((_read_counts(summary[1:]) for summary in summaries), Counts())
 

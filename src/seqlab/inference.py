@@ -64,7 +64,7 @@ from .errors import (
     UnloadableTagger,
 )
 from .ingest import _json_records, _rows, load_json, read_text
-from .ranges import _ranges, _run_ranges
+from .ranges import _ranges, _run_at, _run_ranges
 from .schemes import chunk_prefixes, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")
@@ -514,7 +514,10 @@ def predict_file(
     )
     with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
         ranges = _ranges(src, processes, _MIN_RANGE_BYTES)
-        return FileSummary(*map(sum, zip(*_run_ranges(input_path, src, dst, ranges, work))))
+        if len(ranges) < 2:  # read from ``src``: the input may be a pipe
+            return work(src, dst, 1, None)
+        work = partial(_run_at, input_path, work)
+        return FileSummary(*map(sum, zip(*_run_ranges(dst, ranges, work))))
 
 
 def _predict_range(

@@ -1,21 +1,23 @@
-"""One file of lines, run as contiguous byte ranges across processes.
+"""Lines or whole files of an input, run as contiguous parts across processes.
 
 `predict --input`, `convert`, `evaluate` and `dataset set-up` each read
 a file line by line, and each line's output depends on that line alone.
-`_run_ranges` runs such a job, a `Work`, over the byte ranges that
-`_ranges` cuts. A regular input file of at least two of the job's least
+`_run_ranges` runs such a job over the byte ranges that `_ranges` cuts,
+or, for a pre-split `dataset set-up`, over the groups of whole files that
+`_groups` makes. A regular input file of at least two of the job's least
 ranges (128 KiB for `predict`, 768 KiB for `convert`, whose lines cost
 less, 512 KiB for `evaluate` and `dataset set-up`) is cut at line starts
-into up to N ranges, each the size of the others give or take a line.
-The calling process runs the first range; a forked child runs each other
-one into an anonymous temporary file, which is appended to the caller's
-output in order, and sends the range's summary, one JSON value, through
-a pipe. The caller gets the summaries in range order and merges them
-itself: `predict` and `convert` add their counts, `evaluate` adds its
+into up to N ranges, each the size of the others give or take a line;
+regular files are grouped in order into up to N groups of at least that
+size, the largest as small as it can be. The calling process runs the
+first part; a forked child runs each other one into an anonymous
+temporary file, which is appended to the caller's output in order, and
+sends the part's summary, one JSON value, through a pipe. The caller
+gets the summaries in order and merges them itself: `predict` and `convert` add their counts, `evaluate` adds its
 `Counts`, `dataset set-up` joins each row's counts to its line. So the
 output bytes of a job, their order and the line numbers it writes are
 those of a one-process run, and a job's memory bound holds per process.
-A range whose child fails or dies is run again in the caller, so a job
+A part whose child fails or dies is run again in the caller, so a job
 that raises on bad input raises there, as in one process. The input
 stays in one process where os.fork or os.sched_getaffinity is missing
 (so fork is not trusted) or where another thread runs. The commands pass
@@ -31,13 +33,13 @@ import os
 import signal
 import stat
 import threading
-from typing import BinaryIO, Callable, TextIO
+from itertools import accumulate, combinations
+from typing import BinaryIO, Callable, Sequence, TextIO
 
-#: A job over one range: given the input at the range's start, the output,
-#: the number of the range's first line and the range's size in bytes
-#: (None: to the end of the file), it writes the range's output and
-#: returns its summary, one JSON value. A child sends it as JSON text, so
-#: a tuple comes back from a child as a list.
+#: A job over one byte range: given the input at the range's start, the
+#: output, the number of the range's first line and the range's size in
+#: bytes (None: to the end of the file), it writes the range's output and
+#: returns its summary, one JSON value. `_run_at` runs it on one range.
 Work = Callable[[BinaryIO, TextIO, int, int | None], object]
 
 #: fork is trusted only where the CPU set can be read as well: macOS, whose
@@ -73,32 +75,50 @@ def _ranges(src: BinaryIO, processes: int, least: int) -> list[tuple[int, int | 
     return [(a, b - a) for a, b in zip(starts, starts[1:])] + [(starts[-1], None)]
 
 
-def _run_ranges(
-    input_path: str | os.PathLike,
-    src: BinaryIO,
-    dst: TextIO,
-    ranges: list[tuple[int, int | None]],
-    work: Work,
-) -> list:
-    """``work`` over ``ranges`` of the file ``src``, which is at its start,
-    into ``dst``; the summaries of the ranges, in range order. A child is
-    forked for each range after the first, this process runs the first,
-    then appends each child's output in order, or runs its range again
-    here if the child failed or died. One range runs here alone. An
-    exception of the work run here is raised once every child is
-    stopped."""
+def _groups(paths: Sequence[str], processes: int, least: int) -> list[tuple[str, ...]]:
+    """The files ``paths``, in order, as contiguous groups to run in
+    processes of their own: at most ``processes`` groups of at least
+    ``least`` bytes each, the largest of them as small as it can be. One
+    group unless the files can be split; a file that is not regular is
+    never opened."""
+    whole = [tuple(paths)]
+    if processes < 2 or not _CAN_FORK or threading.active_count() > 1:
+        return whole
+    infos = [os.stat(path) for path in paths]
+    if not all(stat.S_ISREG(info.st_mode) for info in infos):
+        return whole
+    ends = [0, *accumulate(info.st_size for info in infos)]
+    best, largest = whole, ends[-1]
+    for count in range(2, min(processes, len(paths)) + 1):
+        for cuts in combinations(range(1, len(paths)), count - 1):
+            bounds = list(zip((0, *cuts), (*cuts, len(paths))))
+            sizes = [ends[b] - ends[a] for a, b in bounds]
+            if min(sizes) >= least and max(sizes) < largest:
+                best, largest = [tuple(paths[a:b]) for a, b in bounds], max(sizes)
+    return best
+
+
+def _run_ranges(dst: TextIO, parts: list, work: Callable[[object, TextIO], object]) -> list:
+    """``work`` over ``parts`` into ``dst``; the summaries of the parts, in
+    order. ``work(part, dst)`` writes a part's output and returns its
+    summary, one JSON value; a child sends it as JSON text, so a tuple
+    comes back from a child as a list. A child is forked for each part
+    after the first, this process runs the first, then appends each
+    child's output in order, or runs its part again here if the child
+    failed or died. One part runs here alone. An exception of the work run
+    here is raised once every child is stopped."""
     children = []  # (pid, summary pipe, output file) of the children not reaped
     try:
-        for start, size in ranges[1:]:
-            children.append(_fork_range(input_path, start, size, work))
-        summaries = [work(src, dst, 1, ranges[0][1])]
-        for start, size in ranges[1:]:
+        for part in parts[1:]:
+            children.append(_fork_range(part, work))
+        summaries = [work(parts[0], dst)]
+        for part in parts[1:]:
             pid, pipe, output = children[0]
             sent = _joined(pid, pipe)
             del children[0]
             with pipe, output:
                 if sent is None:
-                    summaries.append(_run_at(src, dst, start, size, work))
+                    summaries.append(work(part, dst))
                 else:
                     import shutil  # it loads bz2 and lzma, so only a split imports it
 
@@ -116,10 +136,10 @@ def _run_ranges(
 
 
 def _fork_range(
-    input_path: str | os.PathLike, start: int, size: int | None, work: Work
+    part: object, work: Callable[[object, TextIO], object]
 ) -> tuple[int | None, BinaryIO, BinaryIO]:
     """(pid, summary pipe, output file) of a forked child that runs one
-    range and sends its summary; the pid is None if fork failed."""
+    part and sends its summary; the pid is None if fork failed."""
     import tempfile  # only a split needs it, so it stays out of start-up
 
     output = tempfile.TemporaryFile()
@@ -135,10 +155,8 @@ def _fork_range(
     if pid == 0:  # the child, which never returns to the caller
         code = 1
         try:
-            with open(input_path, "rb") as src, open(
-                output.fileno(), "w", encoding="utf-8", closefd=False
-            ) as dst:
-                summary = _run_at(src, dst, start, size, work)
+            with open(output.fileno(), "w", encoding="utf-8", closefd=False) as dst:
+                summary = work(part, dst)
             # ASCII, so that a string holding a lone surrogate reads back as it was
             sent = memoryview(json.dumps(summary).encode())
             while sent:  # a write to a pipe may take only part of it
@@ -163,13 +181,15 @@ def _joined(pid: int | None, pipe: BinaryIO) -> bytes | None:
 
 
 def _run_at(
-    src: BinaryIO, dst: TextIO, start: int, size: int | None, work: Work
+    path: str | os.PathLike, work: Work, part: tuple[int, int | None], dst: TextIO
 ) -> object:
-    """``work`` over the range at byte ``start`` of ``src``, its lines
-    numbered as in the whole file."""
-    src.seek(0)
-    lines, left = 0, start
-    while left > 0 and (chunk := src.read(min(left, 1 << 20))):
-        lines += chunk.count(b"\n")
-        left -= len(chunk)
-    return work(src, dst, 1 + lines, size)
+    """``work`` over the byte range ``part``, (start, size), of the file at
+    ``path``, its lines numbered as in the whole file: with ``path`` and
+    ``work`` bound, the work `_run_ranges` runs on each range."""
+    start, size = part
+    with open(path, "rb") as src:
+        lines, left = 0, start
+        while left > 0 and (chunk := src.read(min(left, 1 << 20))):
+            lines += chunk.count(b"\n")
+            left -= len(chunk)
+        return work(src, dst, 1 + lines, size)

@@ -152,6 +152,22 @@ class TestDatasetSetup:
         assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
             "analysis.json", "test.jsonl", "train.jsonl", "val.jsonl"]
 
+    @pytest.mark.parametrize("splits", [("train", "val", "test"), ("train",), ("val", "test")])
+    def test_path_with_split_paths_is_a_usage_error(self, tmp_path, capsys, splits):
+        """--path beside any split path exits 2 before a file is read, where
+        it was ignored beside all three and gave a data error beside some."""
+        for name in ("all", *splits):
+            (tmp_path / f"{name}.conll").write_text("a B-X\n\nb O\n")
+        before = sorted(tmp_path.rglob("*"))
+        path = str(tmp_path / "all.conll")
+        code, out, err = run(
+            ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF", "--name", "x",
+             "--path", path, *(f"--{split}-path={tmp_path / split}.conll" for split in splits)],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", f"bad --path: {path!r} is given with split paths\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_missing_path_is_a_data_error(self, tmp_path, capsys):
         code, _, err = run(
             ["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "LF",

@@ -6,6 +6,10 @@ without `--verbose`, whatever sits at a cut: a pretokenized, Doccano or
 entity-only record, a record that does not read or whose labels do not,
 a blank line, a line longer than a range, or ranges whose labels are in
 different schemes; and whatever the split ratio, seed and fraction.
+
+A pre-split dataset is read the same way in groups of whole files, and
+must not show either, whatever the files' formats and schemes, whichever
+file does not read, and whatever the dialect, seed and fraction.
 """
 
 import contextlib
@@ -366,14 +370,12 @@ def write(tmp_path, name, text):
 
 #: inputs that set up in one process whatever their size: a CoNLL file,
 #: whose sentences span lines; a LabelStudio export, one JSON array; a
-#: pre-split dataset; a JSONL file read as LabelStudio; and a built-in corpus
+#: JSONL file read as LabelStudio; and a built-in corpus. A pre-split
+#: dataset, once a row here, splits by whole files (see `PRE_SPLIT`).
 ONE_PROCESS = {
     "conll": lambda tmp: ["--source", "LF", "--path", write(tmp, "in.conll", conll(60))],
     "labelstudio": lambda tmp: ["--source", "AT", "--path",
                                 write(tmp, "in.json", labelstudio(60))],
-    "pre-split": lambda tmp: ["--source", "HF", *(
-        option for split in ("train", "val", "test") for option in (
-            f"--{split}-path", write(tmp, f"{split}.jsonl", good_input().decode())))],
     "jsonl as labelstudio": lambda tmp: [
         "--source", "AT", "--dialect", "labelstudio", "--path",
         write(tmp, "in.jsonl", labelstudio(60))],
@@ -411,4 +413,258 @@ def test_an_input_under_two_ranges_is_not_split(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     assert set_up(tmp_path, 2, monkeypatch, argv) == expected
+    assert expected[0] == 0 and forks == []
+
+
+SPLITS = ("train", "val", "test")
+#: words that a CoNLL row holds as one column
+COLUMN_WORDS = st.sampled_from(["Ann", "Lee", "Rome", "été", "中", "\U0001f600", 'q"', "a\\b"])
+
+
+@st.composite
+def sentences(draw, scheme):
+    """(words, labels consistent in ``scheme``, entity (start, end, class)
+    triples over the words' single-space join) of up to three sentences."""
+    drawn = []
+    for _ in range(draw(st.integers(1, 3))):
+        words, labels, spans = [], [], []
+        for cls, length in draw(st.lists(st.tuples(CLASSES | st.none(), st.integers(1, 3)),
+                                         min_size=1, max_size=3)):
+            chunk = draw(st.lists(COLUMN_WORDS, min_size=length, max_size=length))
+            start = len(" ".join(words)) + bool(words)
+            words += chunk
+            if cls is None:
+                labels += ["O"] * length
+            else:
+                labels += [f"{p}-{cls}" for p in chunk_prefixes(length, scheme)]
+                spans.append([start, start + len(" ".join(chunk)), cls])
+                words.append("o")  # so that no two chunks of a class merge under IO
+                labels.append("O")
+        drawn.append((words, labels, spans))
+    return drawn
+
+
+def task(text, spans):
+    """A LabelStudio task of ``text`` with entity ``spans``."""
+    return {"data": {"text": text}, "annotations": [{"result": [
+        {"type": "labels", "value": {"start": s, "end": e, "labels": [c]}} for s, e, c in spans]}]}
+
+
+def render(form, drawn):
+    """The bytes of a file in ``form`` that holds the ``drawn`` sentences."""
+    if form == "conll":
+        return "".join("".join(f"{w} {label}\n" for w, label in zip(words, labels)) + "\n"
+                       for words, labels, _ in drawn).encode()
+    if form == "labelstudio":
+        return json.dumps([task(" ".join(words), spans) for words, _, spans in drawn]).encode()
+    records = [{"words": words, "labels": labels} if form == "canonical" else
+               {"text": " ".join(words), "label": spans} for words, labels, spans in drawn]
+    return b"".join(json.dumps(record).encode() + b"\n" for record in records)
+
+
+#: the formats of a pre-split file read without --dialect, by extension
+EXTENSIONS = {"conll": ".conll", "canonical": ".jsonl", "doccano": ".jsonl",
+              "labelstudio": ".json"}
+#: ways to break a file of each format: an empty file, bytes that are not
+#: UTF-8, a ragged CoNLL row, a label that does not parse, fewer labels
+#: than words, and an entity outside its text
+BREAKS = {
+    "conll": [b"", b"\xff", b"Ann\n\n", b"Ann Z-PER\n\n"],
+    "canonical": [b"", b"\xff", b'{"words": ["Ann"], "labels": ["Z-PER"]}\n',
+                  b'{"words": ["Ann", "Lee"], "labels": ["B-PER"]}\n'],
+    "doccano": [b"", b"\xff", b'{"text": "Ann", "label": [[0, 9, "PER"]]}\n'],
+    "labelstudio": [b"", b"\xff", json.dumps(task("Ann", [[0, 9, "PER"]])).encode()],
+}
+
+
+def broken(form, data, tail):
+    """``data`` in ``form`` with ``tail`` added, or emptied where it is empty."""
+    if not tail:
+        return b""
+    if form == "labelstudio" and tail != b"\xff":  # one more task in the array
+        return data[:-1] + b", " + tail + b"]"
+    return data + tail
+
+
+@st.composite
+def pre_split_inputs(draw):
+    """(the (file name, bytes) of train, val and test, dialect options).
+    Without a dialect each file's format is drawn, with one every file is
+    in it. The files' labels are in one scheme or in one scheme each; most
+    datasets hold no broken file, some one."""
+    dialect = draw(st.sampled_from([None, "doccano", "labelstudio"]))
+    forms = [dialect] * 3 if dialect else draw(
+        st.lists(st.sampled_from(sorted(EXTENSIONS)), min_size=3, max_size=3))
+    schemes = draw(st.lists(st.sampled_from(list(AnnotationScheme)), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        schemes = schemes[:1] * 3
+    datas = [render(form, draw(sentences(scheme))) for form, scheme in zip(forms, schemes)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        at = draw(st.integers(0, 2))
+        datas[at] = broken(forms[at], datas[at], draw(st.sampled_from(BREAKS[forms[at]])))
+    extensions = [EXTENSIONS[form] if dialect is None else
+                  draw(st.sampled_from([".jsonl", ".json", ".txt"])) for form in forms]
+    files = [(f"{split}{ext}", data) for split, ext, data in zip(SPLITS, extensions, datas)]
+    return files, [] if dialect is None else ["--dialect", dialect]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=pre_split_inputs(), source=st.sampled_from(["LF", "HF", "AT"]),
+       fraction=st.sampled_from([[], ["--fraction", "0.5"], ["--fraction", "0.01"]]),
+       seed=st.sampled_from(["42", "7", "-3"]), verbose=st.booleans())
+def test_split_pre_split_set_ups_write_what_one_process_writes(
+    inputs, source, fraction, seed, verbose
+):
+    files, dialect = inputs
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        tmp = Path(tmp)
+        argv = ["--source", source, *dialect, *fraction]
+        for split, (name, data) in zip(SPLITS, files):
+            (tmp / name).write_bytes(data)
+            argv += [f"--{split}-path", str(tmp / name)]
+        patch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+        one = set_up(tmp, 1, patch, argv, verbose, seed)
+        assert set_up(tmp, 2, patch, argv, verbose, seed) == one
+        assert set_up(tmp, 3, patch, argv, verbose, seed) == one
+        assert sorted(p.name for p in tmp.iterdir()) == sorted(
+            ["data"] * (one[3] is not None) + [name for name, _ in files])
+    assert one[0] in (0, 1)
+    assert (one[3] is None) == (one[0] == 1)
+
+
+def pre_split(source, extension, text, *dialect):
+    """The options of a pre-split set-up of three files that hold ``text``."""
+    return lambda tmp: ["--source", source, *dialect, *(
+        option for split in SPLITS for option in (
+            f"--{split}-path", write(tmp, f"{split}{extension}", text)))]
+
+
+def one_process_set_up(*args, **kwargs):
+    raise AssertionError("the dataset was set up in one process")
+
+
+def counted_forks(monkeypatch):
+    """The list that each os.fork call from now on adds a 1 to."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+#: good pre-split datasets, which set up from groups of their files:
+#: canonical records (the "pre-split" row once in `ONE_PROCESS`), CoNLL
+#: files, LabelStudio exports and Doccano exports named by --dialect
+PRE_SPLIT = {
+    "pre-split": pre_split("HF", ".jsonl", good_input().decode()),
+    "conll": pre_split("LF", ".conll", conll(60)),
+    "labelstudio": pre_split("AT", ".json", labelstudio(60)),
+    "doccano named": pre_split("AT", ".txt", good_input(doccano=True).decode(),
+                               "--dialect", "doccano"),
+}
+
+
+@pytest.mark.parametrize("options", PRE_SPLIT.values(), ids=PRE_SPLIT)
+def test_a_good_pre_split_input_is_set_up_on_the_split_path(tmp_path, monkeypatch, options):
+    """A good pre-split dataset on 2 or 3 CPUs is set up from groups of its
+    files, one fewer forked children than groups: the one-process run never
+    starts."""
+    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    argv = [*options(tmp_path), "--fraction", "0.5"]
+    expected = set_up(tmp_path, 1, monkeypatch, argv)
+    assert expected[0] == 0 and len(expected[3]) == 4
+    monkeypatch.setattr(ingest, "_set_up", one_process_set_up)
+    forks = counted_forks(monkeypatch)
+    for processes in (2, 3):
+        assert set_up(tmp_path, processes, monkeypatch, argv) == expected
+    assert forks == [1] * 3
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed"])
+def test_a_failed_child_has_its_group_read_again(tmp_path, monkeypatch, failure):
+    """A child whose group work raises, or which is killed, has its group
+    read again in the parent: the command gives the one-process result,
+    and no temporary file is left."""
+    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    argv = PRE_SPLIT["conll"](tmp_path)
+    expected = set_up(tmp_path, 1, monkeypatch, argv)
+    monkeypatch.setattr(ingest, "_set_up", one_process_set_up)
+    parent = os.getpid()
+    original = cli._set_up_files
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("the child's group fails")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_set_up_files", failing)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    forks = counted_forks(monkeypatch)
+    assert set_up(tmp_path, 3, monkeypatch, argv) == expected
+    assert expected[0] == 0 and forks == [1, 1]
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def no_fork(monkeypatch):
+    """The list of the thread counts at each os.fork call, which fails."""
+    forks = []
+
+    def fork():
+        forks.append(threading.active_count())
+        raise OSError("fork is off")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_a_threaded_caller_never_forks_for_a_pre_split_input(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    argv = PRE_SPLIT["conll"](tmp_path)
+    expected = set_up(tmp_path, 1, monkeypatch, argv)
+    forks = no_fork(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert set_up(tmp_path, 3, monkeypatch, argv) == expected
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    # alone, the same call would have forked once for each group after the first
+    assert set_up(tmp_path, 3, monkeypatch, argv) == expected
+    assert forks == [1, 1]
+
+
+#: (CPUs, least input of a process, train, val and test text) of pre-split
+#: datasets that never split: on one CPU; under two least inputs; and with
+#: a large train file whose val and test files make less than one
+SMALL = {
+    "one cpu": (1, 64, [conll(60)] * 3),
+    "under two least inputs": (3, None, [conll(1000)] * 3),
+    "small val and test": (2, 64, [conll(60), "a O\n\n", "b O\n\n"]),
+}
+
+
+@pytest.mark.parametrize("processes, least, texts", SMALL.values(), ids=SMALL)
+def test_a_pre_split_input_that_cannot_split_never_forks(
+    tmp_path, monkeypatch, processes, least, texts
+):
+    if least is None:
+        assert sum(map(len, texts)) < 2 * cli._SET_UP_MIN_RANGE_BYTES
+    else:
+        monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", least)
+    argv = ["--source", "LF", *(option for split, text in zip(SPLITS, texts) for option in (
+        f"--{split}-path", write(tmp_path, f"{split}.conll", text)))]
+    expected = set_up(tmp_path, 1, monkeypatch, argv)
+    forks = no_fork(monkeypatch)
+    assert set_up(tmp_path, processes, monkeypatch, argv) == expected
     assert expected[0] == 0 and forks == []
