@@ -209,6 +209,49 @@ def test_the_aggregate_is_the_tree_aggregate_json_holds(trees, selected):
         assert json.loads(save_aggregate(result, tmp).read_text(encoding="utf-8")) == result
 
 
+def _pinned_bytes(result):
+    return (json.dumps(result, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+# Characters that JSON escapes (quote, backslash, control characters),
+# that it writes as they are with ensure_ascii=False (non-ASCII, U+2028)
+# and the dot that joins metric paths.
+AWKWARD_NAMES = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7fé猫 .a'), max_size=4)
+# Sums and spreads of these fit a float: overflow has its own tests.
+AGGREGATED_VALUES = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 0.1, 1]),
+    st.integers(-10**6, 10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=st.lists(AWKWARD_NAMES, min_size=1, max_size=4, unique=True),
+    selected=AWKWARD_NAMES,
+    data=st.data(),
+)
+def test_aggregate_json_is_the_indented_dump_of_the_aggregate(names, selected, data):
+    """aggregate.json holds the bytes of json.dumps(indent=2) of the tree
+    aggregate returns, whatever its paths and run names hold."""
+    records = []
+    for seed, name in enumerate(names):
+        classes = data.draw(st.dictionaries(AWKWARD_NAMES, AGGREGATED_VALUES, max_size=4))
+        per_class = {cls: {"f1": value} for cls, value in classes.items()}
+        per_class[selected] = {"f1": data.draw(AGGREGATED_VALUES)}
+        records.append(RunRecord(name, seed, {"per_class": per_class}))
+    result = aggregate(records, f"per_class.{selected}.f1")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert save_aggregate(result, tmp).read_bytes() == _pinned_bytes(result)
+
+
+def test_aggregate_json_of_no_metrics_is_the_indented_dump(tmp_path):
+    """Every aggregate holds its selection metric; a tree without metrics
+    is still written as json.dumps(indent=2) writes it."""
+    result = {"selection_metric": "m", "best_run": "r", "metrics": {}}
+    assert save_aggregate(result, tmp_path).read_bytes() == _pinned_bytes(result)
+
+
 class TestBestModel:
     def test_argmax(self):
         best = best_model([record("lo", 0, 0.8), record("hi", 1, 0.9)], METRIC)
