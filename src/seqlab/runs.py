@@ -8,10 +8,14 @@ class ``org.x`` in ``strict.per_class.org.x.entity.f1``) aggregates
 like any other. For every numeric path shared by all records it reports
 mean and uncertainty, where uncertainty is the standard error of the
 mean (sample standard deviation over sqrt(n)); it is 0 where every run
-holds the same value, a single run included. A metric that is not a
-finite number (JSON ``NaN`` or ``Infinity``, or an integer too large
-for a float) raises NonFiniteMetric naming the run and the path, in
-``best_model`` as in ``aggregate``; two leaves whose keys join to one
+holds the same value, a single run included. The mean is ``math.fsum``
+over n, and the standard deviation is computed exactly in integers and
+rounded once, correctly, so neither depends on the Python version. A
+metric that is not a finite number (JSON ``NaN`` or ``Infinity``, or an
+integer too large for a float) raises NonFiniteMetric naming the run and
+the path, in ``best_model`` as in ``aggregate``, and so does, naming the
+path, a path whose values sum or spread beyond the largest float
+(``1.7e308`` twice, or with ``-1.7e308``); two leaves whose keys join to one
 path (the confusion cells ``a.b`` -> ``c`` and ``a`` -> ``b.c``) raise
 DuplicateMetricPath naming the run and both key chains. The selection
 metric is any path of these tables, a dotted class name included; the
@@ -21,7 +25,9 @@ without it raises MissingMetric.
 ``aggregate`` returns the tree that ``save_aggregate`` writes, key for
 key: ``{"selection_metric", "best_run", "metrics": {path: {"mean",
 "uncertainty", "n", "per_run"}}}``, the paths sorted and ``per_run`` in
-record order. Records persist as JSON under
+record order; the file holds ``json.dumps(tree, ensure_ascii=False,
+indent=2)`` and a line break, written in one pass over that fixed shape.
+Records persist as JSON under
 ``runs/<training_name>/<run_name>.json`` with the aggregate written next
 to them as ``aggregate.json``. A record
 file that is not JSON (too deeply nested included), lacks ``run_name``,
@@ -37,7 +43,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -63,22 +71,21 @@ def _metric_table(record: RunRecord) -> dict[str, float]:
     one walk; a leaf that is not a finite float raises NonFiniteMetric,
     and two leaves with one path raise DuplicateMetricPath."""
     table = {}
-    chains = {}  # path -> (keys above the leaf, the leaf's key)
     stack = [("", (), record.reports)] if isinstance(record.reports, Mapping) else []
     while stack:
         prefix, keys, tree = stack.pop()
         for key, value in tree.items():
-            path = f"{prefix}{key}"
-            if isinstance(value, Mapping):
-                stack.append((path + ".", (*keys, key), value))
-            elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                if path in chains:
-                    above, last = chains[path]
+            kind = type(value)
+            # the exact types first: an ABC check per leaf costs more than the rest
+            if kind is float or kind is int or (
+                kind is not bool and not isinstance(value, Mapping) and isinstance(value, (int, float))
+            ):
+                path = f"{prefix}{key}"
+                if path in table:
                     raise DuplicateMetricPath(
-                        f"run {record.run_name!r}: report keys {[*above, last]} and "
-                        f"{[*keys, key]} both have the metric path {path!r}"
+                        f"run {record.run_name!r}: report keys {_first_chain(record.reports, path)} "
+                        f"and {[*keys, key]} both have the metric path {path!r}"
                     )
-                chains[path] = keys, key
                 try:
                     number = float(value)
                 except OverflowError:
@@ -86,7 +93,21 @@ def _metric_table(record: RunRecord) -> dict[str, float]:
                 if not math.isfinite(number):
                     raise NonFiniteMetric(f"run {record.run_name!r}: metric {path!r} is not finite")
                 table[path] = number
+            elif isinstance(value, Mapping):
+                stack.append((f"{prefix}{key}.", (*keys, key), value))
     return table
+
+
+def _first_chain(reports: Mapping, path: str) -> list:
+    """The key chain of the first leaf on ``path`` in `_metric_table`'s walk."""
+    stack = [("", [], reports)]
+    while stack:
+        prefix, keys, tree = stack.pop()
+        for key, value in tree.items():
+            if isinstance(value, Mapping):
+                stack.append((f"{prefix}{key}.", [*keys, key], value))
+            elif f"{prefix}{key}" == path and isinstance(value, (int, float)) and type(value) is not bool:
+                return [*keys, key]
 
 
 def _best_run(
@@ -117,30 +138,59 @@ def best_model(
     return _best_run(records, [_metric_table(r) for r in records], selection_metric)
 
 
+def _stdev(values: Sequence[float]) -> float:
+    """The sample standard deviation of two or more finite floats,
+    correctly rounded, as ``statistics.stdev`` gives it from Python 3.11
+    on; OverflowError where it is too large for a float.
+
+    A float is an integer over a power of two, so over the largest of
+    these denominators, 2**shift, the values are integers and the sample
+    variance is one exact rational. Its square root is taken to at least
+    55 bits with round-to-odd and then rounded to a float once, as
+    ``statistics._float_sqrt_of_frac`` does."""
+    ratios = [value.as_integer_ratio() for value in values]
+    shift = max([denominator for _, denominator in ratios]).bit_length() - 1
+    scaled = [numerator << shift - denominator.bit_length() + 1 for numerator, denominator in ratios]
+    count, total = len(scaled), sum(scaled)
+    numerator = count * sum([x * x for x in scaled]) - total * total
+    denominator = count * (count - 1) << 2 * shift
+    q = (numerator.bit_length() - denominator.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
+    if q < 0:
+        numerator <<= -2 * q
+    else:
+        denominator <<= 2 * q
+    root = math.isqrt(numerator // denominator)
+    root |= root * root * denominator != numerator
+    return root / (1 << -q) if q < 0 else float(root << q)
+
+
 def aggregate(
     records: Sequence[RunRecord],
     selection_metric: str = DEFAULT_SELECTION_METRIC,
 ) -> dict:
     """Mean and standard-error aggregation over every metric path
     present (and numeric) in all records, as the tree that
-    aggregate.json holds."""
-    import statistics  # only this command needs it, so it stays out of start-up
-
+    aggregate.json holds. A mean or standard deviation too large for a
+    float raises NonFiniteMetric naming the path."""
     tables = [_metric_table(record) for record in records]
     best = _best_run(records, tables, selection_metric)
-    shared = set(tables[0]).intersection(*tables[1:])
+    # a table lists its paths in walk order, which sorts fast; a set's order does not
+    paths = sorted(tables[0])
+    for table in tables[1:]:
+        paths = [path for path in paths if path in table]
+    count = len(tables)
+    root = math.sqrt(count)
+    columns = [list(map(table.__getitem__, paths)) for table in tables]
     metrics = {}
-    for path in sorted(shared):
-        values = [table[path] for table in tables]
-        metrics[path] = {
-            "mean": statistics.fmean(values),
-            # stdev of equal finite values is 0.0; its exact arithmetic is slow
-            "uncertainty": statistics.stdev(values) / math.sqrt(len(values))
-            if len(set(values)) > 1
-            else 0.0,
-            "n": len(values),
-            "per_run": values,
-        }
+    for path, row in zip(paths, zip(*columns)):
+        try:
+            mean = math.fsum(row) / count
+            uncertainty = _stdev(row) / root if row.count(row[0]) < count else 0.0
+        except OverflowError:
+            raise NonFiniteMetric(
+                f"metric {path!r}: the sum or the spread of its values is too large for a float"
+            ) from None
+        metrics[path] = {"mean": mean, "uncertainty": uncertainty, "n": count, "per_run": list(row)}
     return {"selection_metric": selection_metric, "best_run": best.run_name, "metrics": metrics}
 
 
@@ -220,9 +270,22 @@ def load_runs(directory: str | Path) -> list[RunRecord]:
 
 
 def save_aggregate(result: dict, directory: str | Path) -> Path:
+    """Write the tree that `aggregate` returns as ``aggregate.json``: the
+    text of ``json.dumps(result, ensure_ascii=False, indent=2)`` and a line
+    break, written in one pass over the tree's fixed shape with the
+    string escaper and the number reprs that ``json`` uses."""
+    between_runs = ",\n        "
+    entries = [
+        f'    {encode_basestring(path)}: {{\n      "mean": {entry["mean"]!r},\n'
+        f'      "uncertainty": {entry["uncertainty"]!r},\n      "n": {entry["n"]!r},\n'
+        f'      "per_run": [\n        {between_runs.join(map(repr, entry["per_run"]))}\n      ]\n    }}'
+        for path, entry in result["metrics"].items()
+    ]
+    metrics = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
     path = Path(directory) / "aggregate.json"
     path.write_text(
-        json.dumps(result, ensure_ascii=False, indent=2) + "\n",
+        f'{{\n  "selection_metric": {encode_basestring(result["selection_metric"])},\n'
+        f'  "best_run": {encode_basestring(result["best_run"])},\n  "metrics": {metrics}\n}}\n',
         encoding="utf-8",
     )
     return path

@@ -230,6 +230,25 @@ def oracle_mean_sem(values):
     return mean, math.sqrt(variance) / math.sqrt(n)
 
 
+def oracle_stdev(values):
+    """The sample standard deviation of two or more floats, correctly
+    rounded: the variance in Fractions, its square root to at least 120
+    bits by isqrt with a sticky last bit (set where the root is inexact),
+    then one rounding to a float. OverflowError where the float would be
+    infinite."""
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    variance = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    if not variance:
+        return 0.0
+    magnitude = variance.numerator.bit_length() - variance.denominator.bit_length()
+    shift = (242 - magnitude) // 2 + 1  # variance * 4**shift >= 2**240
+    scaled = variance * Fraction(4) ** shift
+    root = math.isqrt(math.floor(scaled))
+    root |= root * root != scaled
+    return float(root / Fraction(2) ** shift)
+
+
 # --- the reference record reader -------------------------------------------
 #
 # canonical (line, record) pairs -> Documents, or the error of the first

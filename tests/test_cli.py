@@ -797,6 +797,11 @@ def metric_too_large_for_a_float(tmp_path):
     return write_run_records(tmp_path, "1.0", "1" + "0" * 400)
 
 
+def spread_too_large_for_a_float(tmp_path):
+    """Finite metrics whose standard deviation overflows a float."""
+    return write_run_records(tmp_path, "1.7e308", "-1.7e308")
+
+
 class TestErrorBoundary:
     """Bad input anywhere ends as one "error: ..." line and exit code 1."""
 
@@ -806,7 +811,8 @@ class TestErrorBoundary:
          empty_entity_label, nested_jsonl, nested_labelstudio, long_integer_jsonl,
          nested_run_record, nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
          non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets,
-         non_finite_metric, metric_too_large_for_a_float, colliding_metric_paths,
+         non_finite_metric, metric_too_large_for_a_float, spread_too_large_for_a_float,
+         colliding_metric_paths,
          lone_surrogate_set_up, lone_surrogate_convert],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
@@ -830,6 +836,14 @@ class TestErrorBoundary:
         assert err.startswith("error: bad run record") and err.count("\n") == 1
         assert "a.json" in err and "is not a JSON integer" in err
         assert not (runs / "aggregate.json").exists()
+
+    @pytest.mark.parametrize("values", [("1.7e308", "1.7e308"), ("1.7e308", "-1.7e308")],
+                             ids=["sum", "spread"])
+    def test_a_metric_too_large_to_aggregate_writes_nothing(self, tmp_path, capsys, values):
+        code, _, err = run(write_run_records(tmp_path, *values), capsys)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: metric 'strict.micro.entity.precision': ")
+        assert not (tmp_path / "runs" / "aggregate.json").exists()
 
     def test_line_breaks_in_a_message_stay_on_one_line(self, tmp_path, capsys):
         """A message may quote input; its line breaks are written as \\n."""
@@ -903,8 +917,8 @@ class TestErrorBoundary:
 def test_start_up_loads_no_module_only_some_commands_use():
     """Every command pays for what `import seqlab.cli` loads. dataclasses
     (with inspect, ast and dis) and logging (with traceback and tokenize)
-    are not used at all; statistics and csv are imported by the one
-    command that uses each, shutil (with bz2 and lzma) and tempfile only
+    are not used at all, nor is statistics; csv is imported by the one
+    command that uses it, shutil (with bz2 and lzma) and tempfile only
     where an input is split. `-S` keeps site-packages out, so the import
     also needs nothing beyond the standard library."""
     src = Path(__file__).parents[1] / "src"
@@ -915,3 +929,20 @@ def test_start_up_loads_no_module_only_some_commands_use():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_aggregate_loads_no_exact_arithmetic_module(tmp_path):
+    """The standard error is computed in integers, so `aggregate` loads
+    neither statistics nor the fractions and decimal it would import."""
+    write_run_records(tmp_path, "0.25", "0.5", "0.75")
+    src = Path(__file__).parents[1] / "src"
+    probe = (
+        "import sys; from seqlab.cli import main; "
+        f"assert main(['aggregate', '--runs-dir', {str(tmp_path / 'runs')!r}]) == 0; "
+        "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import statistics
+import sys
 import tempfile
 
 import pytest
@@ -15,6 +16,7 @@ from seqlab.ingest import DatasetSplit, parse_conll
 from seqlab.runs import (
     DEFAULT_SELECTION_METRIC,
     RunRecord,
+    _stdev,
     aggregate,
     best_model,
     load_runs,
@@ -22,7 +24,7 @@ from seqlab.runs import (
     save_run,
 )
 
-from .oracles import oracle_mean_sem
+from .oracles import oracle_mean_sem, oracle_stdev
 
 METRIC = "strict.micro.entity.f1"
 
@@ -99,6 +101,16 @@ class TestAggregate:
         with pytest.raises(NonFiniteMetric, match="run 'b': metric 'extra.p' is not finite"):
             aggregate([record("a", 0, 0.5), record("b", 1, 0.6, {"extra": {"p": value}})], METRIC)
 
+    @pytest.mark.parametrize(
+        "values", [(1.7e308, 1.7e308), (1.7e308, -1.7e308)], ids=["sum", "spread"]
+    )
+    def test_a_mean_or_spread_too_large_for_a_float(self, values):
+        """Finite metrics whose sum or standard deviation overflows a
+        float fail naming the path."""
+        records = [record(f"r{i}", i, 0.5, {"extra": {"p": v}}) for i, v in enumerate(values)]
+        with pytest.raises(NonFiniteMetric, match="metric 'extra.p': .* too large for a float"):
+            aggregate(records, METRIC)
+
     def test_default_selection_metric(self):
         result = aggregate([record("a", 0, 0.5)])
         assert result["selection_metric"] == DEFAULT_SELECTION_METRIC
@@ -122,7 +134,9 @@ class TestAggregate:
 def reference_metrics(records):
     """The aggregation as it was first written: collect every numeric
     path of each tree, look each shared path up again from the root,
-    and take fmean and stdev / sqrt(n) of the values."""
+    and take fmean and stdev / sqrt(n) of the values, the standard
+    deviation exact and correctly rounded (as statistics.stdev gives it
+    from Python 3.11 on)."""
 
     def numeric_paths(tree, prefix=""):
         for key, value in tree.items():
@@ -144,11 +158,56 @@ def reference_metrics(records):
         n = len(values)
         metrics[path] = {
             "mean": statistics.fmean(values),
-            "uncertainty": statistics.stdev(values) / math.sqrt(n) if n > 1 else 0.0,
+            "uncertainty": oracle_stdev(values) / math.sqrt(n) if n > 1 else 0.0,
             "n": n,
             "per_run": values,
         }
     return metrics
+
+
+# Subnormals, values near the largest float, negatives and mixed exponents.
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.floats(1e307, 1.7976931348623157e308) | st.floats(-1.7976931348623157e308, -1e307),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0, 0.1]),
+)
+RUN_VALUES = st.one_of(
+    st.lists(EXTREME_FLOATS, min_size=2, max_size=6),
+    # repeated values, from a pool of one to three
+    st.lists(EXTREME_FLOATS, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=6)
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=RUN_VALUES)
+def test_the_standard_error_is_exact_and_correctly_rounded(values):
+    """The standard deviation equals the exact oracle bit for bit, the
+    mean equals statistics.fmean, and a value too large for a float
+    raises NonFiniteMetric."""
+    try:
+        expected_stdev = oracle_stdev(values)
+    except OverflowError:
+        expected_stdev = None
+    else:
+        assert _stdev(values).hex() == expected_stdev.hex()
+    records = [record(f"r{i}", i, v) for i, v in enumerate(values)]
+    try:
+        expected_mean = statistics.fmean(values)
+    except OverflowError:
+        expected_mean = None
+    if expected_mean is None or expected_stdev is None:
+        with pytest.raises(NonFiniteMetric, match=f"metric {METRIC!r}"):
+            aggregate(records, METRIC)
+        return
+    agg = aggregate(records, METRIC)["metrics"][METRIC]
+    assert agg["mean"].hex() == expected_mean.hex()
+    spread = expected_stdev / math.sqrt(len(values)) if len(set(values)) > 1 else 0.0
+    assert agg["uncertainty"].hex() == spread.hex()
+    if sys.version_info >= (3, 11):  # statistics.stdev rounds twice before 3.11
+        assert _stdev(values).hex() == statistics.stdev(values).hex()
 
 
 # Few keys and a few recurring values, so that trees share many paths,
