@@ -8,14 +8,12 @@ class ``org.x`` in ``strict.per_class.org.x.entity.f1``) aggregates
 like any other. For every numeric path shared by all records it reports
 mean and uncertainty, where uncertainty is the standard error of the
 mean (sample standard deviation over sqrt(n)); it is 0 where every run
-holds the same value, a single run included. The mean is ``math.fsum``
-over n, and the standard deviation is computed exactly in integers and
-rounded once, correctly, so neither depends on the Python version. A
-metric that is not a finite number (JSON ``NaN`` or ``Infinity``, or an
-integer too large for a float) raises NonFiniteMetric naming the run and
-the path, in ``best_model`` as in ``aggregate``, and so does, naming the
-path, a path whose values sum or spread beyond the largest float
-(``1.7e308`` twice, or with ``-1.7e308``); two leaves whose keys join to one
+holds the same value, a single run included. The standard deviation is
+exact and correctly rounded on every Python version. A metric that is
+not a finite number (JSON ``NaN`` or ``Infinity``, or an integer too
+large for a float) raises NonFiniteMetric naming the run and the path,
+in ``best_model`` as in ``aggregate``, and values whose sum or spread
+overflows a float raise it naming the path; two leaves whose keys join to one
 path (the confusion cells ``a.b`` -> ``c`` and ``a`` -> ``b.c``) raise
 DuplicateMetricPath naming the run and both key chains. The selection
 metric is any path of these tables, a dotted class name included; the
@@ -25,9 +23,8 @@ without it raises MissingMetric.
 ``aggregate`` returns the tree that ``save_aggregate`` writes, key for
 key: ``{"selection_metric", "best_run", "metrics": {path: {"mean",
 "uncertainty", "n", "per_run"}}}``, the paths sorted and ``per_run`` in
-record order; the file holds ``json.dumps(tree, ensure_ascii=False,
-indent=2)`` and a line break, written in one pass over that fixed shape.
-Records persist as JSON under
+record order, and the file holds ``json.dumps(tree, ensure_ascii=False,
+indent=2)`` and a line break. Records persist as JSON under
 ``runs/<training_name>/<run_name>.json`` with the aggregate written next
 to them as ``aggregate.json``. A record
 file that is not JSON (too deeply nested included), lacks ``run_name``,
@@ -71,21 +68,24 @@ def _metric_table(record: RunRecord) -> dict[str, float]:
     one walk; a leaf that is not a finite float raises NonFiniteMetric,
     and two leaves with one path raise DuplicateMetricPath."""
     table = {}
+    chains = {}  # path -> (keys above the leaf, the leaf's key)
     stack = [("", (), record.reports)] if isinstance(record.reports, Mapping) else []
     while stack:
         prefix, keys, tree = stack.pop()
         for key, value in tree.items():
+            path = f"{prefix}{key}"
             kind = type(value)
             # the exact types first: an ABC check per leaf costs more than the rest
             if kind is float or kind is int or (
                 kind is not bool and not isinstance(value, Mapping) and isinstance(value, (int, float))
             ):
-                path = f"{prefix}{key}"
-                if path in table:
+                if path in chains:
+                    above, last = chains[path]
                     raise DuplicateMetricPath(
-                        f"run {record.run_name!r}: report keys {_first_chain(record.reports, path)} "
-                        f"and {[*keys, key]} both have the metric path {path!r}"
+                        f"run {record.run_name!r}: report keys {[*above, last]} and "
+                        f"{[*keys, key]} both have the metric path {path!r}"
                     )
+                chains[path] = keys, key
                 try:
                     number = float(value)
                 except OverflowError:
@@ -94,20 +94,8 @@ def _metric_table(record: RunRecord) -> dict[str, float]:
                     raise NonFiniteMetric(f"run {record.run_name!r}: metric {path!r} is not finite")
                 table[path] = number
             elif isinstance(value, Mapping):
-                stack.append((f"{prefix}{key}.", (*keys, key), value))
+                stack.append((path + ".", (*keys, key), value))
     return table
-
-
-def _first_chain(reports: Mapping, path: str) -> list:
-    """The key chain of the first leaf on ``path`` in `_metric_table`'s walk."""
-    stack = [("", [], reports)]
-    while stack:
-        prefix, keys, tree = stack.pop()
-        for key, value in tree.items():
-            if isinstance(value, Mapping):
-                stack.append((f"{prefix}{key}.", [*keys, key], value))
-            elif f"{prefix}{key}" == path and isinstance(value, (int, float)) and type(value) is not bool:
-                return [*keys, key]
 
 
 def _best_run(
@@ -140,14 +128,11 @@ def best_model(
 
 def _stdev(values: Sequence[float]) -> float:
     """The sample standard deviation of two or more finite floats,
-    correctly rounded, as ``statistics.stdev`` gives it from Python 3.11
-    on; OverflowError where it is too large for a float.
-
-    A float is an integer over a power of two, so over the largest of
-    these denominators, 2**shift, the values are integers and the sample
-    variance is one exact rational. Its square root is taken to at least
-    55 bits with round-to-odd and then rounded to a float once, as
-    ``statistics._float_sqrt_of_frac`` does."""
+    correctly rounded as by ``statistics.stdev`` from Python 3.11 on;
+    OverflowError where a float cannot hold it. Over the largest of the
+    floats' power-of-two denominators the variance is one exact rational;
+    its square root is taken to 55 or more bits, rounded to odd, then
+    rounded to a float once, as ``statistics._float_sqrt_of_frac`` does."""
     ratios = [value.as_integer_ratio() for value in values]
     shift = max([denominator for _, denominator in ratios]).bit_length() - 1
     scaled = [numerator << shift - denominator.bit_length() + 1 for numerator, denominator in ratios]
@@ -179,13 +164,13 @@ def aggregate(
     for table in tables[1:]:
         paths = [path for path in paths if path in table]
     count = len(tables)
-    root = math.sqrt(count)
+    sqrt_count = math.sqrt(count)
     columns = [list(map(table.__getitem__, paths)) for table in tables]
     metrics = {}
     for path, row in zip(paths, zip(*columns)):
         try:
             mean = math.fsum(row) / count
-            uncertainty = _stdev(row) / root if row.count(row[0]) < count else 0.0
+            uncertainty = _stdev(row) / sqrt_count if row.count(row[0]) < count else 0.0
         except OverflowError:
             raise NonFiniteMetric(
                 f"metric {path!r}: the sum or the spread of its values is too large for a float"

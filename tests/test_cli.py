@@ -797,11 +797,6 @@ def metric_too_large_for_a_float(tmp_path):
     return write_run_records(tmp_path, "1.0", "1" + "0" * 400)
 
 
-def spread_too_large_for_a_float(tmp_path):
-    """Finite metrics whose standard deviation overflows a float."""
-    return write_run_records(tmp_path, "1.7e308", "-1.7e308")
-
-
 class TestErrorBoundary:
     """Bad input anywhere ends as one "error: ..." line and exit code 1."""
 
@@ -811,8 +806,7 @@ class TestErrorBoundary:
          empty_entity_label, nested_jsonl, nested_labelstudio, long_integer_jsonl,
          nested_run_record, nested_lexicon, duplicate_run_names, bad_label_jsonl, bad_label_conll,
          non_string_entity_label, non_integer_entity_offsets, non_integer_word_offsets,
-         non_finite_metric, metric_too_large_for_a_float, spread_too_large_for_a_float,
-         colliding_metric_paths,
+         non_finite_metric, metric_too_large_for_a_float, colliding_metric_paths,
          lone_surrogate_set_up, lone_surrogate_convert],
     )
     def test_exits_one_with_error_line(self, tmp_path, capsys, case):
@@ -840,6 +834,7 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("values", [("1.7e308", "1.7e308"), ("1.7e308", "-1.7e308")],
                              ids=["sum", "spread"])
     def test_a_metric_too_large_to_aggregate_writes_nothing(self, tmp_path, capsys, values):
+        """Finite metrics whose sum or standard deviation overflows a float."""
         code, _, err = run(write_run_records(tmp_path, *values), capsys)
         assert code == 1 and err.count("\n") == 1
         assert err.startswith("error: metric 'strict.micro.entity.precision': ")
