@@ -33,11 +33,14 @@ Exit codes: 0 success, 1 data or processing error, 2 usage error.
 command prints one "error: ..." line and exits 1; a line break in the
 message, which may quote input, is written as "\\n". `--verbose` prints
 "DEBUG ..." lines to stderr, and before that error line the traceback.
+Run as the program, `main` freezes the start-up heap before the command
+runs (see `main`).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -619,11 +622,22 @@ def _one_line(err: Exception) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command ``argv`` (None: ``sys.argv[1:]``); its exit code.
+
+    Called without ``argv``, as the program (the console script, ``python
+    -m seqlab.cli``, ``sys.exit(main())``), it freezes the start-up heap
+    with `gc.freeze` before the command runs: the interpreter's collections
+    at exit, and those of the children a split forks, then skip the
+    objects that start-up made, while those the command makes are still
+    collected. A call with ``argv`` leaves the collector as it found it.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_info:
         return exit_info.code if isinstance(exit_info.code, int) else 2
+    if argv is None:
+        gc.freeze()
     try:
         return args.handler(args)
     except (SeqlabError, OSError) as err:

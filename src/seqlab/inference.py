@@ -473,8 +473,15 @@ def _same_file(first: str | Path, second: str | Path) -> bool:
 
 
 #: The least input a predict_file process is given, in bytes. On a 2-vCPU
-#: machine a whole `predict` command on an input under twice this gained
-#: no more from a split than its run-to-run noise.
+#: machine, whole `predict --input` commands on line-cut prefixes of a
+#: tokenized and a raw-text input, split in two against one process
+#: (medians of 24 alternating pairs, entity/word level), moved by
+#: +2.1%/+8.6% and -5.0%/-8.8% at 96 KiB and by -9.0%/-1.0% and
+#: -7.5%/-9.7% at 128 KiB; with the start-up heap frozen (see `cli.main`),
+#: by +2.1%/+4.3% and +1.1%/-3.5% at 96 KiB and +1.9%/-3.1% and
+#: -2.4%/+0.7% at 128 KiB. 40 more pairs of the tokenized 96 KiB prefix
+#: read -1.8%/-4.6% (split faster in 27 and 30 of 40). No size from 32 KiB
+#: to 96 KiB won in every series, so a split still starts at twice this.
 _MIN_RANGE_BYTES = 64 * 1024
 
 

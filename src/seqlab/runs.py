@@ -258,7 +258,9 @@ def save_aggregate(result: dict, directory: str | Path) -> Path:
     """Write the tree that `aggregate` returns as ``aggregate.json``: the
     text of ``json.dumps(result, ensure_ascii=False, indent=2)`` and a line
     break, written in one pass over the tree's fixed shape with the
-    string escaper and the number reprs that ``json`` uses."""
+    string escaper and the number reprs that ``json`` uses. A tree holding
+    a string no UTF-8 holds raises UnicodeEncodeError, and nothing is
+    written: an existing ``aggregate.json`` keeps its bytes."""
     between_runs = ",\n        "
     entries = [
         f'    {encode_basestring(path)}: {{\n      "mean": {entry["mean"]!r},\n'
@@ -267,10 +269,10 @@ def save_aggregate(result: dict, directory: str | Path) -> Path:
         for path, entry in result["metrics"].items()
     ]
     metrics = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
-    path = Path(directory) / "aggregate.json"
-    path.write_text(
+    data = (
         f'{{\n  "selection_metric": {encode_basestring(result["selection_metric"])},\n'
-        f'  "best_run": {encode_basestring(result["best_run"])},\n  "metrics": {metrics}\n}}\n',
-        encoding="utf-8",
-    )
+        f'  "best_run": {encode_basestring(result["best_run"])},\n  "metrics": {metrics}\n}}\n'
+    ).encode("utf-8")  # before the file is opened, so that a failure writes nothing
+    path = Path(directory) / "aggregate.json"
+    path.write_bytes(data)
     return path

@@ -311,6 +311,20 @@ def test_aggregate_json_of_no_metrics_is_the_indented_dump(tmp_path):
     assert save_aggregate(result, tmp_path).read_bytes() == _pinned_bytes(result)
 
 
+def test_aggregate_json_that_cannot_be_encoded_is_not_written(tmp_path):
+    """A tree holding a string no UTF-8 holds raises before aggregate.json
+    is opened: an existing file keeps its bytes, and none is made."""
+    unwritable = aggregate([record("a", 0, 0.5, {"\ud800": 1.0})], METRIC)
+    (tmp_path / "kept").mkdir()
+    kept = save_aggregate(aggregate([record("a", 0, 0.5)], METRIC), tmp_path / "kept")
+    before = kept.read_bytes()
+    for directory in (tmp_path / "kept", tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            save_aggregate(unwritable, directory)
+    assert kept.read_bytes() == before
+    assert not (tmp_path / "aggregate.json").exists()
+
+
 class TestBestModel:
     def test_argmax(self):
         best = best_model([record("lo", 0, 0.8), record("hi", 1, 0.9)], METRIC)
