@@ -8,25 +8,17 @@ summarizes multi-seed runs.
 
 `predict --input` (from 128 KiB), `convert` (from 768 KiB), `evaluate`
 (from 512 KiB) and `dataset set-up` of one JSONL file or of a pre-split
-dataset (from 512 KiB) split their input across the CPUs in their CPU set
-(see `ranges`). A split never shows: the output bytes, the report, the
-analysis, the summary line, the exit code and every error are those of
-one process. A child that fails or dies has its part run again in the
-command's own process.
-A split `convert` in which any range fails to decode, read or convert
-runs the whole input again in one process, which reports the error; it
-writes its output only after every range has converted. A split
-`evaluate` loads its tagger once, before the fork, and adds up the
-`Counts` of its ranges, each read in the scheme `analysis.json` names or,
-without one, in the scheme read off the range's own labels; if any range
-fails to decode, read, label or tag, or two ranges read different
-schemes, the whole split is evaluated again in one process, which
-reports the error. A split `dataset set-up` reads, checks and formats its
-records in ranges of one JSONL file, or in groups of a pre-split
-dataset's whole files, each in the scheme read off its own labels, then
-shuffles, prunes, analyzes and writes them in the command's own process,
-once every part has read; a part that fails, or parts that read
-different schemes, send it back to one process in the same way.
+dataset (from 512 KiB) split their input across the CPUs in their CPU
+set. The last three split through `ranges._split`, which sends the
+whole input back to one process wherever a part fails (see `ranges`). A
+split never shows: the output bytes, the report, the analysis, the
+summary line, the exit code and every error are those of one process.
+Per command, `convert` writes its output only once every range has
+converted; `evaluate` loads its tagger once, before the fork, and adds
+up the `Counts` of its ranges; `dataset set-up` reads and formats its
+records in the parts, then shuffles, prunes, analyzes and writes them in
+its own process. Where the parts of `evaluate` or `dataset set-up` read
+their labels in different schemes, the input runs in one process too.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
 `main` is the one error boundary: a SeqlabError or an OSError from any
@@ -41,10 +33,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import io
 import json
 import math
-import os
 import sys
 from collections import Counter
 from functools import partial
@@ -53,10 +43,10 @@ from typing import BinaryIO, Iterable, Sequence, TextIO
 
 from . import ingest, runs, schedule
 from .core import AnnotationScheme, LabelSequence
-from .errors import EmptyInput, InconsistentSource, SeqlabError, UnconvertibleInput
+from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
 from .evaluation import Counts, _count_rows
 from .inference import load_tagger, predict, predict_file, prediction_record
-from .ranges import _cpu_count, _groups, _ranges, _run_at, _run_ranges
+from .ranges import _cpu_count, _split
 from .schemes import convert_scheme
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
@@ -174,14 +164,7 @@ def _set_up_range(
     UTF-8 or a record or label that does not read: the one-process run
     reports every error."""
     try:
-        try:
-            records = ingest._json_records(src.read(size).decode("utf-8"))
-        except EmptyInput:
-            records = []  # a range of blank lines
-        # numbered as in the whole file, though only the one-process run reports a line
-        records = [(line + lineno - 1, record) for line, record in records]
-        summary, lines = _set_up_lines(
-            ingest._doccano_records(records) if doccano else records)
+        summary, lines = _set_up_lines(ingest._range_records(src.read(size), lineno, doccano))
     except Exception:  # whatever fails, fails the range
         return None
     dst.writelines(lines)
@@ -224,47 +207,28 @@ _SET_UP_MIN_RANGE_BYTES = 256 * 1024
 def _split_set_up(args, ratio: tuple[float, float, float], out_dir: Path) -> dict | None:
     """The analysis tree of `dataset set-up` of a pre-split dataset, read in
     groups of whole files, or of one JSONL file (``--path``, a Doccano
-    export or canonical records), read in byte ranges, across the CPUs this
-    process may use (see `ranges`); this process then splits, prunes,
-    analyzes and writes what the parts read under ``out_dir`` as
-    `ingest._set_up` does. None, and nothing written, where the input is
-    neither, where it does not split, where a .jsonl file's first record
-    does not read, where a part fails, where the parts read different
-    schemes, where it holds no record or where a temporary file or pipe
-    cannot be made: the one-process run then gives the files or the error,
-    so neither depends on the split."""
+    export or canonical records), read in byte ranges, through
+    `ranges._split`; this process then splits, prunes, analyzes and writes
+    what the parts read under ``out_dir`` as `ingest._set_up` does. None,
+    and nothing written, where the input is neither, where `_split` gives
+    None, where the parts read different schemes or where it holds no
+    record."""
     path, files = args.path, [args.train_path, args.val_path, args.test_path]
     if args.source == "BI" or not all(files) and path is None:
         return None
-    try:
-        if all(files):
-            parts = _groups(files, _cpu_count(), _SET_UP_MIN_RANGE_BYTES)
-            work = partial(_set_up_files, dialect=args.dialect)
-        else:
-            jsonl = args.dialect == "doccano" or (
-                args.dialect is None and Path(path).suffix.lower() == ".jsonl"
-            )
-            if not jsonl or not Path(path).is_file():  # not opened: a FIFO would block
-                return None
-            with open(path, "rb") as src:
-                parts = _ranges(src, _cpu_count(), _SET_UP_MIN_RANGE_BYTES)
-                doccano = args.dialect == "doccano"
-                if args.dialect is None and len(parts) > 1:  # read as its first record reads
-                    first = _first_record(src)
-                    if first is None:
-                        return None
-                    doccano = ingest._is_doccano(first)
-            work = partial(_run_at, path, partial(_set_up_range, doccano=doccano))
-        if len(parts) < 2:
-            return None
-        with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
-            summaries = _run_ranges(dst, parts, work)
-            dst.flush()
-            output = dst.buffer.getvalue()
-    except OSError:
+    if all(files):
+        split = _split(files, _cpu_count(), _SET_UP_MIN_RANGE_BYTES,
+                       lambda: partial(_set_up_files, dialect=args.dialect))
+    elif args.dialect == "doccano" or (
+        args.dialect is None and Path(path).suffix.lower() == ".jsonl"
+    ):
+        split = _split(path, _cpu_count(), _SET_UP_MIN_RANGE_BYTES,
+                       partial(_set_up_work, path, args.dialect))
+    else:
         return None
-    if None in summaries:
+    if split is None:
         return None
+    summaries, output = split
     read = [pair for summary in summaries for pair in summary]  # one per range or file
     scheme = _agreed_scheme(name for name, _ in read)
     stats = [row for _, rows in read for row in rows]
@@ -282,6 +246,24 @@ def _split_set_up(args, ratio: tuple[float, float, float], out_dir: Path) -> dic
         lambda pair, literals: pair[0], out_dir=out_dir, split_ratio=ratio, seed=args.seed,
         fractions=(args.fraction, None, None),
     )[1]
+
+
+def _set_up_work(path: str, dialect: str | None):
+    """The range `Work` of `dataset set-up` of the JSONL file at ``path``:
+    its lines read as Doccano lines with the dialect "doccano" and, without
+    one, as the record on its first non-blank line reads; None where that
+    line is not UTF-8 or holds no JSON object."""
+    if dialect is not None:
+        return partial(_set_up_range, doccano=True)
+    with open(path, "rb") as src:  # lines end at b"\n" only, as `ingest._json_records` reads them
+        try:
+            first = next(filter(str.strip, (line.decode("utf-8") for line in src)), "null")
+            first = ingest.load_json(first)
+        except (UnicodeDecodeError, SeqlabError):
+            return None
+    if not isinstance(first, dict):
+        return None
+    return partial(_set_up_range, doccano=ingest._is_doccano(first))
 
 
 def _agreed_scheme(names: Iterable[str]) -> AnnotationScheme | None:
@@ -302,20 +284,6 @@ def _agreed_scheme(names: Iterable[str]) -> AnnotationScheme | None:
     return AnnotationScheme.coerce(names.pop()) if len(names) == 1 else None
 
 
-def _first_record(src: BinaryIO) -> dict | None:
-    """The record on the first non-blank line of the JSONL file ``src``;
-    None where that line is not UTF-8 or holds no JSON object."""
-    for line in src:  # lines end at b"\n" only, as `ingest._json_records` reads them
-        try:
-            text = line.decode("utf-8")
-            if text.strip():
-                record = ingest.load_json(text)
-                return record if isinstance(record, dict) else None
-        except (UnicodeDecodeError, SeqlabError):
-            return None
-    return None
-
-
 def cmd_convert(args) -> int:
     source = AnnotationScheme.coerce(args.from_scheme)
     target = AnnotationScheme.coerce(args.to_scheme)
@@ -324,38 +292,38 @@ def cmd_convert(args) -> int:
             "warning: IO output merges adjacent same-class chunks (lossy)",
             file=sys.stderr,
         )
-    with open(args.input, "rb") as src:
-        split = _split_convert(args.input, src, source, target)
-        if split is None:
-            lines, problems = _converted(ingest._decoded(src.read(), args.input), source, target)
-            if problems:
-                if args.verbose:
-                    for lineno, problem in problems:
-                        print(f"DEBUG line {lineno}: {problem}", file=sys.stderr)
-                lineno, problem = problems[0]
-                count = len(problems)
-                more = f" (and {count - 1} more; --verbose lists all)" if count > 1 else ""
-                raise UnconvertibleInput(problem + more, line=lineno)
-    # opened only once the input is read and converted: it may be the input
-    if split is None:
-        documents = len(lines)
+    split = _split(args.input, _cpu_count(), _CONVERT_MIN_RANGE_BYTES,
+                   lambda: partial(_convert_range, source=source, target=target))
+    if split is None or not sum(split[0]):  # no record: one process reports the empty input
+        lines, problems = _converted(
+            ingest._json_records(ingest.read_text(args.input)), source, target)
+        if problems:
+            if args.verbose:
+                for lineno, problem in problems:
+                    print(f"DEBUG line {lineno}: {problem}", file=sys.stderr)
+            lineno, problem = problems[0]
+            count = len(problems)
+            more = f" (and {count - 1} more; --verbose lists all)" if count > 1 else ""
+            raise UnconvertibleInput(problem + more, line=lineno)
+        # opened only once the input is read and converted: it may be the input
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
+        documents = len(lines)
     else:
-        documents, output = split
         with open(args.output, "wb") as handle:
-            handle.write(output)
+            handle.write(split[1])
+        documents = sum(split[0])
     print(f"converted {documents} documents {source.value} -> {target.value}")
     return 0
 
 
 def _converted(
-    text: str, source: AnnotationScheme, target: AnnotationScheme
+    records: list[tuple[int, dict]], source: AnnotationScheme, target: AnnotationScheme
 ) -> tuple[list[str], list[tuple[int, str]]]:
-    """The canonical lines in ``target`` of the records in ``text``, and the
-    (line, what went wrong) of each record that cannot be converted. A
-    record that does not read raises."""
-    rows = ingest._rows(ingest._json_records(text), source)[0]
+    """The canonical lines in ``target`` of ``records``, and the (line, what
+    went wrong) of each record that cannot be converted. A record that
+    does not read raises."""
+    rows = ingest._rows(records, source)[0]
     problems = []
     lines = []
     literals = ingest._Literals()
@@ -383,21 +351,21 @@ def _convert_range(
     *,
     source: AnnotationScheme,
     target: AnnotationScheme,
-) -> tuple[int, int]:
+) -> int | None:
     """The range `Work` of `convert`: the lines of the next ``size`` bytes
-    of ``src``, or of all the rest, converted into ``dst``; (documents,
-    0). (0, 1), and nothing written, where the range holds bytes that are
-    not UTF-8, a record that does not read or a record that cannot be
-    converted. Line numbers go unused: the one-process run reports every
-    error."""
+    of ``src``, or of all the rest, converted into ``dst``; the number of
+    documents. None, and nothing written, where the range holds bytes that
+    are not UTF-8, a record that does not read or a record that cannot be
+    converted: the one-process run reports every error."""
     try:
-        lines, problems = _converted(src.read(size).decode("utf-8"), source, target)
-    except (SeqlabError, UnicodeDecodeError):
-        return 0, 1
+        lines, problems = _converted(
+            ingest._range_records(src.read(size), lineno), source, target)
+    except Exception:  # whatever fails, fails the range
+        return None
     if problems:
-        return 0, 1
+        return None
     dst.writelines(lines)
-    return len(lines), 0
+    return len(lines)
 
 
 #: The least input a `convert` process is given, in bytes. On a 2-vCPU
@@ -405,31 +373,6 @@ def _convert_range(
 #: their run-to-run noise on inputs up to 512 KiB, and gained in every
 #: series measured from 768 KiB on.
 _CONVERT_MIN_RANGE_BYTES = 384 * 1024
-
-
-def _split_convert(
-    path: str, src: BinaryIO, source: AnnotationScheme, target: AnnotationScheme
-) -> tuple[int, bytes] | None:
-    """(documents, output bytes) of `convert` of the file ``src``, split
-    across the CPUs this process may use (see `ranges`). None, with
-    ``src`` back at its start, where the input does not split, where a
-    range does not decode, read or convert, or where a temporary file or
-    pipe cannot be made: the one-process run then gives the output or the
-    error, so neither depends on the split."""
-    ranges = _ranges(src, _cpu_count(), _CONVERT_MIN_RANGE_BYTES)
-    if len(ranges) < 2:
-        return None
-    work = partial(_run_at, path, partial(_convert_range, source=source, target=target))
-    try:
-        with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as dst:
-            documents, failed = map(sum, zip(*_run_ranges(dst, ranges, work)))
-            dst.flush()
-            if not failed:
-                return documents, dst.buffer.getvalue()
-    except OSError:
-        pass
-    src.seek(0)
-    return None
 
 
 def _dataset_dir(args) -> Path:
@@ -464,7 +407,7 @@ def cmd_evaluate(args) -> int:
 
 def _evaluate_range(
     src: BinaryIO,
-    dst: TextIO,
+    dst: TextIO | None,
     lineno: int,
     size: int | None,
     *,
@@ -480,13 +423,7 @@ def _evaluate_range(
     does not read, or a record the tagger fails on: the one-process run
     reports every error."""
     try:
-        try:
-            records = ingest._json_records(src.read(size).decode("utf-8"))
-        except EmptyInput:
-            records = []  # a range of blank lines
-        # numbered as in the whole file, though only the one-process run reports a line
-        records = [(line + lineno - 1, record) for line, record in records]
-        rows, scheme = ingest._rows(records, scheme)
+        rows, scheme = ingest._rows(ingest._range_records(src.read(size), lineno), scheme)
         counts = _count_rows(tagger, rows, scheme)
     except Exception:  # whatever fails, the tagger included, fails the range
         return None
@@ -505,29 +442,22 @@ _EVALUATE_MIN_RANGE_BYTES = 256 * 1024
 def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme | None) -> Counts | None:
     """The `Counts` of `evaluate` of the split file at ``path``, whose
     labels are in ``scheme`` (None: the scheme is read off the labels),
-    with the tagger ``uri`` loaded once and its ranges counted across the
-    CPUs this process may use (see `ranges`). None where the file does not
-    split, where the tagger does not load, where a range fails, where two
-    ranges read different schemes or where a temporary file or pipe cannot
-    be made: the one-process run then gives the counts or the error, so
-    neither depends on the split. Ranges that agree on a scheme agree with
-    the whole file (see `_agreed_scheme`), so the summed `Counts` are those
-    of one process."""
-    if not path.is_file():  # not opened: a FIFO would block
+    its ranges counted through `ranges._split` with the tagger ``uri``
+    loaded once, before the fork. None where `_split` gives None, where the
+    tagger does not load or where two ranges read different schemes.
+    Ranges that agree on a scheme agree with the whole file (see
+    `_agreed_scheme`), so the summed `Counts` are those of one process."""
+
+    def make_work():
+        try:
+            return partial(_evaluate_range, tagger=load_tagger(uri), scheme=scheme)
+        except SeqlabError:  # the tagger does not load
+            return None
+
+    split = _split(path, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES, make_work, writes=False)
+    if split is None or _agreed_scheme(summary[0] for summary in split[0]) is None:
         return None
-    try:
-        with open(path, "rb") as src:
-            ranges = _ranges(src, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES)
-            if len(ranges) < 2:
-                return None
-        work = partial(_evaluate_range, tagger=load_tagger(uri), scheme=scheme)
-        with open(os.devnull, "w", encoding="utf-8") as dst:  # a range writes nothing
-            summaries = _run_ranges(dst, ranges, partial(_run_at, path, work))
-    except (OSError, SeqlabError):  # SeqlabError: the tagger does not load
-        return None
-    if None in summaries or _agreed_scheme(summary[0] for summary in summaries) is None:
-        return None
-    return sum((_read_counts(summary[1:]) for summary in summaries), Counts())
+    return sum((_read_counts(summary[1:]) for summary in split[0]), Counts())
 
 
 def _read_counts(fields: list) -> Counts:

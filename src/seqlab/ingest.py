@@ -256,11 +256,12 @@ def parse_conll(
     return _documents(*_rows(_conll_records(source), scheme))
 
 
-def _json_records(source: str) -> list[tuple[int, dict]]:
-    """(line number, object) for every non-blank line; lines end at "\n"
-    only, as a JSON string may hold any other line separator."""
+def _json_records(source: str, first: int = 1) -> list[tuple[int, dict]]:
+    """(line number, object) for every non-blank line, the first numbered
+    ``first``; lines end at "\n" only, as a JSON string may hold any other
+    line separator."""
     records = []
-    for lineno, line in enumerate(source.split("\n"), 1):
+    for lineno, line in enumerate(source.split("\n"), first):
         if line.strip():
             record = load_json(line, line=lineno)
             if not isinstance(record, dict):
@@ -478,6 +479,18 @@ def _doccano_records(records: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
             raise MalformedJson(f"bad entity record: {err}", line=lineno) from None
         canonical.append((lineno, {"text": record.get("text"), "entities": entities}))
     return canonical
+
+
+def _range_records(data: bytes, lineno: int, doccano: bool = False) -> list[tuple[int, dict]]:
+    """The records of ``data``, a byte range of a JSONL file that starts at
+    the file's line ``lineno``, numbered as in the whole file and read as
+    Doccano lines where ``doccano``; none in a range of blank lines. Bytes
+    that are not UTF-8 raise UnicodeDecodeError."""
+    try:
+        records = _json_records(data.decode("utf-8"), lineno)
+    except EmptyInput:  # a range of blank lines
+        return []
+    return _doccano_records(records) if doccano else records
 
 
 def _labelstudio_records(source: str) -> list[tuple[int, dict]]:

@@ -12,35 +12,40 @@ regular files are grouped in order into up to N groups of at least that
 size, the largest as small as it can be. The calling process runs the
 first part; a forked child runs each other one into an anonymous
 temporary file, which is appended to the caller's output in order, and
-sends the part's summary, one JSON value, through a pipe. The caller
-gets the summaries in order and merges them itself: `predict` and `convert` add their counts, `evaluate` adds its
-`Counts`, `dataset set-up` joins each row's counts to its line. So the
-output bytes of a job, their order and the line numbers it writes are
-those of a one-process run, and a job's memory bound holds per process.
-A part whose child fails or dies is run again in the caller, so a job
-that raises on bad input raises there, as in one process. The input
-stays in one process where os.fork or os.sched_getaffinity is missing
-(so fork is not trusted) or where another thread runs. The commands pass
-`_cpu_count()`, the CPUs in their CPU set, so `taskset` bounds the
-processes. Pass more than one process only for a job that is safe to
-fork: one that holds no thread, lock or connection a child cannot use.
+sends the part's summary, one JSON value, through a pipe; the caller
+merges the summaries. So a job's output bytes, their order and its line
+numbers are those of one process, and its memory bound holds per
+process. A part whose child fails or dies is run again in the caller.
+`_split` is the one entry point of every command but `predict`: wherever
+an input does not split or a part fails, it gives None, and the command
+runs the input in one process, which gives the output or the error.
+The input stays in one process where os.fork or os.sched_getaffinity is
+missing (so fork is not trusted) or where another thread runs. The
+commands pass `_cpu_count()`, the CPUs in their CPU set, so `taskset`
+bounds the processes. Pass more than one process only for a job that is
+safe to fork: one that holds no thread, lock or connection a child
+cannot use.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
 import stat
 import threading
+from contextlib import nullcontext
+from functools import partial
 from itertools import accumulate, combinations
 from typing import BinaryIO, Callable, Sequence, TextIO
 
 #: A job over one byte range: given the input at the range's start, the
-#: output, the number of the range's first line and the range's size in
-#: bytes (None: to the end of the file), it writes the range's output and
-#: returns its summary, one JSON value. `_run_at` runs it on one range.
-Work = Callable[[BinaryIO, TextIO, int, int | None], object]
+#: output (None where the job writes nothing), the number of the range's
+#: first line and the range's size in bytes (None: to the end of the
+#: file), it writes the range's output and returns its summary, one JSON
+#: value. `_run_at` runs it on one range.
+Work = Callable[[BinaryIO, TextIO | None, int, int | None], object]
 
 #: fork is trusted only where the CPU set can be read as well: macOS, whose
 #: system libraries are not safe to fork, has os.fork but not this
@@ -98,37 +103,77 @@ def _groups(paths: Sequence[str], processes: int, least: int) -> list[tuple[str,
     return best
 
 
-def _run_ranges(dst: TextIO, parts: list, work: Callable[[object, TextIO], object]) -> list:
+def _split(
+    source: str | os.PathLike | list[str],
+    processes: int,
+    least: int,
+    make_work: Callable[[], Callable | None],
+    *,
+    writes: bool = True,
+) -> tuple[list, bytes] | None:
+    """(summaries of the parts in order, bytes they wrote) of a job over the
+    byte ranges of the file at the path ``source``, or over groups of the
+    whole files of the list ``source``, in up to ``processes`` processes of
+    ``least`` bytes or more each. Called once the input splits, before the
+    fork, ``make_work()`` gives the job's range `Work` (or, for groups, its
+    ``work(group, dst)``) or None. With ``writes`` false the parts write
+    nothing. None where a path is not a regular file (a FIFO is never
+    opened), where there are fewer than two parts, where ``make_work()`` or
+    any part gives None, or on an OSError."""
+    try:
+        if isinstance(source, list):
+            parts = _groups(source, processes, least)
+        elif not os.path.isfile(source):
+            return None
+        else:
+            with open(source, "rb") as src:
+                parts = _ranges(src, processes, least)
+        work = make_work() if len(parts) > 1 else None
+        if work is None:
+            return None
+        if not isinstance(source, list):
+            work = partial(_run_at, source, work)
+        dst = io.TextIOWrapper(io.BytesIO(), encoding="utf-8") if writes else None
+        summaries = _run_ranges(dst, parts, work)
+    except OSError:
+        return None
+    if None in summaries:
+        return None
+    return summaries, b"" if dst is None else dst.detach().getvalue()
+
+
+def _run_ranges(
+    dst: TextIO | None, parts: list, work: Callable[[object, TextIO | None], object]
+) -> list:
     """``work`` over ``parts`` into ``dst``; the summaries of the parts, in
     order. ``work(part, dst)`` writes a part's output and returns its
     summary, one JSON value; a child sends it as JSON text, so a tuple
     comes back from a child as a list. A child is forked for each part
     after the first, this process runs the first, then appends each
     child's output in order, or runs its part again here if the child
-    failed or died. One part runs here alone. An exception of the work run
-    here is raised once every child is stopped."""
+    failed or died. One part runs here alone. With ``dst`` None the parts
+    write nothing, and a child gets no output file. An exception of the
+    work run here is raised once every child is stopped."""
     children = []  # (pid, summary pipe, output file) of the children not reaped
     try:
         for part in parts[1:]:
-            children.append(_fork_range(part, work))
+            children.append(_fork_range(part, work, dst is not None))
         summaries = [work(parts[0], dst)]
         for part in parts[1:]:
             pid, pipe, output = children[0]
             sent = _joined(pid, pipe)
             del children[0]
-            with pipe, output:
-                if sent is None:
-                    summaries.append(work(part, dst))
-                else:
+            with pipe, output or nullcontext():
+                if sent is not None and output is not None:
                     import shutil  # it loads bz2 and lzma, so only a split imports it
 
                     dst.flush()
                     output.seek(0)
                     shutil.copyfileobj(output, dst.buffer)
-                    summaries.append(json.loads(sent))
+                summaries.append(work(part, dst) if sent is None else json.loads(sent))
     finally:
         for pid, pipe, output in children:
-            with pipe, output:
+            with pipe, output or nullcontext():
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
@@ -136,17 +181,19 @@ def _run_ranges(dst: TextIO, parts: list, work: Callable[[object, TextIO], objec
 
 
 def _fork_range(
-    part: object, work: Callable[[object, TextIO], object]
-) -> tuple[int | None, BinaryIO, BinaryIO]:
+    part: object, work: Callable[[object, TextIO | None], object], writes: bool
+) -> tuple[int | None, BinaryIO, BinaryIO | None]:
     """(pid, summary pipe, output file) of a forked child that runs one
-    part and sends its summary; the pid is None if fork failed."""
+    part and sends its summary; the pid is None if fork failed, and the
+    output file None unless the part ``writes``."""
     import tempfile  # only a split needs it, so it stays out of start-up
 
-    output = tempfile.TemporaryFile()
+    output = tempfile.TemporaryFile() if writes else None
     try:
         reader, writer = os.pipe()
     except BaseException:
-        output.close()
+        if output is not None:
+            output.close()
         raise
     try:
         pid = os.fork()
@@ -155,7 +202,8 @@ def _fork_range(
     if pid == 0:  # the child, which never returns to the caller
         code = 1
         try:
-            with open(output.fileno(), "w", encoding="utf-8", closefd=False) as dst:
+            dst = output and open(output.fileno(), "w", encoding="utf-8", closefd=False)
+            with dst or nullcontext():
                 summary = work(part, dst)
             # ASCII, so that a string holding a lone surrogate reads back as it was
             sent = memoryview(json.dumps(summary).encode())
@@ -181,7 +229,7 @@ def _joined(pid: int | None, pipe: BinaryIO) -> bytes | None:
 
 
 def _run_at(
-    path: str | os.PathLike, work: Work, part: tuple[int, int | None], dst: TextIO
+    path: str | os.PathLike, work: Work, part: tuple[int, int | None], dst: TextIO | None
 ) -> object:
     """``work`` over the byte range ``part``, (start, size), of the file at
     ``path``, its lines numbered as in the whole file: with ``path`` and
