@@ -251,10 +251,12 @@ def _split_set_up(args, ratio: tuple[float, float, float], out_dir: Path) -> dic
 def _set_up_work(path: str, dialect: str | None):
     """The range `Work` of `dataset set-up` of the JSONL file at ``path``:
     its lines read as Doccano lines with the dialect "doccano" and, without
-    one, as the record on its first non-blank line reads; None where that
-    line is not UTF-8 or holds no JSON object."""
-    if dialect is not None:
+    one, as the record on its first non-blank line reads; None with any
+    other dialect or where that line is not UTF-8 or holds no JSON object."""
+    if dialect == "doccano":
         return partial(_set_up_range, doccano=True)
+    if dialect is not None:
+        return None
     with open(path, "rb") as src:  # lines end at b"\n" only, as `ingest._json_records` reads them
         try:
             first = next(filter(str.strip, (line.decode("utf-8") for line in src)), "null")
@@ -407,7 +409,7 @@ def cmd_evaluate(args) -> int:
 
 def _evaluate_range(
     src: BinaryIO,
-    dst: TextIO | None,
+    dst: TextIO,
     lineno: int,
     size: int | None,
     *,
@@ -454,7 +456,7 @@ def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme | None) -> Co
         except SeqlabError:  # the tagger does not load
             return None
 
-    split = _split(path, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES, make_work, writes=False)
+    split = _split(path, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES, make_work)
     if split is None or _agreed_scheme(summary[0] for summary in split[0]) is None:
         return None
     return sum((_read_counts(summary[1:]) for summary in split[0]), Counts())

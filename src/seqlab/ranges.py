@@ -35,17 +35,15 @@ import os
 import signal
 import stat
 import threading
-from contextlib import nullcontext
 from functools import partial
 from itertools import accumulate, combinations
 from typing import BinaryIO, Callable, Sequence, TextIO
 
 #: A job over one byte range: given the input at the range's start, the
-#: output (None where the job writes nothing), the number of the range's
-#: first line and the range's size in bytes (None: to the end of the
-#: file), it writes the range's output and returns its summary, one JSON
-#: value. `_run_at` runs it on one range.
-Work = Callable[[BinaryIO, TextIO | None, int, int | None], object]
+#: output, the number of the range's first line and the range's size in
+#: bytes (None: to the end of the file), it writes the range's output and
+#: returns its summary, one JSON value. `_run_at` runs it on one range.
+Work = Callable[[BinaryIO, TextIO, int, int | None], object]
 
 #: fork is trusted only where the CPU set can be read as well: macOS, whose
 #: system libraries are not safe to fork, has os.fork but not this
@@ -108,72 +106,69 @@ def _split(
     processes: int,
     least: int,
     make_work: Callable[[], Callable | None],
-    *,
-    writes: bool = True,
 ) -> tuple[list, bytes] | None:
     """(summaries of the parts in order, bytes they wrote) of a job over the
     byte ranges of the file at the path ``source``, or over groups of the
     whole files of the list ``source``, in up to ``processes`` processes of
     ``least`` bytes or more each. Called once the input splits, before the
-    fork, ``make_work()`` gives the job's range `Work` (or, for groups, its
-    ``work(group, dst)``) or None. With ``writes`` false the parts write
-    nothing. None where a path is not a regular file (a FIFO is never
-    opened), where there are fewer than two parts, where ``make_work()`` or
-    any part gives None, or on an OSError."""
+    fork, ``make_work()`` gives the job's range `Work` (for groups, its
+    ``work(group, dst)``) or None. None where a path is not a regular file
+    (a FIFO is never opened), where there are fewer than two parts, where
+    ``make_work()`` or any part gives None, or on an OSError."""
     try:
         if isinstance(source, list):
             parts = _groups(source, processes, least)
-        elif not os.path.isfile(source):
-            return None
-        else:
+            work = make_work() if len(parts) > 1 else None
+        elif os.path.isfile(source):
             with open(source, "rb") as src:
                 parts = _ranges(src, processes, least)
-        work = make_work() if len(parts) > 1 else None
+            work = make_work() if len(parts) > 1 else None
+            if work is not None:
+                work = partial(_run_at, source, work)
+        else:
+            return None
         if work is None:
             return None
-        if not isinstance(source, list):
-            work = partial(_run_at, source, work)
-        dst = io.TextIOWrapper(io.BytesIO(), encoding="utf-8") if writes else None
+        dst = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         summaries = _run_ranges(dst, parts, work)
     except OSError:
         return None
     if None in summaries:
         return None
-    return summaries, b"" if dst is None else dst.detach().getvalue()
+    return summaries, dst.detach().getvalue()
 
 
-def _run_ranges(
-    dst: TextIO | None, parts: list, work: Callable[[object, TextIO | None], object]
-) -> list:
+def _run_ranges(dst: TextIO, parts: list, work: Callable[[object, TextIO], object]) -> list:
     """``work`` over ``parts`` into ``dst``; the summaries of the parts, in
     order. ``work(part, dst)`` writes a part's output and returns its
     summary, one JSON value; a child sends it as JSON text, so a tuple
     comes back from a child as a list. A child is forked for each part
     after the first, this process runs the first, then appends each
     child's output in order, or runs its part again here if the child
-    failed or died. One part runs here alone. With ``dst`` None the parts
-    write nothing, and a child gets no output file. An exception of the
-    work run here is raised once every child is stopped."""
+    failed or died. One part runs here alone. An exception of the work run
+    here is raised once every child is stopped."""
     children = []  # (pid, summary pipe, output file) of the children not reaped
     try:
         for part in parts[1:]:
-            children.append(_fork_range(part, work, dst is not None))
+            children.append(_fork_range(part, work))
         summaries = [work(parts[0], dst)]
         for part in parts[1:]:
             pid, pipe, output = children[0]
             sent = _joined(pid, pipe)
             del children[0]
-            with pipe, output or nullcontext():
-                if sent is not None and output is not None:
+            with pipe, output:
+                if sent is None:
+                    summaries.append(work(part, dst))
+                else:
                     import shutil  # it loads bz2 and lzma, so only a split imports it
 
                     dst.flush()
                     output.seek(0)
                     shutil.copyfileobj(output, dst.buffer)
-                summaries.append(work(part, dst) if sent is None else json.loads(sent))
+                    summaries.append(json.loads(sent))
     finally:
         for pid, pipe, output in children:
-            with pipe, output or nullcontext():
+            with pipe, output:
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
@@ -181,19 +176,17 @@ def _run_ranges(
 
 
 def _fork_range(
-    part: object, work: Callable[[object, TextIO | None], object], writes: bool
-) -> tuple[int | None, BinaryIO, BinaryIO | None]:
+    part: object, work: Callable[[object, TextIO], object]
+) -> tuple[int | None, BinaryIO, BinaryIO]:
     """(pid, summary pipe, output file) of a forked child that runs one
-    part and sends its summary; the pid is None if fork failed, and the
-    output file None unless the part ``writes``."""
+    part and sends its summary; the pid is None if fork failed."""
     import tempfile  # only a split needs it, so it stays out of start-up
 
-    output = tempfile.TemporaryFile() if writes else None
+    output = tempfile.TemporaryFile()
     try:
         reader, writer = os.pipe()
     except BaseException:
-        if output is not None:
-            output.close()
+        output.close()
         raise
     try:
         pid = os.fork()
@@ -202,8 +195,7 @@ def _fork_range(
     if pid == 0:  # the child, which never returns to the caller
         code = 1
         try:
-            dst = output and open(output.fileno(), "w", encoding="utf-8", closefd=False)
-            with dst or nullcontext():
+            with open(output.fileno(), "w", encoding="utf-8", closefd=False) as dst:
                 summary = work(part, dst)
             # ASCII, so that a string holding a lone surrogate reads back as it was
             sent = memoryview(json.dumps(summary).encode())
@@ -229,7 +221,7 @@ def _joined(pid: int | None, pipe: BinaryIO) -> bytes | None:
 
 
 def _run_at(
-    path: str | os.PathLike, work: Work, part: tuple[int, int | None], dst: TextIO | None
+    path: str | os.PathLike, work: Work, part: tuple[int, int | None], dst: TextIO
 ) -> object:
     """``work`` over the byte range ``part``, (start, size), of the file at
     ``path``, its lines numbered as in the whole file: with ``path`` and
