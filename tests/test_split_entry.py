@@ -119,6 +119,18 @@ def test_a_set_up_of_a_fifo_never_opens_it(tmp_path, monkeypatch, deadline, proc
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("dialect", ["labelstudio", "conll"])
+def test_a_jsonl_set_up_splits_only_without_a_dialect_or_as_doccano(tmp_path, dialect):
+    """`_set_up_work` reads the dialect "doccano" as Doccano lines and no
+    other dialect at all: it gives no range work, so the input stays in
+    one process, whatever the caller asks."""
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(good_input())
+    assert cli._set_up_work(str(path), dialect) is None
+    assert cli._set_up_work(str(path), "doccano").keywords == {"doccano": True}
+    assert cli._set_up_work(str(path), None).keywords == {"doccano": False}
+
+
 #: the syntax tree of each module of `seqlab`, by name
 TREES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"))
