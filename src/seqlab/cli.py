@@ -27,6 +27,14 @@ message, which may quote input, is written as "\\n". `--verbose` prints
 "DEBUG ..." lines to stderr, and before that error line the traceback.
 Run as the program, `main` freezes the start-up heap before the command
 runs (see `main`).
+
+A command runs only the seqlab modules it uses. Importing this module
+runs `errors`, `core`, `schemes`, `ingest` and `ranges`; of the modules
+the package registers lazily, `evaluate` runs `inference` and
+`evaluation`, `predict` `inference`, `aggregate` `runs` and `schedule
+simulate` `schedule`, while `dataset set-up` and `convert` run none. So
+this module calls the lazy ones through their module, never binds their
+names, and reads none of them while it builds the parser.
 """
 
 from __future__ import annotations
@@ -41,11 +49,9 @@ from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence, TextIO
 
-from . import ingest, runs, schedule
+from . import evaluation, inference, ingest, runs, schedule
 from .core import AnnotationScheme, LabelSequence
 from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
-from .evaluation import Counts, _count_rows
-from .inference import load_tagger, predict, predict_file, prediction_record
 from .ranges import _cpu_count, _split
 from .schemes import convert_scheme
 
@@ -110,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     agg = commands.add_parser("aggregate", help="aggregate multi-seed run records")
     agg.add_argument("--runs-dir", required=True)
-    agg.add_argument("--selection-metric", default=runs.DEFAULT_SELECTION_METRIC)
+    agg.add_argument("--selection-metric")  # default: runs.DEFAULT_SELECTION_METRIC
     agg.set_defaults(handler=cmd_aggregate)
     return parser
 
@@ -396,14 +402,15 @@ def cmd_evaluate(args) -> int:
     if counts is None:
         # the scheme read off the split's labels where none is named: BIO when all are O
         gold, scheme = ingest._rows(ingest._split_records(dataset_dir, args.phase), scheme)
-        counts = _count_rows(load_tagger(args.tagger), gold, scheme)
+        counts = evaluation._count_rows(inference.load_tagger(args.tagger), gold, scheme)
     report = counts.report()
     encoded = json.dumps(report, ensure_ascii=False, indent=2)
+    # written before stdout, which may be a closed pipe
+    out_path = Path(args.output) if args.output else dataset_dir / f"eval_{args.phase}.json"
+    out_path.write_text(encoded + "\n", encoding="utf-8")
     print(encoded)
     micro_f1 = report["strict"]["micro"]["entity"]["f1"]
     print(f"strict entity micro f1 = {micro_f1:.4f}")
-    out_path = Path(args.output) if args.output else dataset_dir / f"eval_{args.phase}.json"
-    out_path.write_text(encoded + "\n", encoding="utf-8")
     return 0
 
 
@@ -426,7 +433,7 @@ def _evaluate_range(
     reports every error."""
     try:
         rows, scheme = ingest._rows(ingest._range_records(src.read(size), lineno), scheme)
-        counts = _count_rows(tagger, rows, scheme)
+        counts = evaluation._count_rows(tagger, rows, scheme)
     except Exception:  # whatever fails, the tagger included, fails the range
         return None
     fields = counts.strict, counts.lenient, counts.words
@@ -441,30 +448,34 @@ def _evaluate_range(
 _EVALUATE_MIN_RANGE_BYTES = 256 * 1024
 
 
-def _split_evaluate(path: Path, uri: str, scheme: AnnotationScheme | None) -> Counts | None:
+def _split_evaluate(
+    path: Path, uri: str, scheme: AnnotationScheme | None
+) -> evaluation.Counts | None:
     """The `Counts` of `evaluate` of the split file at ``path``, whose
     labels are in ``scheme`` (None: the scheme is read off the labels),
     its ranges counted through `ranges._split` with the tagger ``uri``
-    loaded once, before the fork. None where `_split` gives None, where the
-    tagger does not load or where two ranges read different schemes.
+    loaded once, and `evaluation` run once, before the fork. None where
+    `_split` gives None, where the tagger does not load or where two
+    ranges read different schemes.
     Ranges that agree on a scheme agree with the whole file (see
     `_agreed_scheme`), so the summed `Counts` are those of one process."""
 
     def make_work():
+        evaluation.Counts  # runs `evaluation` here, before the fork, not in each part
         try:
-            return partial(_evaluate_range, tagger=load_tagger(uri), scheme=scheme)
+            return partial(_evaluate_range, tagger=inference.load_tagger(uri), scheme=scheme)
         except SeqlabError:  # the tagger does not load
             return None
 
     split = _split(path, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES, make_work)
     if split is None or _agreed_scheme(summary[0] for summary in split[0]) is None:
         return None
-    return sum((_read_counts(summary[1:]) for summary in split[0]), Counts())
+    return sum((_read_counts(summary[1:]) for summary in split[0]), evaluation.Counts())
 
 
-def _read_counts(fields: list) -> Counts:
+def _read_counts(fields: list) -> evaluation.Counts:
     """The `Counts` of the triples of an `_evaluate_range` summary."""
-    return Counts(*(Counter({(a, b): n for a, b, n in c}) for c in fields))
+    return evaluation.Counts(*(Counter({(a, b): n for a, b, n in c}) for c in fields))
 
 
 def cmd_predict(args) -> int:
@@ -474,14 +485,18 @@ def cmd_predict(args) -> int:
     if args.input is not None and args.output is None:
         print("file mode needs --output", file=sys.stderr)
         return 2
-    tagger = load_tagger(args.tagger)
+    if args.text is not None and args.output is not None:
+        print("text mode takes no --output: it prints to stdout", file=sys.stderr)
+        return 2
+    tagger = inference.load_tagger(args.tagger)
     if args.text is not None:
-        predictions = predict(
+        predictions = inference.predict(
             tagger, args.text, level=args.level, with_probabilities=args.probabilities
         )
-        print(json.dumps([prediction_record(p) for p in predictions], ensure_ascii=False))
+        records = [inference.prediction_record(p) for p in predictions]
+        print(json.dumps(records, ensure_ascii=False))
         return 0
-    summary = predict_file(
+    summary = inference.predict_file(
         tagger,
         args.input,
         args.output,
@@ -537,12 +552,15 @@ def cmd_schedule_simulate(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    metric = args.selection_metric
+    if metric is None:  # read here, so that only `aggregate` runs `runs`
+        metric = runs.DEFAULT_SELECTION_METRIC
     records = runs.load_runs(args.runs_dir)
-    result = runs.aggregate(records, args.selection_metric)
+    result = runs.aggregate(records, metric)
     runs.save_aggregate(result, args.runs_dir)
-    chosen = result["metrics"][args.selection_metric]
+    chosen = result["metrics"][metric]
     print(
-        f"{args.selection_metric}: {chosen['mean']:.4f} +/- {chosen['uncertainty']:.4f} "
+        f"{metric}: {chosen['mean']:.4f} +/- {chosen['uncertainty']:.4f} "
         f"(n={chosen['n']}), best run: {result['best_run']}"
     )
     return 0

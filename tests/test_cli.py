@@ -373,6 +373,24 @@ class TestEvaluate:
         report = json.loads((tmp_path / "five" / "eval_val.json").read_text())
         assert report["strict"]["per_class"] == report["lenient"]["per_class"] == {}
 
+    def test_a_closed_stdout_still_gets_the_report_written(self, tmp_path, capsys, monkeypatch):
+        """The report file is written before stdout, which may be a closed pipe."""
+        run(["--data-dir", str(tmp_path), "dataset", "set-up", "--source", "BI",
+             "--name", "mini-conll"], capsys)
+        dataset_dir = tmp_path / "mini-conll"
+        argv = ["--data-dir", str(tmp_path), "evaluate",
+                "--tagger", f"echo:{dataset_dir / 'train.jsonl'}", "--dataset", "mini-conll"]
+        assert run([*argv, "--output", str(tmp_path / "open.json")], capsys)[0] == 0
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code, _, err = run([*argv, "--output", str(tmp_path / "closed.json")], capsys)
+        assert (code, err) == (1, "error: [Errno 32] Broken pipe\n")
+        assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+
 
 class TestPredict:
     def test_single_text_lists_entity_fields(self, capsys):
@@ -425,6 +443,13 @@ class TestPredict:
         source.write_text('{"text": "x"}\n')
         code, out, err = run(["predict", "--tagger", "all-o", "--input", str(source)], capsys)
         assert (code, out, err) == (2, "", "file mode needs --output\n")
+
+    def test_text_mode_refuses_output(self, tmp_path, capsys):
+        sink = tmp_path / "out.json"
+        code, out, err = run(["predict", "--tagger", "all-o", "--text", "x",
+                              "--output", str(sink)], capsys)
+        assert (code, out, err) == (2, "", "text mode takes no --output: it prints to stdout\n")
+        assert not sink.exists()
 
     def test_output_that_is_the_input_is_refused(self, tmp_path, capsys):
         source = tmp_path / "in.jsonl"
@@ -625,6 +650,12 @@ class TestAggregateCommand:
             assert code == 0, err
             expected = max(zip(aggregated["per_run"], names), key=lambda p: (p[0], -seeds[p[1]]))
             assert out.endswith(f"best run: {expected[1]}\n"), path
+
+    def test_an_empty_selection_metric_is_not_the_default(self, tmp_path, capsys):
+        argv = write_run_records(tmp_path, "0.25", "0.5")
+        assert run(argv, capsys)[0] == 0
+        code, out, err = run([*argv, "--selection-metric", ""], capsys)
+        assert (code, out, err) == (1, "", "error: run 'a' has no metric ''\n")
 
     def test_missing_run_dir(self, tmp_path, capsys):
         code, _, err = run(

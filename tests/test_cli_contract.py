@@ -235,7 +235,8 @@ def assert_usage_contract(code, err, command, usage=(), warning=None):
 
 
 #: usage errors that `cmd_predict` reports itself, one line each
-PREDICT_USAGE = ("predict needs exactly one of --text or --input", "file mode needs --output")
+PREDICT_USAGE = ("predict needs exactly one of --text or --input", "file mode needs --output",
+                 "text mode takes no --output")
 
 
 def predict_tagger(tmp, kind):

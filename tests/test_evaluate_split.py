@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab import cli, ingest, ranges
+from seqlab import cli, inference, ingest, ranges
 from seqlab.core import AnnotationScheme
 from seqlab.inference import load_tagger as load_named_tagger
 from seqlab.schemes import chunk_prefixes
@@ -186,7 +186,7 @@ def evaluate(tmp, processes, patch, verbose=False):
 
 @pytest.fixture
 def words_tagger(monkeypatch):
-    monkeypatch.setattr(cli, "load_tagger", load_tagger)
+    monkeypatch.setattr(inference, "load_tagger", load_tagger)
 
 
 @settings(max_examples=120, deadline=None)
@@ -196,7 +196,7 @@ def test_split_evaluates_write_what_one_process_writes(split, verbose):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         tmp = Path(tmp)
         make_dataset(tmp, data, scheme)
-        patch.setattr(cli, "load_tagger", load_tagger)
+        patch.setattr(inference, "load_tagger", load_tagger)
         patch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 1)
         found = cut_offsets(data, processes)
         assert found and (cuts is None or found == cuts)

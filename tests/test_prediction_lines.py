@@ -194,7 +194,7 @@ def test_an_exception_message_that_is_not_utf8_fails_only_its_line(level):
 def test_predict_input_writes_the_exception_line_and_goes_on(tmp_path, monkeypatch, capsys, level):
     from seqlab import cli
 
-    monkeypatch.setattr(cli, "load_tagger", lambda uri: RaisingTagger())
+    monkeypatch.setattr(inference, "load_tagger", lambda uri: RaisingTagger())
     source, sink = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
     source.write_text('{"text": "Ann"}\n{"text": "x"}\n{"text": "Bo"}\n', encoding="utf-8")
     assert cli.main(["predict", "--tagger", "all-o", "--input", str(source),
