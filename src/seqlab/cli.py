@@ -6,19 +6,15 @@ tagger against a dataset, `predict` runs single-text or file inference,
 `schedule simulate` renders a learning-rate trajectory, and `aggregate`
 summarizes multi-seed runs.
 
-`predict --input` (from 128 KiB), `convert` (from 768 KiB), `evaluate`
-(from 512 KiB) and `dataset set-up` of one JSONL file or of a pre-split
-dataset (from 512 KiB) split their input across the CPUs in their CPU
-set. The last three split through `ranges._split`, which sends the
-whole input back to one process wherever a part fails (see `ranges`). A
-split never shows: the output bytes, the report, the analysis, the
+`predict --input`, `convert`, `evaluate` and `dataset set-up` may split
+their input across the CPUs in their CPU set, which this module passes
+them; the last three have one implementation each, which
+`ranges._split` runs on each part or on the whole input (see `ranges`):
+`convert` in `ingest._convert_file`, `evaluate` in
+`evaluation._count_file` and `dataset set-up` in `ingest._set_up_dataset`.
+A split never shows: the output bytes, the report, the analysis, the
 summary line, the exit code and every error are those of one process.
-Per command, `convert` writes its output only once every range has
-converted; `evaluate` loads its tagger once, before the fork, and adds
-up the `Counts` of its ranges; `dataset set-up` reads and formats its
-records in the parts, then shuffles, prunes, analyzes and writes them in
-its own process. Where the parts of `evaluate` or `dataset set-up` read
-their labels in different schemes, the input runs in one process too.
+This module parses, checks usage, prints and reports errors.
 
 Exit codes: 0 success, 1 data or processing error, 2 usage error.
 `main` is the one error boundary: a SeqlabError or an OSError from any
@@ -44,16 +40,13 @@ import gc
 import json
 import math
 import sys
-from collections import Counter
-from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence, TextIO
+from typing import Sequence
 
 from . import evaluation, inference, ingest, runs, schedule
-from .core import AnnotationScheme, LabelSequence
-from .errors import InconsistentSource, SeqlabError, UnconvertibleInput
-from .ranges import _cpu_count, _split
-from .schemes import convert_scheme
+from .core import AnnotationScheme
+from .errors import SeqlabError, UnconvertibleInput
+from .ranges import _cpu_count
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
 
@@ -137,159 +130,15 @@ def cmd_dataset_setup(args) -> int:
     if args.path is not None and any((args.train_path, args.val_path, args.test_path)):
         print(f"bad --path: {args.path!r} is given with split paths", file=sys.stderr)
         return 2
-    out_dir = ingest.resolve_data_dir(args.data_dir) / name
-    analysis = _split_set_up(args, ratio, out_dir)
-    if analysis is None:
-        # the files and analysis of `ingest.set_up`, without its Documents
-        _, analysis = ingest._set_up(
-            args.source,
-            name=name,
-            path=args.path,
-            split_paths=(args.train_path, args.val_path, args.test_path),
-            dialect=args.dialect,
-            split_ratio=ratio,
-            seed=args.seed,
-            fractions=(args.fraction, None, None),
-            scheme=None,
-            data_dir=args.data_dir,
-        )
-    print(f"wrote canonical dataset to {out_dir}")
+    analysis = ingest._set_up_dataset(
+        args.source, name=name, path=args.path,
+        split_paths=(args.train_path, args.val_path, args.test_path), dialect=args.dialect,
+        split_ratio=ratio, seed=args.seed, fractions=(args.fraction, None, None), scheme=None,
+        data_dir=args.data_dir, processes=_cpu_count(),
+    )
+    print(f"wrote canonical dataset to {ingest.resolve_data_dir(args.data_dir) / name}")
     print(json.dumps(analysis, ensure_ascii=False, indent=2))
     return 0
-
-
-def _set_up_range(
-    src: BinaryIO, dst: TextIO, lineno: int, size: int | None, *, doccano: bool
-) -> list | None:
-    """The range `Work` of `dataset set-up`: the records in the next
-    ``size`` bytes of ``src``, or in all the rest, read (as Doccano lines
-    where ``doccano``) and checked, and their canonical lines written to
-    ``dst``. Its summary holds one pair: the name of the scheme read off
-    their own labels, then each row's `ingest._row_stats` in that scheme.
-    None, and nothing written, where the range holds bytes that are not
-    UTF-8 or a record or label that does not read: the one-process run
-    reports every error."""
-    try:
-        summary, lines = _set_up_lines(ingest._range_records(src.read(size), lineno, doccano))
-    except Exception:  # whatever fails, fails the range
-        return None
-    dst.writelines(lines)
-    return [summary]
-
-
-def _set_up_files(group: tuple[str, ...], dst: TextIO, *, dialect: str | None) -> list | None:
-    """The part work of a pre-split `dataset set-up`: what `_set_up_range`
-    does of a range, done of each whole file of ``group`` as `ingest._set_up`
-    reads it; its summary holds one pair per file."""
-    try:
-        read = [_set_up_lines(ingest._file_records(path, dialect)) for path in group]
-    except Exception:  # whatever fails, fails the group
-        return None
-    for _, lines in read:
-        dst.writelines(lines)
-    return [summary for summary, _ in read]
-
-
-def _set_up_lines(records: list) -> tuple[list, list[str]]:
-    """([scheme name, each row's `ingest._row_stats`], canonical lines) of
-    the checked ``records``, in the scheme read off their own labels."""
-    rows, scheme = ingest._rows(records, None)
-    literals = ingest._Literals()
-    lines = [ingest._canonical_line(row, literals) for row in rows]
-    return [scheme.value, ingest._row_stats(rows, scheme)], lines
-
-
-#: The least input a `dataset set-up` process is given, in bytes. On a
-#: 2-vCPU machine, whole set-ups of line-cut prefixes of a pretokenized
-#: JSONL file and of a Doccano export, split in two against one process,
-#: moved by +1.5% and +3.4% at 64 KiB and +4.9% and +1.5% at 128 KiB
-#: (medians of 20 alternating pairs), -2.5% and -1.5% at 192 KiB (30
-#: pairs), -10.0%/-3.9% and -14.2%/-4.0% at 256 KiB (20 and 30 pairs),
-#: -7.6%/-7.9% and +2.5%/-5.5% at 384 KiB, and -12.2%/-10.6% and
-#: -9.6%/-9.2% at 512 KiB: a gain in every series from 512 KiB on.
-_SET_UP_MIN_RANGE_BYTES = 256 * 1024
-
-
-def _split_set_up(args, ratio: tuple[float, float, float], out_dir: Path) -> dict | None:
-    """The analysis tree of `dataset set-up` of a pre-split dataset, read in
-    groups of whole files, or of one JSONL file (``--path``, a Doccano
-    export or canonical records), read in byte ranges, through
-    `ranges._split`; this process then splits, prunes, analyzes and writes
-    what the parts read under ``out_dir`` as `ingest._set_up` does. None,
-    and nothing written, where the input is neither, where `_split` gives
-    None, where the parts read different schemes or where it holds no
-    record."""
-    path, files = args.path, [args.train_path, args.val_path, args.test_path]
-    if args.source == "BI" or not all(files) and path is None:
-        return None
-    if all(files):
-        split = _split(files, _cpu_count(), _SET_UP_MIN_RANGE_BYTES,
-                       lambda: partial(_set_up_files, dialect=args.dialect))
-    elif args.dialect == "doccano" or (
-        args.dialect is None and Path(path).suffix.lower() == ".jsonl"
-    ):
-        split = _split(path, _cpu_count(), _SET_UP_MIN_RANGE_BYTES,
-                       partial(_set_up_work, path, args.dialect))
-    else:
-        return None
-    if split is None:
-        return None
-    summaries, output = split
-    read = [pair for summary in summaries for pair in summary]  # one per range or file
-    scheme = _agreed_scheme(name for name, _ in read)
-    stats = [row for _, rows in read for row in rows]
-    if scheme is None or not stats:
-        return None
-
-    def analysis(splits, seed):
-        named = [(split.name, [row for _, row in split.documents]) for split in splits]
-        return ingest._analysis_tree(named, scheme, seed)
-
-    # a canonical line escapes every "\r" and "\n" but its end
-    pairs = list(zip(output.splitlines(keepends=True), stats))
-    return ingest._write_set_up(
-        pairs, [len(rows) for _, rows in read] if all(files) else None, analysis,
-        lambda pair, literals: pair[0], out_dir=out_dir, split_ratio=ratio, seed=args.seed,
-        fractions=(args.fraction, None, None),
-    )[1]
-
-
-def _set_up_work(path: str, dialect: str | None):
-    """The range `Work` of `dataset set-up` of the JSONL file at ``path``:
-    its lines read as Doccano lines with the dialect "doccano" and, without
-    one, as the record on its first non-blank line reads; None with any
-    other dialect or where that line is not UTF-8 or holds no JSON object."""
-    if dialect == "doccano":
-        return partial(_set_up_range, doccano=True)
-    if dialect is not None:
-        return None
-    with open(path, "rb") as src:  # lines end at b"\n" only, as `ingest._json_records` reads them
-        try:
-            first = next(filter(str.strip, (line.decode("utf-8") for line in src)), "null")
-            first = ingest.load_json(first)
-        except (UnicodeDecodeError, SeqlabError):
-            return None
-    if not isinstance(first, dict):
-        return None
-    return partial(_set_up_range, doccano=ingest._is_doccano(first))
-
-
-def _agreed_scheme(names: Iterable[str]) -> AnnotationScheme | None:
-    """The scheme that every part of an input read off its own labels,
-    ``names`` being what each read, where they all read the same one; None
-    where they did not. A part is a byte range of a file or a whole file.
-
-    Parts that agree on a scheme agree with their whole, which
-    `schemes.resolve_scheme` reads as BILOU if any label has an L or U
-    prefix, as IO if I occurs without B, and as BIO otherwise. Where every
-    part reads BILOU, some part has L or U, and so has the whole. Where
-    every part reads IO, no part has B, L or U and some part has I, and so
-    has the whole. Where every part reads BIO, no part has L or U and each
-    part has a B or has no I, so the whole has a B or has no I. So what the
-    parts read, count and decode in that scheme is what one process does
-    with the whole."""
-    names = set(names)
-    return AnnotationScheme.coerce(names.pop()) if len(names) == 1 else None
 
 
 def cmd_convert(args) -> int:
@@ -300,87 +149,15 @@ def cmd_convert(args) -> int:
             "warning: IO output merges adjacent same-class chunks (lossy)",
             file=sys.stderr,
         )
-    split = _split(args.input, _cpu_count(), _CONVERT_MIN_RANGE_BYTES,
-                   lambda: partial(_convert_range, source=source, target=target))
-    if split is None or not sum(split[0]):  # no record: one process reports the empty input
-        lines, problems = _converted(
-            ingest._json_records(ingest.read_text(args.input)), source, target)
-        if problems:
-            if args.verbose:
-                for lineno, problem in problems:
-                    print(f"DEBUG line {lineno}: {problem}", file=sys.stderr)
-            lineno, problem = problems[0]
-            count = len(problems)
-            more = f" (and {count - 1} more; --verbose lists all)" if count > 1 else ""
-            raise UnconvertibleInput(problem + more, line=lineno)
-        # opened only once the input is read and converted: it may be the input
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
-        documents = len(lines)
-    else:
-        with open(args.output, "wb") as handle:
-            handle.write(split[1])
-        documents = sum(split[0])
+    try:
+        documents = ingest._convert_file(args.input, args.output, source, target, _cpu_count())
+    except UnconvertibleInput as err:
+        if args.verbose:
+            for lineno, problem in err.problems:
+                print(f"DEBUG line {lineno}: {problem}", file=sys.stderr)
+        raise
     print(f"converted {documents} documents {source.value} -> {target.value}")
     return 0
-
-
-def _converted(
-    records: list[tuple[int, dict]], source: AnnotationScheme, target: AnnotationScheme
-) -> tuple[list[str], list[tuple[int, str]]]:
-    """The canonical lines in ``target`` of ``records``, and the (line, what
-    went wrong) of each record that cannot be converted. A record that
-    does not read raises."""
-    rows = ingest._rows(records, source)[0]
-    problems = []
-    lines = []
-    literals = ingest._Literals()
-    for row in rows:
-        if row.labels is None:
-            problems.append((row.line, "document has no word labels to convert"))
-            continue
-        try:
-            labels = convert_scheme(LabelSequence(row.labels, source), target).labels
-        except InconsistentSource as err:
-            problems.extend(
-                (row.line, f"{violation.kind.value} at position {violation.position}")
-                for violation in err.violations
-            )
-            continue
-        lines.append(ingest._canonical_line(row._replace(labels=labels), literals))
-    return lines, problems
-
-
-def _convert_range(
-    src: BinaryIO,
-    dst: TextIO,
-    lineno: int,
-    size: int | None,
-    *,
-    source: AnnotationScheme,
-    target: AnnotationScheme,
-) -> int | None:
-    """The range `Work` of `convert`: the lines of the next ``size`` bytes
-    of ``src``, or of all the rest, converted into ``dst``; the number of
-    documents. None, and nothing written, where the range holds bytes that
-    are not UTF-8, a record that does not read or a record that cannot be
-    converted: the one-process run reports every error."""
-    try:
-        lines, problems = _converted(
-            ingest._range_records(src.read(size), lineno), source, target)
-    except Exception:  # whatever fails, fails the range
-        return None
-    if problems:
-        return None
-    dst.writelines(lines)
-    return len(lines)
-
-
-#: The least input a `convert` process is given, in bytes. On a 2-vCPU
-#: machine, whole `convert` commands split in two gained no more than
-#: their run-to-run noise on inputs up to 512 KiB, and gained in every
-#: series measured from 768 KiB on.
-_CONVERT_MIN_RANGE_BYTES = 384 * 1024
 
 
 def _dataset_dir(args) -> Path:
@@ -398,11 +175,8 @@ def cmd_evaluate(args) -> int:
         scheme = AnnotationScheme.coerce(ingest.load_analysis(dataset_dir)["scheme_detected"])
     except (SeqlabError, KeyError, TypeError, ValueError):
         scheme = None  # no usable analysis.json: the split's reader detects it
-    counts = _split_evaluate(dataset_dir / f"{args.phase}.jsonl", args.tagger, scheme)
-    if counts is None:
-        # the scheme read off the split's labels where none is named: BIO when all are O
-        gold, scheme = ingest._rows(ingest._split_records(dataset_dir, args.phase), scheme)
-        counts = evaluation._count_rows(inference.load_tagger(args.tagger), gold, scheme)
+    counts = evaluation._count_file(
+        dataset_dir / f"{args.phase}.jsonl", args.tagger, scheme, _cpu_count())
     report = counts.report()
     encoded = json.dumps(report, ensure_ascii=False, indent=2)
     # written before stdout, which may be a closed pipe
@@ -412,70 +186,6 @@ def cmd_evaluate(args) -> int:
     micro_f1 = report["strict"]["micro"]["entity"]["f1"]
     print(f"strict entity micro f1 = {micro_f1:.4f}")
     return 0
-
-
-def _evaluate_range(
-    src: BinaryIO,
-    dst: TextIO,
-    lineno: int,
-    size: int | None,
-    *,
-    tagger,
-    scheme: AnnotationScheme | None,
-) -> list | None:
-    """The range `Work` of `evaluate`: the records in the next ``size``
-    bytes of ``src``, or in all the rest, read in ``scheme`` or, where it
-    is None, in the scheme read off their own labels, and counted. Its
-    summary is that scheme's name, then the `Counts` as one list of
-    [class, class, count] triples per counter; it writes nothing. None
-    where the range holds bytes that are not UTF-8, a record or label that
-    does not read, or a record the tagger fails on: the one-process run
-    reports every error."""
-    try:
-        rows, scheme = ingest._rows(ingest._range_records(src.read(size), lineno), scheme)
-        counts = evaluation._count_rows(tagger, rows, scheme)
-    except Exception:  # whatever fails, the tagger included, fails the range
-        return None
-    fields = counts.strict, counts.lenient, counts.words
-    return [scheme.value, *([[*key, n] for key, n in c.items()] for c in fields)]
-
-
-#: The least input an `evaluate` process is given, in bytes. On a 2-vCPU
-#: machine, whole `evaluate` commands of the benchmark's conll-bio and
-#: fewnerd-bilou test splits, cut short and split in two, gained nothing at
-#: 384 KiB (+0.1% and -0.6%, medians of 20 alternating pairs) and gained
-#: from 512 KiB on (-5.3% and -3.0% there, -8.9% and -0.5% at 768 KiB).
-_EVALUATE_MIN_RANGE_BYTES = 256 * 1024
-
-
-def _split_evaluate(
-    path: Path, uri: str, scheme: AnnotationScheme | None
-) -> evaluation.Counts | None:
-    """The `Counts` of `evaluate` of the split file at ``path``, whose
-    labels are in ``scheme`` (None: the scheme is read off the labels),
-    its ranges counted through `ranges._split` with the tagger ``uri``
-    loaded once, and `evaluation` run once, before the fork. None where
-    `_split` gives None, where the tagger does not load or where two
-    ranges read different schemes.
-    Ranges that agree on a scheme agree with the whole file (see
-    `_agreed_scheme`), so the summed `Counts` are those of one process."""
-
-    def make_work():
-        evaluation.Counts  # runs `evaluation` here, before the fork, not in each part
-        try:
-            return partial(_evaluate_range, tagger=inference.load_tagger(uri), scheme=scheme)
-        except SeqlabError:  # the tagger does not load
-            return None
-
-    split = _split(path, _cpu_count(), _EVALUATE_MIN_RANGE_BYTES, make_work)
-    if split is None or _agreed_scheme(summary[0] for summary in split[0]) is None:
-        return None
-    return sum((_read_counts(summary[1:]) for summary in split[0]), evaluation.Counts())
-
-
-def _read_counts(fields: list) -> evaluation.Counts:
-    """The `Counts` of the triples of an `_evaluate_range` summary."""
-    return evaluation.Counts(*(Counter({(a, b): n for a, b, n in c}) for c in fields))
 
 
 def cmd_predict(args) -> int:

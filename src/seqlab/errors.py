@@ -80,7 +80,16 @@ class AllOutside(SeqlabError):
 
 
 class UnconvertibleInput(PositionedError):
-    """A record `convert` cannot translate: no word labels, or a violation."""
+    """Records `convert` cannot translate: no word labels, or a violation.
+    ``problems`` are each one's (line, what went wrong), in input order;
+    the message names the first and counts the rest."""
+
+    def __init__(self, problems):
+        self.problems = tuple(problems)
+        line, problem = self.problems[0]
+        more = len(self.problems) - 1
+        more = f" (and {more} more; --verbose lists all)" if more else ""
+        super().__init__(problem + more, line=line)
 
 
 class InconsistentSource(SeqlabError):

@@ -24,12 +24,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, Sequence
+from functools import partial
+from pathlib import Path
+from typing import BinaryIO, Iterable, Sequence, TextIO
 
+from . import inference, ranges
 from .core import AnnotationScheme, Chunk, Document, LabelSequence, decode
-from .errors import MissingGold
+from .errors import MissingGold, SeqlabError, UnresolvableSource
 from .inference import _tag_and_parse, _word_spans
-from .ingest import _document_row, _Row, _synthetic_offsets
+from .ingest import _document_row, _one_scheme, _range_records, _Row, _rows, _synthetic_offsets
 from .schemes import _span_labels
 
 EXTRACTION_MODES = ("strict", "lenient")
@@ -211,6 +214,56 @@ def _count_rows(tagger, rows: Iterable[_Row], scheme: AnnotationScheme) -> Count
         counts.add_chunks("lenient", gold.lenient, pred.lenient)
         counts.add_words(gold_seq, pred_seq)
     return counts
+
+
+def _count_file(
+    path: Path, uri: str, scheme: AnnotationScheme | None, processes: int
+) -> Counts:
+    """The `Counts` of `evaluate`: the tagger ``uri`` over the split file at
+    ``path``, whose labels are in ``scheme`` (None: the scheme read off
+    them), its ranges counted through `ranges._split` in up to
+    ``processes`` processes. The tagger loads once, before the fork; where
+    it does not, the file is read in one part, which raises that error only
+    once its rows read, as a data error comes first."""
+    if not path.is_file():  # before `_split`, which opens a pipe it is given
+        raise UnresolvableSource(f"missing split file: {path}")
+    try:
+        tagger = inference.load_tagger(uri)
+    except SeqlabError as err:
+        tagger, processes = err, 1
+    work = partial(_evaluate_range, path=path, tagger=tagger, scheme=scheme)
+    summaries, _ = ranges._split(
+        path, processes, ranges._EVALUATE_MIN_RANGE_BYTES, work, _one_scheme)
+    return sum((_read_counts(summary[1:]) for summary in summaries), Counts())
+
+
+def _evaluate_range(
+    src: BinaryIO,
+    dst: TextIO,
+    lineno: int,
+    size: int | None,
+    *,
+    path: Path,
+    tagger,
+    scheme: AnnotationScheme | None,
+) -> list:
+    """The range `Work` of `evaluate`: the records in the next ``size``
+    bytes of ``src``, or in all the rest, of the file at ``path``, read in
+    ``scheme`` or, where it is None, in the scheme read off their own
+    labels, and counted by ``tagger``, or the error it failed to load with.
+    Its summary is that scheme's name, then the `Counts` as one list of
+    [class, class, count] triples per counter; it writes nothing."""
+    rows, scheme = _rows(_range_records(src, size, lineno, path), scheme)
+    if isinstance(tagger, SeqlabError):
+        raise tagger
+    counts = _count_rows(tagger, rows, scheme)
+    return [scheme.value, *([[*key, n] for key, n in c.items()] for c in (
+        counts.strict, counts.lenient, counts.words))]
+
+
+def _read_counts(fields: list) -> Counts:
+    """The `Counts` of the triples of an `_evaluate_range` summary."""
+    return Counts(*(Counter({(a, b): n for a, b, n in c}) for c in fields))
 
 
 def evaluate_on_dataset(tagger, split, scheme: AnnotationScheme) -> DatasetEvaluation:

@@ -33,11 +33,12 @@ triples. `_rows` parses every label first, naming its line, through one
 prefix, and reads the scheme off the table's labels; then `_check_record`
 applies each rule to each record once and raises the first one broken.
 `dataset set-up`, `evaluate`, `convert` and the `echo:` tagger read rows
-only: set-up splits, analyzes and writes them, and builds no `Word`,
-`EntitySpan` or `Document`. `_documents` builds those, from rows, only
-where the public API returns them: the readers, `parse_file`,
-`load_split` and `set_up`. Public functions that take Documents read
-each as a row once on entry (`_document_row`).
+only: set-up formats them as canonical lines, then splits, analyzes and
+writes those, and builds no `Word`, `EntitySpan` or `Document`.
+`_documents` builds those, from rows, only where the public API returns
+them: the readers, `parse_file` and `load_split`, through which `set_up`
+reads back the files it wrote. Public functions that take Documents
+read each as a row once on entry (`_document_row`).
 
 Canonical lines are formatted, not built as dicts for the JSON encoder.
 `_canonical_line` fills fixed templates from a row: strings through the
@@ -62,8 +63,9 @@ from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import add, itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, BinaryIO, Iterable, NamedTuple, Sequence, TextIO
 
+from . import ranges
 from .core import (
     AnnotationScheme,
     Document,
@@ -79,17 +81,20 @@ from .core import (
 from .errors import (
     EmptyInput,
     FractionOutOfRange,
+    InconsistentSource,
     LengthMismatch,
     MalformedJson,
     MalformedLabel,
     OverlappingSpans,
     PrefixNotInScheme,
     RaggedRow,
+    SeqlabError,
     SpanOutOfBounds,
+    UnconvertibleInput,
     UndecodableInput,
     UnresolvableSource,
 )
-from .schemes import resolve_scheme
+from .schemes import convert_scheme, resolve_scheme
 
 SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_SPLIT_RATIO = (0.8, 0.1, 0.1)
@@ -123,19 +128,19 @@ class DatasetSplit(FrozenRecord):
     def __len__(self) -> int:
         return len(self.documents)
 
-    def _as_rows(self) -> Iterable[_Row]:
-        """Each document read as a row, as `analyze` reads it."""
-        return map(_document_row, self.documents)
+    def _stats(self, scheme: AnnotationScheme) -> list[tuple[int | None, list]]:
+        """What `analyze` counts of each document, in ``scheme``."""
+        return _row_stats(map(_document_row, self.documents), scheme)
 
 
 class _RowSplit(DatasetSplit):
-    """A split of what a set-up reads, kept as it is: `_set_up`'s rows,
-    which `analyze` reads as they are, or a split set-up's lines."""
+    """A split of what a set-up read: (canonical line, `_row_stats` item)
+    pairs, which `analyze` counts as they are, in the set-up's scheme."""
 
     __slots__ = ()
 
-    def _as_rows(self) -> Iterable[_Row]:
-        return self.documents
+    def _stats(self, scheme: AnnotationScheme) -> list[tuple[int | None, list]]:
+        return [stats for _, stats in self.documents]
 
 
 def read_text(path: str | Path) -> str:
@@ -144,14 +149,16 @@ def read_text(path: str | Path) -> str:
     return _decoded(Path(path).read_bytes(), path)
 
 
-def _decoded(data: bytes, path: str | Path) -> str:
-    """`read_text` of the file at ``path`` whose bytes are ``data``."""
+def _decoded(data: bytes, path: str | Path, start: int = 0, line: int = 1) -> str:
+    """`read_text` of the file at ``path`` whose bytes are ``data``, or
+    whose bytes from its byte ``start``, on its line ``line``, are: an
+    error names its byte and line in the whole file."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise UndecodableInput(
-            f"byte {err.start} of {path} is not UTF-8 ({err.reason})",
-            line=data.count(b"\n", 0, err.start) + 1,
+            f"byte {start + err.start} of {path} is not UTF-8 ({err.reason})",
+            line=line + data.count(b"\n", 0, err.start),
         ) from None
 
 
@@ -481,13 +488,18 @@ def _doccano_records(records: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
     return canonical
 
 
-def _range_records(data: bytes, lineno: int, doccano: bool = False) -> list[tuple[int, dict]]:
-    """The records of ``data``, a byte range of a JSONL file that starts at
-    the file's line ``lineno``, numbered as in the whole file and read as
-    Doccano lines where ``doccano``; none in a range of blank lines. Bytes
-    that are not UTF-8 raise UnicodeDecodeError."""
+def _range_records(
+    src: BinaryIO, size: int | None, lineno: int, path: str | Path, doccano: bool = False
+) -> list[tuple[int, dict]]:
+    """The records in the next ``size`` bytes of ``src`` (None: in all the
+    rest), a byte range of the JSONL file at ``path`` that starts at its
+    line ``lineno``, numbered as in the whole file and read as Doccano
+    lines where ``doccano``; none in a range of blank lines. Bytes that are
+    not UTF-8 raise UndecodableInput naming ``path`` and their byte and
+    line in the whole file, as `read_text` does."""
+    start = src.tell() if src.seekable() else 0  # a pipe is read whole, from its start
     try:
-        records = _json_records(data.decode("utf-8"), lineno)
+        records = _json_records(_decoded(src.read(size), path, start, lineno), lineno)
     except EmptyInput:  # a range of blank lines
         return []
     return _doccano_records(records) if doccano else records
@@ -621,6 +633,64 @@ def save_canonical_jsonl(documents: Iterable[Document], path: str | Path) -> Non
         write_canonical_jsonl(documents, handle)
 
 
+def _convert_file(
+    input_path: str, output_path: str, source: AnnotationScheme, target: AnnotationScheme,
+    processes: int,
+) -> int:
+    """`convert`: the JSONL file at ``input_path``, its labels translated
+    from ``source`` to ``target``, written to ``output_path``; the number
+    of documents. Its ranges convert through `ranges._split` in up to
+    ``processes`` processes, and the output is written only once every
+    record has converted: it may be the input."""
+    work = partial(_convert_range, path=input_path, source=source, target=target)
+    summaries, output = ranges._split(
+        Path(input_path), processes, ranges._CONVERT_MIN_RANGE_BYTES, work)
+    documents = sum(summaries)
+    if not documents:  # a record converts to a line or raises
+        raise EmptyInput("no records in JSONL input")
+    with open(output_path, "wb") as handle:
+        handle.write(output)
+    return documents
+
+
+def _convert_range(
+    src: BinaryIO,
+    dst: TextIO,
+    lineno: int,
+    size: int | None,
+    *,
+    path: str,
+    source: AnnotationScheme,
+    target: AnnotationScheme,
+) -> int:
+    """The range `Work` of `convert`: the records in the next ``size`` bytes
+    of ``src``, or in all the rest, of the file at ``path``, converted into
+    ``dst``; the number of documents. A record that does not read raises,
+    and records that cannot be converted raise one UnconvertibleInput,
+    with nothing written."""
+    rows = _rows(_range_records(src, size, lineno, path), source)[0]
+    problems = []
+    lines = []
+    literals = _Literals()
+    for row in rows:
+        if row.labels is None:
+            problems.append((row.line, "document has no word labels to convert"))
+            continue
+        try:
+            labels = convert_scheme(LabelSequence(row.labels, source), target).labels
+        except InconsistentSource as err:
+            problems.extend(
+                (row.line, f"{violation.kind.value} at position {violation.position}")
+                for violation in err.violations
+            )
+            continue
+        lines.append(_canonical_line(row._replace(labels=labels), literals))
+    if problems:
+        raise UnconvertibleInput(problems)
+    dst.writelines(lines)
+    return len(lines)
+
+
 def _split_ratio(ratio: Sequence[float]) -> tuple[float, float, float]:
     """``ratio`` as a tuple; ValueError unless it is three finite,
     non-negative numbers that sum to 1 (within 1e-9)."""
@@ -675,14 +745,12 @@ def analyze(
     given, else read off the documents' parsed labels), whether the
     corpus is pretokenized, and the split seed. Labels are decoded in
     that scheme."""
-    rows = [list(split._as_rows()) for split in splits]
-    labels = [row.labels for split in rows for row in split if row.labels is not None]
+    labels = (
+        doc.word_labels.labels
+        for split in splits for doc in split.documents if doc.word_labels is not None
+    )  # read only where no scheme is given
     scheme = resolve_scheme(chain.from_iterable(labels), scheme)
-    return _analysis_tree(
-        [(split.name, _row_stats(split_rows, scheme)) for split, split_rows in zip(splits, rows)],
-        scheme,
-        seed,
-    )
+    return _analysis_tree([(split.name, split._stats(scheme)) for split in splits], scheme, seed)
 
 
 def _row_stats(rows: Iterable[_Row], scheme: AnnotationScheme) -> list[tuple[int | None, list]]:
@@ -764,8 +832,8 @@ def parse_file(
     return _documents(*_rows(_file_records(path, dialect), scheme))
 
 
-def _builtin_records(name: str) -> list[list[tuple[int, dict]]]:
-    """The canonical records of a bundled corpus, one list per split."""
+def _builtin_files(name: str) -> list:
+    """The files of a bundled corpus, one per split, as package resources."""
     from importlib import resources  # only built-in sources need it, so it stays out of start-up
 
     if name not in BUILTIN_DATASETS:
@@ -773,10 +841,12 @@ def _builtin_records(name: str) -> list[list[tuple[int, dict]]]:
             f"unknown built-in dataset {name!r}; available: {sorted(BUILTIN_DATASETS)}"
         )
     base = resources.files("seqlab").joinpath("data", BUILTIN_DATASETS[name])
-    return [
-        _json_records(base.joinpath(f"{split_name}.jsonl").read_text(encoding="utf-8"))
-        for split_name in SPLIT_NAMES
-    ]
+    return [base.joinpath(f"{split_name}.jsonl") for split_name in SPLIT_NAMES]
+
+
+def _bundled_records(file) -> list[tuple[int, dict]]:
+    """The canonical records of one file of a bundled corpus."""
+    return _json_records(file.read_text(encoding="utf-8"))
 
 
 def set_up(
@@ -807,21 +877,22 @@ def set_up(
     {train,val,test}.jsonl and analysis.json are written under
     data_dir/name and the splits plus analysis are returned.
 
-    The files and the analysis come from `_set_up`, which reads rows;
-    only the returned splits build Documents, from the kept rows.
+    The files and the analysis are those `dataset set-up` writes, made in
+    one process; the splits are the written files, read back in the
+    analysis's scheme.
     """
-    splits, analysis = _set_up(
+    analysis = _set_up_dataset(
         source, name=name, path=path, split_paths=(train_path, val_path, test_path),
         dialect=dialect, split_ratio=split_ratio, seed=seed,
         fractions=(train_fraction, val_fraction, test_fraction), scheme=scheme, data_dir=data_dir,
+        processes=1,
     )
-    scheme = AnnotationScheme.coerce(analysis["scheme_detected"])
-    return tuple(
-        DatasetSplit(split.name, _documents(split.documents, scheme)) for split in splits
-    ), analysis
+    out_dir = resolve_data_dir(data_dir) / name
+    scheme = analysis["scheme_detected"]
+    return tuple(load_split(out_dir, split, scheme=scheme) for split in SPLIT_NAMES), analysis
 
 
-def _set_up(
+def _set_up_dataset(
     source: str,
     *,
     name: str,
@@ -833,74 +904,161 @@ def _set_up(
     fractions: Sequence[float | None],
     scheme: AnnotationScheme | str | None,
     data_dir: str | Path | None,
-) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], dict]:
-    """`set_up`'s files and analysis, and its splits of rows."""
+    processes: int,
+) -> dict:
+    """`set_up`'s files and analysis tree, its input read in parts through
+    `ranges._split` in up to ``processes`` processes: a pre-split dataset
+    in groups of whole files, one JSONL file (a Doccano export or canonical
+    records) in byte ranges, a bundled corpus or any other one file in one
+    part. Each part is set up by `_set_up_part`; this process then splits,
+    prunes, analyzes and writes what the parts read (`_write_set_up`)."""
     kind = str(source).upper()
     if kind not in ("LF", "HF", "AT", "BI"):
         raise UnresolvableSource(f"unknown source kind: {source!r}")
+    read = partial(_file_records, dialect=dialect)
     if kind == "BI":
-        files = _builtin_records(name)
+        inputs, read, processes = _builtin_files(name), _bundled_records, 1  # it is small
     elif any(split_paths):
         if not all(split_paths):
             raise UnresolvableSource("pre-split input needs all three split paths")
-        files = [_file_records(p, dialect) for p in split_paths]
+        inputs = list(split_paths)
+    elif path is None:
+        raise UnresolvableSource(f"source {kind} needs a file path")
+    elif dialect == "doccano" or dialect is None and Path(path).suffix.lower() == ".jsonl":
+        inputs, doccano, processes = _jsonl_input(path, dialect, processes)
     else:
-        if path is None:
-            raise UnresolvableSource(f"source {kind} needs a file path")
-        files = [_file_records(path, dialect)]
-
-    rows, scheme = _rows(list(chain.from_iterable(files)), scheme)
+        inputs = [path]
+    if isinstance(inputs, list):
+        work = partial(_set_up_files, read=read, scheme=scheme)
+    else:
+        work = partial(_set_up_range, path=inputs, doccano=doccano, scheme=scheme)
+    summaries, output = ranges._split(
+        inputs, processes, ranges._SET_UP_MIN_RANGE_BYTES, work, _one_scheme)
+    stats = [row for summary in summaries for row in summary[1]]
+    if not stats:  # only the ranges of a JSONL file can all read no record
+        raise EmptyInput("no records in JSONL input")
+    sizes = [size for summary in summaries for size in summary[2]]
+    # a canonical line escapes every "\r" and "\n" but its end
+    pairs = list(zip(output.splitlines(keepends=True), stats))
     return _write_set_up(
-        rows,
-        None if len(files) == 1 else list(map(len, files)),
-        partial(analyze, scheme=scheme),
-        lambda row, literals: _canonical_line(row, literals).encode(),
-        out_dir=resolve_data_dir(data_dir) / name,
-        split_ratio=split_ratio,
-        seed=seed,
-        fractions=fractions,
+        pairs, sizes if kind == "BI" or any(split_paths) else None,
+        AnnotationScheme.coerce(summaries[0][0]), out_dir=resolve_data_dir(data_dir) / name,
+        split_ratio=split_ratio, seed=seed, fractions=fractions,
     )
 
 
+def _jsonl_input(path: str | Path, dialect: str | None, processes: int) -> tuple[Path, bool, int]:
+    """(path, whether its lines read as Doccano lines, processes) of a
+    set-up of the JSONL file at ``path``: Doccano lines with the dialect
+    "doccano" and, without one, as the record on its first non-blank line
+    reads. Where that line is not UTF-8 or holds no JSON object, the input
+    fails whatever the parts read, so it is read in one part."""
+    path = Path(path)
+    if not path.is_file():  # before `_split`, which opens a pipe it is given
+        raise UnresolvableSource(f"not a readable file: {path}")
+    if dialect == "doccano":
+        return path, True, processes
+    with open(path, "rb") as src:  # lines end at b"\n" only, as `_json_records` reads them
+        try:
+            first = next(filter(str.strip, (line.decode("utf-8") for line in src)), "null")
+            first = load_json(first)
+        except (UnicodeDecodeError, SeqlabError):
+            first = None
+    if not isinstance(first, dict):
+        return path, False, 1
+    return path, _is_doccano(first), processes
+
+
+def _set_up_range(
+    src: BinaryIO,
+    dst: TextIO,
+    lineno: int,
+    size: int | None,
+    *,
+    path: Path,
+    doccano: bool,
+    scheme: AnnotationScheme | str | None,
+) -> list:
+    """The range `Work` of a set-up of the JSONL file at ``path``: the
+    records in the next ``size`` bytes of ``src``, or in all the rest, read
+    as Doccano lines where ``doccano``, set up as one part."""
+    return _set_up_part([_range_records(src, size, lineno, path, doccano)], dst, scheme)
+
+
+def _set_up_files(
+    group: tuple, dst: TextIO, *, read, scheme: AnnotationScheme | str | None
+) -> list:
+    """The group work of a set-up: the files of ``group``, each read by
+    ``read``, set up as one part."""
+    return _set_up_part([read(path) for path in group], dst, scheme)
+
+
+def _set_up_part(
+    files: list[list], dst: TextIO, scheme: AnnotationScheme | str | None
+) -> list:
+    """The work of a set-up on one part, the records of each of ``files``:
+    their labels parsed (in ``scheme``, or in the one read off them all)
+    before any record is checked, through one `_rows` call, and their
+    canonical lines written to ``dst``. Its summary is that scheme's name,
+    each row's `_row_stats` in it, and each file's number of rows."""
+    rows, scheme = _rows(list(chain.from_iterable(files)), scheme)
+    literals = _Literals()
+    dst.writelines([_canonical_line(row, literals) for row in rows])
+    return [scheme.value, _row_stats(rows, scheme), list(map(len, files))]
+
+
+def _one_scheme(summaries: list) -> bool:
+    """Whether the parts of an input, each summary's first item naming the
+    scheme that part read off its own labels, all read the same one.
+
+    Parts that agree on a scheme agree with their whole, which
+    `schemes.resolve_scheme` reads as BILOU if any label has an L or U
+    prefix, as IO if I occurs without B, and as BIO otherwise. Where every
+    part reads BILOU, some part has L or U, and so has the whole. Where
+    every part reads IO, no part has B, L or U and some part has I, and so
+    has the whole. Where every part reads BIO, no part has L or U and each
+    part has a B or has no I, so the whole has a B or has no I. So what the
+    parts read, count and decode in that scheme is what one process does
+    with the whole."""
+    return len({summary[0] for summary in summaries}) == 1
+
+
 def _write_set_up(
-    items: list,
+    pairs: list,
     sizes: Sequence[int] | None,
-    analysis: Callable[..., dict],
-    line: Callable[[object, _Literals], bytes],
+    scheme: AnnotationScheme,
     *,
     out_dir: Path,
     split_ratio: Sequence[float],
     seed: int,
     fractions: Sequence[float | None],
-) -> tuple[tuple[DatasetSplit, DatasetSplit, DatasetSplit], dict]:
-    """The end of every set-up: the read ``items``, in file order, split
-    into train, val and test, pruned by ``fractions``, analyzed and written
-    under ``out_dir``; the splits of items and the analysis tree. ``sizes``
-    are the number of items of each pre-split file, or None where
-    ``items`` are shuffled with ``seed`` and split by ``split_ratio``.
-    ``analysis(splits, seed=...)`` gives the tree, ``line(item, literals)``
-    an item's canonical line as UTF-8 bytes."""
+) -> dict:
+    """The end of every set-up: the (canonical line as UTF-8 bytes,
+    `_row_stats` item) ``pairs`` of its records, in file order, split into
+    train, val and test, pruned by ``fractions``, analyzed in ``scheme`` and
+    written under ``out_dir``; the analysis tree. ``sizes`` are the number
+    of records of each pre-split file, or None where the records are
+    shuffled with ``seed`` and split by ``split_ratio``."""
     if sizes is None:
-        splits, used_seed = split_documents(items, split_ratio, seed), seed
+        splits, used_seed = split_documents(pairs, split_ratio, seed), seed
     else:
-        remaining = iter(items)
+        remaining = iter(pairs)
         splits = [DatasetSplit(s, islice(remaining, n)) for s, n in zip(SPLIT_NAMES, sizes)]
         used_seed = None
     splits = tuple(
         _RowSplit(split.name, (split if fraction is None else prune(split, fraction)).documents)
         for split, fraction in zip(splits, fractions)
     )
-    tree = analysis(splits, seed=used_seed)
+    tree = analyze(splits, scheme=scheme, seed=used_seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for split in splits:
-        literals = _Literals()
         with open(out_dir / f"{split.name}.jsonl", "wb") as handle:
-            handle.writelines([line(item, literals) for item in split.documents])
+            handle.writelines([line for line, _ in split.documents])
     with open(out_dir / "analysis.json", "w", encoding="utf-8") as handle:
         json.dump(tree, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
-    return splits, tree
+    return tree
 
 
 def _is_entry(name: str) -> bool:

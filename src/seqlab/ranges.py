@@ -15,10 +15,17 @@ temporary file, which is appended to the caller's output in order, and
 sends the part's summary, one JSON value, through a pipe; the caller
 merges the summaries. So a job's output bytes, their order and its line
 numbers are those of one process, and its memory bound holds per
-process. A part whose child fails or dies is run again in the caller.
-`_split` is the one entry point of every command but `predict`: wherever
-an input does not split or a part fails, it gives None, and the command
-runs the input in one process, which gives the output or the error.
+process. A part whose child dies is run again in the caller.
+
+`_split` is the one entry point of every command but `predict`, and it
+has one failure rule. Where the input does not split, it runs the job's
+work once over the whole input, the one part, in this process, and the
+work's error is the command's. Where it split and a part's work raised,
+here or in a child, or where the caller rejects the parts (they read
+different schemes), it runs the one part in place of the parts; a part
+whose work raised is not run again on its own. So a command has one
+implementation, and its output and every error are those of one process.
+
 The input stays in one process where os.fork or os.sched_getaffinity is
 missing (so fork is not trusted) or where another thread runs. The
 commands pass `_cpu_count()`, the CPUs in their CPU set, so `taskset`
@@ -48,6 +55,29 @@ Work = Callable[[BinaryIO, TextIO, int, int | None], object]
 #: fork is trusted only where the CPU set can be read as well: macOS, whose
 #: system libraries are not safe to fork, has os.fork but not this
 _CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+
+#: The least input a `convert` process is given, in bytes. On a 2-vCPU
+#: machine, whole `convert` commands split in two gained no more than
+#: their run-to-run noise on inputs up to 512 KiB, and gained in every
+#: series measured from 768 KiB on.
+_CONVERT_MIN_RANGE_BYTES = 384 * 1024
+
+#: The least input an `evaluate` process is given, in bytes. On a 2-vCPU
+#: machine, whole `evaluate` commands of the benchmark's conll-bio and
+#: fewnerd-bilou test splits, cut short and split in two, gained nothing at
+#: 384 KiB (+0.1% and -0.6%, medians of 20 alternating pairs) and gained
+#: from 512 KiB on (-5.3% and -3.0% there, -8.9% and -0.5% at 768 KiB).
+_EVALUATE_MIN_RANGE_BYTES = 256 * 1024
+
+#: The least input a `dataset set-up` process is given, in bytes. On a
+#: 2-vCPU machine, whole set-ups of line-cut prefixes of a pretokenized
+#: JSONL file and of a Doccano export, split in two against one process,
+#: moved by +1.5% and +3.4% at 64 KiB and +4.9% and +1.5% at 128 KiB
+#: (medians of 20 alternating pairs), -2.5% and -1.5% at 192 KiB (30
+#: pairs), -10.0%/-3.9% and -14.2%/-4.0% at 256 KiB (20 and 30 pairs),
+#: -7.6%/-7.9% and +2.5%/-5.5% at 384 KiB, and -12.2%/-10.6% and
+#: -9.6%/-9.2% at 512 KiB: a gain in every series from 512 KiB on.
+_SET_UP_MIN_RANGE_BYTES = 256 * 1024
 
 
 def _cpu_count() -> int:
@@ -82,12 +112,15 @@ def _groups(paths: Sequence[str], processes: int, least: int) -> list[tuple[str,
     """The files ``paths``, in order, as contiguous groups to run in
     processes of their own: at most ``processes`` groups of at least
     ``least`` bytes each, the largest of them as small as it can be. One
-    group unless the files can be split; a file that is not regular is
-    never opened."""
+    group unless the files can be split; a file that is not regular or
+    not there is never opened."""
     whole = [tuple(paths)]
-    if processes < 2 or not _CAN_FORK or threading.active_count() > 1:
+    if processes < 2 or len(paths) < 2 or not _CAN_FORK or threading.active_count() > 1:
         return whole
-    infos = [os.stat(path) for path in paths]
+    try:
+        infos = [os.stat(path) for path in paths]
+    except OSError:  # the one part reads the files in order, and fails where this one does
+        return whole
     if not all(stat.S_ISREG(info.st_mode) for info in infos):
         return whole
     ends = [0, *accumulate(info.st_size for info in infos)]
@@ -102,40 +135,61 @@ def _groups(paths: Sequence[str], processes: int, least: int) -> list[tuple[str,
 
 
 def _split(
-    source: str | os.PathLike | list[str],
+    source: str | os.PathLike | list,
     processes: int,
     least: int,
-    make_work: Callable[[], Callable | None],
-) -> tuple[list, bytes] | None:
+    work: Callable,
+    agree: Callable[[list], bool] | None = None,
+) -> tuple[list, bytes]:
     """(summaries of the parts in order, bytes they wrote) of a job over the
     byte ranges of the file at the path ``source``, or over groups of the
     whole files of the list ``source``, in up to ``processes`` processes of
-    ``least`` bytes or more each. Called once the input splits, before the
-    fork, ``make_work()`` gives the job's range `Work` (for groups, its
-    ``work(group, dst)``) or None. None where a path is not a regular file
-    (a FIFO is never opened), where there are fewer than two parts, where
-    ``make_work()`` or any part gives None, or on an OSError."""
-    try:
-        if isinstance(source, list):
-            parts = _groups(source, processes, least)
-            work = make_work() if len(parts) > 1 else None
-        elif os.path.isfile(source):
+    ``least`` bytes or more each. ``work`` is the job's range `Work` (for
+    groups, ``work(group, dst)``); ``agree(summaries)``, where given, says
+    whether the parts' summaries can be merged.
+
+    Where the input does not split, the work runs once over all of it, the
+    one part, in this process; a path that is not a regular file, a pipe
+    say, is opened once, by the one part. Where the parts' work raised, or
+    ``agree`` rejects their summaries, the one part runs in place of them
+    (see the module's failure rule). An error of the one part propagates."""
+    if isinstance(source, list):
+        parts, whole = _groups(source, processes, least), tuple(source)
+    else:
+        work, whole = partial(_run_at, source, work), (0, None)
+        parts = [whole]
+        if os.path.isfile(source):  # a pipe is opened once, by the one part
             with open(source, "rb") as src:
                 parts = _ranges(src, processes, least)
-            work = make_work() if len(parts) > 1 else None
-            if work is not None:
-                work = partial(_run_at, source, work)
-        else:
-            return None
-        if work is None:
-            return None
+    if len(parts) > 1:
         dst = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        summaries = _run_ranges(dst, parts, work)
-    except OSError:
+        try:
+            summaries = _run_ranges(dst, parts, partial(_failed_as_none, work))
+        except OSError:  # no temporary file or pipe for a child
+            summaries = [None]
+        if None not in summaries and (agree is None or agree(summaries)):
+            return summaries, dst.detach().getvalue()
+    return _one_part(work, whole)
+
+
+def _failed_as_none(work: Callable[[object, TextIO], object], part: object, dst: TextIO) -> object:
+    """The summary of ``work`` on ``part``, or None where it raises: the
+    failure rule of `_split`, whose one part then reports the error. A
+    child whose work raised so exits 0 and sends None, and its part is not
+    run again on its own."""
+    try:
+        return work(part, dst)
+    except Exception:  # whatever fails, fails the split
         return None
-    if None in summaries:
-        return None
-    return summaries, dst.detach().getvalue()
+
+
+def _one_part(work: Callable[[object, TextIO], object], whole: object) -> tuple[list, bytes]:
+    """([summary], bytes written) of ``work`` on ``whole``, the whole input
+    as one part, run here. Reached with or without a split before it, it
+    runs through the same calls, so an error's traceback is the same."""
+    dst = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    summary = work(whole, dst)
+    return [summary], dst.detach().getvalue()
 
 
 def _run_ranges(dst: TextIO, parts: list, work: Callable[[object, TextIO], object]) -> list:

@@ -114,7 +114,7 @@ def cut_offsets(data, processes):
     with tempfile.TemporaryFile() as src:
         src.write(data)
         src.seek(0)
-        cuts = ranges._ranges(src, processes, cli._CONVERT_MIN_RANGE_BYTES)
+        cuts = ranges._ranges(src, processes, ranges._CONVERT_MIN_RANGE_BYTES)
         return [start for start, _ in cuts][1:]
 
 
@@ -138,7 +138,7 @@ def test_split_converts_write_what_one_process_writes(split, target, verbose):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         tmp = Path(tmp)
         (tmp / "in.jsonl").write_bytes(data)
-        patch.setattr(cli, "_CONVERT_MIN_RANGE_BYTES", 1)
+        patch.setattr(ranges, "_CONVERT_MIN_RANGE_BYTES", 1)
         found = cut_offsets(data, processes)
         assert found and (cuts is None or found == cuts)
         one = convert(tmp, 1, argv, patch)
@@ -166,13 +166,13 @@ def test_a_good_input_converts_on_the_split_path(tmp_path, monkeypatch):
     """A good input split across 2 or 3 CPUs is converted by its ranges:
     the one-process run, which decodes the whole input, never starts."""
     (tmp_path / "in.jsonl").write_bytes(good_input())
-    monkeypatch.setattr(cli, "_CONVERT_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_CONVERT_MIN_RANGE_BYTES", 64)
     expected = convert(tmp_path, 1, ARGV, monkeypatch)
 
-    def whole(data, path):
+    def whole(*args):
         raise AssertionError("the whole input was converted in one process")
 
-    monkeypatch.setattr(ingest, "_decoded", whole)
+    monkeypatch.setattr(ranges, "_one_part", whole)
     assert len(cut_offsets(good_input(), 3)) == 2
     for processes in (2, 3):
         assert convert(tmp_path, processes, ARGV, monkeypatch) == expected
@@ -180,19 +180,23 @@ def test_a_good_input_converts_on_the_split_path(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_a_failed_child_has_its_range_converted_again(tmp_path, monkeypatch, failure):
-    """A child whose range work raises, or which is killed, has its range
-    converted again in the parent, still on the split path: the command
+    """A child which is killed has its range converted again in the parent,
+    still on the split path; a child whose range work raises has the whole
+    input converted once, as one part, in the parent. Either way the command
     gives the one-process result, and no temporary file is left."""
     (tmp_path / "in.jsonl").write_bytes(good_input())
-    monkeypatch.setattr(cli, "_CONVERT_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_CONVERT_MIN_RANGE_BYTES", 64)
     expected = convert(tmp_path, 1, ARGV, monkeypatch)
+    wholes = []
+    one_part = ranges._one_part
 
-    def whole(data, path):
-        raise AssertionError("the whole input was converted in one process")
+    def whole(*args):
+        wholes.append(os.getpid())
+        return one_part(*args)
 
-    monkeypatch.setattr(ingest, "_decoded", whole)
+    monkeypatch.setattr(ranges, "_one_part", whole)
     parent = os.getpid()
-    original = cli._convert_range
+    original = ingest._convert_range
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
@@ -201,19 +205,20 @@ def test_a_failed_child_has_its_range_converted_again(tmp_path, monkeypatch, fai
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_convert_range", failing)
+    monkeypatch.setattr(ingest, "_convert_range", failing)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     assert len(cut_offsets(good_input(), 3)) == 2
     assert convert(tmp_path, 3, ARGV, monkeypatch) == expected
     assert expected[0] == 0 and expected[1] == "converted 40 documents BIO -> BILOU\n"
+    assert wholes == ([parent] if failure == "raises" else [])
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", [False, True])
 def test_output_equal_to_input_is_written_over_as_in_one_process(tmp_path, monkeypatch, bad):
     data = good_input() + (b'{"words": ["Ann"], "labels": ["I-PER"]}\n' if bad else b"")
-    monkeypatch.setattr(cli, "_CONVERT_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_CONVERT_MIN_RANGE_BYTES", 64)
     results = []
     for processes in (1, 2, 3):
         (tmp_path / "in.jsonl").write_bytes(data)
@@ -233,7 +238,7 @@ def test_an_input_under_two_convert_ranges_is_not_split(tmp_path, monkeypatch):
     """`convert` has its own least range, larger than `predict`'s: an input
     that `predict` would split stays in one process."""
     data = good_input(3000)
-    assert 2 * inference._MIN_RANGE_BYTES <= len(data) < 2 * cli._CONVERT_MIN_RANGE_BYTES
+    assert 2 * inference._MIN_RANGE_BYTES <= len(data) < 2 * ranges._CONVERT_MIN_RANGE_BYTES
     (tmp_path / "in.jsonl").write_bytes(data)
     expected = convert(tmp_path, 1, ARGV, monkeypatch)
 
@@ -246,7 +251,7 @@ def test_an_input_under_two_convert_ranges_is_not_split(tmp_path, monkeypatch):
 
 def test_a_threaded_caller_never_forks(tmp_path, monkeypatch):
     (tmp_path / "in.jsonl").write_bytes(good_input())
-    monkeypatch.setattr(cli, "_CONVERT_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_CONVERT_MIN_RANGE_BYTES", 64)
     expected = convert(tmp_path, 1, ARGV, monkeypatch)
 
     forks = []

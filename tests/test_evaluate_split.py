@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab import cli, inference, ingest, ranges
+from seqlab import cli, evaluation, inference, ranges
 from seqlab.core import AnnotationScheme
 from seqlab.inference import load_tagger as load_named_tagger
 from seqlab.schemes import chunk_prefixes
@@ -149,7 +149,7 @@ def cut_offsets(data, processes):
     with tempfile.TemporaryFile() as src:
         src.write(data)
         src.seek(0)
-        cuts = ranges._ranges(src, processes, cli._EVALUATE_MIN_RANGE_BYTES)
+        cuts = ranges._ranges(src, processes, ranges._EVALUATE_MIN_RANGE_BYTES)
         return [start for start, _ in cuts][1:]
 
 
@@ -197,7 +197,7 @@ def test_split_evaluates_write_what_one_process_writes(split, verbose):
         tmp = Path(tmp)
         make_dataset(tmp, data, scheme)
         patch.setattr(inference, "load_tagger", load_tagger)
-        patch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 1)
+        patch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 1)
         found = cut_offsets(data, processes)
         assert found and (cuts is None or found == cuts)
         one = evaluate(tmp, 1, patch, verbose=verbose)
@@ -218,7 +218,7 @@ def good_input(count=40):
     )
 
 
-def no_whole_read(dataset_dir, phase):
+def no_whole_read(*args):
     raise AssertionError("the whole split was read in one process")
 
 
@@ -226,10 +226,10 @@ def test_a_good_split_is_counted_on_the_split_path(tmp_path, monkeypatch, words_
     """A good split cut for 2 or 3 CPUs is counted by its ranges: the
     one-process run, which reads the whole split, never starts."""
     make_dataset(tmp_path, good_input())
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
     assert expected[0] == 0
-    monkeypatch.setattr(ingest, "_split_records", no_whole_read)
+    monkeypatch.setattr(ranges, "_one_part", no_whole_read)
     assert len(cut_offsets(good_input(), 3)) == 2
     for processes in (2, 3):
         assert evaluate(tmp_path, processes, monkeypatch) == expected
@@ -237,15 +237,23 @@ def test_a_good_split_is_counted_on_the_split_path(tmp_path, monkeypatch, words_
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_a_failed_child_has_its_range_counted_again(tmp_path, monkeypatch, words_tagger, failure):
-    """A child whose range work raises, or which is killed, has its range
-    counted again in the parent: the command gives the one-process
+    """A child which is killed has its range counted again in the parent; a
+    child whose range work raises has the whole split counted once, as one
+    part, in the parent. Either way the command gives the one-process
     result, and no temporary file is left."""
     make_dataset(tmp_path, good_input())
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
-    monkeypatch.setattr(ingest, "_split_records", no_whole_read)
+    reads = []
+    original_whole = ranges._one_part
+
+    def whole_read(*args):
+        reads.append(os.getpid())
+        return original_whole(*args)
+
+    monkeypatch.setattr(ranges, "_one_part", whole_read)
     parent = os.getpid()
-    original = cli._evaluate_range
+    original = evaluation._evaluate_range
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
@@ -254,12 +262,13 @@ def test_a_failed_child_has_its_range_counted_again(tmp_path, monkeypatch, words
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_evaluate_range", failing)
+    monkeypatch.setattr(evaluation, "_evaluate_range", failing)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     assert len(cut_offsets(good_input(), 3)) == 2
     assert evaluate(tmp_path, 3, monkeypatch) == expected
     assert expected[0] == 0 and expected[1].endswith("strict entity micro f1 = 0.6667\n")
+    assert reads == ([parent] if failure == "raises" else [])
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -269,21 +278,21 @@ def test_a_failed_range_sends_the_command_back_to_one_process(tmp_path, monkeypa
     and its line as one process does; no temporary file is left."""
     data = good_input() + b'{"words": ["boom"], "labels": ["O"]}\n'
     make_dataset(tmp_path, data)
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
     assert expected[:3] == (1, "", "error: tagger raised RuntimeError: the tagger fails\n")
     reads = []
-    original = ingest._split_records
+    original = ranges._one_part
 
-    def whole_read(dataset_dir, phase):
-        reads.append(phase)
-        return original(dataset_dir, phase)
+    def whole_read(work, part):
+        reads.append(part)
+        return original(work, part)
 
-    monkeypatch.setattr(ingest, "_split_records", whole_read)
+    monkeypatch.setattr(ranges, "_one_part", whole_read)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     assert evaluate(tmp_path, 3, monkeypatch) == expected
-    assert reads == ["test"]
+    assert reads == [(0, None)]
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -298,10 +307,10 @@ def test_a_dataset_without_analysis_is_counted_on_the_split_path(
     labels; ranges that agree are counted on the split path, and the
     one-process run, which reads the whole split, never starts."""
     make_dataset(tmp_path, good_input(), scheme=None)
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
     assert expected[0] == 0
-    monkeypatch.setattr(ingest, "_split_records", no_whole_read)
+    monkeypatch.setattr(ranges, "_one_part", no_whole_read)
     for processes in (2, 3):
         assert evaluate(tmp_path, processes, monkeypatch) == expected
 
@@ -335,25 +344,25 @@ def test_ranges_that_read_different_schemes_send_the_command_back_to_one_process
     width = max(len(first), len(second)) + PAD
     data = first + pad_line(width - len(first)) + second + pad_line(width - len(second))
     make_dataset(tmp_path, data, scheme=None)
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     assert cut_offsets(data, 2) == [width]
     expected = evaluate(tmp_path, 1, monkeypatch)
     assert expected[0] == 0
     reads = []
-    original = ingest._split_records
+    original = ranges._one_part
 
-    def whole_read(dataset_dir, phase):
-        reads.append(phase)
-        return original(dataset_dir, phase)
+    def whole_read(work, part):
+        reads.append(part)
+        return original(work, part)
 
-    monkeypatch.setattr(ingest, "_split_records", whole_read)
+    monkeypatch.setattr(ranges, "_one_part", whole_read)
     assert evaluate(tmp_path, 2, monkeypatch) == expected
-    assert reads == ["test"]
+    assert reads == [(0, None)]
 
 
 def test_a_split_under_two_ranges_is_not_split(tmp_path, monkeypatch, words_tagger):
     data = good_input(200)
-    assert len(data) < 2 * cli._EVALUATE_MIN_RANGE_BYTES
+    assert len(data) < 2 * ranges._EVALUATE_MIN_RANGE_BYTES
     make_dataset(tmp_path, data)
     expected = evaluate(tmp_path, 1, monkeypatch)
     monkeypatch.setattr(os, "fork", never_fork)
@@ -362,7 +371,7 @@ def test_a_split_under_two_ranges_is_not_split(tmp_path, monkeypatch, words_tagg
 
 def test_a_failing_fork_counts_every_range_here(tmp_path, monkeypatch, words_tagger):
     make_dataset(tmp_path, good_input())
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
     forks = []
 
@@ -377,7 +386,7 @@ def test_a_failing_fork_counts_every_range_here(tmp_path, monkeypatch, words_tag
 
 def test_a_threaded_caller_never_forks(tmp_path, monkeypatch, words_tagger):
     make_dataset(tmp_path, good_input())
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     expected = evaluate(tmp_path, 1, monkeypatch)
     forks = []
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from seqlab import cli, inference
+from seqlab import cli, inference, ranges
 from seqlab.cli import main
 
 pytestmark = pytest.mark.forks
@@ -33,9 +33,9 @@ SENTENCES = [
 #: the least range of every command that splits made tiny, and two CPUs,
 #: so that a file of a few hundred bytes splits whatever the machine
 SPLIT_EVERYTHING = (
-    "from seqlab import cli, inference\n"
+    "from seqlab import cli, inference, ranges\n"
     "inference._MIN_RANGE_BYTES = 64\n"
-    "cli._EVALUATE_MIN_RANGE_BYTES = 64\n"
+    "ranges._EVALUATE_MIN_RANGE_BYTES = 64\n"
     "cli._cpu_count = lambda: 2\n"
 )
 #: counts the forks, and after `main` returns (at exit) writes to stderr
@@ -59,7 +59,7 @@ PROBE = (
 @pytest.fixture
 def split_everything(monkeypatch):
     monkeypatch.setattr(inference, "_MIN_RANGE_BYTES", 64)
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 64)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     forks = []
     fork = os.fork

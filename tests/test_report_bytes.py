@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from seqlab import cli, ranges, runs
+from seqlab import cli, evaluation, ingest, ranges, runs
 from seqlab.cli import main
 
 # one test splits an evaluate, one a set-up, across forked children
@@ -256,18 +256,18 @@ def test_a_split_evaluate_writes_the_pinned_report(tmp_path, capsys, monkeypatch
         _lines((surfaces, labels) for (surfaces, _), labels in zip(GOLD, PREDICTED)),
         encoding="utf-8",
     )
-    monkeypatch.setattr(cli, "_EVALUATE_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ranges, "_EVALUATE_MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
     with open(dataset / "test.jsonl", "rb") as src:
         assert len(ranges._ranges(src, 3, 1)) == 3
     here = []  # the first line of each range counted in this process
-    original = cli._evaluate_range
+    original = evaluation._evaluate_range
 
     def counted(src, dst, lineno, size, **kwargs):
         here.append(lineno)
         return original(src, dst, lineno, size, **kwargs)
 
-    monkeypatch.setattr(cli, "_evaluate_range", counted)
+    monkeypatch.setattr(evaluation, "_evaluate_range", counted)
     out = tmp_path / "report.json"
     assert main(["evaluate", "--tagger", f"echo:{predicted}", "--dataset", str(dataset),
                  "--output", str(out)]) == 0
@@ -419,7 +419,7 @@ def test_a_split_pre_split_set_up_writes_and_prints_the_pinned_analysis(
         "--val-path", str(tmp_path / "val.conll"), "--test-path", str(tmp_path / "test.conll"),
     ]
     _, _, one_dir = _set_up(tmp_path, capsys, "one", "42", options)
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: processes)
     written, printed, out_dir = _set_up(tmp_path, capsys, "presplit", "42", options)
     assert written == EXPECTED_PRESPLIT_ANALYSIS + "\n"
@@ -447,18 +447,18 @@ def test_a_split_set_up_writes_and_prints_the_pinned_analysis(tmp_path, capsys, 
     _, _, one_dir = _set_up(tmp_path, capsys, "one", "7", [
         "--source", "AT", "--path", str(export), "--split-ratio", "0.6,0.2,0.2",
     ])
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
     with open(export, "rb") as src:
         assert len(ranges._ranges(src, 3, 1)) == 3
     here = []  # the first line of each range read in this process
-    original = cli._set_up_range
+    original = ingest._set_up_range
 
     def read(src, dst, lineno, size, **kwargs):
         here.append(lineno)
         return original(src, dst, lineno, size, **kwargs)
 
-    monkeypatch.setattr(cli, "_set_up_range", read)
+    monkeypatch.setattr(ingest, "_set_up_range", read)
     written, printed, out_dir = _set_up(tmp_path, capsys, "unsplit", "7", [
         "--source", "AT", "--path", str(export), "--split-ratio", "0.6,0.2,0.2",
     ])

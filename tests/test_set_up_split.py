@@ -143,7 +143,7 @@ def cut_offsets(data, processes):
     with tempfile.TemporaryFile() as src:
         src.write(data)
         src.seek(0)
-        cuts = ranges._ranges(src, processes, cli._SET_UP_MIN_RANGE_BYTES)
+        cuts = ranges._ranges(src, processes, ranges._SET_UP_MIN_RANGE_BYTES)
         return [start for start, _ in cuts][1:]
 
 
@@ -175,7 +175,7 @@ def test_split_set_ups_write_what_one_process_writes(split, source, options, ver
         tmp = Path(tmp)
         path = tmp / "input.jsonl"
         path.write_bytes(data)
-        patch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+        patch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 1)
         found = cut_offsets(data, processes)
         assert found and (cuts is None or found == cuts)
         argv = ["--source", kind, "--path", str(path), *dialect, *ratio, *fraction]
@@ -200,7 +200,7 @@ def good_input(count=40, doccano=False):
     )
 
 
-def no_whole_read(path, dialect):
+def no_whole_read(*args):
     raise AssertionError("the whole input was read in one process")
 
 
@@ -219,11 +219,11 @@ def test_a_good_input_is_set_up_on_the_split_path(tmp_path, monkeypatch, doccano
     one-process run, which reads the whole input, never starts."""
     path = tmp_path / name
     path.write_bytes(good_input(doccano=doccano))
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     argv = [*options, "--path", str(path), "--fraction", "0.5"]
     expected = set_up(tmp_path, 1, monkeypatch, argv)
     assert expected[0] == 0 and len(expected[3]) == 4
-    monkeypatch.setattr(ingest, "_file_records", no_whole_read)
+    monkeypatch.setattr(ranges, "_one_part", no_whole_read)
     assert len(cut_offsets(good_input(doccano=doccano), 3)) == 2
     for processes in (2, 3):
         assert set_up(tmp_path, processes, monkeypatch, argv) == expected
@@ -231,17 +231,18 @@ def test_a_good_input_is_set_up_on_the_split_path(tmp_path, monkeypatch, doccano
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_a_failed_child_has_its_range_read_again(tmp_path, monkeypatch, failure):
-    """A child whose range work raises, or which is killed, has its range
-    read again in the parent: the command gives the one-process result,
-    and no temporary file is left."""
+    """A child which is killed has its range read again in the parent; a
+    child whose range work raises has the whole input read once, as one
+    part, in the parent. Either way the command gives the one-process
+    result, and no temporary file is left."""
     path = tmp_path / "input.jsonl"
     path.write_bytes(good_input())
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     argv = ["--source", "HF", "--path", str(path)]
     expected = set_up(tmp_path, 1, monkeypatch, argv)
-    monkeypatch.setattr(ingest, "_file_records", no_whole_read)
+    wholes = counted_wholes(monkeypatch)
     parent = os.getpid()
-    original = cli._set_up_range
+    original = ingest._set_up_range
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
@@ -250,13 +251,28 @@ def test_a_failed_child_has_its_range_read_again(tmp_path, monkeypatch, failure)
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_set_up_range", failing)
+    monkeypatch.setattr(ingest, "_set_up_range", failing)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     assert len(cut_offsets(good_input(), 3)) == 2
     assert set_up(tmp_path, 3, monkeypatch, argv) == expected
     assert expected[0] == 0 and '"scheme_detected": "BILOU"' in expected[1]
+    assert wholes == ([parent] if failure == "raises" else [])
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def counted_wholes(monkeypatch):
+    """The list that each run of a whole input as one part from now on adds
+    its process id to."""
+    wholes = []
+    one_part = ranges._one_part
+
+    def whole(*args):
+        wholes.append(os.getpid())
+        return one_part(*args)
+
+    monkeypatch.setattr(ranges, "_one_part", whole)
+    return wholes
 
 
 def block_line(words, labels):
@@ -274,42 +290,42 @@ def two_blocks(first, second):
 #: inputs that send the command back to one process once their ranges are
 #: read: a range with a bad label; ranges that read different schemes (IO
 #: beside BIO, all O beside BILOU); and, with --dialect doccano, nothing but
-#: blank lines
+#: blank lines, which the ranges' merge reports empty without a whole read
 FAILING = {
     "bad label": (two_blocks(good_input(20), good_input(19) + block_line(["Ann"], ["Z-PER"])),
-                  []),
+                  [], [(0, None)]),
     "IO and BIO": (two_blocks(block_line(["Ann", "Lee", "went"], ["I-PER", "I-PER", "O"]) * 20,
                               block_line(["Ann", "Lee", "went"], ["B-PER", "I-PER", "O"]) * 20),
-                   []),
+                   [], [(0, None)]),
     "O and BILOU": (two_blocks(block_line(["went", "home"], ["O", "O"]) * 20,
                                block_line(["Ann", "Lee", "Rome"], ["B-PER", "L-PER", "U-LOC"]) * 20),
-                    []),
-    "blank lines": (b" \n" * 300 + b"\n" * 300, ["--dialect", "doccano"]),
+                    [], [(0, None)]),
+    "blank lines": (b" \n" * 300 + b"\n" * 300, ["--dialect", "doccano"], []),
 }
 
 
-@pytest.mark.parametrize("data, dialect", FAILING.values(), ids=FAILING)
+@pytest.mark.parametrize("data, dialect, whole", FAILING.values(), ids=FAILING)
 def test_a_range_that_fails_or_disagrees_sends_the_command_back_to_one_process(
-    tmp_path, monkeypatch, data, dialect
+    tmp_path, monkeypatch, data, dialect, whole
 ):
     """Ranges read in two processes, of which one fails or which read
     different schemes, have the whole input set up again in one process,
-    read once, which writes or reports what one process does; no
-    temporary file is left."""
+    read once as one part, which writes or reports what one process does;
+    no temporary file is left."""
     path = tmp_path / "input.jsonl"
     path.write_bytes(data)
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     assert cut_offsets(data, 2) == [len(data) // 2]
     argv = ["--source", "HF", "--path", str(path), *dialect]
     expected = set_up(tmp_path, 1, monkeypatch, argv)
     reads = []
-    original = ingest._file_records
+    original = ranges._one_part
 
-    def whole_read(path, dialect):
-        reads.append(path)
-        return original(path, dialect)
+    def whole_read(work, part):
+        reads.append(part)
+        return original(work, part)
 
-    monkeypatch.setattr(ingest, "_file_records", whole_read)
+    monkeypatch.setattr(ranges, "_one_part", whole_read)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     forks = []
@@ -321,14 +337,14 @@ def test_a_range_that_fails_or_disagrees_sends_the_command_back_to_one_process(
 
     monkeypatch.setattr(os, "fork", counted)
     assert set_up(tmp_path, 2, monkeypatch, argv) == expected
-    assert reads == [str(path)] and forks == [1]
+    assert reads == whole and forks == [1]
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
 def test_a_threaded_caller_never_forks(tmp_path, monkeypatch):
     path = tmp_path / "input.jsonl"
     path.write_bytes(good_input())
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     argv = ["--source", "HF", "--path", str(path)]
     expected = set_up(tmp_path, 1, monkeypatch, argv)
     forks = []
@@ -385,7 +401,7 @@ ONE_PROCESS = {
 
 @pytest.mark.parametrize("options", ONE_PROCESS.values(), ids=ONE_PROCESS)
 def test_inputs_read_whole_are_never_split(tmp_path, monkeypatch, options):
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     forks = []
 
     def fork():
@@ -400,7 +416,7 @@ def test_inputs_read_whole_are_never_split(tmp_path, monkeypatch, options):
 
 def test_an_input_under_two_ranges_is_not_split(tmp_path, monkeypatch):
     data = good_input(1000)
-    assert len(data) < 2 * cli._SET_UP_MIN_RANGE_BYTES
+    assert len(data) < 2 * ranges._SET_UP_MIN_RANGE_BYTES
     path = tmp_path / "input.jsonl"
     path.write_bytes(data)
     argv = ["--source", "HF", "--path", str(path)]
@@ -522,7 +538,7 @@ def test_split_pre_split_set_ups_write_what_one_process_writes(
         for split, (name, data) in zip(SPLITS, files):
             (tmp / name).write_bytes(data)
             argv += [f"--{split}-path", str(tmp / name)]
-        patch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 1)
+        patch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 1)
         one = set_up(tmp, 1, patch, argv, verbose, seed)
         assert set_up(tmp, 2, patch, argv, verbose, seed) == one
         assert set_up(tmp, 3, patch, argv, verbose, seed) == one
@@ -573,11 +589,11 @@ def test_a_good_pre_split_input_is_set_up_on_the_split_path(tmp_path, monkeypatc
     """A good pre-split dataset on 2 or 3 CPUs is set up from groups of its
     files, one fewer forked children than groups: the one-process run never
     starts."""
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     argv = [*options(tmp_path), "--fraction", "0.5"]
     expected = set_up(tmp_path, 1, monkeypatch, argv)
     assert expected[0] == 0 and len(expected[3]) == 4
-    monkeypatch.setattr(ingest, "_set_up", one_process_set_up)
+    monkeypatch.setattr(ranges, "_one_part", one_process_set_up)
     forks = counted_forks(monkeypatch)
     for processes in (2, 3):
         assert set_up(tmp_path, processes, monkeypatch, argv) == expected
@@ -586,15 +602,16 @@ def test_a_good_pre_split_input_is_set_up_on_the_split_path(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_a_failed_child_has_its_group_read_again(tmp_path, monkeypatch, failure):
-    """A child whose group work raises, or which is killed, has its group
-    read again in the parent: the command gives the one-process result,
-    and no temporary file is left."""
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    """A child which is killed has its group read again in the parent; a
+    child whose group work raises has every file read once, as one part, in
+    the parent. Either way the command gives the one-process result, and no
+    temporary file is left."""
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     argv = PRE_SPLIT["conll"](tmp_path)
     expected = set_up(tmp_path, 1, monkeypatch, argv)
-    monkeypatch.setattr(ingest, "_set_up", one_process_set_up)
+    wholes = counted_wholes(monkeypatch)
     parent = os.getpid()
-    original = cli._set_up_files
+    original = ingest._set_up_files
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
@@ -603,12 +620,13 @@ def test_a_failed_child_has_its_group_read_again(tmp_path, monkeypatch, failure)
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_set_up_files", failing)
+    monkeypatch.setattr(ingest, "_set_up_files", failing)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     forks = counted_forks(monkeypatch)
     assert set_up(tmp_path, 3, monkeypatch, argv) == expected
     assert expected[0] == 0 and forks == [1, 1]
+    assert wholes == ([parent] if failure == "raises" else [])
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
@@ -625,7 +643,7 @@ def no_fork(monkeypatch):
 
 
 def test_a_threaded_caller_never_forks_for_a_pre_split_input(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", 64)
     argv = PRE_SPLIT["conll"](tmp_path)
     expected = set_up(tmp_path, 1, monkeypatch, argv)
     forks = no_fork(monkeypatch)
@@ -659,9 +677,9 @@ def test_a_pre_split_input_that_cannot_split_never_forks(
     tmp_path, monkeypatch, processes, least, texts
 ):
     if least is None:
-        assert sum(map(len, texts)) < 2 * cli._SET_UP_MIN_RANGE_BYTES
+        assert sum(map(len, texts)) < 2 * ranges._SET_UP_MIN_RANGE_BYTES
     else:
-        monkeypatch.setattr(cli, "_SET_UP_MIN_RANGE_BYTES", least)
+        monkeypatch.setattr(ranges, "_SET_UP_MIN_RANGE_BYTES", least)
     argv = ["--source", "LF", *(option for split, text in zip(SPLITS, texts) for option in (
         f"--{split}-path", write(tmp_path, f"{split}.conll", text)))]
     expected = set_up(tmp_path, 1, monkeypatch, argv)

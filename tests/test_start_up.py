@@ -141,7 +141,7 @@ def test_a_split_evaluate_runs_evaluation_before_it_forks(tmp_path):
     probe = (
         "import sys, types\n"
         "from seqlab import cli, ranges\n"
-        "cli._EVALUATE_MIN_RANGE_BYTES = 64\n"
+        "ranges._EVALUATE_MIN_RANGE_BYTES = 64\n"
         "cli._cpu_count = lambda: 2\n"
         "run_ranges = ranges._run_ranges\n"
         "def probed(*args, **kwargs):\n"
