@@ -9,12 +9,14 @@ post-processing with exact character offsets, learning-rate schedules
 with warm restarts and early stopping, and multi-seed run aggregation.
 The neural model itself stays behind the pluggable tagger interface.
 
-Importing the package runs `errors`, `core`, `schemes`, `ingest` and
-`ranges`, which every file command uses. `inference`, `evaluation`,
-`runs` and `schedule` are registered lazily: each is in `sys.modules`
-and bound here from the start, and its code compiles and runs at the
-first read, write or deletion of one of its attributes, after which it
-is a plain module. So a command runs only the modules it uses. Each
+Importing the package runs `errors`, `core`, `schemes`, `records` and
+`ranges`, which every file command uses. `ingest`, `inference`,
+`evaluation`, `runs` and `schedule` are registered lazily: each is in
+`sys.modules` and bound here from the start, and its code compiles and
+runs at the first read, write or deletion of one of its attributes,
+after which it is a plain module. So a command runs only the modules it
+uses, and a module the package runs at import binds a lazy one only as
+a module, never a name from it. Each
 public name in `__all__` resolves through the module `__getattr__`
 (PEP 562) on the module that defines it, so ``seqlab.predict`` or
 ``from seqlab import *`` loads what it names.
@@ -25,7 +27,7 @@ import sys
 import threading
 import types
 
-from . import core, errors, ingest, ranges, schemes
+from . import core, errors, ranges, records, schemes
 
 #: held while a lazy module runs: a thread that touches one meanwhile
 #: waits for the whole module
@@ -74,7 +76,9 @@ def _lazy(name: str) -> _LazyModule:
     return module
 
 
-inference, evaluation, runs, schedule = map(_lazy, ("inference", "evaluation", "runs", "schedule"))
+ingest, inference, evaluation, runs, schedule = map(
+    _lazy, ("ingest", "inference", "evaluation", "runs", "schedule")
+)
 
 #: every public name, under the module that defines it
 _PUBLIC = {

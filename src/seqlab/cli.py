@@ -10,7 +10,7 @@ summarizes multi-seed runs.
 their input across the CPUs in their CPU set, which this module passes
 them; the last three have one implementation each, which
 `ranges._split` runs on each part or on the whole input (see `ranges`):
-`convert` in `ingest._convert_file`, `evaluate` in
+`convert` in `records._convert_file`, `evaluate` in
 `evaluation._count_file` and `dataset set-up` in `ingest._set_up_dataset`.
 A split never shows: the output bytes, the report, the analysis, the
 summary line, the exit code and every error are those of one process.
@@ -25,11 +25,11 @@ Run as the program, `main` freezes the start-up heap before the command
 runs (see `main`).
 
 A command runs only the seqlab modules it uses. Importing this module
-runs `errors`, `core`, `schemes`, `ingest` and `ranges`; of the modules
-the package registers lazily, `evaluate` runs `inference` and
-`evaluation`, `predict` `inference`, `aggregate` `runs` and `schedule
-simulate` `schedule`, while `dataset set-up` and `convert` run none. So
-this module calls the lazy ones through their module, never binds their
+runs `errors`, `core`, `schemes`, `records` and `ranges`; of the modules
+the package registers lazily, `dataset set-up` runs `ingest`, `evaluate`
+`inference` and `evaluation`, `predict` `inference`, `aggregate` `runs`
+and `schedule simulate` `schedule`, while `convert` runs none. So this
+module calls the lazy ones through their module, never binds their
 names, and reads none of them while it builds the parser.
 """
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +46,15 @@ from . import evaluation, inference, ingest, runs, schedule
 from .core import AnnotationScheme
 from .errors import SeqlabError, UnconvertibleInput
 from .ranges import _cpu_count
+from .records import (
+    SPLIT_NAMES,
+    _convert_file,
+    _is_entry,
+    load_analysis,
+    load_json,
+    read_text,
+    resolve_data_dir,
+)
 
 SCHEME_CHOICES = [s.value for s in AnnotationScheme]
 
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = commands.add_parser("evaluate", help="score a tagger on a dataset split")
     evaluate.add_argument("--tagger", required=True, help="lexicon:<path>, echo:<path>, or all-o")
     evaluate.add_argument("--dataset", required=True, help="dataset name or directory")
-    evaluate.add_argument("--phase", default="test", choices=list(ingest.SPLIT_NAMES))
+    evaluate.add_argument("--phase", default="test", choices=list(SPLIT_NAMES))
     evaluate.add_argument("--output", help="report path (default: <dataset>/eval_<phase>.json)")
     evaluate.set_defaults(handler=cmd_evaluate)
 
@@ -121,7 +129,7 @@ def cmd_dataset_setup(args) -> int:
         print(f"bad --split-ratio: {args.split_ratio!r}", file=sys.stderr)
         return 2
     name = args.name
-    if not ingest._is_entry(name):
+    if not _is_entry(name):
         print(f"bad --name: {name!r} is not one directory entry", file=sys.stderr)
         return 2
     if args.fraction is not None and not 0.0 < args.fraction <= 1.0:
@@ -136,7 +144,7 @@ def cmd_dataset_setup(args) -> int:
         split_ratio=ratio, seed=args.seed, fractions=(args.fraction, None, None), scheme=None,
         data_dir=args.data_dir, processes=_cpu_count(),
     )
-    print(f"wrote canonical dataset to {ingest.resolve_data_dir(args.data_dir) / name}")
+    print(f"wrote canonical dataset to {resolve_data_dir(args.data_dir) / name}")
     print(json.dumps(analysis, ensure_ascii=False, indent=2))
     return 0
 
@@ -150,7 +158,7 @@ def cmd_convert(args) -> int:
             file=sys.stderr,
         )
     try:
-        documents = ingest._convert_file(args.input, args.output, source, target, _cpu_count())
+        documents = _convert_file(args.input, args.output, source, target, _cpu_count())
     except UnconvertibleInput as err:
         if args.verbose:
             for lineno, problem in err.problems:
@@ -164,7 +172,7 @@ def _dataset_dir(args) -> Path:
     candidate = Path(args.dataset)
     if candidate.is_dir():
         return candidate
-    return ingest.resolve_data_dir(args.data_dir) / args.dataset
+    return resolve_data_dir(args.data_dir) / args.dataset
 
 
 def cmd_evaluate(args) -> int:
@@ -172,7 +180,7 @@ def cmd_evaluate(args) -> int:
     if args.verbose:
         print(f"DEBUG evaluating {args.phase} split of {dataset_dir}", file=sys.stderr)
     try:
-        scheme = AnnotationScheme.coerce(ingest.load_analysis(dataset_dir)["scheme_detected"])
+        scheme = AnnotationScheme.coerce(load_analysis(dataset_dir)["scheme_detected"])
     except (SeqlabError, KeyError, TypeError, ValueError):
         scheme = None  # no usable analysis.json: the split's reader detects it
     counts = evaluation._count_file(
@@ -219,13 +227,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_schedule_simulate(args) -> int:
+    import math  # only this command reads numbers itself, so it stays out of start-up
+
     try:
-        config_data = ingest.load_json(ingest.read_text(args.config))
+        config_data = load_json(read_text(args.config))
         if not isinstance(config_data, dict):
             raise ValueError("schedule config must be a JSON object")
         losses = config_data.pop("val_losses", None)
         if args.losses:
-            losses = ingest.load_json(ingest.read_text(args.losses))
+            losses = load_json(read_text(args.losses))
         if not isinstance(losses, list) or not losses:
             raise ValueError("a non-empty loss array is required (config val_losses or --losses)")
         try:

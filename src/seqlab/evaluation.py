@@ -32,7 +32,7 @@ from . import inference, ranges
 from .core import AnnotationScheme, Chunk, Document, LabelSequence, decode
 from .errors import MissingGold, SeqlabError, UnresolvableSource
 from .inference import _tag_and_parse, _word_spans
-from .ingest import _document_row, _one_scheme, _range_records, _Row, _rows, _synthetic_offsets
+from .records import _document_row, _one_scheme, _range_records, _Row, _rows, _synthetic_offsets
 from .schemes import _span_labels
 
 EXTRACTION_MODES = ("strict", "lenient")
@@ -203,7 +203,7 @@ def count_documents(tagger, documents: Iterable[Document], scheme: AnnotationSch
 
 
 def _count_rows(tagger, rows: Iterable[_Row], scheme: AnnotationScheme) -> Counts:
-    """`count_documents` of rows, as `seqlab.ingest` reads them."""
+    """`count_documents` of rows, as `seqlab.records` reads them."""
     counts = Counts()
     tables = {}
     for row in rows:

@@ -63,8 +63,8 @@ from .errors import (
     UndecodableInput,
     UnloadableTagger,
 )
-from .ingest import _json_records, _rows, load_json, read_text
 from .ranges import _ranges, _run_at, _run_ranges
+from .records import _json_records, _rows, load_json, read_text
 from .schemes import chunk_prefixes, resolve_scheme
 
 _WORD_RE = re.compile(r"\S+")

@@ -49,7 +49,7 @@ from typing import NamedTuple, Sequence
 from .errors import (
     DuplicateMetricPath, DuplicateRunName, EmptyRunSet, MalformedJson, MissingMetric, NonFiniteMetric
 )
-from .ingest import _is_entry, load_json, read_text
+from .records import _is_entry, load_json, read_text
 
 #: strict entity micro F1; prepend a phase segment ("val." etc.) when
 #: records store per-phase trees.

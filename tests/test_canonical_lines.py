@@ -23,12 +23,12 @@ from seqlab.core import (
 )
 from seqlab.errors import PrefixNotInScheme
 from seqlab.ingest import (
-    _synthetic_offsets,
     document_to_record,
     read_canonical_jsonl,
     save_canonical_jsonl,
     write_canonical_jsonl,
 )
+from seqlab.records import _synthetic_offsets
 from seqlab.schemes import convert_scheme
 
 #: characters the JSON escaper treats specially, and some it leaves alone

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqlab import cli, inference, ingest, ranges
+from seqlab import cli, inference, ranges, records
 from seqlab.core import AnnotationScheme
 from seqlab.schemes import chunk_prefixes
 
@@ -196,7 +196,7 @@ def test_a_failed_child_has_its_range_converted_again(tmp_path, monkeypatch, fai
 
     monkeypatch.setattr(ranges, "_one_part", whole)
     parent = os.getpid()
-    original = ingest._convert_range
+    original = records._convert_range
 
     def failing(*args, **kwargs):
         if os.getpid() != parent:
@@ -205,7 +205,7 @@ def test_a_failed_child_has_its_range_converted_again(tmp_path, monkeypatch, fai
             os.kill(os.getpid(), signal.SIGKILL)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ingest, "_convert_range", failing)
+    monkeypatch.setattr(records, "_convert_range", failing)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     assert len(cut_offsets(good_input(), 3)) == 2

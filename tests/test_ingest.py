@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,10 @@ from seqlab.errors import (
 )
 from seqlab.evaluation import extract_entities
 from seqlab.ingest import (
+    _OTHER_SPACES,
     DatasetSplit,
     analyze,
     document_to_record,
-    load_analysis,
-    load_json,
     load_split,
     parse_annotation_tool_export,
     parse_conll,
@@ -38,6 +38,7 @@ from seqlab.ingest import (
     split_documents,
     write_canonical_jsonl,
 )
+from seqlab.records import load_analysis, load_json
 
 from .oracles import oracle_prune_size
 
@@ -75,6 +76,58 @@ class TestParseConll:
         doc = parse_conll("a O\nbb O\nccc O\n")[0]
         assert doc.text == "a bb ccc"
         assert [(w.char_start, w.char_end) for w in doc.words] == [(0, 1), (2, 4), (5, 8)]
+
+    def test_a_word_holds_any_space_but_ascii_whitespace(self):
+        """Lines end at "\n" only, as every reader counts them, and columns
+        are cut at ASCII whitespace only: a no-break, ideographic, line
+        separator or next-line space is part of its word, and a ragged row
+        after such words names its own line."""
+        source = "New\u00a0York B-LOC\nTo\u3000kyo B-LOC\nx\u2028y O\nz\u0085w O\n"
+        (doc,) = parse_conll(source)
+        surfaces = ["New\u00a0York", "To\u3000kyo", "x\u2028y", "z\u0085w"]
+        assert [w.surface for w in doc.words] == surfaces
+        assert doc.word_labels.serialized() == ["B-LOC", "B-LOC", "O", "O"]
+        assert parse_conll(source.replace("\n", "\r\n")) == [doc]
+        for ragged, line in [(source + "ragged\n", 5), ("a O\u2028b O\nc\n", 2)]:
+            with pytest.raises(RaggedRow) as excinfo:
+                parse_conll(ragged)
+            assert excinfo.value.line == line
+
+    def test_the_other_spaces_are_every_space_but_ascii_whitespace(self):
+        """The spaces whose presence sends a file off the `str.split` path
+        are all those this Python's `str.isspace` accepts but ASCII's six."""
+        spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+        assert sorted(_OTHER_SPACES) == sorted(spaces - set(" \t\n\r\x0b\x0c"))
+
+    @given(
+        sentences=st.lists(
+            st.lists(
+                st.tuples(
+                    st.text(st.sampled_from("abé\u00a0\u3000\u2028\u0085\x1c\x1f"),
+                            min_size=1, max_size=4),
+                    st.sampled_from(["O", "B-X", "I-X"]),
+                    st.text(st.sampled_from(" \t\x0b\x0c\r"), min_size=1, max_size=2),
+                    st.sampled_from(["\n", "\r\n", " \n", "\t\r\n"]),
+                ),
+                min_size=1, max_size=3,
+            ),
+            min_size=1, max_size=3,
+        )
+    )
+    def test_columns_are_cut_at_ascii_whitespace_only(self, sentences):
+        """Whatever other spaces its words hold, a file reads back as the
+        words and labels it was written from."""
+        source = "\n".join(
+            "".join(f"{word}{gap}{label}{end}" for word, label, gap, end in rows)
+            for rows in sentences
+        )
+        docs = parse_conll(source)
+        assert [[w.surface for w in d.words] for d in docs] == [
+            [word for word, *_ in rows] for rows in sentences
+        ]
+        assert [d.word_labels.serialized() for d in docs] == [
+            [label for _, label, *_ in rows] for rows in sentences
+        ]
 
 
 class TestParsePretokenizedJsonl:

@@ -26,9 +26,8 @@ from hypothesis import given, settings, strategies as st
 from seqlab.cli import main
 from seqlab.core import AnnotationScheme, Document, EntitySpan, LabelSequence, Word
 from seqlab.errors import SeqlabError
-from seqlab.ingest import (
-    load_analysis, load_split, read_canonical_jsonl, set_up, write_canonical_jsonl
-)
+from seqlab.ingest import load_split, read_canonical_jsonl, set_up, write_canonical_jsonl
+from seqlab.records import load_analysis
 from seqlab.runs import RunRecord, load_run, load_runs, save_run
 
 SPLITS = ("train", "val", "test")

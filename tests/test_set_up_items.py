@@ -1,7 +1,7 @@
 """`dataset set-up` builds no Word or Document for a word-labeled record.
 
 `ingest._set_up_dataset` reads every record into a checked row
-(`ingest._rows`) and formats its canonical line, in one part or in each
+(`records._rows`) and formats its canonical line, in one part or in each
 part of a split, then splits, prunes, analyzes and writes the lines. The
 public `set_up` takes the same path and then reads the written files back
 as Documents.

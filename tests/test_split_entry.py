@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from seqlab import cli, ingest, ranges
+from seqlab import cli, ingest, ranges, records
 from seqlab.errors import UndecodableInput
 
 
@@ -189,11 +189,11 @@ def test_a_range_names_an_undecodable_byte_by_its_place_in_the_whole_file(tmp_pa
     path = tmp_path / "x.jsonl"
     path.write_bytes(good * 3 + b'{"words": ["Ann\xff"], "labels": ["O"]}\n' + good)
     with pytest.raises(UndecodableInput) as whole:
-        ingest.read_text(path)
+        records.read_text(path)
     with open(path, "rb") as src:
         src.seek(2 * len(good))
         with pytest.raises(UndecodableInput) as part:
-            ingest._range_records(src, 2 * len(good), 3, path)
+            records._range_records(src, 2 * len(good), 3, path)
     expected = f"line 4: byte {3 * len(good) + 15} of {path} is not UTF-8 (invalid start byte)"
     assert str(part.value) == str(whole.value) == expected
     assert part.value.line == whole.value.line == 4
@@ -244,13 +244,13 @@ def test_the_program_forks_in_one_place():
     """`os.fork` has one call site, in `ranges`; only `ranges` and
     `inference` run ranges; `cli` runs no range work and takes only the CPU
     count from `ranges`, and `_split` is called from the modules that own
-    the works it runs: `ingest` (`convert` and `dataset set-up`) and
-    `evaluation`."""
+    the works it runs: `records` (`convert`), `ingest` (`dataset set-up`)
+    and `evaluation`."""
     assert calls("os.fork") == {"ranges": 1}
     assert calls("fork") == {} and not any("fork" in imported(m, "os") for m in TREES)
     assert set(calls("_run_ranges")) <= {"ranges", "inference"}
     assert imported("cli", "ranges") == {"_cpu_count"}
-    assert calls("ranges._split") == {"ingest": 2, "evaluation": 1}
+    assert calls("ranges._split") == {"records": 1, "ingest": 1, "evaluation": 1}
     assert calls("_split") == {} and not any("_split" in imported(m, "ranges") for m in TREES)
 
 
@@ -330,4 +330,4 @@ def test_the_library_set_up_splits_through_one_call(tmp_path, split_calls):
     assert split_calls == [1]
     assert [len(split) for split in splits] == [40, 40, 40]
     assert splits[2].documents == tuple(ingest.read_canonical_jsonl(good_input().decode()))
-    assert analysis == ingest.load_analysis(tmp_path / "data" / "x")
+    assert analysis == records.load_analysis(tmp_path / "data" / "x")

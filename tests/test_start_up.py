@@ -1,22 +1,34 @@
 """A command runs only the seqlab modules it uses.
 
-The package registers `inference`, `evaluation`, `runs` and `schedule`
-lazily: each is in `sys.modules` from the start, and runs at the first
-read of one of its attributes, when its type becomes `types.ModuleType`.
-Each test runs its command in a fresh interpreter under ``-S``, where
-nothing but the command itself has loaded any of them.
+The package registers `ingest`, `inference`, `evaluation`, `runs` and
+`schedule` lazily: each is in `sys.modules` from the start, and runs at
+the first read of one of its attributes, when its type becomes
+`types.ModuleType`. Each test runs its command in a fresh interpreter
+under ``-S``, where nothing but the command itself has loaded any of
+them. The modules import one another in one direction only, which a
+static read of their imports pins.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
-LAZY = ("evaluation", "inference", "runs", "schedule")
+#: the modules the package registers lazily, each with a function it defines
+LAZY_FUNCTIONS = {
+    "evaluation": "evaluate_on_dataset",
+    "inference": "predict",
+    "ingest": "set_up",
+    "runs": "load_runs",
+    "schedule": "simulate",
+}
+LAZY = tuple(LAZY_FUNCTIONS)
 
 #: runs the command in ``sys.argv`` and writes to stderr, after its own
 #: output, the lazily registered modules that ran
@@ -47,17 +59,22 @@ def ran(argv):
 
 
 def test_importing_the_cli_runs_only_the_modules_every_file_command_uses():
+    """... and so not `random`, which only set-up uses. (`math` stays out
+    too on 3.11; from 3.12 `pathlib` loads it through `urllib.parse`.)"""
     probe = (
         "import sys, types, seqlab.cli\n"
         "print(*sorted(n for n, m in sys.modules.items()\n"
         "              if n.startswith('seqlab') and type(m) is types.ModuleType))\n"
+        "print('random' in sys.modules)\n"
     )
     result = run_probe(probe)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [
-        "seqlab", "seqlab.cli", "seqlab.core", "seqlab.errors", "seqlab.ingest",
-        "seqlab.ranges", "seqlab.schemes",
+    seqlab_modules, random = result.stdout.splitlines()
+    assert seqlab_modules.split() == [
+        "seqlab", "seqlab.cli", "seqlab.core", "seqlab.errors", "seqlab.ranges",
+        "seqlab.records", "seqlab.schemes",
     ]
+    assert random == "False"
 
 
 SENTENCES = [
@@ -102,7 +119,7 @@ def commands(tmp):
 
 
 @pytest.mark.parametrize("command, modules", [
-    ("dataset set-up", []),
+    ("dataset set-up", ["ingest"]),
     ("convert", []),
     ("evaluate", ["evaluation", "inference"]),
     ("predict --text", ["inference"]),
@@ -135,43 +152,52 @@ def test_a_star_import_binds_every_public_name_and_an_unknown_name_raises():
 
 
 @pytest.mark.forks
-def test_a_split_evaluate_runs_evaluation_before_it_forks(tmp_path):
-    """`evaluate` runs `evaluation` while it makes its range work, before
-    `ranges._run_ranges` forks, so that no part compiles it again."""
+@pytest.mark.parametrize("command, module", [
+    ("evaluate", "evaluation"),
+    ("dataset set-up", "ingest"),
+])
+def test_a_split_command_runs_its_lazy_module_before_it_forks(tmp_path, command, module):
+    """`evaluate` runs `evaluation` while it makes its range work, and a
+    JSONL `dataset set-up` runs `ingest`, before `ranges._run_ranges`
+    forks, so that no part compiles it again."""
     probe = (
         "import sys, types\n"
         "from seqlab import cli, ranges\n"
-        "ranges._EVALUATE_MIN_RANGE_BYTES = 64\n"
+        "ranges._EVALUATE_MIN_RANGE_BYTES = ranges._SET_UP_MIN_RANGE_BYTES = 64\n"
         "cli._cpu_count = lambda: 2\n"
         "run_ranges = ranges._run_ranges\n"
         "def probed(*args, **kwargs):\n"
-        "    ran = type(sys.modules['seqlab.evaluation']) is types.ModuleType\n"
-        "    print('evaluation ran before the fork:', ran, file=sys.stderr)\n"
+        f"    ran = type(sys.modules['seqlab.{module}']) is types.ModuleType\n"
+        f"    print('{module} ran before the fork:', ran, file=sys.stderr)\n"
         "    return run_ranges(*args, **kwargs)\n"
         "ranges._run_ranges = probed\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
+    canonical = "".join(json.dumps({"words": w, "labels": l}) + "\n" for w, l in SENTENCES * 8)
     dataset = tmp_path / "dataset"
     dataset.mkdir()
-    (dataset / "test.jsonl").write_text(
-        "".join(json.dumps({"words": w, "labels": l}) + "\n" for w, l in SENTENCES * 8),
-        encoding="utf-8",
-    )
-    argv = ["evaluate", "--tagger", "all-o", "--dataset", str(dataset)]
+    (dataset / "test.jsonl").write_text(canonical, encoding="utf-8")
+    argv = {
+        "evaluate": ["evaluate", "--tagger", "all-o", "--dataset", str(dataset)],
+        "dataset set-up": ["--data-dir", str(tmp_path / "data"), "dataset", "set-up",
+                           "--source", "HF", "--name", "set", "--path",
+                           str(dataset / "test.jsonl")],
+    }[command]
     result = run_probe(probe, *argv)
     assert result.returncode == 0, result.stderr
-    assert result.stderr == "evaluation ran before the fork: True\n"
+    assert result.stderr == f"{module} ran before the fork: True\n"
 
 
-def test_threads_that_read_a_lazy_module_at_once_all_see_it_whole():
-    """The first thread to read `runs` runs it; the others wait for it."""
+@pytest.mark.parametrize("module, name", LAZY_FUNCTIONS.items())
+def test_threads_that_read_a_lazy_module_at_once_all_see_it_whole(module, name):
+    """The first thread to read the module runs it; the others wait for it."""
     probe = (
         "import threading, seqlab\n"
         "barrier = threading.Barrier(8)\n"
         "read = []\n"
         "def first_read():\n"
         "    barrier.wait()\n"
-        "    read.append(callable(getattr(seqlab.runs, 'load_runs', None)))\n"
+        f"    read.append(callable(getattr(seqlab.{module}, {name!r}, None)))\n"
         "threads = [threading.Thread(target=first_read) for _ in range(8)]\n"
         "for thread in threads:\n"
         "    thread.start()\n"
@@ -182,3 +208,44 @@ def test_threads_that_read_a_lazy_module_at_once_all_see_it_whole():
     result = run_probe(probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{[True] * 8}\n"
+
+
+def imports():
+    """{module: {(module it imports, the name it binds, or None where it
+    binds the module)}} over ``src/seqlab/*.py``, from every relative
+    import at any depth, a function's included."""
+    found = {}
+    for path in sorted((SRC / "seqlab").glob("*.py")):
+        edges = found[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:  # from . import a, b
+                    edges.update((alias.name, None) for alias in node.names)
+                else:  # from .a import x, y
+                    edges.update((node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_the_modules_import_one_another_in_one_direction():
+    """No import cycle; a module the package runs at import binds a lazy
+    one only as a module (``from . import ingest``), so that importing
+    it does not run that module, and the package itself imports none;
+    and `records`, the layer every file command shares, imports no
+    module that uses it."""
+    found = imports()
+    tree = ast.parse((SRC / "seqlab" / "__init__.py").read_text(encoding="utf-8"))
+    registered = next(
+        ast.literal_eval(node.args[1]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args and ast.unparse(node.args[0]) == "_lazy"
+    )
+    assert sorted(registered) == list(LAZY)
+    graph = {module: {target for target, _ in edges} for module, edges in found.items()}
+    try:
+        list(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        pytest.fail(f"import cycle: {err.args[1]}")
+    eager = found.keys() - set(LAZY)
+    assert {(m, t, n) for m in eager for t, n in found[m] if t in LAZY and n is not None} == set()
+    assert graph["__init__"] & set(LAZY) == set()  # an import there would run it before it is lazy
+    users = {"ingest", "inference", "evaluation", "runs", "schedule", "cli"}
+    assert graph["records"] & users == set()

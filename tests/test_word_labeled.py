@@ -1,7 +1,7 @@
 """Every record is read into one checked row, as the frozen reference
 reader reads it into a Document; no CLI path builds a Document.
 
-`ingest._rows` checks each canonical record once (`ingest._check_record`)
+`records._rows` checks each canonical record once (`records._check_record`)
 and gives its row; `ingest._documents` builds Documents from rows only
 where the public API returns them. `tests.oracles.oracle_canonical_documents`
 is the reader that checked each record by building its Document. Hypothesis
@@ -29,6 +29,7 @@ from seqlab.core import AnnotationScheme
 from seqlab.errors import SeqlabError
 from seqlab.evaluation import evaluate_on_dataset
 from seqlab.inference import EchoTagger, LexiconTagger, load_tagger
+from seqlab.records import _document_row, _Row, _rows
 from seqlab.schemes import convert_scheme
 
 from .oracles import oracle_canonical_documents
@@ -169,7 +170,7 @@ def entity_records(draw):
 
 def read(records, scheme):
     """The Documents the row reader gives."""
-    return ingest._documents(*ingest._rows(records, scheme))
+    return ingest._documents(*_rows(records, scheme))
 
 
 def reference(records, scheme):
@@ -189,14 +190,14 @@ def words_and_labels(items):
     where it has no labels."""
     if isinstance(items, tuple):  # an error
         return items
-    rows = [i if isinstance(i, ingest._Row) else ingest._document_row(i) for i in items]
+    rows = [i if isinstance(i, _Row) else _document_row(i) for i in items]
     return [None if r.labels is None else (list(r.surfaces), r.labels) for r in rows]
 
 
 def assert_same_reads(records, scheme):
     documents = outcome(lambda: reference(records, scheme))
     assert outcome(lambda: read(records, scheme)) == documents
-    rows = outcome(lambda: ingest._rows(records, scheme)[0])
+    rows = outcome(lambda: _rows(records, scheme)[0])
     assert words_and_labels(rows) == words_and_labels(documents)
     return documents
 
@@ -295,7 +296,7 @@ def test_the_loop_passes_only_what_the_document_path_passes(record, scheme):
     """A record is a row exactly where the reference reads it into a
     Document, and the row holds that Document's fields."""
     try:
-        rows, resolved = ingest._rows([(1, record)], scheme)
+        rows, resolved = _rows([(1, record)], scheme)
     except SeqlabError:
         rows = None
     try:
@@ -304,7 +305,7 @@ def test_the_loop_passes_only_what_the_document_path_passes(record, scheme):
         document = None
     assert (rows is None) == (document is None)
     if document is not None:
-        (row,), expected = rows, ingest._document_row(document)
+        (row,), expected = rows, _document_row(document)
         assert columns(row) == columns(expected)
         assert ingest._documents(rows, resolved) == [document]
 
@@ -324,7 +325,8 @@ def no_builders(patch):
 
     names = ("Document", "Word", "EntitySpan", "_new_word", "_new_entity", "_new_document",
              "_documents", "split_words")
-    for module in (ingest, seqlab.evaluation, seqlab.inference, seqlab.schemes, seqlab.cli):
+    for module in (seqlab.records, ingest, seqlab.evaluation, seqlab.inference, seqlab.schemes,
+                   seqlab.cli):
         for name in names:
             if hasattr(module, name):
                 patch(module, name, built)
@@ -333,13 +335,13 @@ def no_builders(patch):
 @given(record=valid_records(), scheme=SCHEMES)
 def test_set_up_records_never_build_a_document(record, scheme):
     try:
-        rows, _ = ingest._rows([(1, record)], scheme)
+        rows, _ = _rows([(1, record)], scheme)
     except SeqlabError:
         return  # a label not in the scheme
     assert list(rows[0].surfaces) == [w["surface"] for w in record["words"]]
     with pytest.MonkeyPatch.context() as patcher:
         no_builders(patcher.setattr)
-        assert ingest._rows([(1, record)], scheme)[0] == rows
+        assert _rows([(1, record)], scheme)[0] == rows
 
 
 class DocumentBuilt(Exception):
